@@ -23,11 +23,26 @@ from .symtensor import SymTensor
 DEFAULT_TOL = 1e-9
 
 
+def finite(text) -> float:
+    """A float that is neither NaN nor infinite (JSON and float() accept both)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def tolerance(text) -> float:
+    value = finite(text)
+    if value < 0:
+        raise ValueError(f"tolerance {text!r} is negative")
+    return value
+
+
 def _tol(args) -> float:
     if args.tol is not None:
         return args.tol
     env = os.environ.get("HOMOBOUNDS_TOL")
-    return float(env) if env else DEFAULT_TOL
+    return tolerance(env) if env else DEFAULT_TOL
 
 
 def _fmt(x) -> str:
@@ -46,19 +61,17 @@ def _sanitize(value):
 
 
 def _emit(args, payload):
-    text = json.dumps(_sanitize(payload), indent=2, sort_keys=True)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(_sanitize(payload), indent=2, sort_keys=True))
 
 
 def _emit_csv(args, header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-    text = "\n".join(lines)
+    _write(args, "\n".join(lines))
+
+
+def _write(args, text: str):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -66,40 +79,48 @@ def _emit_csv(args, header, rows):
         print(text)
 
 
-def _phase_a(args) -> gclosure.PhaseA:
-    parts = [float(x) for x in args.a.split(",")]
-    theta = getattr(args, "theta", None)
-    if len(parts) == 3:
-        return gclosure.PhaseA(parts[0], parts[1], parts[2] if theta is None else theta)
-    if theta is None:
-        raise ValueError("provide --theta or a three-component --a a1,a2,theta")
-    return gclosure.PhaseA(parts[0], parts[1], theta)
+# phase flag -> (data class, fraction flag, three-component form)
+_PHASES = {"a": (gclosure.PhaseA, "theta", "a1,a2,theta"), "b": (pairbounds.PhaseB, "thetaB", "b1,b2,thetaB")}
 
 
-def _phase_b(args) -> pairbounds.PhaseB:
-    parts = [float(x) for x in args.b.split(",")]
-    theta = getattr(args, "thetaB", None)
-    if len(parts) == 3:
-        return pairbounds.PhaseB(parts[0], parts[1], parts[2] if theta is None else theta)
+def _phase(args, flag: str):
+    """PhaseA from --a (and --theta) or PhaseB from --b (and --thetaB)."""
+    cls, theta_flag, form = _PHASES[flag]
+    parts = _floats(getattr(args, flag), flag)
+    theta = getattr(args, theta_flag, None)
+    if len(parts) == 3 and theta is None:
+        theta = parts[2]
     if theta is None:
-        raise ValueError("provide --thetaB or a three-component --b b1,b2,thetaB")
-    return pairbounds.PhaseB(parts[0], parts[1], theta)
+        raise ValueError(f"provide --{theta_flag} or a three-component --{flag} {form}")
+    return cls(parts[0], parts[1], theta)
+
+
+def _floats(text, flag: str) -> list:
+    if not text:
+        raise ValueError(f"provide --{flag}")
+    parts = [finite(x) for x in text.split(",")]
+    if len(parts) not in (2, 3):
+        raise ValueError(f"--{flag} takes two or three comma-separated numbers, got {text!r}")
+    return parts
 
 
 def _tensor(text) -> SymTensor:
     if not text:
         raise ValueError("provide the matrix as JSON, e.g. --astar '[[1.3,0],[0,1.5]]'")
-    return SymTensor.from_matrix(json.loads(text))
+    m = np.asarray(json.loads(text), dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError(f"matrix entries must be finite, got {text}")
+    return SymTensor.from_matrix(m)
 
 
 def _source(text: str) -> homog1d.Source1D:
     if text.startswith("const:"):
-        return homog1d.Source1D.constant(float(text.split(":", 1)[1]))
+        return homog1d.Source1D.constant(finite(text.split(":", 1)[1]))
     raise ValueError(f"unsupported source spec {text!r} (use const:<value>)")
 
 
 def cmd_gset(args) -> int:
-    pa = _phase_a(args)
+    pa = _phase(args, "a")
     if args.action == "check":
         report = gclosure.g_membership(_tensor(args.astar), pa, _tol(args))
         _emit(
@@ -127,7 +148,7 @@ def cmd_pair(args) -> int:
         )
         bad = [r for r in rows if r[-1] == "infeasible"]
         return 1 if (args.assert_ and bad) else 0
-    pa, pb = _phase_a(args), _phase_b(args)
+    pa, pb = _phase(args, "a"), _phase(args, "b")
     report = pairbounds.pair_membership(_tensor(args.astar), _tensor(args.bsharp), pa, pb, _tol(args))
     payload = {
         "region": report.region,
@@ -146,7 +167,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_laminate(args) -> int:
-    pa = _phase_a(args)
+    pa = _phase(args, "a")
     if args.spec_file:
         with open(args.spec_file) as fh:
             spec = laminates.LaminateSpec.from_json(fh.read())
@@ -158,7 +179,7 @@ def cmd_laminate(args) -> int:
         bsharp = laminates.seq_B_const(spec, pa, args.const_b)
         payload["bsharp"] = bsharp.mat.tolist()
     else:
-        pb = _phase_b(args)
+        pb = _phase(args, "b")
         try:
             bsharp = laminates.seq_B_pp(spec, pa, pb)
             payload["bsharp"] = bsharp.mat.tolist()
@@ -171,14 +192,14 @@ def cmd_laminate(args) -> int:
 
 
 def cmd_hashin(args) -> int:
-    pa = _phase_a(args)
+    pa = _phase(args, "a")
     cfg = hashin.CoatingConfig(args.coreA, args.coreB, args.inclusion)
     m = hashin.hs_m(pa, args.coreA, args.n)
     if args.coreB == "const":
         payload_b = hashin.hs_b(pa, args.const_b, cfg, args.n)
         oracle_arg = args.const_b
     else:
-        pb = _phase_b(args)
+        pb = _phase(args, "b")
         payload_b = hashin.hs_b(pa, pb, cfg, args.n)
         oracle_arg = pb
     payload = {"m": m, "bsharp": payload_b}
@@ -196,7 +217,7 @@ def _load_profile(args) -> homog1d.Profile1D:
 
 
 def cmd_oned(args) -> int:
-    pa, pb = _phase_a(args), _phase_b(args)
+    pa, pb = _phase(args, "a"), _phase(args, "b")
     if args.action == "bounds":
         l1, l2, u1, u2, lsel, usel = homog1d.bounds_1d(pa, pb)
         _emit(args, {"l1": l1, "l2": l2, "u1": u1, "u2": u2, "l": lsel, "u": usel})
@@ -220,18 +241,29 @@ def cmd_oned(args) -> int:
     return 1 if (args.assert_ and final_rel > 0.02) else 0
 
 
-def cmd_odp(args) -> int:
+def _design(args, two_sets: bool) -> tuple:
+    """(cells, kA, kB, pa, pb, source) from --instance or the flags; pb is None for one set."""
     if args.instance:
         with open(args.instance) as fh:
             inst = json.load(fh)
-        pa = gclosure.PhaseA(inst["a"][0], inst["a"][1], inst["kA"] / inst["cells"])
-        source = _source(inst["f"])
-        cells, k = inst["cells"], inst["kA"]
+        theta_a = theta_b = None
     else:
-        parts = [float(x) for x in args.a.split(",")]
-        cells, k = args.cells, args.kA
-        pa = gclosure.PhaseA(parts[0], parts[1], args.theta if args.theta is not None else k / cells)
-        source = _source(args.f)
+        inst = {"cells": args.cells, "kA": args.kA, "a": _floats(args.a, "a"), "f": args.f}
+        if two_sets:
+            inst.update(kB=args.kB, b=_floats(args.b, "b"))
+        theta_a, theta_b = args.theta, getattr(args, "thetaB", None)
+    cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
+    if not all(isinstance(x, int) for x in (cells, ka, kb)) or cells < 1:
+        raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
+    pa = gclosure.PhaseA(inst["a"][0], inst["a"][1], ka / cells if theta_a is None else theta_a)
+    pb = None
+    if two_sets:
+        pb = pairbounds.PhaseB(inst["b"][0], inst["b"][1], kb / cells if theta_b is None else theta_b)
+    return cells, ka, kb, pa, pb, _source(inst["f"])
+
+
+def cmd_odp(args) -> int:
+    cells, k, _, pa, _, source = _design(args, False)
     if args.action == "relax":
         theta = relaxation.DesignField1D((k / cells,) * cells, k / cells)
         value = relaxation.odp_relaxed_value_1d(theta, pa, source)
@@ -243,20 +275,7 @@ def cmd_odp(args) -> int:
 
 
 def cmd_oodp(args) -> int:
-    if args.instance:
-        with open(args.instance) as fh:
-            inst = json.load(fh)
-        cells, ka, kb = inst["cells"], inst["kA"], inst["kB"]
-        pa = gclosure.PhaseA(inst["a"][0], inst["a"][1], ka / cells)
-        pb = pairbounds.PhaseB(inst["b"][0], inst["b"][1], kb / cells)
-        source = _source(inst["f"])
-    else:
-        parts_a = [float(x) for x in args.a.split(",")]
-        parts_b = [float(x) for x in args.b.split(",")]
-        cells, ka, kb = args.cells, args.kA, args.kB
-        pa = gclosure.PhaseA(parts_a[0], parts_a[1], args.theta if args.theta is not None else ka / cells)
-        pb = pairbounds.PhaseB(parts_b[0], parts_b[1], args.thetaB if args.thetaB is not None else kb / cells)
-        source = _source(args.f)
+    cells, ka, kb, pa, pb, source = _design(args, True)
     if args.action == "relax":
         ta = relaxation.DesignField1D((ka / cells,) * cells, ka / cells)
         tb = relaxation.DesignField1D((kb / cells,) * cells, kb / cells)
@@ -270,7 +289,7 @@ def cmd_oodp(args) -> int:
 
 def cmd_phase(args) -> int:
     """Fibre diagram: A*-boundary samples with the extreme B# eigenvalues."""
-    pa, pb = _phase_a(args), _phase_b(args)
+    pa, pb = _phase(args, "a"), _phase(args, "b")
     if pairbounds.classify_region(pa, pb) != "L1U1":
         raise ValueError("phase diagram sampling targets the region L1U1")
     pts = gclosure.boundary_curve_sample(pa, "lower", args.n)
@@ -291,7 +310,7 @@ def cmd_phase(args) -> int:
 
 def _add_common(p, tol=True, out=True, assert_flag=True):
     if tol:
-        p.add_argument("--tol", type=float, default=None, help="feasibility tolerance")
+        p.add_argument("--tol", type=tolerance, default=None, help="feasibility tolerance")
     if out:
         p.add_argument("--out", default=None, help="write output to a file")
     if assert_flag:
@@ -305,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gset", help="phase-set membership and boundary sampling")
     g.add_argument("action", choices=["check", "sample"])
     g.add_argument("--a", required=True, help="a1,a2 or a1,a2,theta")
-    g.add_argument("--theta", type=float, default=None)
+    g.add_argument("--theta", type=finite, default=None)
     g.add_argument("--astar", help="matrix as JSON, e.g. [[1.3,0],[0,1.5]]")
     g.add_argument("--side", choices=["lower", "upper"], default="lower")
     g.add_argument("--n", type=int, default=50)
@@ -315,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair", help="pair feasibility and randomized sweeps")
     p.add_argument("action", choices=["check", "sweep"])
     p.add_argument("--a", help="a1,a2 or a1,a2,thetaA")
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=finite, default=None)
     p.add_argument("--b", help="b1,b2 or b1,b2,thetaB")
-    p.add_argument("--thetaB", type=float, default=None)
+    p.add_argument("--thetaB", type=finite, default=None)
     p.add_argument("--astar")
     p.add_argument("--bsharp")
     p.add_argument("--seed", type=int, default=0)
@@ -330,19 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--spec", help="laminate spec as inline JSON")
     l.add_argument("--spec-file", help="laminate spec file")
     l.add_argument("--a", required=True)
-    l.add_argument("--theta", type=float, default=None)
+    l.add_argument("--theta", type=finite, default=None)
     l.add_argument("--b")
-    l.add_argument("--thetaB", type=float, default=None)
-    l.add_argument("--const-b", type=float, default=1.0)
+    l.add_argument("--thetaB", type=finite, default=None)
+    l.add_argument("--const-b", type=finite, default=1.0)
     _add_common(l)
     l.set_defaults(func=cmd_laminate)
 
     h = sub.add_parser("hashin", help="coated-sphere values and radial oracle")
     h.add_argument("--a", required=True)
-    h.add_argument("--theta", type=float, default=None)
+    h.add_argument("--theta", type=finite, default=None)
     h.add_argument("--b")
-    h.add_argument("--thetaB", type=float, default=None)
-    h.add_argument("--const-b", type=float, default=1.0)
+    h.add_argument("--thetaB", type=finite, default=None)
+    h.add_argument("--const-b", type=finite, default=1.0)
     h.add_argument("--coreA", choices=["a1", "a2"], required=True)
     h.add_argument("--coreB", choices=["b1", "b2", "const"], default="const")
     h.add_argument("--inclusion", default="none")
@@ -355,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oned", help="one-dimensional bounds, inversion, convergence")
     o.add_argument("action", choices=["bounds", "invert", "limits", "converge"])
     o.add_argument("--a", required=True)
-    o.add_argument("--theta", type=float, default=None)
+    o.add_argument("--theta", type=finite, default=None)
     o.add_argument("--b", required=True)
-    o.add_argument("--thetaB", type=float, default=None)
-    o.add_argument("--target", type=float, default=None)
+    o.add_argument("--thetaB", type=finite, default=None)
+    o.add_argument("--target", type=finite, default=None)
     o.add_argument("--profile", help="profile JSON file")
     o.add_argument("--periods", default="4,16,64,256")
     o.add_argument("--f", default="const:1")
@@ -369,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("action", choices=["relax", "brute"])
     d.add_argument("--instance", help="instance JSON file")
     d.add_argument("--a")
-    d.add_argument("--theta", type=float, default=None)
+    d.add_argument("--theta", type=finite, default=None)
     d.add_argument("--cells", type=int, default=12)
     d.add_argument("--kA", type=int, default=6)
     d.add_argument("--f", default="const:1")
@@ -380,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("action", choices=["relax", "brute"])
     w.add_argument("--instance", help="instance JSON file")
     w.add_argument("--a")
-    w.add_argument("--theta", type=float, default=None)
+    w.add_argument("--theta", type=finite, default=None)
     w.add_argument("--b")
-    w.add_argument("--thetaB", type=float, default=None)
+    w.add_argument("--thetaB", type=finite, default=None)
     w.add_argument("--cells", type=int, default=12)
     w.add_argument("--kA", type=int, default=6)
     w.add_argument("--kB", type=int, default=6)
@@ -392,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("phase", help="fibre phase-diagram sample grid")
     ph.add_argument("--a", required=True)
-    ph.add_argument("--theta", type=float, default=None)
+    ph.add_argument("--theta", type=finite, default=None)
     ph.add_argument("--b", required=True)
-    ph.add_argument("--thetaB", type=float, default=None)
+    ph.add_argument("--thetaB", type=finite, default=None)
     ph.add_argument("--n", type=int, default=20)
     _add_common(ph)
     ph.set_defaults(func=cmd_phase)

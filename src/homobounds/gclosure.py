@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .homog1d import phase_means
 from .symtensor import SymTensor, eig
 
 _DEGENERATE_THETA = 1e-12
@@ -63,9 +64,7 @@ class GMembershipReport:
 
 def means(p: PhaseA) -> tuple:
     """(harmonic, arithmetic) means of the two phases at fraction thetaA."""
-    harm = 1.0 / (p.thetaA / p.a1 + (1.0 - p.thetaA) / p.a2)
-    arith = p.a1 * p.thetaA + p.a2 * (1.0 - p.thetaA)
-    return harm, arith
+    return phase_means(p.a1, p.a2, p.thetaA)
 
 
 def _trace_bound_slacks(lams, p: PhaseA):

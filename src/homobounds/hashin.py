@@ -14,9 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gclosure import PhaseA
-from .pairbounds import PhaseB
+from .pairbounds import PhaseB, admits
 
 _RESIDUAL_TOL = 1e-13
+
+# inclusion relation of the two phase sets that each assignment realizes
+INCLUSION_RELATION = {
+    "B_in_A": "B_subset_A",
+    "A_in_B": "A_subset_B",
+    "A_in_Bc": "disjoint",
+    "Ac_in_B": "complement_cover",
+}
 
 
 class IncompatibleVolumes(ValueError):
@@ -38,22 +46,20 @@ class CoatingConfig:
             raise ValueError("coreA must be 'a1' or 'a2'")
         if self.coreB not in ("b1", "b2", "const"):
             raise ValueError("coreB must be 'b1', 'b2', or 'const'")
-        if self.inclusion not in ("B_in_A", "A_in_B", "A_in_Bc", "Ac_in_B", "none"):
+        if self.inclusion not in (*INCLUSION_RELATION, "none"):
             raise ValueError(f"unknown inclusion {self.inclusion!r}")
+
+    @property
+    def relation(self):
+        """Inclusion relation of the two phase sets, None without one."""
+        return INCLUSION_RELATION.get(self.inclusion)
 
 
 def _check_volumes(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB):
-    t_a, t_b = pa.thetaA, pb.thetaB
-    ok = {
-        "B_in_A": t_b <= t_a,
-        "A_in_B": t_a <= t_b,
-        "A_in_Bc": t_a + t_b <= 1.0,
-        "Ac_in_B": t_a + t_b >= 1.0,
-        "none": True,
-    }[cfg.inclusion]
-    if not ok:
+    # coated spheres realize each inclusion on both sides of its interface
+    if cfg.relation and not admits(cfg.relation, pa, pb, True):
         raise IncompatibleVolumes(
-            f"inclusion {cfg.inclusion} incompatible with thetaA={t_a}, thetaB={t_b}"
+            f"inclusion {cfg.inclusion} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
         )
 
 
@@ -93,7 +99,8 @@ def hs_m(pa: PhaseA, coreA: str, n: int) -> float:
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    assert abs(resid(mid)) <= max(_RESIDUAL_TOL, 8 * np.finfo(float).eps)
+    if abs(resid(mid)) > max(_RESIDUAL_TOL, 8 * np.finfo(float).eps):
+        raise RuntimeError(f"coated-sphere bisection stalled at m={mid} with residual {resid(mid):.3e}")
     return float(mid)
 
 

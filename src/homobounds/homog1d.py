@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gclosure import PhaseA
-from .pairbounds import PhaseB
+if TYPE_CHECKING:  # gclosure and pairbounds build on the means defined here
+    from .gclosure import PhaseA
+    from .pairbounds import PhaseB
 
 _SUM_TOL = 1e-14
 
@@ -36,7 +38,7 @@ class Profile1D:
         object.__setattr__(self, "cells", cells)
         if self.period_count < 1:
             raise ValueError("period_count must be >= 1")
-        if any(f <= 0 for f, _, _ in cells):
+        if not all(f > 0 for f, _, _ in cells):  # also rejects NaN
             raise ValueError("cell fractions must be positive")
         if abs(sum(f for f, _, _ in cells) - 1.0) > _SUM_TOL:
             raise ValueError("cell fractions must sum to 1")
@@ -117,60 +119,59 @@ def weakstar_limits(profile: Profile1D, pa: PhaseA, pb: PhaseB) -> tuple:
     return theta_a, theta_b, theta_ab, a_harm, b_mean, lim_ba2, lim_ba
 
 
-def bsharp_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
-    """Relative limit b# = (harmonic a)^2 lim* b/a^2 as a function of overlap."""
-    harm = 1.0 / (pa.thetaA / pa.a1 + (1.0 - pa.thetaA) / pa.a2)
-    drop = 1.0 / pa.a1**2 - 1.0 / pa.a2**2
+def phase_means(a1, a2, theta) -> tuple:
+    """(harmonic, arithmetic) means of a1 at fraction theta and a2 at 1 - theta.
+
+    They are the exact limits of a layered medium across and along its
+    layers.  theta may be an array.
+    """
+    return 1.0 / (theta / a1 + (1.0 - theta) / a2), a1 * theta + a2 * (1.0 - theta)
+
+
+def overlap_window(pa: PhaseA, pb: PhaseB) -> tuple:
+    """Admissible range of the overlap fraction of the two phase sets."""
+    return max(0.0, pa.thetaA + pb.thetaB - 1.0), min(pa.thetaA, pb.thetaB)
+
+
+def relative_limit_1d(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
+    """harm(a)^p lim* b/a^p of a layered medium: b# for p = 2, the flux limit for p = 1.
+
+    The phase values come from pa and pb; the fractions of a1, of b1 and of
+    their overlap are given explicitly and may be arrays (one per cell).
+    """
+    harm, _ = phase_means(pa.a1, pa.a2, thetaA)
+    drop = 1.0 / pa.a1**power - 1.0 / pa.a2**power
     mix = (
-        pb.b2 / pa.a2**2
-        + (pb.b1 - pb.b2) / pa.a2**2 * pb.thetaB
-        + pb.b2 * drop * pa.thetaA
+        pb.b2 / pa.a2**power
+        + (pb.b1 - pb.b2) / pa.a2**power * thetaB
+        + pb.b2 * drop * thetaA
         - (pb.b2 - pb.b1) * drop * thetaAB
     )
-    return float(harm**2 * mix)
+    return harm**power * mix
+
+
+def bsharp_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
+    """Relative limit b# = (harmonic a)^2 lim* b/a^2 as a function of overlap."""
+    return float(relative_limit_1d(pa, pb, pa.thetaA, pb.thetaB, thetaAB, 2))
 
 
 def bsharp_flux_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
     """Flux limit (harmonic a) lim* b/a; distinct from b# in general."""
-    harm = 1.0 / (pa.thetaA / pa.a1 + (1.0 - pa.thetaA) / pa.a2)
-    drop = 1.0 / pa.a1 - 1.0 / pa.a2
-    mix = (
-        pb.b2 / pa.a2
-        + (pb.b1 - pb.b2) / pa.a2 * pb.thetaB
-        + pb.b2 * drop * pa.thetaA
-        - (pb.b2 - pb.b1) * drop * thetaAB
-    )
-    return float(harm * mix)
+    return float(relative_limit_1d(pa, pb, pa.thetaA, pb.thetaB, thetaAB, 1))
 
 
 def bounds_1d(pa: PhaseA, pb: PhaseB) -> tuple:
     """The four one-dimensional bounds and the optimal pair (l_#, u_#).
 
-    Returns (l1, l2, u1, u2, l_sel, u_sel) where the selected bounds use the
-    overlap extremes admissible for the given fractions; b# fills exactly
-    [l_sel, u_sel] as the microstructure varies.
+    Returns (l1, l2, u1, u2, l_sel, u_sel).  The four bounds are b# at the
+    overlaps of the four inclusion relations: thetaA (A in B), thetaB
+    (B in A), 0 (disjoint) and thetaA + thetaB - 1 (complements disjoint).
+    The selected bounds use the overlap extremes admissible for the given
+    fractions; b# fills exactly [l_sel, u_sel] as the microstructure varies.
     """
-    lo, hi = max(0.0, pa.thetaA + pb.thetaB - 1.0), min(pa.thetaA, pb.thetaB)
-    harm = 1.0 / (pa.thetaA / pa.a1 + (1.0 - pa.thetaA) / pa.a2)
-    drop = 1.0 / pa.a1**2 - 1.0 / pa.a2**2
-    l1 = harm**2 * (
-        pb.b2 / pa.a2**2 + (pb.b1 - pb.b2) / pa.a2**2 * pb.thetaB + pb.b1 * drop * pa.thetaA
-    )
-    l2 = harm**2 * (
-        pb.b2 / pa.a2**2 + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB + pb.b2 * drop * pa.thetaA
-    )
-    u1 = harm**2 * (
-        pb.b2 / pa.a2**2 + (pb.b1 - pb.b2) / pa.a2**2 * pb.thetaB + pb.b2 * drop * pa.thetaA
-    )
-    u2 = harm**2 * (
-        (pb.b2 - pb.b1) / pa.a1**2
-        + pb.b1 / pa.a2**2
-        + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB
-        + pb.b1 * drop * pa.thetaA
-    )
-    l_sel = bsharp_1d(pa, pb, hi)
-    u_sel = bsharp_1d(pa, pb, lo)
-    return float(l1), float(l2), float(u1), float(u2), float(l_sel), float(u_sel)
+    lo, hi = overlap_window(pa, pb)
+    overlaps = (pa.thetaA, pb.thetaB, 0.0, pa.thetaA + pb.thetaB - 1.0, hi, lo)
+    return tuple(bsharp_1d(pa, pb, t) for t in overlaps)
 
 
 def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float, period_count: int = 1) -> tuple:
@@ -181,17 +182,16 @@ def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float, period_count: int = 1
     unit cell.
     """
     *_, l_sel, u_sel = bounds_1d(pa, pb)
-    lo, hi = overlap = (max(0.0, pa.thetaA + pb.thetaB - 1.0), min(pa.thetaA, pb.thetaB))
+    lo, hi = overlap_window(pa, pb)
     slack = 1e-12 * max(1.0, abs(target))
     if not (min(l_sel, u_sel) - slack <= target <= max(l_sel, u_sel) + slack):
         raise TargetOutsideInterval(f"target {target} outside [{l_sel}, {u_sel}]")
-    harm = 1.0 / (pa.thetaA / pa.a1 + (1.0 - pa.thetaA) / pa.a2)
-    drop = 1.0 / pa.a1**2 - 1.0 / pa.a2**2
-    coeff = harm**2 * (pb.b2 - pb.b1) * drop
+    at_zero = bsharp_1d(pa, pb, 0.0)
+    coeff = at_zero - bsharp_1d(pa, pb, 1.0)  # drop of b# per unit overlap
     if abs(coeff) < 1e-300:
         theta_ab = 0.5 * (lo + hi)  # b# independent of the overlap
     else:
-        theta_ab = (bsharp_1d(pa, pb, 0.0) - target) / coeff
+        theta_ab = (at_zero - target) / coeff
         theta_ab = min(max(theta_ab, lo), hi)
     profile = Profile1D.from_fractions(pa.thetaA, pb.thetaB, theta_ab, period_count)
     return float(theta_ab), profile
@@ -252,24 +252,23 @@ def _expand_profile(profile: Profile1D, pa: PhaseA, pb: PhaseB):
     return np.array(breaks), np.array(a_out), np.array(b_out)
 
 
-def solve_state_exact(profile: Profile1D, pa: PhaseA, pb: PhaseB, source: Source1D) -> State1D:
+def solve_segments(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, source: Source1D) -> State1D:
     """Exact Dirichlet solve of -(a u')' = f with the adjoint flux.
 
-    The flux sigma = c - F is piecewise linear with c fixed by the zero-mean
-    condition on u' = sigma/a; all integrals (energy, flux, adjoint
-    constant) are evaluated in closed form segment by segment.
+    a and b are constant on each segment of breaks, which the source
+    breakpoints refine.  The flux sigma = c - F is piecewise linear with c
+    fixed by the zero-mean condition on u' = sigma/a; all integrals (energy,
+    flux, adjoint constant) are evaluated in closed form segment by segment.
     """
-    breaks, a_seg, b_seg = _expand_profile(profile, pa, pb)
-    # merge in source breakpoints
     merged = np.unique(np.concatenate([breaks, np.array(source.breakpoints)]))
-    a_idx = np.clip(np.searchsorted(breaks, merged[:-1], side="right") - 1, 0, len(a_seg) - 1)
+    seg = np.clip(np.searchsorted(breaks, merged[:-1], side="right") - 1, 0, len(a) - 1)
     s_idx = np.clip(
         np.searchsorted(np.array(source.breakpoints), merged[:-1], side="right") - 1,
         0,
         len(source.values) - 1,
     )
-    a = a_seg[a_idx]
-    b = b_seg[a_idx]
+    a = a[seg]
+    b = b[seg]
     fv = np.array(source.values)[s_idx]
     h = np.diff(merged)
 
@@ -306,15 +305,21 @@ def solve_state_exact(profile: Profile1D, pa: PhaseA, pb: PhaseB, source: Source
     )
 
 
+def solve_state_exact(profile: Profile1D, pa: PhaseA, pb: PhaseB, source: Source1D) -> State1D:
+    """Exact solve of -(a u')' = f on a profile, with the adjoint flux."""
+    return solve_segments(*_expand_profile(profile, pa, pb), source)
+
+
+def homogenized_dirichlet(a_harm: float, source: Source1D) -> float:
+    """Dirichlet integral of the state with the constant coefficient a_harm."""
+    return solve_segments(np.array([0.0, 1.0]), np.array([a_harm]), np.ones(1), source).dirichlet_energy
+
+
 def homogenized_energy(profile: Profile1D, pa: PhaseA, pb: PhaseB, source: Source1D) -> float:
     """Limit energy: b# times the Dirichlet integral of the a-harmonic state."""
-    theta_a, theta_b, theta_ab, a_harm, _, lim_ba2, _ = weakstar_limits(profile, pa, pb)
+    _, _, _, a_harm, _, lim_ba2, _ = weakstar_limits(profile, pa, pb)
     bsh = a_harm**2 * lim_ba2
-    flat = Profile1D(((1.0, False, False),), 1)
-    pa_flat = PhaseA(a_harm / 2.0, a_harm, 0.0)  # theta 0 puts the medium at a2 = a_harm
-    pb_flat = PhaseB(1.0, 1.0, 0.0)
-    state = solve_state_exact(flat, pa_flat, pb_flat, source)
-    return float(bsh * state.dirichlet_energy)
+    return float(bsh * homogenized_dirichlet(a_harm, source))
 
 
 def convergence_study(profile: Profile1D, pa: PhaseA, pb: PhaseB, source: Source1D, period_counts) -> list:

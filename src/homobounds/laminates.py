@@ -16,16 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gclosure import PhaseA, means
-from .homog1d import bsharp_1d
+from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
+    admits,
     bound_L1,
     bound_L2,
     bound_L_const_b,
     bound_U1,
     bound_U2,
     bound_U_const_b,
+    flux_ratio,
     general_chain_check,
+    gradient_extremes,
+    l2_terms,
+    u2_terms,
 )
 from .symtensor import SymTensor, eig
 
@@ -80,6 +85,8 @@ class LaminateSpec:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.directions) != len(self.weights) or not self.directions:
             raise InconsistentSpec("directions and weights must be nonempty and match")
+        if not np.isfinite([x for d in self.directions for x in d] + list(self.weights)).all():
+            raise InconsistentSpec("directions and weights must be finite")
         for d in self.directions:
             if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
                 raise InconsistentSpec(f"direction {d} is not a unit vector")
@@ -124,13 +131,6 @@ class LaminateSpec:
             data["core"],
             data["relation"],
         )
-
-
-def overlap_window(pa: PhaseA, pb: PhaseB) -> tuple:
-    """Admissible range of the overlap fraction of the two phase sets."""
-    lo = max(0.0, pa.thetaA + pb.thetaB - 1.0)
-    hi = min(pa.thetaA, pb.thetaB)
-    return lo, hi
 
 
 def inclusion_data(pa: PhaseA, pb: PhaseB, thetaAB: float) -> InclusionData:
@@ -215,19 +215,6 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
     return SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
 
 
-def _require_region(relation: str, pa: PhaseA, pb: PhaseB):
-    ok = {
-        "A_subset_B": pa.thetaA <= pb.thetaB,
-        "B_subset_A": pb.thetaB < pa.thetaA,
-        "disjoint": pa.thetaA + pb.thetaB <= 1.0,
-        "complement_cover": pa.thetaA + pb.thetaB > 1.0,
-    }[relation]
-    if not ok:
-        raise RegionMismatch(
-            f"relation {relation} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
-        )
-
-
 def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = True) -> SymTensor:
     """Two-phase sequential relative limit for the spec's inclusion relation.
 
@@ -241,7 +228,10 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
     relation = spec.relation
     if relation == "const_b":
         raise InconsistentSpec("use seq_B_const for the constant-density relation")
-    _require_region(relation, pa, pb)
+    if not admits(relation, pa, pb, False):
+        raise RegionMismatch(
+            f"relation {relation} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
+        )
     needed_core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
     if spec.core_phase != needed_core:
         raise InconsistentSpec(f"relation {relation} needs core {needed_core}")
@@ -249,43 +239,19 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
     w, frame = _moment_eigensystem(spec)
     astar = seq_A(spec, pa)
     a_diag = np.diag(frame.T @ astar.mat @ frame)
-    harm, arith = means(pa)
-    theta, d = pa.thetaA, pa.a2 - pa.a1
-    b_mean = pb.mean
-    n = spec.dim
+    theta = pa.thetaA
 
     if relation in ("A_subset_B", "disjoint"):
-        ratio = (a_diag - pa.a1) ** 2 / (arith - pa.a1) ** 2
-        lam_term = theta * (1.0 - theta) * d**2 / pa.a1**2 * w
-        if relation == "A_subset_B":
-            diag = pb.b1 + (b_mean - pb.b1 + pb.b1 * lam_term) * ratio
-        else:
-            diag = pb.b2 - (pb.b2 - b_mean - pb.b2 * lam_term) * ratio
+        nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
+        diag = nested if relation == "A_subset_B" else disjoint
     else:
-        inv_shift = 1.0 / a_diag - 1.0 / pa.a2
-        harm_inv_shift = theta * d / (pa.a1 * pa.a2)
-        ratio = inv_shift**2 / harm_inv_shift**2
+        ratio = flux_ratio(a_diag, pa, theta) ** 2
         if relation == "B_subset_A":
-            c = min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
-            ell = (
-                pb.b1 / pa.a1**2 * pb.thetaB
-                + pb.b2 / pa.a1**2 * (theta - pb.thetaB)
-                + pb.b2 / pa.a2**2 * (1.0 - theta)
-            )
-            bump = (
-                c * d**2 / pa.a1**2 * theta * (1.0 - theta)
-                + 2.0 * (pb.b2 / pa.a2**2 - c) * d / pa.a1 * (1.0 - theta)
-            )
-            core = c + (ell - c + bump * (1.0 - w)) * ratio
+            c, level, osc = l2_terms(pa, pb, theta)
+            core = c + (level + osc * (1.0 - w)) * ratio
         else:
-            tstar = (
-                pb.b2 / pa.a1**2
-                + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB
-                + pb.b1 * (1.0 / pa.a2**2 - 1.0 / pa.a1**2) * (1.0 - theta)
-            )
-            lead = pb.b2 * pa.a2 / pa.a1**2
-            rhs = (lead / harm - tstar) - 2.0 * (pb.b2 - pb.b1) * d / pa.a1**3 * (1.0 - theta) * (1.0 - w)
-            core = lead / a_diag - rhs * ratio
+            lead, level, osc = u2_terms(pa, pb, theta)
+            core = lead / a_diag - (level - osc * (1.0 - w)) * ratio
         diag = a_diag**2 * core
 
     bsharp = SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)

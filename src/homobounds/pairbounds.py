@@ -28,6 +28,7 @@ from .gclosure import (
     theta_from_lower_boundary,
     theta_from_upper_boundary,
 )
+from .homog1d import phase_means
 from .symtensor import SingularFactor, SymTensor, eig, trace_chain
 
 DEFAULT_TOL = 1e-9
@@ -57,7 +58,7 @@ class PhaseB:
 
     @property
     def mean(self) -> float:
-        return self.b1 * self.thetaB + self.b2 * (1.0 - self.thetaB)
+        return phase_means(self.b1, self.b2, self.thetaB)[1]
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,29 @@ class PairBoundReport:
     verdict: str  # feasible | infeasible | boundary
 
 
+# inclusion relation of the two phase sets that saturates each bound
+RELATION_BOUND = {"A_subset_B": "L1", "B_subset_A": "L2", "disjoint": "U1", "complement_cover": "U2"}
+
+
 def classify_region(pa: PhaseA, pb: PhaseB) -> str:
     li = "L1" if pa.thetaA <= pb.thetaB else "L2"
     uj = "U1" if pa.thetaA + pb.thetaB <= 1.0 else "U2"
     return li + uj
+
+
+def admits(relation: str, pa: PhaseA, pb: PhaseB, closed: bool) -> bool:
+    """Whether the volume fractions admit an inclusion relation of the two phase sets.
+
+    A relation is admitted where classify_region selects its bound, so the
+    interfaces thetaA = thetaB and thetaA + thetaB = 1 go to A_subset_B and
+    disjoint.  closed=True admits B_subset_A and complement_cover on their
+    interface as well.
+    """
+    bound = RELATION_BOUND[relation]
+    if bound in classify_region(pa, pb):
+        return True
+    on_interface = pa.thetaA == pb.thetaB if bound[0] == "L" else pa.thetaA + pb.thetaB == 1.0
+    return closed and on_interface
 
 
 def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -182,12 +202,69 @@ def l2_case(pa: PhaseA, pb: PhaseB) -> str:
     return "a" if pb.b2 / pa.a2**2 <= pb.b1 / pa.a1**2 else "b"
 
 
+def flux_floor(pa: PhaseA, pb: PhaseB) -> float:
+    """c = min(b1/a1^2, b2/a2^2), the least flux-side density b/a^2."""
+    return min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
+
+
 def _l_of_theta(pa: PhaseA, pb: PhaseB, theta: float) -> float:
     return (
         pb.b1 / pa.a1**2 * pb.thetaB
         + pb.b2 / pa.a1**2 * (theta - pb.thetaB)
         + pb.b2 / pa.a2**2 * (1.0 - theta)
     )
+
+
+def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
+    """Scalar weak* limit entering the U2 right-hand side."""
+    return (
+        pb.b2 / pa.a1**2
+        + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB
+        + pb.b1 * (1.0 / pa.a2**2 - 1.0 / pa.a1**2) * (1.0 - theta)
+    )
+
+
+def flux_ratio(lam, pa: PhaseA, theta: float):
+    """(1/lam - 1/a2) / (theta (a2-a1)/(a1 a2)) for eigenvalues lam of A*.
+
+    The flux-side resolvent of A* relative to that of the upper-boundary
+    tensor of fraction theta; its inverse square weights L2 and U2.
+    """
+    return (1.0 / lam - 1.0 / pa.a2) / (theta * (pa.a2 - pa.a1) / (pa.a1 * pa.a2))
+
+
+def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
+    """(c, level, osc) of L2 at the upper-boundary fraction theta.
+
+    Along a lamination direction of weight w the saturating flux-side
+    density exceeds c by (level + osc (1 - w)) times the squared flux ratio;
+    summed over N directions this is the bound N level + (N-1) osc.
+    """
+    c = flux_floor(pa, pb)
+    d = pa.a2 - pa.a1
+    osc = c * d**2 / pa.a1**2 * theta * (1.0 - theta) + 2.0 * (pb.b2 / pa.a2**2 - c) * d / pa.a1 * (1.0 - theta)
+    return c, _l_of_theta(pa, pb, theta) - c, osc
+
+
+def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
+    """(lead, level, osc) of the step form of U2 at the upper-boundary fraction theta.
+
+    Along a lamination direction of weight w the saturating flux-side
+    density falls short of lead/lambda by (level - osc (1 - w)) times the
+    squared flux ratio; summed over N directions this is N level - (N-1) osc.
+    """
+    d = pa.a2 - pa.a1
+    lead = pb.b2 * pa.a2 / pa.a1**2
+    level = pb.b2 / pa.a1**2 - theta_star_u2(pa, pb, theta) + pb.b2 * d / pa.a1**3 * theta
+    osc = 2.0 * (pb.b2 - pb.b1) * d / pa.a1**3 * (1.0 - theta)
+    return lead, level, osc
+
+
+def _flux_frame(astar: SymTensor, bsharp: SymTensor) -> tuple:
+    """Eigenvalues of A* and the diagonal of A*^-1 B# A*^-1 in A*'s eigenframe."""
+    es = eig(astar)
+    lam = np.array(es.values)
+    return lam, np.diag(es.frame.T @ bsharp.mat @ es.frame) / lam**2
 
 
 def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
@@ -198,38 +275,11 @@ def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: f
     and theta recovered from the upper boundary.  Returns (lhs, rhs, case).
     """
     n = astar.dim
-    case = l2_case(pa, pb)
-    c = min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
     theta = theta_from_upper_boundary(astar, pa, tol)
-    ell = _l_of_theta(pa, pb, theta)
-    d = pa.a2 - pa.a1
-
-    es = eig(astar)
-    lam = np.array(es.values)
-    b_in_frame = es.frame.T @ bsharp.mat @ es.frame
-    core = np.diag(1.0 / lam) @ b_in_frame @ np.diag(1.0 / lam)  # A*^-1 B# A*^-1 in A* frame
-    inv_shift = 1.0 / lam - 1.0 / pa.a2
-    harm_inv_shift = theta * d / (pa.a1 * pa.a2)
-    weight = harm_inv_shift**2 / inv_shift**2
-    lhs = float(np.dot(np.diag(core) - c, weight))
-
-    if case == "a":
-        rhs = n * (ell - c) + pb.b2 * d**2 / (pa.a1 * pa.a2) ** 2 * theta * (1.0 - theta) * (n - 1)
-    else:
-        rhs = n * (ell - c) + (
-            pb.b1 * d**2 / pa.a1**4 * theta
-            + 2.0 * (pb.b2 / pa.a2**2 - pb.b1 / pa.a1**2) * d / pa.a1
-        ) * (1.0 - theta) * (n - 1)
-    return float(lhs), float(rhs), case
-
-
-def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
-    """Scalar weak* limit entering the U2 right-hand side."""
-    return (
-        pb.b2 / pa.a1**2
-        + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB
-        + pb.b1 * (1.0 / pa.a2**2 - 1.0 / pa.a1**2) * (1.0 - theta)
-    )
+    c, level, osc = l2_terms(pa, pb, theta)
+    lam, core = _flux_frame(astar, bsharp)
+    lhs = float(np.dot(core - c, flux_ratio(lam, pa, theta) ** -2))
+    return lhs, float(n * level + (n - 1) * osc), l2_case(pa, pb)
 
 
 def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
@@ -242,22 +292,17 @@ def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: f
     """
     n = astar.dim
     theta = theta_from_upper_boundary(astar, pa, tol)
-    tstar = theta_star_u2(pa, pb, theta)
-    d = pa.a2 - pa.a1
+    lead, level, osc = u2_terms(pa, pb, theta)
+    lam, core = _flux_frame(astar, bsharp)
+    lhs = float(np.dot(lead / lam - core, flux_ratio(lam, pa, theta) ** -2))
+    rhs_step = n * level - (n - 1) * osc
+    rhs_printed = rhs_step - n * pb.b2 * (pa.a2 - pa.a1) * (2.0 * theta - 1.0) / pa.a1**3
+    return lhs, float(rhs_printed), float(rhs_step)
 
-    es = eig(astar)
-    ainv = 1.0 / np.array(es.values)
-    b_in_frame = es.frame.T @ bsharp.mat @ es.frame
-    core = np.diag(ainv) @ b_in_frame @ np.diag(ainv)
-    inv_shift = ainv - 1.0 / pa.a2
-    harm_inv_shift = theta * d / (pa.a1 * pa.a2)
-    weight = harm_inv_shift**2 / inv_shift**2
-    lhs = float(np.dot(pb.b2 * pa.a2 / pa.a1**2 * ainv - np.diag(core), weight))
 
-    common = n * (pb.b2 / pa.a1**2 - tstar) - 2.0 * (pb.b2 - pb.b1) * d / pa.a1**3 * (1.0 - theta) * (n - 1)
-    rhs_printed = common + n * pb.b2 * d / pa.a1**3 * (1.0 - theta)
-    rhs_step = common + n * pb.b2 * d / pa.a1**3 * theta
-    return float(lhs), float(rhs_printed), float(rhs_step)
+def _infeasible(region: str, chain: tuple) -> PairBoundReport:
+    """Report for a pair rejected before its trace bounds are evaluated."""
+    return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
 
 
 def pair_membership(
@@ -281,57 +326,35 @@ def pair_membership(
         zero = 0.0 if ok else -np.inf
         return PairBoundReport(region, chain, 0.0, 0.0, zero, 0.0, 0.0, zero, zero, verdict)
 
-    a_report = g_membership(astar, pa, tol)
-    if a_report.verdict == "outside":
-        return PairBoundReport(
-            region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible"
-        )
-    feasible = all(s >= -tol for s in chain)
-
-    if pb.b2 - pb.b1 <= 1e-14 * pb.b1:
-        # degenerate B-phase: the two-phase bounds collapse onto the unique
-        # lower-boundary relative limit and would reject the legitimate
-        # upper-boundary constructions; the constant-density trace bounds
-        # are the valid feasibility test here
-        try:
+    if g_membership(astar, pa, tol).verdict == "outside":
+        return _infeasible(region, chain)
+    try:
+        if pb.b2 - pb.b1 <= 1e-14 * pb.b1:
+            # degenerate B-phase: the two-phase bounds collapse onto the unique
+            # lower-boundary relative limit and would reject the legitimate
+            # upper-boundary constructions; the constant-density trace bounds
+            # are the valid feasibility test here
             li_lhs, li_rhs = bound_L_const_b(astar, bsharp, pa, pb.b1)
             uj_lhs, uj_rhs = bound_U_const_b(astar, bsharp, pa, pb.b1)
-        except SingularFactor:
-            return PairBoundReport(
-                region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible"
-            )
-        li_slack, uj_slack = li_rhs - li_lhs, uj_rhs - uj_lhs
-        feasible = feasible and li_slack >= -tol and uj_slack >= -tol
-        if not feasible:
-            verdict = "infeasible"
-        elif min(abs(li_slack), abs(uj_slack)) <= tol:
-            verdict = "boundary"
+            li_slack = li_rhs - li_lhs
+            uj_slack = variant = uj_rhs - uj_lhs
         else:
-            verdict = "feasible"
-        return PairBoundReport(
-            region, chain, li_lhs, li_rhs, li_slack, uj_lhs, uj_rhs, uj_slack, uj_slack, verdict
-        )
-
-    try:
-        if region.startswith("L1"):
-            li_lhs, li_rhs = bound_L1(astar, bsharp, pa, pb)
-        else:
-            li_lhs, li_rhs, _ = bound_L2(astar, bsharp, pa, pb, tol)
-        li_slack = li_lhs - li_rhs
-        if region.endswith("U1"):
-            uj_lhs, uj_rhs = bound_U1(astar, bsharp, pa, pb)
-            uj_slack = uj_lhs - uj_rhs
-            variant = uj_slack
-        else:
-            uj_lhs, printed, step = bound_U2(astar, bsharp, pa, pb, tol)
-            uj_rhs = step
-            uj_slack = uj_lhs - step
-            variant = uj_lhs - printed
+            if region.startswith("L1"):
+                li_lhs, li_rhs = bound_L1(astar, bsharp, pa, pb)
+            else:
+                li_lhs, li_rhs, _ = bound_L2(astar, bsharp, pa, pb, tol)
+            li_slack = li_lhs - li_rhs
+            if region.endswith("U1"):
+                uj_lhs, uj_rhs = bound_U1(astar, bsharp, pa, pb)
+                uj_slack = variant = uj_lhs - uj_rhs
+            else:
+                uj_lhs, printed, uj_rhs = bound_U2(astar, bsharp, pa, pb, tol)
+                uj_slack, variant = uj_lhs - uj_rhs, uj_lhs - printed
     except SingularFactor:
         # an indefinite middle factor already certifies chain violation
-        return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
+        return _infeasible(region, chain)
 
-    feasible = feasible and li_slack >= -tol and uj_slack >= -tol
+    feasible = all(s >= -tol for s in chain) and li_slack >= -tol and uj_slack >= -tol
     if not feasible:
         verdict = "infeasible"
     elif min(abs(li_slack), abs(uj_slack)) <= tol:
@@ -366,6 +389,21 @@ def unit_trace_projector_from_boundary(astar: SymTensor, pa: PhaseA, theta: floa
     return es.frame @ np.diag(diag) @ es.frame.T
 
 
+def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
+    """L1- and U1-saturating eigenvalues of B# over a lower-boundary A*.
+
+    lam are the eigenvalues of A* on the lower boundary of fraction theta and
+    m the lamination weights along its eigenvectors.  Returns (nested,
+    disjoint): B# of the A-set inside the B-set and of disjoint sets.
+    """
+    _, arith = phase_means(pa.a1, pa.a2, theta)
+    ratio = (lam - pa.a1) ** 2 / (arith - pa.a1) ** 2
+    osc = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2 * m
+    nested = pb.b1 + (pb.mean - pb.b1 + pb.b1 * osc) * ratio
+    disjoint = pb.b2 - (pb.b2 - pb.mean - pb.b2 * osc) * ratio
+    return nested, disjoint
+
+
 def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
     """Saturating endpoints of the fibre over A* in the region L1U1.
 
@@ -377,16 +415,9 @@ def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = D
         b_mean = pb.mean
         eye = np.eye(astar.dim)
         return SymTensor.from_matrix(b_mean * eye), SymTensor.from_matrix(b_mean * eye)
-    n = astar.dim
     es = eig(astar)
-    lam = np.array(es.values)
-    d = pa.a2 - pa.a1
-    arith_t = pa.a1 * theta + pa.a2 * (1.0 - theta)
     m_diag = np.diag(es.frame.T @ unit_trace_projector_from_boundary(astar, pa, theta) @ es.frame)
-    ratio = (lam - pa.a1) ** 2 / (arith_t - pa.a1) ** 2
-    b_mean = pb.mean
-    low = pb.b1 + (b_mean - pb.b1 + pb.b1 * d**2 / pa.a1**2 * theta * (1.0 - theta) * m_diag) * ratio
-    high = pb.b2 - (pb.b2 - b_mean - pb.b2 * d**2 / pa.a1**2 * theta * (1.0 - theta) * m_diag) * ratio
+    low, high = gradient_extremes(np.array(es.values), m_diag, pa, pb, theta)
     to_tensor = lambda diag: SymTensor.from_matrix(es.frame @ np.diag(diag) @ es.frame.T)
     return to_tensor(low), to_tensor(high)
 
@@ -427,7 +458,7 @@ def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m1: np.ndarray, m2: np.
     Scalar weights are the weak* limits for the nested choice (B-set inside
     the A-set), evaluated exactly from the cell fractions.
     """
-    c = min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
+    c = flux_floor(pa, pb)
     ell = _l_of_theta(pa, pb, theta)
     g1, g2, g3 = pb.b1 / pa.a1**2, pb.b2 / pa.a1**2, pb.b2 / pa.a2**2
     w1, w2, w3 = pb.thetaB, theta - pb.thetaB, 1.0 - theta
@@ -492,7 +523,7 @@ def energy_density_bounds(
     m = np.eye(n) / n if m_matrix is None else np.asarray(m_matrix, dtype=float)
     if side == "gradient_lower":
         theta = theta_from_lower_boundary(astar, pa, tol)
-        arith_t = pa.a1 * theta + pa.a2 * (1.0 - theta)
+        _, arith_t = phase_means(pa.a1, pa.a2, theta)
         y = _y_theta(pa, pb, theta, m, m)
         shift = a - pa.a1 * eye
         b_mean = pb.mean
@@ -503,18 +534,11 @@ def energy_density_bounds(
         )
     elif side == "flux_lower":
         theta = theta_from_upper_boundary(astar, pa, tol)
-        c = min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
-        ell = _l_of_theta(pa, pb, theta)
-        harm_inv_shift = theta * (pa.a2 - pa.a1) / (pa.a1 * pa.a2)
+        c, level, _ = l2_terms(pa, pb, theta)
         es = eig(astar)
-        inv_shift_diag = 1.0 / np.array(es.values) - 1.0 / pa.a2
-        inv_shift = es.frame @ np.diag(inv_shift_diag) @ es.frame.T
+        ratio = es.frame @ np.diag(flux_ratio(np.array(es.values), pa, theta)) @ es.frame.T
         y = _y_prime_theta(pa, pb, theta, m, m)
-        form = (
-            c * eye
-            + 2.0 * (ell - c) / harm_inv_shift * inv_shift
-            + (y - (ell - c) * eye) @ inv_shift @ inv_shift / harm_inv_shift**2
-        )
+        form = c * eye + 2.0 * level * ratio + (y - level * eye) @ ratio @ ratio
     else:
         raise ValueError("two-phase sides are 'gradient_lower' and 'flux_lower'")
     return float(v @ form @ v), form

@@ -17,7 +17,15 @@ from itertools import combinations
 import numpy as np
 
 from .gclosure import PhaseA
-from .homog1d import Profile1D, Source1D, solve_state_exact
+from .homog1d import (
+    Profile1D,
+    Source1D,
+    homogenized_dirichlet,
+    phase_means,
+    relative_limit_1d,
+    solve_segments,
+    solve_state_exact,
+)
 from .pairbounds import PhaseB
 
 _MEAN_TOL = 1e-12
@@ -61,59 +69,18 @@ class RelaxedValue:
     state_sigma_const: float
 
 
-def _segment_sigma_integrals(n_cells: int, source: Source1D, inv_a: np.ndarray):
-    """Exact per-cell integrals of sigma and sigma^2 on the uniform grid.
-
-    sigma = c - F with F the source antiderivative; c enforces the zero-mean
-    condition on u' = sigma / a.  Source breakpoints are merged into the
-    grid, and results are re-aggregated per cell.
-    """
-    grid = np.linspace(0.0, 1.0, n_cells + 1)
-    merged = np.unique(np.concatenate([grid, np.array(source.breakpoints)]))
-    cell_idx = np.clip(np.searchsorted(grid, merged[:-1], side="right") - 1, 0, n_cells - 1)
-    s_idx = np.clip(
-        np.searchsorted(np.array(source.breakpoints), merged[:-1], side="right") - 1,
-        0,
-        len(source.values) - 1,
-    )
-    fv = np.array(source.values)[s_idx]
-    h = np.diff(merged)
-    f_breaks = np.concatenate([[0.0], np.cumsum(fv * h)])[:-1]
-    inv_a_seg = inv_a[cell_idx]
-
-    int_inv_a = float(np.sum(h * inv_a_seg))
-    int_f_over_a = float(np.sum((f_breaks * h + fv * h**2 / 2.0) * inv_a_seg))
-    c = int_f_over_a / int_inv_a
-
-    s0 = c - f_breaks
-    seg_sigma = s0 * h - fv * h**2 / 2.0
-    seg_sigma2 = s0**2 * h - s0 * fv * h**2 + fv**2 * h**3 / 3.0
-    cell_sigma = np.zeros(n_cells)
-    cell_sigma2 = np.zeros(n_cells)
-    np.add.at(cell_sigma, cell_idx, seg_sigma)
-    np.add.at(cell_sigma2, cell_idx, seg_sigma2)
-    return c, cell_sigma, cell_sigma2
-
-
 def odp_relaxed_value_1d(theta: DesignField1D, pa: PhaseA, source: Source1D) -> float:
     """Relaxed single-set design value: integral of i#(theta) (u')^2.
 
-    In one dimension the optimal integrand is exact,
+    In one dimension the optimal integrand is exact: i# is the relative
+    limit b# of the constant density 1,
         i#(t) = harm(t)^2 (t/a1^2 + (1-t)/a2^2),
     and the state solves with the harmonic-mean coefficient cell by cell.
     """
     t = np.array(theta.values)
-    inv_a = t / pa.a1 + (1.0 - t) / pa.a2  # 1/harmonic mean per cell
-    weight = t / pa.a1**2 + (1.0 - t) / pa.a2**2  # i# / harm^2
-    _, _, cell_sigma2 = _segment_sigma_integrals(len(t), source, inv_a)
-    # i# (u')^2 = (i#/harm^2) sigma^2
-    return float(np.sum(weight * cell_sigma2))
-
-
-def _homogenized_dirichlet(inv_a_mean: float, source: Source1D) -> float:
-    """Dirichlet integral of the state with the constant coefficient 1/inv_a_mean."""
-    _, _, cell_sigma2 = _segment_sigma_integrals(1, source, np.array([inv_a_mean]))
-    return float(inv_a_mean**2 * cell_sigma2[0])
+    harm, _ = phase_means(pa.a1, pa.a2, t)
+    i_sharp = relative_limit_1d(pa, PhaseB(1.0, 1.0, 0.0), t, 0.0, 0.0, 2)
+    return solve_segments(np.linspace(0.0, 1.0, len(t) + 1), harm, i_sharp, source).energyB
 
 
 def classical_pattern_value(
@@ -145,30 +112,17 @@ def odp_bruteforce_1d(cells: int, onesA: int, pa: PhaseA, source: Source1D) -> t
         raise TooLarge("enumeration is capped at 20 cells")
     if not (0 <= onesA <= cells):
         raise ValueError("onesA out of range")
-    theta = onesA / cells
-    inv_a_mean = theta / pa.a1 + (1.0 - theta) / pa.a2
-    dirichlet = _homogenized_dirichlet(inv_a_mean, source)
+    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
+    dirichlet = homogenized_dirichlet(harm, source)
     best_val, best_mask = np.inf, None
     for placement in combinations(range(cells), onesA):
         mask = np.zeros(cells, dtype=bool)
         mask[list(placement)] = True
         lim_inv_a2 = float(np.mean(np.where(mask, pa.a1, pa.a2) ** -2.0))
-        value = lim_inv_a2 / inv_a_mean**2 * dirichlet
+        value = lim_inv_a2 * harm**2 * dirichlet
         if value < best_val - 1e-15:
             best_val, best_mask = value, mask.copy()
     return best_val, tuple(bool(x) for x in best_mask)
-
-
-def _l_sharp_cells(ta: np.ndarray, tb: np.ndarray, pa: PhaseA, pb: PhaseB):
-    """Pointwise optimal integrand l_# and the nested-family labels."""
-    harm = 1.0 / (ta / pa.a1 + (1.0 - ta) / pa.a2)
-    drop = 1.0 / pa.a1**2 - 1.0 / pa.a2**2
-    l1 = harm**2 * (pb.b2 / pa.a2**2 + (pb.b1 - pb.b2) / pa.a2**2 * tb + pb.b1 * drop * ta)
-    l2 = harm**2 * (pb.b2 / pa.a2**2 + (pb.b1 - pb.b2) / pa.a1**2 * tb + pb.b2 * drop * ta)
-    use_l1 = ta <= tb
-    lsh = np.where(use_l1, l1, l2)
-    labels = tuple("A_subset_B" if flag else "B_subset_A" for flag in use_l1)
-    return lsh, labels
 
 
 def oodp_relaxed_value_1d(
@@ -177,17 +131,17 @@ def oodp_relaxed_value_1d(
     """Relaxed oscillation-dissipation value with per-cell minimizing family.
 
     The optimal relative limit is the selected one-dimensional lower bound
-    l_#; the nested inclusion direction switches across the interface
-    {thetaA = thetaB}.
+    l_#, b# of the nested family (the smaller set inside the larger one);
+    the nesting direction switches across the interface {thetaA = thetaB}.
     """
     ta, tb = np.array(thetaA.values), np.array(thetaB.values)
     if len(ta) != len(tb):
         raise ValueError("fields must share the grid")
-    inv_a = ta / pa.a1 + (1.0 - ta) / pa.a2
-    lsh, labels = _l_sharp_cells(ta, tb, pa, pb)
-    c, _, cell_sigma2 = _segment_sigma_integrals(len(ta), source, inv_a)
-    value = float(np.sum(lsh * inv_a**2 * cell_sigma2))  # l_# (u')^2
-    return RelaxedValue(value, tuple(float(x) for x in lsh), labels, float(c))
+    harm, _ = phase_means(pa.a1, pa.a2, ta)
+    lsh = relative_limit_1d(pa, pb, ta, tb, np.minimum(ta, tb), 2)
+    labels = tuple("A_subset_B" if flag else "B_subset_A" for flag in ta <= tb)
+    state = solve_segments(np.linspace(0.0, 1.0, len(ta) + 1), harm, lsh, source)
+    return RelaxedValue(state.energyB, tuple(float(x) for x in lsh), labels, state.sigma_const)
 
 
 def oodp_bruteforce_1d(
@@ -208,9 +162,8 @@ def oodp_bruteforce_1d(
 
     if comb(cells, onesA) * comb(cells, onesB) > 2_000_000:
         raise TooLarge("pair enumeration is capped at 2e6 combinations")
-    theta = onesA / cells
-    inv_a_mean = theta / pa.a1 + (1.0 - theta) / pa.a2
-    dirichlet = _homogenized_dirichlet(inv_a_mean, source)
+    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
+    dirichlet = homogenized_dirichlet(harm, source)
     b_masks = np.array(
         [[i in placement for i in range(cells)] for placement in combinations(range(cells), onesB)],
         dtype=float,
@@ -224,7 +177,7 @@ def oodp_bruteforce_1d(
         base = pb.b2 * np.sum(inv_a2) / cells
         values = base - (pb.b2 - pb.b1) * (b_masks @ inv_a2) / cells
         best = min(best, float(values.min()))
-    return best / inv_a_mean**2 * dirichlet
+    return best * harm**2 * dirichlet
 
 
 def h_monotonicity_check(pa: PhaseA, grid: int = 100) -> dict:
@@ -239,8 +192,7 @@ def h_monotonicity_check(pa: PhaseA, grid: int = 100) -> dict:
     worst = -np.inf
     checked = 0
     for theta in thetas:
-        abar = pa.a1 * theta + pa.a2 * (1.0 - theta)
-        harm = 1.0 / (theta / pa.a1 + (1.0 - theta) / pa.a2)
+        harm, abar = phase_means(pa.a1, pa.a2, theta)
         for lam1 in np.linspace(harm, abar, grid):
             deriv = (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
             worst = max(worst, deriv)

@@ -12,8 +12,9 @@ import numpy as np
 
 from .gclosure import PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
+from .homog1d import overlap_window
 from .laminates import ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
-from .pairbounds import PhaseB, pair_membership
+from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_membership
 from .symtensor import SymTensor, rotate
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
@@ -50,19 +51,6 @@ def _random_spec(rng, n: int, relation: str, core: str) -> LaminateSpec:
     return LaminateSpec(tuple(dirs), tuple(w), core, relation)
 
 
-def _compatible_relation(rng, pa: PhaseA, pb: PhaseB) -> str:
-    choices = []
-    if pa.thetaA <= pb.thetaB:
-        choices.append("A_subset_B")
-    else:
-        choices.append("B_subset_A")
-    if pa.thetaA + pb.thetaB <= 1.0:
-        choices.append("disjoint")
-    else:
-        choices.append("complement_cover")
-    return choices[int(rng.integers(0, len(choices)))]
-
-
 def draw_composite(rng, max_dim: int = 3) -> dict:
     """One feasible composite: phases, pair (A*, B#), family label.
 
@@ -76,9 +64,7 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
         family = FAMILIES[int(rng.integers(0, len(FAMILIES)))]
         try:
             if family in ("simple", "rotated_simple"):
-                lo = max(0.0, pa.thetaA + pb.thetaB - 1.0)
-                hi = min(pa.thetaA, pb.thetaB)
-                theta_ab = rng.uniform(lo, hi)
+                theta_ab = rng.uniform(*overlap_window(pa, pb))
                 axis = int(rng.integers(0, n))
                 astar, bsharp = simple_laminate_pair(pa, pb, theta_ab, axis, n)
                 if family == "rotated_simple":
@@ -92,7 +78,8 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
                 astar = seq_A(spec, pa)
                 bsharp = seq_B_const(spec, pa, b)
             elif family == "seq_pp":
-                relation = _compatible_relation(rng, pa, pb)
+                choices = [r for r in RELATION_BOUND if admits(r, pa, pb, False)]
+                relation = choices[int(rng.integers(0, len(choices)))]
                 core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
                 spec = _random_spec(rng, n, relation, core)
                 astar = seq_A(spec, pa)
@@ -100,7 +87,7 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
             else:
                 # the two core-a1 two-phase assignments are only drawn with
                 # thetaB < thetaA: on {thetaA <= thetaB} they genuinely
-                # violate the printed L1 bound (see the decisions ledger),
+                # violate the printed L1 bound (see DECISIONS.md),
                 # so they are not feasibility-sweep material there
                 configs = [
                     CoatingConfig("a2", "b2", "A_in_B"),
@@ -108,21 +95,18 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
                     CoatingConfig("a1", "const", "none"),
                     CoatingConfig("a2", "const", "none"),
                 ]
-                if pb.thetaB < pa.thetaA:
+                if admits("B_subset_A", pa, pb, False):
                     configs += [
                         CoatingConfig("a1", "b1", "B_in_A"),
                         CoatingConfig("a1", "b2", "Ac_in_B"),
                     ]
                 valid = []
                 for cfg in configs:
-                    try:
-                        if cfg.coreB == "const":
-                            b = rng.uniform(0.5, 4.0)
-                            valid.append((cfg, hs_b(pa, b, cfg, n), PhaseB(b, b, pb.thetaB)))
-                        else:
-                            valid.append((cfg, hs_b(pa, pb, cfg, n), pb))
-                    except Exception:
-                        continue
+                    if cfg.coreB == "const":
+                        b = rng.uniform(0.5, 4.0)
+                        valid.append((cfg, hs_b(pa, b, cfg, n), PhaseB(b, b, pb.thetaB)))
+                    elif admits(cfg.relation, pa, pb, True):
+                        valid.append((cfg, hs_b(pa, pb, cfg, n), pb))
                 cfg, bval, pb = valid[int(rng.integers(0, len(valid)))]
                 m = hs_m(pa, cfg.coreA, n)
                 astar = SymTensor.from_matrix(m * np.eye(n))

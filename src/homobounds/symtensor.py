@@ -74,9 +74,6 @@ class SymTensor:
     def identity(n: int) -> "SymTensor":
         return SymTensor.from_matrix(np.eye(n))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
     def __array__(self, dtype=None):
         m = self.mat
         return m if dtype is None else m.astype(dtype)
@@ -221,18 +218,3 @@ def rotate(s, frame) -> SymTensor:
 def rotation_2d(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
-
-
-def is_spd(s, rel_tol: float = 1e-12) -> bool:
-    """Positive definite up to a relative slack of rel_tol * largest |eig|."""
-    es = eig(s)
-    top = max(abs(v) for v in es.values) + _ABS_FLOOR
-    return min(es.values) > -rel_tol * top
-
-
-def min_eig(s) -> float:
-    return eig(s).values[-1]
-
-
-def max_eig(s) -> float:
-    return eig(s).values[0]

@@ -251,3 +251,52 @@ class TestEnv:
         )
         assert code == 0
         assert json.loads(out)["verdict"] != "outside"
+
+
+def exit_code(argv) -> int:
+    """Process exit status of one invocation; argparse rejects flags by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+CHECK = ["gset", "check", "--a", "1,2,0.5"]
+INSIDE = "[[1.4,0],[0,1.45]]"
+
+
+@pytest.mark.parametrize(
+    "argv, env, instance",
+    [
+        (CHECK + ["--astar", "[[NaN,0],[0,1.5]]"], None, None),
+        (CHECK + ["--astar", "[[Infinity,0],[0,1.5]]"], None, None),
+        (CHECK + ["--astar", "[[1e999,0],[0,1.5]]"], None, None),
+        (CHECK + ["--astar", INSIDE, "--tol", "nan"], None, None),
+        (CHECK + ["--astar", INSIDE, "--tol", "inf"], None, None),
+        (CHECK + ["--astar", INSIDE, "--tol=-1e-9"], None, None),
+        (CHECK + ["--astar", INSIDE], "nan", None),
+        (CHECK + ["--astar", INSIDE], "-1", None),
+        (["gset", "check", "--a", "1,nan,0.5", "--astar", INSIDE], None, None),
+        (["gset", "check", "--a", "1,2", "--theta", "nan", "--astar", INSIDE], None, None),
+        (["gset", "check", "--a", "1", "--astar", INSIDE], None, None),
+        (["laminate", "--spec", '{"directions":[[NaN,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["odp", "relax", "--a", "1,2", "--cells", "0", "--kA", "0"], None, None),
+        (["odp", "brute", "--a", "1,2", "--cells", "0", "--kA", "0"], None, None),
+        (["odp", "relax", "--a", "1,2", "--f", "const:nan"], None, None),
+        (["oodp", "relax", "--a", "1,2", "--b", "1,3", "--cells", "0", "--kA", "0", "--kB", "0"], None, None),
+        (["odp", "relax", "--instance", "inst.json"], None, {"cells": 0, "kA": 0, "a": [1, 2], "f": "const:1"}),
+        (["oodp", "brute", "--instance", "inst.json"], None, {"cells": 0, "kA": 0, "kB": 0, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
+        (["oodp", "relax", "--instance", "inst.json"], None, {"cells": 4.0, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
+    ],
+)
+def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
+    # non-finite numbers, bad tolerances and empty grids are usage errors,
+    # never a verdict and never a traceback
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
+    else:
+        monkeypatch.setenv("HOMOBOUNDS_TOL", env)
+    if instance is not None:
+        (tmp_path / "inst.json").write_text(json.dumps(instance))
+    assert exit_code(argv) == 2

@@ -157,7 +157,7 @@ class TestSaturationPairings:
     def test_2d_documented_l1_violation(self):
         # core-a1 coated spheres are genuine relative limits (the oracle
         # agrees with the closed form) yet break the printed L1 bound on
-        # {thetaA <= thetaB}; see the decisions ledger
+        # {thetaA <= thetaB}; see DECISIONS.md
         from homobounds.pairbounds import bound_L1
 
         pa, pb = PhaseA(1.0, 5.0, 0.6), PhaseB(1.0, 1.5, 0.92)

@@ -30,6 +30,42 @@ class TestClassify:
         assert classify_region(PhaseA(1, 2, 0.75), PhaseB(1, 3, 0.5)) == "L2U2"
         assert classify_region(PhaseA(1, 2, 0.25), PhaseB(1, 3, 0.5)) == "L1U1"
 
+    @pytest.mark.parametrize(
+        "ta, tb, laminate_ok, sphere_ok",
+        [
+            # thetaA = thetaB
+            (0.4, 0.4, {"A_subset_B", "disjoint"}, {"A_in_B", "B_in_A", "A_in_Bc"}),
+            # thetaA + thetaB = 1
+            (0.25, 0.75, {"A_subset_B", "disjoint"}, {"A_in_B", "A_in_Bc", "Ac_in_B"}),
+            # both interfaces at once
+            (0.5, 0.5, {"A_subset_B", "disjoint"}, {"A_in_B", "B_in_A", "A_in_Bc", "Ac_in_B"}),
+        ],
+    )
+    def test_interface_predicates(self, ta, tb, laminate_ok, sphere_ok):
+        # the region and the laminate relations take the L1/U1 side of an
+        # interface; the coated-sphere inclusions admit both sides
+        from homobounds.hashin import CoatingConfig, IncompatibleVolumes, hs_b
+        from homobounds.laminates import LaminateSpec, RegionMismatch, seq_B_pp
+
+        pa, pb = PhaseA(1.0, 2.0, ta), PhaseB(1.0, 3.0, tb)
+        assert classify_region(pa, pb) == "L1U1"
+        for relation in ("A_subset_B", "B_subset_A", "disjoint", "complement_cover"):
+            core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
+            spec = LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), core, relation)
+            if relation in laminate_ok:
+                seq_B_pp(spec, pa, pb, chain_check=False)
+            else:
+                with pytest.raises(RegionMismatch):
+                    seq_B_pp(spec, pa, pb, chain_check=False)
+        spheres = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2", "b1"), "Ac_in_B": ("a1", "b2")}
+        for inclusion, (core_a, core_b) in spheres.items():
+            cfg = CoatingConfig(core_a, core_b, inclusion)
+            if inclusion in sphere_ok:
+                hs_b(pa, pb, cfg, 2)
+            else:
+                with pytest.raises(IncompatibleVolumes):
+                    hs_b(pa, pb, cfg, 2)
+
 
 class TestChain:
     def test_laminate_pair(self, pa_half, pb_half):
