@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, gclosure.NoBracket, laminates.ChainViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,9 +3,8 @@
 The attainable set for volume fraction theta is characterized by an
 eigenvalue window [harmonic mean, arithmetic mean] together with a lower
 and an upper trace inequality.  This module evaluates membership, recovers
-the boundary fraction theta from a tensor (closed form on the lower side,
-bisection on the upper), and samples the two boundary curves at N = 2 for
-phase diagrams.
+the boundary fraction theta from a tensor (in closed form on both sides),
+and samples the two boundary curves at N = 2 for phase diagrams.
 """
 
 from __future__ import annotations
@@ -141,8 +140,8 @@ def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) ->
 def upper_boundary_residual(astar_or_trace, p: PhaseA, theta: float) -> float:
     """Residual of the upper-boundary trace equation at a trial theta.
 
-    Positive means the tensor lies above the theta-boundary.  Strictly
-    increasing in theta, which justifies bisection.
+    Positive means the tensor lies above the theta-boundary.  Affine in
+    1/theta and strictly increasing in theta, so its root has a closed form.
     """
     if isinstance(astar_or_trace, SymTensor):
         lams = eig(astar_or_trace).values
@@ -156,7 +155,8 @@ def upper_boundary_residual(astar_or_trace, p: PhaseA, theta: float) -> float:
 def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> float:
     """Fraction theta >= thetaA whose upper boundary passes through astar.
 
-    Bisection on [thetaA, 1 - 1e-9]; the defining residual is monotone.
+    Closed form in t = tr(A*^-1 - a2^-1 I)^-1:
+        theta = (N a1 a2/(a2-a1) + (N-1) a2) / (t + (N-1) a2).
     """
     _require_member(astar, p, tol)
     lams = eig(astar).values
@@ -167,31 +167,19 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) ->
         # an eigenvalue at a2 forces the degenerate boundary theta -> thetaA -> 0
         return float(p.thetaA)
     t = sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in lams)
+    theta = (n * p.a1 * p.a2 / (p.a2 - p.a1) + (n - 1) * p.a2) / (t + (n - 1) * p.a2)
     lo = max(p.thetaA, 1e-12)
-    hi = 1.0 - 1e-9
-    f_lo = upper_boundary_residual((t, n), p, lo)
-    f_hi = upper_boundary_residual((t, n), p, hi)
-    if f_lo >= 0:
-        # the root cannot sit below thetaA for a member, so a nonnegative
-        # residual there is boundary roundoff: the tensor lies on the
-        # thetaA-boundary itself
+    if theta <= lo:
+        # the root cannot sit below thetaA for a member, so it is boundary
+        # roundoff: the tensor lies on the thetaA-boundary itself
         return float(lo)
-    if f_hi < 0:
-        # residual at 1 is t - N a1 a2/(a2-a1) >= 0 for any member; a slightly
-        # negative f_hi at the clipped endpoint means theta = 1
+    if theta > 1.0 - 1e-9:
+        # residual at 1 is t - N a1 a2/(a2-a1) >= 0 for any member; a root
+        # past 1 within roundoff means theta = 1
         if upper_boundary_residual((t, n), p, 1.0) >= -1e-12 * max(1.0, abs(t)):
             return 1.0
-        raise NoBracket(f"no root in [{lo}, {hi}]: residuals ({f_lo:.3e}, {f_hi:.3e})")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = upper_boundary_residual((t, n), p, mid)
-        if abs(f_mid) <= 1e-12 * max(1.0, abs(t)):
-            return float(mid)
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+        raise NoBracket(f"root theta={theta:.6g} lies beyond 1")
+    return float(theta)
 
 
 def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:

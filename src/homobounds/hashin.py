@@ -16,8 +16,6 @@ import numpy as np
 from .gclosure import PhaseA
 from .pairbounds import PhaseB, admits
 
-_RESIDUAL_TOL = 1e-13
-
 # inclusion relation of the two phase sets that each assignment realizes
 INCLUSION_RELATION = {
     "B_in_A": "B_subset_A",
@@ -64,44 +62,28 @@ def _check_volumes(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB):
 
 
 def hs_m(pa: PhaseA, coreA: str, n: int) -> float:
-    """Effective conductivity of coated spheres, solved by bisection.
+    """Effective conductivity of coated spheres.
 
-    Core a1:  (m - a2)/(m + (N-1)a2) = thetaA (a1 - a2)/(a1 + (N-1)a2)
-    Core a2:  (m - a1)/(m + (N-1)a1) = (1-thetaA)(a2 - a1)/(a2 + (N-1)a1)
-    The root is unique in (a1, a2).
+    The root in (a1, a2) of
+        core a1:  (m - a2)/(m + (N-1)a2) = thetaA (a1 - a2)/(a1 + (N-1)a2)
+        core a2:  (m - a1)/(m + (N-1)a1) = (1-thetaA)(a2 - a1)/(a2 + (N-1)a1),
+    in the Hashin-Shtrikman form whose terms are all positive, so that no
+    cancellation costs digits at small contrast.
     """
     if n < 2:
         raise ValueError("coated spheres need N >= 2")
     if coreA not in ("a1", "a2"):
         raise ValueError("coreA must be 'a1' or 'a2'")
-    theta = pa.thetaA
+    theta, a1, a2 = pa.thetaA, pa.a1, pa.a2
     if theta <= 0.0:
-        return pa.a2
+        return a2
     if theta >= 1.0:
-        return pa.a1
-
+        return a1
     if coreA == "a1":
-        rhs = theta * (pa.a1 - pa.a2) / (pa.a1 + (n - 1) * pa.a2)
-        resid = lambda m: (m - pa.a2) / (m + (n - 1) * pa.a2) - rhs
-    else:
-        rhs = (1.0 - theta) * (pa.a2 - pa.a1) / (pa.a2 + (n - 1) * pa.a1)
-        resid = lambda m: (m - pa.a1) / (m + (n - 1) * pa.a1) - rhs
-
-    # run to interval collapse: the residual tolerance alone leaves an
-    # m-error that tiny phase contrasts amplify past membership tolerances
-    lo, hi = pa.a1, pa.a2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * np.finfo(float).eps * mid:
-            break
-        if resid(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    if abs(resid(mid)) > max(_RESIDUAL_TOL, 8 * np.finfo(float).eps):
-        raise RuntimeError(f"coated-sphere bisection stalled at m={mid} with residual {resid(mid):.3e}")
-    return float(mid)
+        num = a1 * (1.0 + (n - 1) * theta) + (n - 1) * (1.0 - theta) * a2
+        return float(a2 * num / ((1.0 - theta) * a1 + (n - 1 + theta) * a2))
+    num = (1.0 + (n - 1) * (1.0 - theta)) * a2 + (n - 1) * theta * a1
+    return float(a1 * num / (theta * a2 + (n - theta) * a1))
 
 
 def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,17 @@ class LaminateSpec:
     relation: str
 
     def __post_init__(self):
-        dirs = tuple(tuple(float(x) for x in d) for d in self.directions)
+        try:
+            dirs = tuple(tuple(float(x) for x in d) for d in self.directions)
+            weights = tuple(float(w) for w in self.weights)
+        except (TypeError, ValueError) as exc:
+            raise InconsistentSpec(f"directions must be lists of numbers, weights numbers: {exc}") from exc
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", weights)
         if len(self.directions) != len(self.weights) or not self.directions:
             raise InconsistentSpec("directions and weights must be nonempty and match")
+        if len({len(d) for d in self.directions}) != 1:
+            raise InconsistentSpec("directions must all have the same dimension")
         if not np.isfinite([x for d in self.directions for x in d] + list(self.weights)).all():
             raise InconsistentSpec("directions and weights must be finite")
         for d in self.directions:
@@ -103,14 +110,14 @@ class LaminateSpec:
     def dim(self) -> int:
         return len(self.directions[0])
 
-    def direction_moment(self) -> np.ndarray:
-        """Unit-trace second moment sum m_i e_i (x) e_i."""
-        n = self.dim
-        m = np.zeros((n, n))
+    @cached_property
+    def moment(self) -> SymTensor:
+        """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec."""
+        m = np.zeros((self.dim, self.dim))
         for d, w in zip(self.directions, self.weights):
             e = np.asarray(d)
             m += w * np.outer(e, e)
-        return m
+        return SymTensor.from_matrix(m)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -125,12 +132,9 @@ class LaminateSpec:
     @staticmethod
     def from_json(text: str) -> "LaminateSpec":
         data = json.loads(text)
-        return LaminateSpec(
-            tuple(tuple(d) for d in data["directions"]),
-            tuple(data["weights"]),
-            data["core"],
-            data["relation"],
-        )
+        if not isinstance(data, dict):
+            raise InconsistentSpec("a laminate spec is a JSON object")
+        return LaminateSpec(data["directions"], data["weights"], data["core"], data["relation"])
 
 
 def inclusion_data(pa: PhaseA, pb: PhaseB, thetaAB: float) -> InclusionData:
@@ -160,7 +164,7 @@ def simple_laminate_pair(
 
 
 def _moment_eigensystem(spec: LaminateSpec):
-    es = eig(SymTensor.from_matrix(spec.direction_moment()))
+    es = eig(spec.moment)
     return np.array(es.values), es.frame
 
 

@@ -2,10 +2,12 @@
 
 Everything downstream (phase-space membership, trace bounds, laminate
 constructors) works with symmetric positive-definite matrices of dimension
-N <= 8.  The kernel keeps exact symmetry by storing only the upper triangle
-and provides a cyclic Jacobi eigensolver, trace evaluation of matrix-power
-chains, rotations, and the rearrangement inequality tr(EF) >= sum of
-oppositely sorted eigenvalue products used by the commutativity argument.
+N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
+computes its eigensystem once, with LAPACK's symmetric solver, on first
+request; every later eig of the same tensor reuses it.  The module also
+evaluates trace chains of matrix powers, rotations, and the rearrangement
+inequality tr(EF) >= sum of oppositely sorted eigenvalue products used by
+the commutativity argument.
 """
 
 from __future__ import annotations
@@ -30,53 +32,58 @@ class NotOrthonormal(ValueError):
     """A rotation frame fails the orthonormality tolerance."""
 
 
-@dataclass(frozen=True)
 class SymTensor:
-    """N x N real symmetric matrix stored as its upper triangle."""
+    """N x N real symmetric matrix, immutable, with a memoised eigensystem."""
 
-    dim: int
-    upper: tuple  # row-major upper triangle incl. diagonal, length N(N+1)/2
+    __slots__ = ("_m", "_eig")
 
-    def __post_init__(self):
-        if not (1 <= self.dim <= MAX_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {self.dim}")
-        if len(self.upper) != self.dim * (self.dim + 1) // 2:
-            raise ValueError("upper triangle has wrong length")
+    def __init__(self, m):
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError("expected a square matrix")
+        if not (1 <= m.shape[0] <= MAX_DIM):
+            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[0]}")
+        m = 0.5 * (m + m.T)
+        m.flags.writeable = False
+        self._m = m
+        self._eig = None
+
+    @property
+    def dim(self) -> int:
+        return self._m.shape[0]
 
     @property
     def mat(self) -> np.ndarray:
         """Full symmetric matrix (fresh array, safe to mutate)."""
-        n = self.dim
-        m = np.zeros((n, n))
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                m[i, j] = self.upper[k]
-                m[j, i] = self.upper[k]
-                k += 1
-        return m
+        return self._m.copy()
 
     @staticmethod
     def from_matrix(m) -> "SymTensor":
         """Build from a square array, symmetrizing by averaging."""
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        n = m.shape[0]
-        upper = tuple(0.5 * (m[i, j] + m[j, i]) for i in range(n) for j in range(i, n))
-        return SymTensor(n, upper)
+        return SymTensor(m)
 
     @staticmethod
     def diag(values) -> "SymTensor":
-        return SymTensor.from_matrix(np.diag(np.asarray(values, dtype=float)))
+        return SymTensor(np.diag(np.asarray(values, dtype=float)))
 
     @staticmethod
     def identity(n: int) -> "SymTensor":
-        return SymTensor.from_matrix(np.eye(n))
+        return SymTensor(np.eye(n))
 
-    def __array__(self, dtype=None):
+    def __array__(self, dtype=None, copy=None):
         m = self.mat
         return m if dtype is None else m.astype(dtype)
+
+    def __eq__(self, other):
+        if not isinstance(other, SymTensor):
+            return NotImplemented
+        return bool(np.array_equal(self._m, other._m))
+
+    def __hash__(self):
+        return hash(tuple(self._m.ravel().tolist()))
+
+    def __repr__(self):
+        return f"SymTensor({self._m.tolist()!r})"
 
 
 @dataclass(frozen=True)
@@ -84,63 +91,45 @@ class EigSystem:
     """Eigenvalues (descending) and an orthonormal eigenvector frame."""
 
     values: tuple
-    frame: np.ndarray  # columns are eigenvectors, frame[:, i] <-> values[i]
+    frame: np.ndarray  # read-only; columns are eigenvectors, frame[:, i] <-> values[i]
 
 
 def _as_matrix(s) -> np.ndarray:
     if isinstance(s, SymTensor):
-        return s.mat
+        return s._m
     m = np.asarray(s, dtype=float)
     return 0.5 * (m + m.T)
 
 
+def _eigh(m: np.ndarray) -> EigSystem:
+    vals, q = np.linalg.eigh(m)
+    q = q[:, ::-1]
+    # sign each column so its first component above _ORTHO_TOL max(1, max|col|)
+    # is positive; the columns are unit vectors, so that bound is _ORTHO_TOL
+    lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=0)
+    q = q * np.copysign(1.0, q[lead, np.arange(q.shape[1])])
+    q.flags.writeable = False
+    return EigSystem(tuple(vals[::-1].tolist()), q)
+
+
 def eig(s) -> EigSystem:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix by LAPACK's symmetric solver.
 
-    Sweeps all off-diagonal pairs until their norm falls below
-    1e-14 * ||S||_F.  Eigenvalues come out descending; each eigenvector is
-    signed so its first component of significant magnitude is positive,
-    which makes the decomposition deterministic.
+    Eigenvalues come out descending; each eigenvector is signed so its first
+    component of significant magnitude is positive, which makes the
+    decomposition deterministic.  A SymTensor is decomposed once and keeps
+    the result; a plain array is symmetrized and decomposed on every call.
     """
-    a = _as_matrix(s).copy()
-    n = a.shape[0]
-    q = np.eye(n)
-    norm = np.linalg.norm(a) + _ABS_FLOOR
-    for _ in range(100):  # sweeps; tiny matrices converge in a handful
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off <= 1e-14 * norm:
-            break
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= 1e-18 * norm:
-                    continue
-                tau = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[r, r] = c
-                rot[p, r] = sn
-                rot[r, p] = -sn
-                a = rot.T @ a @ rot
-                a[p, r] = a[r, p] = 0.0
-                q = q @ rot
-    vals = np.diag(a).copy()
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    q = q[:, order]
-    for i in range(n):
-        col = q[:, i]
-        lead = np.nonzero(np.abs(col) > _ORTHO_TOL * max(1.0, np.abs(col).max()))[0]
-        if lead.size and col[lead[0]] < 0:
-            q[:, i] = -col
-    return EigSystem(tuple(float(v) for v in vals), q)
+    if isinstance(s, SymTensor):
+        if s._eig is None:
+            s._eig = _eigh(s._m)
+        return s._eig
+    return _eigh(_as_matrix(s))
 
 
-def _sym_inverse(m: np.ndarray, power: int) -> np.ndarray:
-    """m**power for negative integer power via eigendecomposition."""
-    es = eig(m)
+def _sym_inverse(s, power: int) -> np.ndarray:
+    """s**power for negative integer power via eigendecomposition."""
+    es = eig(s)
     vals = np.array(es.values)
     scale = np.abs(vals).max() + _ABS_FLOOR
     if vals.min() <= _EIG_SINGULAR_REL * scale:
@@ -156,7 +145,7 @@ def matrix_power(s, power: int) -> np.ndarray:
     if power == 0:
         return np.eye(m.shape[0])
     if power < 0:
-        return _sym_inverse(m, power)
+        return _sym_inverse(s, power)
     return np.linalg.matrix_power(m, power)
 
 
@@ -197,8 +186,8 @@ def trace_pairing_bound(e, f) -> tuple:
     argument exploits.
     """
     em, fm = _as_matrix(e), _as_matrix(f)
-    se = np.sort(np.array(eig(em).values))
-    sf = np.sort(np.array(eig(fm).values))
+    se = np.sort(np.array(eig(e).values))
+    sf = np.sort(np.array(eig(f).values))
     lower = float(np.dot(se, sf[::-1]))
     gap = float(np.trace(em @ fm)) - lower
     return lower, gap

@@ -287,6 +287,12 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["odp", "relax", "--instance", "inst.json"], None, {"cells": 0, "kA": 0, "a": [1, 2], "f": "const:1"}),
         (["oodp", "brute", "--instance", "inst.json"], None, {"cells": 0, "kA": 0, "kB": 0, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
         (["oodp", "relax", "--instance", "inst.json"], None, {"cells": 4.0, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
+        (["laminate", "--spec", "[1]", "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":5,"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[1],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":5,"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[[null,1]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0],[1]],"weights":[0.5,0.5],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -299,4 +305,24 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMOBOUNDS_TOL", env)
     if instance is not None:
         (tmp_path / "inst.json").write_text(json.dumps(instance))
+    assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "target, error, argv",
+    [
+        ("homobounds.pairbounds.pair_membership", "NoBracket", ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", INSIDE]),
+        ("homobounds.laminates.seq_A", "ChainViolation", ["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"]),
+    ],
+)
+def test_library_errors_exit_2(target, error, argv, monkeypatch):
+    # a library failure is a validation error, not the --assert exit code 1
+    from homobounds import gclosure, laminates
+
+    exc = {"NoBracket": gclosure.NoBracket("no root"), "ChainViolation": laminates.ChainViolation("chain")}[error]
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, fail)
     assert exit_code(argv) == 2

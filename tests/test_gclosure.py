@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,27 @@ from homobounds.gclosure import (
     theta_from_upper_boundary,
     upper_boundary_residual,
 )
+from homobounds.laminates import LaminateSpec, seq_A
 from homobounds.symtensor import SymTensor
+
+LAMINATE_FRAMES = [
+    (((1.0, 0.0),), (1.0,)),
+    (((1.0, 0.0), (0.0, 1.0)), (0.3, 0.7)),
+    (((1.0, 0.0), (0.6, 0.8)), (0.5, 0.5)),
+    (((1.0, 0.0, 0.0), (0.0, 0.6, 0.8)), (0.35, 0.65)),
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.2, 0.3, 0.5)),
+]
+
+
+def _upper_root_50_digits(astar: SymTensor, p: PhaseA):
+    """Root of the upper-boundary equation from the float64 entries of A*, at 50 digits."""
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpf(p.a1), mpmath.mpf(p.a2)
+        m = mpmath.matrix(astar.mat.tolist())
+        n = m.rows
+        resolvent = mpmath.inverse(mpmath.inverse(m) - mpmath.eye(n) / a2)
+        t = mpmath.fsum(resolvent[i, i] for i in range(n))
+        return (n * a1 * a2 / (a2 - a1) + (n - 1) * a2) / (t + (n - 1) * a2)
 
 
 class TestPhaseA:
@@ -95,6 +118,22 @@ class TestThetaRecovery:
         lam1, lam2 = boundary_curve_sample(pa, "lower", 11)[int(rng.integers(0, 11))]
         recovered = theta_from_lower_boundary(SymTensor.diag([lam1, lam2]), pa)
         assert recovered == pytest.approx(theta, abs=1e-10)
+
+    def test_upper_matches_50_digit_root(self):
+        # core a1 puts A* on the upper boundary of thetaA, core a2 strictly
+        # inside it, where the recovered theta exceeds thetaA
+        inside = 0
+        grid = itertools.product(
+            [(1.0, 2.0), (0.7, 2.5), (1.0, 30.0)], [0.1, 0.3, 0.5, 0.7, 0.9], LAMINATE_FRAMES, ("a1", "a2")
+        )
+        for (a1, a2), theta, (directions, weights), core in grid:
+            pa = PhaseA(a1, a2, theta)
+            astar = seq_A(LaminateSpec(directions, weights, core, "const_b"), pa)
+            root = _upper_root_50_digits(astar, pa)
+            inside += root > theta * (1 + 1e-9)
+            expected = max(root, mpmath.mpf(theta))  # the thetaA clamp
+            assert abs(theta_from_upper_boundary(astar, pa) - expected) <= 1e-14 * expected
+        assert inside >= 50
 
     def test_upper_residual_monotone(self, pa_half):
         astar = SymTensor.diag([1.4, 1.45])

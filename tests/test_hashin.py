@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,23 @@ class TestEffectiveConductivity:
                 for n in (2, 3):
                     m = hs_m(pa, core, n)
                     assert harm < m < arith
+
+    def test_matches_50_digit_root(self):
+        # the root of each defining equation, solved at 50 digits, over
+        # contrasts a2/a1 from 1.0001 to 1e3 and N from 2 to 8
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            a1 = rng.uniform(0.1, 10.0)
+            pa = PhaseA(a1, a1 * 10 ** rng.uniform(np.log10(1.0001), 3.0), rng.uniform(0.0, 1.0))
+            n, core = int(rng.integers(2, 9)), ("a1", "a2")[int(rng.integers(0, 2))]
+            with mpmath.workdps(50):
+                a1, a2, theta = mpmath.mpf(pa.a1), mpmath.mpf(pa.a2), mpmath.mpf(pa.thetaA)
+                if core == "a1":  # (m - a2)/(m + (N-1)a2) = r
+                    base, r = a2, theta * (a1 - a2) / (a1 + (n - 1) * a2)
+                else:  # (m - a1)/(m + (N-1)a1) = r
+                    base, r = a1, (1 - theta) * (a2 - a1) / (a2 + (n - 1) * a1)
+                root = base * (1 + (n - 1) * r) / (1 - r)
+                assert abs(hs_m(pa, core, n) - root) <= 1e-15 * root
 
 
 class TestClosedForms:

@@ -42,6 +42,34 @@ class TestSpecValidation:
         data = json.loads(spec.to_json())
         assert set(data) == {"directions", "weights", "core", "relation"}
 
+    @pytest.mark.parametrize(
+        "directions, weights",
+        [
+            ([1], [1]),
+            (5, [1]),
+            ([[1, 0]], 5),
+            ([[None, 1]], [1]),
+            ([["x", 0]], [1]),
+            ([[1, 0], [1]], [0.5, 0.5]),
+        ],
+    )
+    def test_wrong_shapes(self, directions, weights):
+        with pytest.raises(InconsistentSpec):
+            LaminateSpec(directions, weights, "a2", "const_b")
+
+    def test_moment_decomposed_once_per_spec(self, pa_half, pb_half, monkeypatch):
+        from homobounds import symtensor
+
+        decomposed = []
+        eigh = symtensor._eigh
+        monkeypatch.setattr(symtensor, "_eigh", lambda m: decomposed.append(m) or eigh(m))
+        spec = LaminateSpec((E1, (0.6, 0.8)), (0.4, 0.6), "a2", "A_subset_B")
+        seq_A(spec, pa_half)
+        seq_B_const(spec, pa_half, 1.5)
+        seq_B_pp(spec, pa_half, pb_half)
+        assert spec.moment is spec.moment
+        assert sum(np.array_equal(m, spec.moment.mat) for m in decomposed) == 1
+
 
 class TestOverlapWindow:
     @pytest.mark.parametrize(

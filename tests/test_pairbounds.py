@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homobounds.gclosure import PhaseA, boundary_curve_sample
+from homobounds.hashin import CoatingConfig, hs_b, hs_m
+from homobounds.homog1d import overlap_window
+from homobounds.laminates import simple_laminate_pair
 from homobounds.pairbounds import (
     NotInRegion,
     PhaseB,
+    admits,
     bound_L1,
     bound_L2,
     bound_L_const_b,
@@ -19,7 +25,7 @@ from homobounds.pairbounds import (
     pair_membership,
     theta_star_u2,
 )
-from homobounds.symtensor import SymTensor, commutator_norm
+from homobounds.symtensor import SymTensor, commutator_norm, rotate
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
 
@@ -323,3 +329,79 @@ class TestRotationInvariance:
             assert rotated.li_slack == pytest.approx(plain.li_slack, abs=1e-9)
             assert rotated.uj_slack == pytest.approx(plain.uj_slack, abs=1e-9)
             assert np.allclose(rotated.chain_slacks, plain.chain_slacks, atol=1e-10)
+
+    @staticmethod
+    def _assert_same_report(got, want):
+        assert (got.region, got.verdict) == (want.region, want.verdict)
+        scale = max(1.0, *(abs(x) for x in (want.li_lhs, want.li_rhs, want.uj_lhs, want.uj_rhs, *want.chain_slacks)))
+        for name in ("li_lhs", "li_rhs", "li_slack", "uj_lhs", "uj_rhs", "uj_slack", "uj_variant_slack"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale, name
+        assert np.abs(np.subtract(got.chain_slacks, want.chain_slacks)).max() <= 1e-12 * scale
+
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(1.1, 10.0),
+        st.floats(0.05, 0.95),
+        st.floats(0.5, 2.0),
+        st.floats(1.0, 4.0),
+        st.floats(0.05, 0.95),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_eigenspace_rotation_3d_laminate(self, a1, contrast, ta, b1, b_ratio, tb, overlap, seed):
+        # a rotated simple laminate in 3-D: A* has the arithmetic mean twice,
+        # on the plane orthogonal to the lamination axis; rotating A* and B#
+        # within that plane changes neither bound, only the frame the
+        # eigensolver picks there
+        pa, pb = PhaseA(a1, a1 * contrast, ta), PhaseB(b1, b1 * b_ratio, tb)
+        lo, hi = overlap_window(pa, pb)
+        astar, bsharp = simple_laminate_pair(pa, pb, lo + overlap * (hi - lo), 0, 3)
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(angle), np.sin(angle)
+        inside = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ q.T
+        astar, bsharp = rotate(astar, q), rotate(bsharp, q)
+        want = pair_membership(astar, bsharp, pa, pb)
+        got = pair_membership(rotate(astar, inside), rotate(bsharp, inside), pa, pb)
+        self._assert_same_report(got, want)
+
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(1.1, 10.0),
+        st.floats(0.05, 0.95),
+        st.floats(0.5, 2.0),
+        st.floats(1.0, 4.0),
+        st.floats(0.05, 0.95),
+        st.integers(0, 5),
+        st.integers(2, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_degenerate_eigenspace_rotation_coated_sphere(self, a1, contrast, ta, b1, b_ratio, tb, which, n, seed):
+        # an isotropic coated sphere: the whole space is one eigenspace of
+        # A* = m I, so any rotation of the pair must leave the report alone
+        pa, pb = PhaseA(a1, a1 * contrast, ta), PhaseB(b1, b1 * b_ratio, tb)
+        cfg = [
+            CoatingConfig("a2", "b2", "A_in_B"),
+            CoatingConfig("a2", "b1", "A_in_Bc"),
+            CoatingConfig("a1", "b1", "B_in_A"),
+            CoatingConfig("a1", "b2", "Ac_in_B"),
+            CoatingConfig("a1", "const", "none"),
+            CoatingConfig("a2", "const", "none"),
+        ][which]
+        if cfg.coreB == "const":
+            bval, pb = hs_b(pa, b1, cfg, n), PhaseB(b1, b1, tb)
+        else:
+            # core a1 two-phase spheres break the printed L1 on thetaA <= thetaB (DECISIONS.md)
+            assume(admits(cfg.relation, pa, pb, True) and not (cfg.coreA == "a1" and ta <= tb))
+            bval = hs_b(pa, pb, cfg, n)
+        astar = SymTensor.from_matrix(hs_m(pa, cfg.coreA, n) * np.eye(n))
+        bsharp = SymTensor.from_matrix(bval * np.eye(n))
+        q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+        q = q * np.sign(np.diag(r))
+        want = pair_membership(astar, bsharp, pa, pb)
+        got = pair_membership(rotate(astar, q), rotate(bsharp, q), pa, pb)
+        self._assert_same_report(got, want)

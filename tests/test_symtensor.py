@@ -60,6 +60,49 @@ class TestEig:
         assert np.abs(es.frame @ es.frame.T - np.eye(n)).max() < 1e-12
         assert list(es.values) == sorted(es.values, reverse=True)
 
+    @pytest.mark.parametrize(
+        "values", [(1.0, 1.0, 1.0), (3.0, 1.0, 1.0), (2.0, 2.0, 0.5), (4.0, 4.0, 1.0, 1.0), (1.5, 1.5)]
+    )
+    def test_repeated_eigenvalues_sorted_and_signed(self, values):
+        rng = np.random.default_rng(len(values))
+        n = len(values)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        for m in (np.diag(values), q @ np.diag(values) @ q.T):
+            es = eig(SymTensor.from_matrix(m))
+            assert list(es.values) == sorted(es.values, reverse=True)
+            assert es.values == pytest.approx(sorted(values, reverse=True), abs=1e-14)
+            for col in es.frame.T:
+                # first component above 1e-12 max(1, max|col|) is positive
+                lead = np.nonzero(np.abs(col) > 1e-12 * max(1.0, np.abs(col).max()))[0][0]
+                assert col[lead] > 0
+            assert np.abs(es.frame @ np.diag(es.values) @ es.frame.T - m).max() < 1e-14 * max(values)
+
+    def test_memoised_once_per_tensor(self):
+        s = SymTensor.from_matrix([[2.0, 0.5], [0.5, 1.0]])
+        assert eig(s) is eig(s)
+        m = s.mat
+        assert eig(m) is not eig(m)  # plain arrays are decomposed on every call
+
+    def test_mutating_outputs_leaves_tensor_and_cache_intact(self):
+        ref = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]
+        s = SymTensor.from_matrix(ref)
+        es = eig(s)
+        values, frame = es.values, es.frame.copy()
+        m = s.mat
+        m[:] = 0.0
+        np.asarray(s)[0, 0] = -1.0
+        assert s == SymTensor.from_matrix(ref) and (s.mat == np.array(ref)).all()
+        assert eig(s) is es and es.values == values and (es.frame == frame).all()
+        with pytest.raises(ValueError):
+            es.frame[0, 0] = 0.0  # the cached frame is read-only
+
+    def test_value_equality(self):
+        a = SymTensor.from_matrix([[1.0, 2.0], [0.0, 3.0]])
+        assert a == SymTensor.from_matrix([[1.0, 1.0], [1.0, 3.0]])
+        assert a != SymTensor.diag([1.0, 3.0])
+        assert hash(a) == hash(SymTensor.from_matrix([[1.0, 1.0], [1.0, 3.0]]))
+        assert a.dim == 2 and SymTensor.identity(3).dim == 3
+
 
 class TestTraceChain:
     def test_simple_laminate_identity(self, pa_half):
