@@ -11,6 +11,7 @@ default feasibility tolerance.  Exit codes: 0 ok, 1 failed --assert,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -123,15 +124,7 @@ def cmd_gset(args) -> int:
     pa = _phase(args, "a")
     if args.action == "check":
         report = gclosure.g_membership(_tensor(args.astar), pa, _tol(args))
-        _emit(
-            args,
-            {
-                "verdict": report.verdict,
-                "lower_trace_slack": report.lower_trace_slack,
-                "upper_trace_slack": report.upper_trace_slack,
-                "eigenvalue_window_slacks": [list(p) for p in report.eigenvalue_window_slacks],
-            },
-        )
+        _emit(args, dataclasses.asdict(report))
         return 0 if not (args.assert_ and report.verdict == "outside") else 1
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
     _emit_csv(args, ["lambda1", "lambda2"], pts)
@@ -150,19 +143,7 @@ def cmd_pair(args) -> int:
         return 1 if (args.assert_ and bad) else 0
     pa, pb = _phase(args, "a"), _phase(args, "b")
     report = pairbounds.pair_membership(_tensor(args.astar), _tensor(args.bsharp), pa, pb, _tol(args))
-    payload = {
-        "region": report.region,
-        "chain_slacks": list(report.chain_slacks),
-        "li_lhs": report.li_lhs,
-        "li_rhs": report.li_rhs,
-        "li_slack": report.li_slack,
-        "uj_lhs": report.uj_lhs,
-        "uj_rhs": report.uj_rhs,
-        "uj_slack": report.uj_slack,
-        "uj_variant_slack": report.uj_variant_slack,
-        "verdict": report.verdict,
-    }
-    _emit(args, payload)
+    _emit(args, dataclasses.asdict(report))
     return 1 if (args.assert_ and report.verdict == "infeasible") else 0
 
 

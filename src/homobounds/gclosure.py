@@ -66,10 +66,21 @@ def means(p: PhaseA) -> tuple:
     return phase_means(p.a1, p.a2, p.thetaA)
 
 
-def _trace_bound_slacks(lams, p: PhaseA):
+def lower_trace_sum(astar: SymTensor, p: PhaseA) -> float:
+    """S = tr(A* - a1 I)^-1, the resolvent trace of the lower boundary."""
+    return sum(1.0 / (lam - p.a1) for lam in eig(astar).values)
+
+
+def upper_trace_sum(astar: SymTensor, p: PhaseA) -> float:
+    """t = tr(A*^-1 - a2^-1 I)^-1, the flux-side resolvent trace of the upper boundary."""
+    return sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in eig(astar).values)
+
+
+def _trace_bound_slacks(astar: SymTensor, p: PhaseA):
     harm, arith = means(p)
+    lams = eig(astar).values
     n = len(lams)
-    lower_lhs = sum(1.0 / (lam - p.a1) for lam in lams)
+    lower_lhs = lower_trace_sum(astar, p)
     lower_rhs = 1.0 / (harm - p.a1) + (n - 1) / (arith - p.a1)
     upper_lhs = sum(1.0 / (p.a2 - lam) for lam in lams)
     upper_rhs = 1.0 / (p.a2 - harm) + (n - 1) / (p.a2 - arith)
@@ -99,7 +110,7 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> GMembershipR
         verdict = "outside"
         return GMembershipReport(window, -np.inf, -np.inf, verdict)
 
-    low_slack, up_slack = _trace_bound_slacks(lams, p)
+    low_slack, up_slack = _trace_bound_slacks(astar, p)
     if not window_ok or low_slack < -tol or up_slack < -tol:
         verdict = "outside"
     elif abs(low_slack) <= tol and abs(up_slack) <= tol:
@@ -129,9 +140,8 @@ def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) ->
     _require_member(astar, p, tol)
     if p.thetaA >= 1.0 - _DEGENERATE_THETA:
         return 1.0
-    lams = eig(astar).values
     n = astar.dim
-    s = sum(1.0 / (lam - p.a1) for lam in lams)
+    s = lower_trace_sum(astar, p)
     d = p.a2 - p.a1
     theta = p.a1 * (d * s - n) / (d * (p.a1 * s + 1.0))
     return float(min(max(theta, 0.0), p.thetaA))
@@ -144,9 +154,7 @@ def upper_boundary_residual(astar_or_trace, p: PhaseA, theta: float) -> float:
     1/theta and strictly increasing in theta, so its root has a closed form.
     """
     if isinstance(astar_or_trace, SymTensor):
-        lams = eig(astar_or_trace).values
-        t = sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in lams)
-        n = astar_or_trace.dim
+        t, n = upper_trace_sum(astar_or_trace, p), astar_or_trace.dim
     else:
         t, n = astar_or_trace
     return t - n * p.a1 * p.a2 / (theta * (p.a2 - p.a1)) - (n - 1) * (1.0 - theta) * p.a2 / theta
@@ -166,7 +174,7 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) ->
     if any(lam >= p.a2 * (1.0 - 1e-14) for lam in lams):
         # an eigenvalue at a2 forces the degenerate boundary theta -> thetaA -> 0
         return float(p.thetaA)
-    t = sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in lams)
+    t = upper_trace_sum(astar, p)
     theta = (n * p.a1 * p.a2 / (p.a2 - p.a1) + (n - 1) * p.a2) / (t + (n - 1) * p.a2)
     lo = max(p.thetaA, 1e-12)
     if theta <= lo:
@@ -198,21 +206,9 @@ def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:
     if p.thetaA <= _DEGENERATE_THETA or p.thetaA >= 1.0 - _DEGENERATE_THETA:
         lam = p.a2 if p.thetaA <= _DEGENERATE_THETA else p.a1
         return [(lam, lam)] * count
-    pts = []
-    if side == "lower":
-        r_total = 1.0 / (harm - p.a1) + 1.0 / (arith - p.a1)
-        u0, u1 = 1.0 / (harm - p.a1), 1.0 / (arith - p.a1)
-        for t in np.linspace(0.0, 1.0, count):
-            u = u0 + (u1 - u0) * t
-            lam1 = p.a1 + 1.0 / u
-            lam2 = p.a1 + 1.0 / (r_total - u)
-            pts.append((float(lam1), float(lam2)))
-    else:
-        r_total = 1.0 / (p.a2 - harm) + 1.0 / (p.a2 - arith)
-        u0, u1 = 1.0 / (p.a2 - harm), 1.0 / (p.a2 - arith)
-        for t in np.linspace(0.0, 1.0, count):
-            u = u0 + (u1 - u0) * t
-            lam1 = p.a2 - 1.0 / u
-            lam2 = p.a2 - 1.0 / (r_total - u)
-            pts.append((float(lam1), float(lam2)))
-    return pts
+    base, sign = (p.a1, 1.0) if side == "lower" else (p.a2, -1.0)
+    u0, u1 = 1.0 / (sign * (harm - base)), 1.0 / (sign * (arith - base))
+    u = u0 + (u1 - u0) * np.linspace(0.0, 1.0, count)
+    lam1 = base + sign / u
+    lam2 = base + sign / (u0 + u1 - u)
+    return list(zip(lam1.tolist(), lam2.tolist()))

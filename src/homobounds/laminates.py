@@ -163,19 +163,14 @@ def simple_laminate_pair(
     return SymTensor.diag(a_diag), SymTensor.diag(b_diag)
 
 
-def _moment_eigensystem(spec: LaminateSpec):
-    es = eig(spec.moment)
-    return np.array(es.values), es.frame
+def _laminate_frame(spec: LaminateSpec, pa: PhaseA) -> tuple:
+    """(w, a_diag, frame): the moment weights and the A* eigenvalues along the moment eigenframe.
 
-
-def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
-    """Effective tensor of a rank-p sequential laminate.
-
-    Core a2 / matrix a1 realizes the lower boundary of the phase set,
-    core a1 / matrix a2 the upper one; the formulas are resolvent relations
-    in the direction second moment, solved in its eigenframe.
+    A* shares the eigenframe of the direction second moment M, so every
+    function of A* the constructors need is read from a_diag.
     """
-    w, frame = _moment_eigensystem(spec)
+    es = eig(spec.moment)
+    w = np.array(es.values)
     theta, d = pa.thetaA, pa.a2 - pa.a1
     if spec.core_phase == "a2":
         # (1-theta) (A* - a1 I)^-1 = (a2-a1)^-1 I + theta M / a1
@@ -189,7 +184,18 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
             diag = np.full_like(w, pa.a2)
         else:
             diag = pa.a2 + theta / (-1.0 / d + (1.0 - theta) * w / pa.a2)
-    return SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
+    return w, diag, es.frame
+
+
+def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
+    """Effective tensor of a rank-p sequential laminate.
+
+    Core a2 / matrix a1 realizes the lower boundary of the phase set,
+    core a1 / matrix a2 the upper one; the formulas are resolvent relations
+    in the direction second moment, solved in its eigenframe.
+    """
+    _, a_diag, frame = _laminate_frame(spec, pa)
+    return SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
 
 
 def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
@@ -199,9 +205,7 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
         b (B# - b I)^-1 (Abar - A*)^2 = theta (1-theta) (a2-a1)^2 M.
     Zero-weight directions are 0/0 degenerate and resolve to b.
     """
-    w, frame = _moment_eigensystem(spec)
-    astar = seq_A(spec, pa)
-    a_diag = np.diag(frame.T @ astar.mat @ frame)
+    w, a_diag, frame = _laminate_frame(spec, pa)
     _, arith = means(pa)
     theta, d = pa.thetaA, pa.a2 - pa.a1
     rhs = theta * (1.0 - theta) * d**2 * w
@@ -240,9 +244,7 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
     if spec.core_phase != needed_core:
         raise InconsistentSpec(f"relation {relation} needs core {needed_core}")
 
-    w, frame = _moment_eigensystem(spec)
-    astar = seq_A(spec, pa)
-    a_diag = np.diag(frame.T @ astar.mat @ frame)
+    w, a_diag, frame = _laminate_frame(spec, pa)
     theta = pa.thetaA
 
     if relation in ("A_subset_B", "disjoint"):
@@ -260,6 +262,7 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
 
     bsharp = SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
     if chain_check:
+        astar = SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
         slacks = general_chain_check(astar, bsharp, pa, pb)
         if min(slacks) < -1e-9:
             raise ChainViolation(

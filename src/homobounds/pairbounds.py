@@ -24,12 +24,13 @@ from .gclosure import (
     OutsideGSet,
     PhaseA,
     g_membership,
+    lower_trace_sum,
     means,
     theta_from_lower_boundary,
     theta_from_upper_boundary,
 )
 from .homog1d import phase_means
-from .symtensor import SingularFactor, SymTensor, eig, trace_chain
+from .symtensor import SingularFactor, SymTensor, eig, positive_spectrum, trace_chain
 
 DEFAULT_TOL = 1e-9
 
@@ -154,9 +155,14 @@ def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -
     return float(lhs), float(rhs)
 
 
-def _lower_trace_sum(astar: SymTensor, pa: PhaseA) -> float:
-    """S = tr (A* - a1 I)^-1."""
-    return sum(1.0 / (lam - pa.a1) for lam in eig(astar).values)
+def _eigenframe(astar: SymTensor, bsharp: SymTensor) -> tuple:
+    """Eigenvalues lambda of A* and the diagonal beta of B# in A*'s eigenframe.
+
+    Each trace bound pairs B# with a function f of A* alone, and
+    tr B# f(A*) = sum_i beta_i f(lambda_i) whether or not B# commutes with A*.
+    """
+    es = eig(astar)
+    return np.array(es.values), np.diag(es.frame.T @ bsharp.mat @ es.frame)
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -166,11 +172,11 @@ def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     microstructures (the A-set inside the B-set).
     """
     n = astar.dim
-    i = np.eye(n)
-    s = _lower_trace_sum(astar, pa)
+    lam, beta = _eigenframe(astar, bsharp)
+    lhs = np.sum((beta - pb.b1) / positive_spectrum(lam - pa.a1) ** 2)
+    s = lower_trace_sum(astar, pa)
     d = pa.a2 - pa.a1
     denom = pa.a2 + pa.a1 * (n - 1)
-    lhs = trace_chain([(bsharp.mat - pb.b1 * i, 1), (SymTensor.from_matrix(astar.mat - pa.a1 * i), -2)])
     rhs = (
         n * (pb.b2 - pb.b1) * (1.0 - pb.thetaB) * (pa.a1 * s + 1.0) ** 2 / denom**2
         + (pb.b1 / pa.a1) * (d * s - n) / denom
@@ -185,11 +191,10 @@ def bound_U1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     disjoint microstructures.
     """
     n = astar.dim
-    s = _lower_trace_sum(astar, pa)
+    lam, beta = _eigenframe(astar, bsharp)
+    lhs = np.sum(((pb.b2 / pa.a1) * lam - beta) / positive_spectrum(lam - pa.a1) ** 2)
+    s = lower_trace_sum(astar, pa)
     denom = pa.a2 + pa.a1 * (n - 1)
-    lhs = trace_chain(
-        [((pb.b2 / pa.a1) * astar.mat - bsharp.mat, 1), (SymTensor.from_matrix(astar.mat - pa.a1 * np.eye(n)), -2)]
-    )
     rhs = (
         n * (pb.b2 - pb.b1) * pb.thetaB * (pa.a1 * s + 1.0) ** 2 / denom**2
         + n * (pb.b2 / pa.a1) * (pa.a1 * s + 1.0) / denom
@@ -260,13 +265,6 @@ def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     return lead, level, osc
 
 
-def _flux_frame(astar: SymTensor, bsharp: SymTensor) -> tuple:
-    """Eigenvalues of A* and the diagonal of A*^-1 B# A*^-1 in A*'s eigenframe."""
-    es = eig(astar)
-    lam = np.array(es.values)
-    return lam, np.diag(es.frame.T @ bsharp.mat @ es.frame) / lam**2
-
-
 def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
     """Lower bound on the region thetaB < thetaA.
 
@@ -277,8 +275,8 @@ def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: f
     n = astar.dim
     theta = theta_from_upper_boundary(astar, pa, tol)
     c, level, osc = l2_terms(pa, pb, theta)
-    lam, core = _flux_frame(astar, bsharp)
-    lhs = float(np.dot(core - c, flux_ratio(lam, pa, theta) ** -2))
+    lam, beta = _eigenframe(astar, bsharp)
+    lhs = float(np.dot(beta / lam**2 - c, flux_ratio(lam, pa, theta) ** -2))
     return lhs, float(n * level + (n - 1) * osc), l2_case(pa, pb)
 
 
@@ -293,8 +291,8 @@ def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: f
     n = astar.dim
     theta = theta_from_upper_boundary(astar, pa, tol)
     lead, level, osc = u2_terms(pa, pb, theta)
-    lam, core = _flux_frame(astar, bsharp)
-    lhs = float(np.dot(lead / lam - core, flux_ratio(lam, pa, theta) ** -2))
+    lam, beta = _eigenframe(astar, bsharp)
+    lhs = float(np.dot(lead / lam - beta / lam**2, flux_ratio(lam, pa, theta) ** -2))
     rhs_step = n * level - (n - 1) * osc
     rhs_printed = rhs_step - n * pb.b2 * (pa.a2 - pa.a1) * (2.0 * theta - 1.0) / pa.a1**3
     return lhs, float(rhs_printed), float(rhs_step)
@@ -375,20 +373,6 @@ def pair_membership(
     )
 
 
-def unit_trace_projector_from_boundary(astar: SymTensor, pa: PhaseA, theta: float) -> np.ndarray:
-    """Oscillation-direction matrix recovered from a lower-boundary tensor.
-
-    Inverting the resolvent relation of the lower boundary at fraction theta
-    gives the unit-trace matrix M with
-        theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I.
-    """
-    n = astar.dim
-    es = eig(astar)
-    inv_shift = 1.0 / (np.array(es.values) - pa.a1)
-    diag = pa.a1 / theta * ((1.0 - theta) * inv_shift - 1.0 / (pa.a2 - pa.a1))
-    return es.frame @ np.diag(diag) @ es.frame.T
-
-
 def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     """L1- and U1-saturating eigenvalues of B# over a lower-boundary A*.
 
@@ -416,8 +400,11 @@ def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = D
         eye = np.eye(astar.dim)
         return SymTensor.from_matrix(b_mean * eye), SymTensor.from_matrix(b_mean * eye)
     es = eig(astar)
-    m_diag = np.diag(es.frame.T @ unit_trace_projector_from_boundary(astar, pa, theta) @ es.frame)
-    low, high = gradient_extremes(np.array(es.values), m_diag, pa, pb, theta)
+    lam = np.array(es.values)
+    # lamination weights along A*'s eigenvectors, from the lower-boundary
+    # resolvent relation theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I
+    m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
+    low, high = gradient_extremes(lam, m, pa, pb, theta)
     to_tensor = lambda diag: SymTensor.from_matrix(es.frame @ np.diag(diag) @ es.frame.T)
     return to_tensor(low), to_tensor(high)
 
@@ -434,7 +421,7 @@ def fibre_mix(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: 
     report = pair_membership(astar, bsharp, pa, pb, tol)
     if report.verdict == "infeasible":
         raise NotInRegion("pair is not feasible")
-    norm = trace_chain([(SymTensor.from_matrix(astar.mat - pa.a1 * np.eye(astar.dim)), -2)])
+    norm = np.sum(positive_spectrum(np.subtract(eig(astar).values, pa.a1)) ** -2.0)
     beta1 = report.li_slack / norm
     beta2 = report.uj_slack / norm
     b_low, b_high = fibre_extremes_l1u1(astar, pa, pb, tol)

@@ -127,15 +127,21 @@ def eig(s) -> EigSystem:
     return _eigh(_as_matrix(s))
 
 
-def _sym_inverse(s, power: int) -> np.ndarray:
-    """s**power for negative integer power via eigendecomposition."""
-    es = eig(s)
-    vals = np.array(es.values)
+def positive_spectrum(values) -> np.ndarray:
+    """Eigenvalues of an inverse factor as an array; SingularFactor unless all are positive at the relative floor."""
+    vals = np.asarray(values, dtype=float)
     scale = np.abs(vals).max() + _ABS_FLOOR
     if vals.min() <= _EIG_SINGULAR_REL * scale:
         raise SingularFactor(
             f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {scale:.3e})"
         )
+    return vals
+
+
+def _sym_inverse(s, power: int) -> np.ndarray:
+    """s**power for negative integer power via eigendecomposition."""
+    es = eig(s)
+    vals = positive_spectrum(es.values)
     return es.frame @ np.diag(vals ** float(power)) @ es.frame.T
 
 

@@ -159,6 +159,38 @@ class TestBoundarySampling:
         for lam1, lam2 in pts:
             assert g_membership(SymTensor.diag([lam1, lam2]), pa_half).verdict in ("boundary_upper", "corner")
 
+    @given(
+        st.floats(0.01, 100.0),
+        st.floats(1.001, 1e3),
+        st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-13, 1.0 - 1e-13, 1.0])),
+        st.sampled_from(["lower", "upper"]),
+        st.integers(2, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_sample_loop(self, a1, contrast, ta, side, count):
+        # the per-sample loop of the separate lower and upper branches,
+        # kept as the bit-exact reference for the merged vectorised formula
+        pa = PhaseA(a1, a1 * contrast, ta)
+        harm, arith = means(pa)
+        if ta <= 1e-12 or ta >= 1.0 - 1e-12:
+            lam = pa.a2 if ta <= 1e-12 else pa.a1
+            want = [(lam, lam)] * count
+        elif side == "lower":
+            r_total = 1.0 / (harm - pa.a1) + 1.0 / (arith - pa.a1)
+            u0, u1 = 1.0 / (harm - pa.a1), 1.0 / (arith - pa.a1)
+            want = []
+            for t in np.linspace(0.0, 1.0, count):
+                u = u0 + (u1 - u0) * t
+                want.append((float(pa.a1 + 1.0 / u), float(pa.a1 + 1.0 / (r_total - u))))
+        else:
+            r_total = 1.0 / (pa.a2 - harm) + 1.0 / (pa.a2 - arith)
+            u0, u1 = 1.0 / (pa.a2 - harm), 1.0 / (pa.a2 - arith)
+            want = []
+            for t in np.linspace(0.0, 1.0, count):
+                u = u0 + (u1 - u0) * t
+                want.append((float(pa.a2 - 1.0 / u), float(pa.a2 - 1.0 / (r_total - u))))
+        assert boundary_curve_sample(pa, side, count) == want
+
     def test_every_sample_on_matching_boundary(self):
         pa = PhaseA(1.0, 3.0, 0.35)
         for side, verdicts in (("lower", ("boundary_lower", "corner")), ("upper", ("boundary_upper", "corner"))):

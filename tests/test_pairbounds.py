@@ -25,7 +25,8 @@ from homobounds.pairbounds import (
     pair_membership,
     theta_star_u2,
 )
-from homobounds.symtensor import SymTensor, commutator_norm, rotate
+from homobounds import symtensor
+from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
 
@@ -195,6 +196,66 @@ class TestTwoPhaseBounds:
                 u = (pa.a1 * s + 1.0) / (pa.a2 + pa.a1 * (n - 1))
                 factor = n * u * pa.a1 * (pa.a2 - pa.a1) * (1.0 - pa.thetaA) / (pa.a2 + pa.a1 * (n - 1))
                 assert lhs - rhs == pytest.approx(factor * classical_slack, abs=1e-10)
+
+
+class TestEigenframe:
+    """L1/U1 read B# on the memoised eigenframe of A*, which B# need not share."""
+
+    @given(
+        st.integers(2, 4),
+        st.floats(0.5, 2.0),
+        st.floats(1.1, 10.0),
+        st.floats(0.5, 2.0),
+        st.floats(1.0, 4.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_l1_u1_match_trace_chain_without_commuting(self, n, a1, contrast, b1, b_ratio, seed):
+        rng = np.random.default_rng(seed)
+        pa, pb = PhaseA(a1, a1 * contrast, 0.5), PhaseB(b1, b1 * b_ratio, 0.5)
+
+        def frame():
+            q, r = np.linalg.qr(rng.normal(size=(n, n)))
+            return q * np.sign(np.diag(r))
+
+        q = frame()
+        lam = pa.a1 + (pa.a2 - pa.a1) * rng.uniform(0.01, 1.0, n)
+        astar = SymTensor.from_matrix(q @ np.diag(lam) @ q.T)
+        # b1 I < B# < (b2/a1) A*, with the gap weights in a frame of their own
+        root = q @ np.diag(np.sqrt(pb.b2 / pa.a1 * lam - pb.b1)) @ q.T
+        r = frame()
+        bsharp = SymTensor.from_matrix(pb.b1 * np.eye(n) + root @ r @ np.diag(rng.uniform(0.05, 0.95, n)) @ r.T @ root)
+        assume(commutator_norm(astar, bsharp) > 1e-3 * np.linalg.norm(bsharp.mat))
+        shift = SymTensor.from_matrix(astar.mat - pa.a1 * np.eye(n))
+        l1 = trace_chain([(bsharp.mat - pb.b1 * np.eye(n), 1), (shift, -2)])
+        u1 = trace_chain([((pb.b2 / pa.a1) * astar.mat - bsharp.mat, 1), (shift, -2)])
+        # lambda - a1 taken from eig(A*) carries an absolute error of a few
+        # eps |A*|, which (A* - a1 I)^-2 turns into a relative one
+        rel = 1e-12 + 8 * np.finfo(float).eps * lam.max() / (lam.min() - pa.a1)
+        assert bound_L1(astar, bsharp, pa, pb)[0] == pytest.approx(l1, rel=rel)
+        assert bound_U1(astar, bsharp, pa, pb)[0] == pytest.approx(u1, rel=rel)
+
+    @pytest.mark.parametrize("ta, tb", [(0.3, 0.5), (0.5, 0.7), (0.5, 0.3), (0.7, 0.5)])
+    def test_membership_decomposes_three_tensors(self, monkeypatch, ta, tb):
+        # A*, B# and (b2/a1) A* - B# for the chain: no bound decomposes a
+        # shifted copy of A* again
+        pa, pb = PhaseA(1.0, 2.0, ta), PhaseB(1.0, 3.0, tb)
+        lo, hi = overlap_window(pa, pb)
+        astar, bsharp = simple_laminate_pair(pa, pb, 0.5 * (lo + hi), 0, 3)
+        q, r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+        astar, bsharp = rotate(astar, q), rotate(bsharp, q)
+        calls = []
+        eigh = symtensor._eigh
+        monkeypatch.setattr(symtensor, "_eigh", lambda m: calls.append(m) or eigh(m))
+        report = pair_membership(astar, bsharp, pa, pb)
+        assert report.region == classify_region(pa, pb) and report.verdict in ("feasible", "boundary")
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("bound", [bound_L1, bound_U1])
+    def test_singular_shift_raises(self, bound):
+        # min(lambda - a1) = 5e-14 is below 1e-14 max(lambda - a1) = 4.9e-13
+        with pytest.raises(SingularFactor):
+            bound(SymTensor.diag([1.0 + 5e-14, 50.0]), SymTensor.diag([2.0, 2.0]), PhaseA(1, 100, 0.5), PhaseB(1, 3, 0.5))
 
 
 class TestPairMembership:
