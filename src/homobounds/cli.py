@@ -21,15 +21,16 @@ import numpy as np
 from . import gclosure, hashin, homog1d, laminates, pairbounds, relaxation, sweeps
 from .symtensor import SymTensor
 
-DEFAULT_TOL = 1e-9
 
-
-def finite(text) -> float:
+def finite(value) -> float:
     """A float that is neither NaN nor infinite (JSON and float() accept both)."""
-    value = float(text)
-    if not np.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
+    try:
+        number = float(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not a number") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
 
 
 def tolerance(text) -> float:
@@ -43,7 +44,12 @@ def _tol(args) -> float:
     if args.tol is not None:
         return args.tol
     env = os.environ.get("HOMOBOUNDS_TOL")
-    return tolerance(env) if env else DEFAULT_TOL
+    return tolerance(env) if env else gclosure.DEFAULT_TOL
+
+
+def _exit_code(args, failed: bool) -> int:
+    """1 when --assert is given and the check failed, else 0."""
+    return 1 if args.assert_ and failed else 0
 
 
 def _fmt(x) -> str:
@@ -73,7 +79,7 @@ def _emit_csv(args, header, rows):
 
 
 def _write(args, text: str):
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -88,7 +94,7 @@ def _phase(args, flag: str):
     """PhaseA from --a (and --theta) or PhaseB from --b (and --thetaB)."""
     cls, theta_flag, form = _PHASES[flag]
     parts = _floats(getattr(args, flag), flag)
-    theta = getattr(args, theta_flag, None)
+    theta = getattr(args, theta_flag)
     if len(parts) == 3 and theta is None:
         theta = parts[2]
     if theta is None:
@@ -96,28 +102,32 @@ def _phase(args, flag: str):
     return cls(parts[0], parts[1], theta)
 
 
-def _floats(text, flag: str) -> list:
-    if not text:
+def _floats(value, flag: str) -> list:
+    """Two or three finite numbers from flag text 'x1,x2[,theta]' or an instance's JSON list."""
+    if not value:
         raise ValueError(f"provide --{flag}")
-    parts = [finite(x) for x in text.split(",")]
-    if len(parts) not in (2, 3):
-        raise ValueError(f"--{flag} takes two or three comma-separated numbers, got {text!r}")
-    return parts
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) not in (2, 3):
+        raise ValueError(f"--{flag} takes two or three numbers, got {value!r}")
+    return [finite(x) for x in parts]
 
 
 def _tensor(text) -> SymTensor:
     if not text:
         raise ValueError("provide the matrix as JSON, e.g. --astar '[[1.3,0],[0,1.5]]'")
-    m = np.asarray(json.loads(text), dtype=float)
+    try:
+        m = np.asarray(json.loads(text), dtype=float)
+    except TypeError:  # a JSON object where a row or number belongs
+        raise ValueError(f"a matrix is a JSON list of rows of numbers, got {text}") from None
     if not np.isfinite(m).all():
         raise ValueError(f"matrix entries must be finite, got {text}")
     return SymTensor.from_matrix(m)
 
 
-def _source(text: str) -> homog1d.Source1D:
-    if text.startswith("const:"):
-        return homog1d.Source1D.constant(finite(text.split(":", 1)[1]))
-    raise ValueError(f"unsupported source spec {text!r} (use const:<value>)")
+def _source(spec) -> homog1d.Source1D:
+    if isinstance(spec, str) and spec.startswith("const:"):
+        return homog1d.Source1D.constant(finite(spec.split(":", 1)[1]))
+    raise ValueError(f"unsupported source spec {spec!r} (use const:<value>)")
 
 
 def cmd_gset(args) -> int:
@@ -125,7 +135,7 @@ def cmd_gset(args) -> int:
     if args.action == "check":
         report = gclosure.g_membership(_tensor(args.astar), pa, _tol(args))
         _emit(args, dataclasses.asdict(report))
-        return 0 if not (args.assert_ and report.verdict == "outside") else 1
+        return _exit_code(args, report.verdict == "outside")
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
     _emit_csv(args, ["lambda1", "lambda2"], pts)
     return 0
@@ -139,12 +149,11 @@ def cmd_pair(args) -> int:
             ["index", "family", "dim", "region", "chain_slack", "li_slack", "uj_slack", "verdict"],
             rows,
         )
-        bad = [r for r in rows if r[-1] == "infeasible"]
-        return 1 if (args.assert_ and bad) else 0
+        return _exit_code(args, any(r[-1] == "infeasible" for r in rows))
     pa, pb = _phase(args, "a"), _phase(args, "b")
     report = pairbounds.pair_membership(_tensor(args.astar), _tensor(args.bsharp), pa, pb, _tol(args))
     _emit(args, dataclasses.asdict(report))
-    return 1 if (args.assert_ and report.verdict == "infeasible") else 0
+    return _exit_code(args, report.verdict == "infeasible")
 
 
 def cmd_laminate(args) -> int:
@@ -169,23 +178,17 @@ def cmd_laminate(args) -> int:
             payload["bsharp"] = exc.tensor.mat.tolist()
             payload["chain_ok"] = False
     _emit(args, payload)
-    return 1 if (args.assert_ and not payload.get("chain_ok", True)) else 0
+    return _exit_code(args, not payload.get("chain_ok", True))
 
 
 def cmd_hashin(args) -> int:
     pa = _phase(args, "a")
     cfg = hashin.CoatingConfig(args.coreA, args.coreB, args.inclusion)
     m = hashin.hs_m(pa, args.coreA, args.n)
-    if args.coreB == "const":
-        payload_b = hashin.hs_b(pa, args.const_b, cfg, args.n)
-        oracle_arg = args.const_b
-    else:
-        pb = _phase(args, "b")
-        payload_b = hashin.hs_b(pa, pb, cfg, args.n)
-        oracle_arg = pb
-    payload = {"m": m, "bsharp": payload_b}
+    density = args.const_b if args.coreB == "const" else _phase(args, "b")
+    payload = {"m": m, "bsharp": hashin.hs_b(pa, density, cfg, args.n)}
     if args.oracle:
-        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, oracle_arg, cfg, args.n, args.points)
+        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, density, cfg, args.n, args.points)
     _emit(args, payload)
     return 0
 
@@ -218,8 +221,7 @@ def cmd_oned(args) -> int:
     periods = [int(x) for x in args.periods.split(",")]
     rows = homog1d.convergence_study(profile, pa, pb, _source(args.f), periods)
     _emit_csv(args, ["periods", "epsilon", "energy", "abs_error", "rel_error"], rows)
-    final_rel = rows[-1][4]
-    return 1 if (args.assert_ and final_rel > 0.02) else 0
+    return _exit_code(args, rows[-1][4] > 0.02)
 
 
 def _design(args, two_sets: bool) -> tuple:
@@ -227,28 +229,31 @@ def _design(args, two_sets: bool) -> tuple:
     if args.instance:
         with open(args.instance) as fh:
             inst = json.load(fh)
+        if not isinstance(inst, dict):
+            raise ValueError(f"a design instance is a JSON object, got {inst!r}")
         theta_a = theta_b = None
     else:
-        inst = {"cells": args.cells, "kA": args.kA, "a": _floats(args.a, "a"), "f": args.f}
+        inst = {"cells": args.cells, "kA": args.kA, "a": args.a, "f": args.f}
         if two_sets:
-            inst.update(kB=args.kB, b=_floats(args.b, "b"))
+            inst.update(kB=args.kB, b=args.b)
         theta_a, theta_b = args.theta, getattr(args, "thetaB", None)
     cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
     if not all(isinstance(x, int) for x in (cells, ka, kb)) or cells < 1:
         raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
-    pa = gclosure.PhaseA(inst["a"][0], inst["a"][1], ka / cells if theta_a is None else theta_a)
+    a = _floats(inst["a"], "a")
+    pa = gclosure.PhaseA(a[0], a[1], ka / cells if theta_a is None else theta_a)
     pb = None
     if two_sets:
-        pb = pairbounds.PhaseB(inst["b"][0], inst["b"][1], kb / cells if theta_b is None else theta_b)
+        b = _floats(inst["b"], "b")
+        pb = pairbounds.PhaseB(b[0], b[1], kb / cells if theta_b is None else theta_b)
     return cells, ka, kb, pa, pb, _source(inst["f"])
 
 
 def cmd_odp(args) -> int:
     cells, k, _, pa, _, source = _design(args, False)
     if args.action == "relax":
-        theta = relaxation.DesignField1D((k / cells,) * cells, k / cells)
-        value = relaxation.odp_relaxed_value_1d(theta, pa, source)
-        _emit(args, {"relaxed_value": value})
+        theta = relaxation.DesignField1D.constant(k / cells, cells)
+        _emit(args, {"relaxed_value": relaxation.odp_relaxed_value_1d(theta, pa, source)})
         return 0
     value, pattern = relaxation.odp_bruteforce_1d(cells, k, pa, source)
     _emit(args, {"min_value": value, "argmin": [int(x) for x in pattern]})
@@ -258,8 +263,8 @@ def cmd_odp(args) -> int:
 def cmd_oodp(args) -> int:
     cells, ka, kb, pa, pb, source = _design(args, True)
     if args.action == "relax":
-        ta = relaxation.DesignField1D((ka / cells,) * cells, ka / cells)
-        tb = relaxation.DesignField1D((kb / cells,) * cells, kb / cells)
+        ta = relaxation.DesignField1D.constant(ka / cells, cells)
+        tb = relaxation.DesignField1D.constant(kb / cells, cells)
         out = relaxation.oodp_relaxed_value_1d(ta, tb, pa, pb, source)
         _emit(args, {"relaxed_value": out.value, "regions": list(out.regions)})
         return 0
@@ -289,115 +294,101 @@ def cmd_phase(args) -> int:
     return 0
 
 
-def _add_common(p, tol=True, out=True, assert_flag=True):
-    if tol:
-        p.add_argument("--tol", type=tolerance, default=None, help="feasibility tolerance")
-    if out:
-        p.add_argument("--out", default=None, help="write output to a file")
-    if assert_flag:
-        p.add_argument("--assert", dest="assert_", action="store_true", help="exit 1 on failure")
+# Flags that several subcommands read, each declared once; every subcommand
+# names the ones it reads, so a flag it would ignore is a usage error.
+_SHARED_FLAGS = {
+    "--a": {"help": "a1,a2 or a1,a2,thetaA"},
+    "--theta": {"type": finite, "help": "thetaA, the volume fraction of a1"},
+    "--b": {"help": "b1,b2 or b1,b2,thetaB"},
+    "--thetaB": {"type": finite, "help": "thetaB, the volume fraction of b1"},
+    "--astar": {"help": "matrix as JSON, e.g. [[1.3,0],[0,1.5]]"},
+    "--bsharp": {"help": "matrix as JSON"},
+    "--const-b": {"type": finite, "default": 1.0, "help": "constant density b"},
+    "--instance": {"help": "instance JSON file"},
+    "--cells": {"type": int, "default": 12},
+    "--kA": {"type": int, "default": 6},
+    "--kB": {"type": int, "default": 6},
+    "--f": {"default": "const:1", "help": "source term const:<value>"},
+    "--tol": {"type": tolerance, "help": "feasibility tolerance"},
+    "--out": {"help": "write output to a file"},
+    "--assert": {"dest": "assert_", "action": "store_true", "help": "exit 1 on failure"},
+}
+
+
+def _subcommand(sub, name: str, func, help_text: str, flags: str, required: tuple = ()):
+    """Subparser for `name` with the shared `flags` (space-separated) it reads."""
+    p = sub.add_parser(name, help=help_text)
+    for flag in flags.split():
+        p.add_argument(flag, required=flag in required, **_SHARED_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="homobounds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gset", help="phase-set membership and boundary sampling")
+    g = _subcommand(
+        sub, "gset", cmd_gset, "phase-set membership and boundary sampling",
+        "--a --theta --astar --tol --out --assert", required=("--a",),
+    )
     g.add_argument("action", choices=["check", "sample"])
-    g.add_argument("--a", required=True, help="a1,a2 or a1,a2,theta")
-    g.add_argument("--theta", type=finite, default=None)
-    g.add_argument("--astar", help="matrix as JSON, e.g. [[1.3,0],[0,1.5]]")
     g.add_argument("--side", choices=["lower", "upper"], default="lower")
     g.add_argument("--n", type=int, default=50)
-    _add_common(g)
-    g.set_defaults(func=cmd_gset)
 
-    p = sub.add_parser("pair", help="pair feasibility and randomized sweeps")
+    p = _subcommand(
+        sub, "pair", cmd_pair, "pair feasibility and randomized sweeps",
+        "--a --theta --b --thetaB --astar --bsharp --tol --out --assert",
+    )
     p.add_argument("action", choices=["check", "sweep"])
-    p.add_argument("--a", help="a1,a2 or a1,a2,thetaA")
-    p.add_argument("--theta", type=finite, default=None)
-    p.add_argument("--b", help="b1,b2 or b1,b2,thetaB")
-    p.add_argument("--thetaB", type=finite, default=None)
-    p.add_argument("--astar")
-    p.add_argument("--bsharp")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--max-dim", type=int, default=3)
-    _add_common(p)
-    p.set_defaults(func=cmd_pair)
 
-    l = sub.add_parser("laminate", help="sequential-laminate constructors")
+    l = _subcommand(
+        sub, "laminate", cmd_laminate, "sequential-laminate constructors",
+        "--a --theta --b --thetaB --const-b --out --assert", required=("--a",),
+    )
     l.add_argument("--spec", help="laminate spec as inline JSON")
     l.add_argument("--spec-file", help="laminate spec file")
-    l.add_argument("--a", required=True)
-    l.add_argument("--theta", type=finite, default=None)
-    l.add_argument("--b")
-    l.add_argument("--thetaB", type=finite, default=None)
-    l.add_argument("--const-b", type=finite, default=1.0)
-    _add_common(l)
-    l.set_defaults(func=cmd_laminate)
 
-    h = sub.add_parser("hashin", help="coated-sphere values and radial oracle")
-    h.add_argument("--a", required=True)
-    h.add_argument("--theta", type=finite, default=None)
-    h.add_argument("--b")
-    h.add_argument("--thetaB", type=finite, default=None)
-    h.add_argument("--const-b", type=finite, default=1.0)
+    h = _subcommand(
+        sub, "hashin", cmd_hashin, "coated-sphere values and radial oracle",
+        "--a --theta --b --thetaB --const-b --out", required=("--a",),
+    )
     h.add_argument("--coreA", choices=["a1", "a2"], required=True)
     h.add_argument("--coreB", choices=["b1", "b2", "const"], default="const")
     h.add_argument("--inclusion", default="none")
     h.add_argument("--n", type=int, default=2)
     h.add_argument("--oracle", action="store_true", help="add the quadrature cross-check")
     h.add_argument("--points", type=int, default=10_000)
-    _add_common(h)
-    h.set_defaults(func=cmd_hashin)
 
-    o = sub.add_parser("oned", help="one-dimensional bounds, inversion, convergence")
+    o = _subcommand(
+        sub, "oned", cmd_oned, "one-dimensional bounds, inversion, convergence",
+        "--a --theta --b --thetaB --f --out --assert", required=("--a", "--b"),
+    )
     o.add_argument("action", choices=["bounds", "invert", "limits", "converge"])
-    o.add_argument("--a", required=True)
-    o.add_argument("--theta", type=finite, default=None)
-    o.add_argument("--b", required=True)
-    o.add_argument("--thetaB", type=finite, default=None)
     o.add_argument("--target", type=finite, default=None)
     o.add_argument("--profile", help="profile JSON file")
     o.add_argument("--periods", default="4,16,64,256")
-    o.add_argument("--f", default="const:1")
-    _add_common(o)
-    o.set_defaults(func=cmd_oned)
 
-    d = sub.add_parser("odp", help="single-set design: relaxed value and brute force")
+    d = _subcommand(
+        sub, "odp", cmd_odp, "single-set design: relaxed value and brute force",
+        "--instance --a --theta --cells --kA --f --out",
+    )
     d.add_argument("action", choices=["relax", "brute"])
-    d.add_argument("--instance", help="instance JSON file")
-    d.add_argument("--a")
-    d.add_argument("--theta", type=finite, default=None)
-    d.add_argument("--cells", type=int, default=12)
-    d.add_argument("--kA", type=int, default=6)
-    d.add_argument("--f", default="const:1")
-    _add_common(d)
-    d.set_defaults(func=cmd_odp)
 
-    w = sub.add_parser("oodp", help="two-set design: relaxed value and brute force")
+    w = _subcommand(
+        sub, "oodp", cmd_oodp, "two-set design: relaxed value and brute force",
+        "--instance --a --theta --b --thetaB --cells --kA --kB --f --out",
+    )
     w.add_argument("action", choices=["relax", "brute"])
-    w.add_argument("--instance", help="instance JSON file")
-    w.add_argument("--a")
-    w.add_argument("--theta", type=finite, default=None)
-    w.add_argument("--b")
-    w.add_argument("--thetaB", type=finite, default=None)
-    w.add_argument("--cells", type=int, default=12)
-    w.add_argument("--kA", type=int, default=6)
-    w.add_argument("--kB", type=int, default=6)
-    w.add_argument("--f", default="const:1")
-    _add_common(w)
-    w.set_defaults(func=cmd_oodp)
 
-    ph = sub.add_parser("phase", help="fibre phase-diagram sample grid")
-    ph.add_argument("--a", required=True)
-    ph.add_argument("--theta", type=finite, default=None)
-    ph.add_argument("--b", required=True)
-    ph.add_argument("--thetaB", type=finite, default=None)
+    ph = _subcommand(
+        sub, "phase", cmd_phase, "fibre phase-diagram sample grid",
+        "--a --theta --b --thetaB --tol --out", required=("--a", "--b"),
+    )
     ph.add_argument("--n", type=int, default=20)
-    _add_common(ph)
-    ph.set_defaults(func=cmd_phase)
 
     return ap
 

@@ -17,6 +17,7 @@ from .homog1d import phase_means
 from .symtensor import SymTensor, eig
 
 _DEGENERATE_THETA = 1e-12
+DEFAULT_TOL = 1e-9  # default absolute tolerance on the slack of a bound or membership condition
 
 
 class DegenerateTheta(ValueError):
@@ -87,7 +88,7 @@ def _trace_bound_slacks(astar: SymTensor, p: PhaseA):
     return lower_rhs - lower_lhs, upper_rhs - upper_lhs
 
 
-def g_membership(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> GMembershipReport:
+def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMembershipReport:
     """Evaluate the three membership conditions and classify the tensor."""
     lams = eig(astar).values
     harm, arith = means(p)
@@ -124,14 +125,14 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> GMembershipR
     return GMembershipReport(window, float(low_slack), float(up_slack), verdict)
 
 
-def _require_member(astar: SymTensor, p: PhaseA, tol: float = 1e-9):
+def _require_member(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL):
     report = g_membership(astar, p, tol)
     if report.verdict == "outside":
         raise OutsideGSet(f"tensor is outside the theta={p.thetaA} phase set")
     return report
 
 
-def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> float:
+def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> float:
     """Fraction theta <= thetaA whose lower boundary passes through astar.
 
     Closed form in S = tr(astar - a1 I)^-1:
@@ -160,7 +161,7 @@ def upper_boundary_residual(astar_or_trace, p: PhaseA, theta: float) -> float:
     return t - n * p.a1 * p.a2 / (theta * (p.a2 - p.a1)) - (n - 1) * (1.0 - theta) * p.a2 / theta
 
 
-def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = 1e-9) -> float:
+def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> float:
     """Fraction theta >= thetaA whose upper boundary passes through astar.
 
     Closed form in t = tr(A*^-1 - a2^-1 I)^-1:

@@ -92,33 +92,28 @@ def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
     Constant density b: core a1 saturates the lower trace bound, core a2
     the upper.  Two-phase density: the four core/inclusion assignments
     saturate L2, L1, U1, U2 in turn; at N = 1 they reduce to the
-    one-dimensional bounds l2, l1, u1, u2.
+    one-dimensional bounds l2, l1, u1, u2.  Each case is one formula,
+        b_out swell - (b_out - b_in) (N a_coat)^2 v / denom,
+    with the coating conductivity a_coat and denom from the core, and the
+    radial density (b_in, b_out, interface radius^N v) from
+    _b_interface_radius, or (b, b, 0) for a constant density.
     """
     theta = pa.thetaA
-    d2 = (pa.a2 - pa.a1) ** 2
-    denom1 = ((1.0 - theta) * pa.a1 + (n + theta - 1.0) * pa.a2) ** 2  # core a1
-    denom2 = (theta * pa.a2 + (n - theta) * pa.a1) ** 2  # core a2
-    swell1 = 1.0 + n * theta * (1.0 - theta) * d2 / denom1
-    swell2 = 1.0 + n * theta * (1.0 - theta) * d2 / denom2
+    if cfg.coreA == "a1":
+        a_coat, denom = pa.a2, ((1.0 - theta) * pa.a1 + (n + theta - 1.0) * pa.a2) ** 2
+    else:
+        a_coat, denom = pa.a1, (theta * pa.a2 + (n - theta) * pa.a1) ** 2
+    swell = 1.0 + n * theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / denom
 
     if np.isscalar(pb_or_b):
         if cfg.coreB != "const":
             raise UnsupportedGeometry("scalar density requires coreB='const'")
-        b = float(pb_or_b)
-        return float(b * (swell1 if cfg.coreA == "a1" else swell2))
-
-    pb = pb_or_b
-    _check_volumes(cfg, pa, pb)
-    key = (cfg.coreA, cfg.coreB, cfg.inclusion)
-    if key == ("a1", "b1", "B_in_A"):
-        return float(pb.b2 * swell1 - (pb.b2 - pb.b1) * (n * pa.a2) ** 2 * pb.thetaB / denom1)
-    if key == ("a2", "b2", "A_in_B"):
-        return float(pb.b1 * swell2 - (pb.b1 - pb.b2) * (n * pa.a1) ** 2 * (1.0 - pb.thetaB) / denom2)
-    if key == ("a2", "b1", "A_in_Bc"):
-        return float(pb.b2 * swell2 - (pb.b2 - pb.b1) * (n * pa.a1) ** 2 * pb.thetaB / denom2)
-    if key == ("a1", "b2", "Ac_in_B"):
-        return float(pb.b1 * swell1 - (pb.b1 - pb.b2) * (n * pa.a2) ** 2 * (1.0 - pb.thetaB) / denom1)
-    raise UnsupportedGeometry(f"no closed form for configuration {key}")
+        b_in = b_out = float(pb_or_b)
+        v = 0.0
+    else:
+        _check_volumes(cfg, pa, pb_or_b)
+        b_in, b_out, v = _b_interface_radius(cfg, pa, pb_or_b, n)
+    return float(b_out * swell - (b_out - b_in) * (n * a_coat) ** 2 * v / denom)
 
 
 def radial_profile_coefficients(core_val: float, coat_val: float, core_volume: float, n: int) -> tuple:

@@ -54,8 +54,10 @@ class Profile1D:
     @staticmethod
     def from_json(text: str) -> "Profile1D":
         data = json.loads(text)
-        cells = tuple((c["len"], c["inA"], c["inB"]) for c in data["cells"])
-        return Profile1D(cells, data["periods"])
+        try:
+            return Profile1D(tuple((c["len"], c["inA"], c["inB"]) for c in data["cells"]), data["periods"])
+        except TypeError as exc:  # a JSON value of the wrong type somewhere in the document
+            raise ValueError(f"malformed profile, see the Profile wire format: {exc}") from exc
 
     @staticmethod
     def from_fractions(thetaA: float, thetaB: float, thetaAB: float, period_count: int = 1) -> "Profile1D":

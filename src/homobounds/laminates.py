@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gclosure import PhaseA, means
+from .gclosure import DEFAULT_TOL, PhaseA, means
 from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
@@ -264,7 +264,7 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
     if chain_check:
         astar = SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
         slacks = general_chain_check(astar, bsharp, pa, pb)
-        if min(slacks) < -1e-9:
+        if min(slacks) < -DEFAULT_TOL:
             raise ChainViolation(
                 f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
                 tensor=bsharp,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gclosure import (
+    DEFAULT_TOL,
     OutsideGSet,
     PhaseA,
     g_membership,
@@ -31,8 +32,6 @@ from .gclosure import (
 )
 from .homog1d import phase_means
 from .symtensor import SingularFactor, SymTensor, eig, positive_spectrum, trace_chain
-
-DEFAULT_TOL = 1e-9
 
 
 class DimensionMismatch(ValueError):

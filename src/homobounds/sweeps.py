@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gclosure import PhaseA
+from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
 from .laminates import ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
 from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_membership
-from .symtensor import SymTensor, rotate
+from .symtensor import MAX_DIM, SymTensor, rotate
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
 
@@ -126,12 +126,16 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
         }
 
 
-def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = 1e-9) -> list:
+def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFAULT_TOL) -> list:
     """Evaluate pair membership on `count` seeded composites.
 
     Returns one row per draw: (index, family, dim, region, min chain slack,
     li slack, uj slack, verdict).
     """
+    if not 2 <= max_dim <= MAX_DIM:
+        raise ValueError(f"max_dim must be in [2, {MAX_DIM}], got {max_dim}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = make_rng(seed)
     rows = []
     for i in range(count):

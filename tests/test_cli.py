@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +297,15 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["laminate", "--spec", '{"directions":[[1,0]],"weights":5,"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
         (["laminate", "--spec", '{"directions":[[null,1]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
         (["laminate", "--spec", '{"directions":[[1,0],[1]],"weights":[0.5,0.5],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (CHECK + ["--astar", '{"a":1}'], None, None),
+        (["odp", "relax", "--instance", "inst.json"], None, [1, 2]),
+        (["odp", "relax", "--instance", "inst.json"], None, {"cells": 12, "kA": 6, "a": 5, "f": "const:1"}),
+        (["oodp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, 3], "f": 1}),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, [1, 2]),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": None, "inA": True, "inB": True}], "periods": 1}),
+        (["pair", "sweep", "--max-dim", "9", "--count", "3"], None, None),
+        (["pair", "sweep", "--max-dim", "1", "--count", "3"], None, None),
+        (["pair", "sweep", "--count", "-5"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -326,3 +339,44 @@ def test_library_errors_exit_2(target, error, argv, monkeypatch):
 
     monkeypatch.setattr(target, fail)
     assert exit_code(argv) == 2
+
+
+SPEC = '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"A_subset_B"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laminate", "--spec", SPEC, "--a", "1,2,0.5", "--b", "1,3,0.5", "--tol", "1e-9"],
+        ["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--tol", "1e-9"],
+        ["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5", "--tol", "1e-9"],
+        ["odp", "relax", "--a", "1,2", "--cells", "4", "--kA", "2", "--tol", "1e-9"],
+        ["oodp", "relax", "--a", "1,2", "--b", "1,3", "--cells", "4", "--kA", "2", "--kB", "2", "--tol", "1e-9"],
+        ["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--assert"],
+        ["odp", "relax", "--a", "1,2", "--cells", "4", "--kA", "2", "--assert"],
+        ["oodp", "relax", "--a", "1,2", "--b", "1,3", "--cells", "4", "--kA", "2", "--kB", "2", "--assert"],
+        ["phase", "--a", "1,2,0.5", "--b", "1,3,0.5", "--n", "3", "--assert"],
+    ],
+    ids=lambda argv: f"{argv[0]} {'--assert' if argv[-1] == '--assert' else '--tol'}",
+)
+def test_unread_flag_is_usage_error(argv, capsys):
+    # a subcommand accepts only the flags it reads; valid otherwise
+    assert exit_code(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (CHECK + ["--astar", '{"a":1}'], 2),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", "[[1.3333333333333333,0],[0,1.5]]", "--bsharp", "[[0.5,0],[0,0.5]]", "--assert"], 1),
+    ],
+)
+def test_process_exit_code(argv, code):
+    # the console-script path: sys.exit(main()) in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HOMOBOUNDS_TOL", None)
+    proc = subprocess.run([sys.executable, "-m", "homobounds.cli", *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert ("error:" in proc.stderr) == (code == 2)

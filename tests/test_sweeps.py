@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from homobounds.pairbounds import pair_membership
 from homobounds.sweeps import draw_composite, feasibility_sweep, make_rng
+from homobounds.symtensor import MAX_DIM
 
 
 class TestGenerator:
@@ -44,3 +46,14 @@ class TestSweep:
             d = draw_composite(rng)
             report = pair_membership(d["astar"], d["bsharp"], d["pa"], d["pb"])
             assert report.verdict in ("feasible", "boundary")
+
+
+@pytest.mark.parametrize("count, max_dim", [(3, MAX_DIM + 1), (-5, 3)])
+def test_sweep_rejects_arguments_out_of_range(count, max_dim):
+    with pytest.raises(ValueError):
+        feasibility_sweep(0, count, max_dim)
+
+
+def test_sweep_argument_limits_accepted():
+    assert feasibility_sweep(0, 0) == []
+    assert {r[2] for r in feasibility_sweep(0, 12, MAX_DIM)} <= set(range(2, MAX_DIM + 1))
