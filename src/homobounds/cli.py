@@ -102,13 +102,13 @@ def _phase(args, flag: str):
     return cls(parts[0], parts[1], theta)
 
 
-def _floats(value, flag: str) -> list:
-    """Two or three finite numbers from flag text 'x1,x2[,theta]' or an instance's JSON list."""
+def _floats(value, flag: str, counts=(2, 3)) -> list:
+    """Finite numbers, as many as one of `counts`, from flag text 'x1,x2[,theta]' or an instance's JSON list."""
     if not value:
         raise ValueError(f"provide --{flag}")
     parts = value.split(",") if isinstance(value, str) else value
-    if not isinstance(parts, list) or len(parts) not in (2, 3):
-        raise ValueError(f"--{flag} takes two or three numbers, got {value!r}")
+    if not isinstance(parts, list) or len(parts) not in counts:
+        raise ValueError(f"--{flag} takes {' or '.join(map(str, counts))} numbers, got {value!r}")
     return [finite(x) for x in parts]
 
 
@@ -225,27 +225,25 @@ def cmd_oned(args) -> int:
 
 
 def _design(args, two_sets: bool) -> tuple:
-    """(cells, kA, kB, pa, pb, source) from --instance or the flags; pb is None for one set."""
+    """(cells, kA, kB, pa, pb, source) from --instance or the flags; pb is None for one set, a and b are pairs."""
     if args.instance:
         with open(args.instance) as fh:
             inst = json.load(fh)
         if not isinstance(inst, dict):
             raise ValueError(f"a design instance is a JSON object, got {inst!r}")
-        theta_a = theta_b = None
     else:
         inst = {"cells": args.cells, "kA": args.kA, "a": args.a, "f": args.f}
         if two_sets:
             inst.update(kB=args.kB, b=args.b)
-        theta_a, theta_b = args.theta, getattr(args, "thetaB", None)
     cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
     if not all(isinstance(x, int) for x in (cells, ka, kb)) or cells < 1:
         raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
-    a = _floats(inst["a"], "a")
-    pa = gclosure.PhaseA(a[0], a[1], ka / cells if theta_a is None else theta_a)
+    a = _floats(inst["a"], "a", (2,))
+    pa = gclosure.PhaseA(a[0], a[1], ka / cells)
     pb = None
     if two_sets:
-        b = _floats(inst["b"], "b")
-        pb = pairbounds.PhaseB(b[0], b[1], kb / cells if theta_b is None else theta_b)
+        b = _floats(inst["b"], "b", (2,))
+        pb = pairbounds.PhaseB(b[0], b[1], kb / cells)
     return cells, ka, kb, pa, pb, _source(inst["f"])
 
 
@@ -297,9 +295,9 @@ def cmd_phase(args) -> int:
 # Flags that several subcommands read, each declared once; every subcommand
 # names the ones it reads, so a flag it would ignore is a usage error.
 _SHARED_FLAGS = {
-    "--a": {"help": "a1,a2 or a1,a2,thetaA"},
+    "--a": {"help": "a1,a2 or a1,a2,thetaA (a1,a2 for odp and oodp)"},
     "--theta": {"type": finite, "help": "thetaA, the volume fraction of a1"},
-    "--b": {"help": "b1,b2 or b1,b2,thetaB"},
+    "--b": {"help": "b1,b2 or b1,b2,thetaB (b1,b2 for oodp)"},
     "--thetaB": {"type": finite, "help": "thetaB, the volume fraction of b1"},
     "--astar": {"help": "matrix as JSON, e.g. [[1.3,0],[0,1.5]]"},
     "--bsharp": {"help": "matrix as JSON"},
@@ -374,13 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = _subcommand(
         sub, "odp", cmd_odp, "single-set design: relaxed value and brute force",
-        "--instance --a --theta --cells --kA --f --out",
+        "--instance --a --cells --kA --f --out",
     )
     d.add_argument("action", choices=["relax", "brute"])
 
     w = _subcommand(
         sub, "oodp", cmd_oodp, "two-set design: relaxed value and brute force",
-        "--instance --a --theta --b --thetaB --cells --kA --kB --f --out",
+        "--instance --a --b --cells --kA --kB --f --out",
     )
     w.add_argument("action", choices=["relax", "brute"])
 

@@ -67,6 +67,21 @@ def means(p: PhaseA) -> tuple:
     return phase_means(p.a1, p.a2, p.thetaA)
 
 
+def core_side(p: PhaseA, core: str) -> tuple:
+    """(base, frac, rest, sign) of a construction whose core is phase `core`.
+
+    base is the conductivity of the matrix (or coating) around the core,
+    frac the core's volume fraction and rest the matrix's.  Core a2 gives
+    (a1, 1-thetaA, thetaA, +1) and realizes the lower boundary of the phase
+    set; core a1 gives (a2, thetaA, 1-thetaA, -1) and the upper one.
+    """
+    if core == "a2":
+        return p.a1, 1.0 - p.thetaA, p.thetaA, 1.0
+    if core == "a1":
+        return p.a2, p.thetaA, 1.0 - p.thetaA, -1.0
+    raise ValueError(f"core must be 'a1' or 'a2', got {core!r}")
+
+
 def lower_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     """S = tr(A* - a1 I)^-1, the resolvent trace of the lower boundary."""
     return sum(1.0 / (lam - p.a1) for lam in eig(astar).values)
@@ -148,16 +163,13 @@ def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     return float(min(max(theta, 0.0), p.thetaA))
 
 
-def upper_boundary_residual(astar_or_trace, p: PhaseA, theta: float) -> float:
+def upper_boundary_residual(astar: SymTensor, p: PhaseA, theta: float) -> float:
     """Residual of the upper-boundary trace equation at a trial theta.
 
     Positive means the tensor lies above the theta-boundary.  Affine in
     1/theta and strictly increasing in theta, so its root has a closed form.
     """
-    if isinstance(astar_or_trace, SymTensor):
-        t, n = upper_trace_sum(astar_or_trace, p), astar_or_trace.dim
-    else:
-        t, n = astar_or_trace
+    t, n = upper_trace_sum(astar, p), astar.dim
     return t - n * p.a1 * p.a2 / (theta * (p.a2 - p.a1)) - (n - 1) * (1.0 - theta) * p.a2 / theta
 
 
@@ -185,7 +197,7 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     if theta > 1.0 - 1e-9:
         # residual at 1 is t - N a1 a2/(a2-a1) >= 0 for any member; a root
         # past 1 within roundoff means theta = 1
-        if upper_boundary_residual((t, n), p, 1.0) >= -1e-12 * max(1.0, abs(t)):
+        if upper_boundary_residual(astar, p, 1.0) >= -1e-12 * max(1.0, abs(t)):
             return 1.0
         raise NoBracket(f"root theta={theta:.6g} lies beyond 1")
     return float(theta)
@@ -207,7 +219,7 @@ def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:
     if p.thetaA <= _DEGENERATE_THETA or p.thetaA >= 1.0 - _DEGENERATE_THETA:
         lam = p.a2 if p.thetaA <= _DEGENERATE_THETA else p.a1
         return [(lam, lam)] * count
-    base, sign = (p.a1, 1.0) if side == "lower" else (p.a2, -1.0)
+    base, _, _, sign = core_side(p, "a2" if side == "lower" else "a1")
     u0, u1 = 1.0 / (sign * (harm - base)), 1.0 / (sign * (arith - base))
     u = u0 + (u1 - u0) * np.linspace(0.0, 1.0, count)
     lam1 = base + sign / u

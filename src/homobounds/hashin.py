@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gclosure import PhaseA
+from .gclosure import PhaseA, core_side
 from .pairbounds import PhaseB, admits
 
 # inclusion relation of the two phase sets that each assignment realizes
@@ -61,10 +61,23 @@ def _check_volumes(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB):
         )
 
 
+def _hs_terms(pa: PhaseA, core: str, n: int) -> tuple:
+    """(base, numerator, denominator) of coated spheres: m = base numerator / denominator.
+
+    With (base, frac, rest, _) = core_side(pa, core) and a_core the core's conductivity,
+        numerator   = (1 + (N-1) frac) a_core + (N-1) rest base,
+        denominator = rest a_core + (N-1+frac) base.
+    """
+    base, frac, rest, _ = core_side(pa, core)
+    a_core = getattr(pa, core)
+    numerator = (1.0 + (n - 1) * frac) * a_core + (n - 1) * rest * base
+    return base, numerator, rest * a_core + (n - 1 + frac) * base
+
+
 def hs_m(pa: PhaseA, coreA: str, n: int) -> float:
     """Effective conductivity of coated spheres.
 
-    The root in (a1, a2) of
+    The root in [a1, a2] of
         core a1:  (m - a2)/(m + (N-1)a2) = thetaA (a1 - a2)/(a1 + (N-1)a2)
         core a2:  (m - a1)/(m + (N-1)a1) = (1-thetaA)(a2 - a1)/(a2 + (N-1)a1),
     in the Hashin-Shtrikman form whose terms are all positive, so that no
@@ -72,18 +85,8 @@ def hs_m(pa: PhaseA, coreA: str, n: int) -> float:
     """
     if n < 2:
         raise ValueError("coated spheres need N >= 2")
-    if coreA not in ("a1", "a2"):
-        raise ValueError("coreA must be 'a1' or 'a2'")
-    theta, a1, a2 = pa.thetaA, pa.a1, pa.a2
-    if theta <= 0.0:
-        return a2
-    if theta >= 1.0:
-        return a1
-    if coreA == "a1":
-        num = a1 * (1.0 + (n - 1) * theta) + (n - 1) * (1.0 - theta) * a2
-        return float(a2 * num / ((1.0 - theta) * a1 + (n - 1 + theta) * a2))
-    num = (1.0 + (n - 1) * (1.0 - theta)) * a2 + (n - 1) * theta * a1
-    return float(a1 * num / (theta * a2 + (n - theta) * a1))
+    base, num, denom = _hs_terms(pa, coreA, n)
+    return float(base * num / denom)
 
 
 def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
@@ -93,17 +96,14 @@ def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
     the upper.  Two-phase density: the four core/inclusion assignments
     saturate L2, L1, U1, U2 in turn; at N = 1 they reduce to the
     one-dimensional bounds l2, l1, u1, u2.  Each case is one formula,
-        b_out swell - (b_out - b_in) (N a_coat)^2 v / denom,
-    with the coating conductivity a_coat and denom from the core, and the
-    radial density (b_in, b_out, interface radius^N v) from
-    _b_interface_radius, or (b, b, 0) for a constant density.
+        b_out swell - (b_out - b_in) (N a_coat)^2 v / denom^2,
+    with the coating conductivity a_coat and the Hashin-Shtrikman
+    denominator from the core (_hs_terms), and the radial density
+    (b_in, b_out, interface radius^N v) from _b_interface_radius, or
+    (b, b, 0) for a constant density.
     """
-    theta = pa.thetaA
-    if cfg.coreA == "a1":
-        a_coat, denom = pa.a2, ((1.0 - theta) * pa.a1 + (n + theta - 1.0) * pa.a2) ** 2
-    else:
-        a_coat, denom = pa.a1, (theta * pa.a2 + (n - theta) * pa.a1) ** 2
-    swell = 1.0 + n * theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / denom
+    a_coat, _, denom = _hs_terms(pa, cfg.coreA, n)
+    swell = 1.0 + n * pa.thetaA * (1.0 - pa.thetaA) * (pa.a2 - pa.a1) ** 2 / denom**2
 
     if np.isscalar(pb_or_b):
         if cfg.coreB != "const":
@@ -113,7 +113,7 @@ def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
     else:
         _check_volumes(cfg, pa, pb_or_b)
         b_in, b_out, v = _b_interface_radius(cfg, pa, pb_or_b, n)
-    return float(b_out * swell - (b_out - b_in) * (n * a_coat) ** 2 * v / denom)
+    return float(b_out * swell - (b_out - b_in) * (n * a_coat) ** 2 * v / denom**2)
 
 
 def radial_profile_coefficients(core_val: float, coat_val: float, core_volume: float, n: int) -> tuple:
@@ -137,18 +137,18 @@ def radial_profile_coefficients(core_val: float, coat_val: float, core_volume: f
     return float(sol[0]), float(sol[1]), float(sol[2])
 
 
+# the (coreA, coreB) pair that represents each inclusion radially
+_RADIAL_CORES = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2", "b1"), "Ac_in_B": ("a1", "b2")}
+
+
 def _b_interface_radius(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB, n: int) -> tuple:
     """Radial B-profile (inner value, outer value, interface radius^N)."""
-    key = (cfg.coreA, cfg.coreB, cfg.inclusion)
-    if key == ("a1", "b1", "B_in_A"):
+    if _RADIAL_CORES.get(cfg.inclusion) != (cfg.coreA, cfg.coreB):
+        key = (cfg.coreA, cfg.coreB, cfg.inclusion)
+        raise UnsupportedGeometry(f"configuration {key} is not radially representable")
+    if cfg.coreB == "b1":
         return pb.b1, pb.b2, pb.thetaB
-    if key == ("a2", "b2", "A_in_B"):
-        return pb.b2, pb.b1, 1.0 - pb.thetaB
-    if key == ("a2", "b1", "A_in_Bc"):
-        return pb.b1, pb.b2, pb.thetaB
-    if key == ("a1", "b2", "Ac_in_B"):
-        return pb.b2, pb.b1, 1.0 - pb.thetaB
-    raise UnsupportedGeometry(f"configuration {key} is not radially representable")
+    return pb.b2, pb.b1, 1.0 - pb.thetaB
 
 
 def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature_points: int = 10_000) -> float:

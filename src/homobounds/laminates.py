@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gclosure import DEFAULT_TOL, PhaseA, means
+from .gclosure import DEFAULT_TOL, PhaseA, core_side, means
 from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
@@ -36,6 +36,8 @@ from .pairbounds import (
 from .symtensor import SymTensor, eig
 
 RELATIONS = ("A_subset_B", "B_subset_A", "disjoint", "complement_cover", "const_b")
+# core phase of the sequential laminates that realize each two-phase relation
+RELATION_CORE = {"A_subset_B": "a2", "disjoint": "a2", "B_subset_A": "a1", "complement_cover": "a1"}
 
 _UNIT_TOL = 1e-12
 
@@ -167,23 +169,17 @@ def _laminate_frame(spec: LaminateSpec, pa: PhaseA) -> tuple:
     """(w, a_diag, frame): the moment weights and the A* eigenvalues along the moment eigenframe.
 
     A* shares the eigenframe of the direction second moment M, so every
-    function of A* the constructors need is read from a_diag.
+    function of A* the constructors need is read from a_diag.  With
+    (base, frac, rest, sign) = core_side(pa, core) it solves the resolvent relation
+        frac (A* - base I)^-1 = sign (a2-a1)^-1 I + rest M / base.
     """
     es = eig(spec.moment)
     w = np.array(es.values)
-    theta, d = pa.thetaA, pa.a2 - pa.a1
-    if spec.core_phase == "a2":
-        # (1-theta) (A* - a1 I)^-1 = (a2-a1)^-1 I + theta M / a1
-        if theta >= 1.0 - _UNIT_TOL:
-            diag = np.full_like(w, pa.a1)
-        else:
-            diag = pa.a1 + (1.0 - theta) / (1.0 / d + theta * w / pa.a1)
+    base, frac, rest, sign = core_side(pa, spec.core_phase)
+    if frac <= _UNIT_TOL:
+        diag = np.full_like(w, base)  # homogeneous base medium
     else:
-        # theta (A* - a2 I)^-1 = (a1-a2)^-1 I + (1-theta) M / a2
-        if theta <= _UNIT_TOL:
-            diag = np.full_like(w, pa.a2)
-        else:
-            diag = pa.a2 + theta / (-1.0 / d + (1.0 - theta) * w / pa.a2)
+        diag = base + frac / (sign / (pa.a2 - pa.a1) + rest * w / base)
     return w, diag, es.frame
 
 
@@ -203,35 +199,30 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
 
     Defining relation in the laminate frame:
         b (B# - b I)^-1 (Abar - A*)^2 = theta (1-theta) (a2-a1)^2 M.
-    Zero-weight directions are 0/0 degenerate and resolve to b.
+    Eliminating M through the resolvent relation of _laminate_frame gives,
+    along each eigenvalue lambda of A*,
+        B# = b + b (Abar - lambda) sign (lambda - base) / (frac (a2-a1) base),
+    which is b wherever M has zero weight.
     """
-    w, a_diag, frame = _laminate_frame(spec, pa)
-    _, arith = means(pa)
-    theta, d = pa.thetaA, pa.a2 - pa.a1
-    rhs = theta * (1.0 - theta) * d**2 * w
-    diag = np.empty_like(w)
-    for i, (wi, ai, ri) in enumerate(zip(w, a_diag, rhs)):
-        gap = arith - ai
-        if ri <= _UNIT_TOL * d**2:
-            if abs(gap) > 1e-8 * max(1.0, arith):
-                raise InconsistentSpec(
-                    f"zero-weight direction {i} has nonzero mean mismatch {gap}"
-                )
-            diag[i] = b
-        else:
-            diag[i] = b + b * gap**2 / ri
+    _, a_diag, frame = _laminate_frame(spec, pa)
+    base, frac, _, sign = core_side(pa, spec.core_phase)
+    diag = np.full_like(a_diag, b)  # homogeneous base medium at frac <= _UNIT_TOL
+    if frac > _UNIT_TOL:
+        _, arith = means(pa)
+        diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / (frac * (pa.a2 - pa.a1) * base)
     return SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
 
 
-def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = True) -> SymTensor:
+def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     """Two-phase sequential relative limit for the spec's inclusion relation.
 
     Solves the defining linear matrix relation entrywise in the laminate
-    frame.  Relations on the lower A*-boundary (A_subset_B, disjoint) need
-    core a2; the flux-side relations (B_subset_A, complement_cover) need
-    core a1.  The result is checked against the general bounds chain; a
-    complement_cover output may legitimately fail it, in which case
-    ChainViolation is raised with the tensor attached.
+    frame.  Each relation needs the core RELATION_CORE names: a2 for the
+    relations on the lower A*-boundary (A_subset_B, disjoint), a1 for the
+    flux-side ones (B_subset_A, complement_cover).  The result is checked
+    against the general bounds chain; a complement_cover output may
+    legitimately fail it, in which case ChainViolation is raised with the
+    tensor attached.
     """
     relation = spec.relation
     if relation == "const_b":
@@ -240,14 +231,13 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
         raise RegionMismatch(
             f"relation {relation} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
         )
-    needed_core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
-    if spec.core_phase != needed_core:
-        raise InconsistentSpec(f"relation {relation} needs core {needed_core}")
+    if spec.core_phase != RELATION_CORE[relation]:
+        raise InconsistentSpec(f"relation {relation} needs core {RELATION_CORE[relation]}")
 
     w, a_diag, frame = _laminate_frame(spec, pa)
     theta = pa.thetaA
 
-    if relation in ("A_subset_B", "disjoint"):
+    if spec.core_phase == "a2":
         nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
         diag = nested if relation == "A_subset_B" else disjoint
     else:
@@ -261,14 +251,13 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB, chain_check: bool = Tru
         diag = a_diag**2 * core
 
     bsharp = SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
-    if chain_check:
-        astar = SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
-        slacks = general_chain_check(astar, bsharp, pa, pb)
-        if min(slacks) < -DEFAULT_TOL:
-            raise ChainViolation(
-                f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
-                tensor=bsharp,
-            )
+    astar = SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
+    slacks = general_chain_check(astar, bsharp, pa, pb)
+    if min(slacks) < -DEFAULT_TOL:
+        raise ChainViolation(
+            f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
+            tensor=bsharp,
+        )
     return bsharp
 
 

@@ -24,6 +24,7 @@ from .gclosure import (
     DEFAULT_TOL,
     OutsideGSet,
     PhaseA,
+    core_side,
     g_membership,
     lower_trace_sum,
     means,
@@ -128,30 +129,31 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
     )
 
 
-def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
-    """Constant-density lower trace bound; feasible pairs have lhs <= rhs."""
+def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
+    """Constant-density trace bound saturated by the constructions with the given core.
+
+    With (base, frac, _, sign) = core_side(pa, core) and the outer factor
+    F = sign (A* - base I), feasible pairs have
+        lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
+    """
     n = astar.dim
-    i = np.eye(n)
-    outer = pa.a2 * i - astar.mat
-    if np.abs(outer).max() <= 1e-14 * pa.a2:
-        return 0.0, float(n * pa.thetaA * (pa.a2 - pa.a1))  # homogeneous a2 limit
-    middle = SymTensor.from_matrix(pa.a2 * bsharp.mat - b * astar.mat)
-    lhs = trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])
-    rhs = n * pa.thetaA * (pa.a2 - pa.a1)
-    return float(lhs), float(rhs)
+    base, frac, _, sign = core_side(pa, core)
+    rhs = float(n * frac * (pa.a2 - pa.a1))
+    outer = sign * (astar.mat - base * np.eye(n))
+    if np.abs(outer).max() <= 1e-14 * base:
+        return 0.0, rhs  # homogeneous base medium
+    middle = SymTensor.from_matrix(sign * (b * astar.mat - base * bsharp.mat))
+    return float(trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])), rhs
+
+
+def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
+    """Constant-density lower trace bound (core a1 saturates it); feasible pairs have lhs <= rhs."""
+    return _bound_const_b(astar, bsharp, pa, b, "a1")
 
 
 def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
-    """Constant-density upper trace bound; feasible pairs have lhs <= rhs."""
-    n = astar.dim
-    i = np.eye(n)
-    outer = astar.mat - pa.a1 * i
-    if np.abs(outer).max() <= 1e-14 * pa.a1:
-        return 0.0, float(n * (1.0 - pa.thetaA) * (pa.a2 - pa.a1))  # homogeneous a1 limit
-    middle = SymTensor.from_matrix(b * astar.mat - pa.a1 * bsharp.mat)
-    lhs = trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])
-    rhs = n * (1.0 - pa.thetaA) * (pa.a2 - pa.a1)
-    return float(lhs), float(rhs)
+    """Constant-density upper trace bound (core a2 saturates it); feasible pairs have lhs <= rhs."""
+    return _bound_const_b(astar, bsharp, pa, b, "a2")
 
 
 def _eigenframe(astar: SymTensor, bsharp: SymTensor) -> tuple:
@@ -486,23 +488,18 @@ def energy_density_bounds(
     n = astar.dim
     v = np.asarray(vector, dtype=float)
     eye = np.eye(n)
-    harm, arith = means(pa)
+    _, arith = means(pa)
     a = astar.mat
 
     if np.isscalar(pb_or_b):
-        b = float(pb_or_b)
-        if side == "lower":
-            if pa.thetaA <= 1e-12:
-                form = (b / pa.a2) * a  # homogeneous a2 medium: A* = a2 I, correction vanishes
-            else:
-                form = (b / pa.a2) * (a + (pa.a2 * eye - a) @ (pa.a2 * eye - a) / (pa.a2 - arith))
-        elif side == "upper":
-            if pa.thetaA >= 1.0 - 1e-12:
-                form = (b / pa.a1) * a  # homogeneous a1 medium
-            else:
-                form = (b / pa.a1) * (a + (a - pa.a1 * eye) @ (a - pa.a1 * eye) / (arith - pa.a1))
-        else:
+        if side not in ("lower", "upper"):
             raise ValueError("constant-density sides are 'lower' and 'upper'")
+        base, frac, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
+        form = a  # the homogeneous base medium at frac <= 1e-12, where the correction vanishes
+        if frac > 1e-12:
+            shift = a - base * eye
+            form = a + shift @ shift / (sign * (arith - base))
+        form = (float(pb_or_b) / base) * form
         return float(v @ form @ v), form
 
     pb = pb_or_b

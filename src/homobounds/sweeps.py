@@ -13,7 +13,7 @@ import numpy as np
 from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
-from .laminates import ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
+from .laminates import RELATION_CORE, ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
 from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_membership
 from .symtensor import MAX_DIM, SymTensor, rotate
 
@@ -80,8 +80,7 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
             elif family == "seq_pp":
                 choices = [r for r in RELATION_BOUND if admits(r, pa, pb, False)]
                 relation = choices[int(rng.integers(0, len(choices)))]
-                core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
-                spec = _random_spec(rng, n, relation, core)
+                spec = _random_spec(rng, n, relation, RELATION_CORE[relation])
                 astar = seq_A(spec, pa)
                 bsharp = seq_B_pp(spec, pa, pb)
             else:

@@ -226,6 +226,16 @@ class TestLaminate:
         assert data["chain_ok"] is False
         assert data["bsharp"][1][1] == pytest.approx(81 / 16)
 
+    def test_const_b_small_weight_direction(self, capsys):
+        # a direction of weight 1e-9 is a valid laminate; its relative limit
+        # is b plus 2.5e-7, not a mismatch to reject
+        spec = json.dumps(
+            {"directions": [[1, 0], [0, 1]], "weights": [0.999999999, 1e-9], "core": "a2", "relation": "const_b"}
+        )
+        code, out = run(capsys, "laminate", "--spec", spec, "--a", "1,500,0.999", "--const-b", "1")
+        assert code == 0
+        assert json.loads(out)["bsharp"][1][1] == pytest.approx(1.00000024875175099, rel=1e-12, abs=0)
+
 
 class TestPhase:
     def test_diagram(self, capsys):
@@ -306,6 +316,13 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["pair", "sweep", "--max-dim", "9", "--count", "3"], None, None),
         (["pair", "sweep", "--max-dim", "1", "--count", "3"], None, None),
         (["pair", "sweep", "--count", "-5"], None, None),
+        (["odp", "relax", "--a", "1,2", "--theta", "0.9", "--cells", "4", "--kA", "2"], None, None),
+        (["oodp", "relax", "--a", "1,2", "--theta", "0.9", "--b", "1,3", "--cells", "4", "--kA", "2", "--kB", "2"], None, None),
+        (["oodp", "brute", "--a", "1,2", "--b", "1,3", "--thetaB", "0.2", "--cells", "4", "--kA", "2", "--kB", "2"], None, None),
+        (["odp", "relax", "--a", "1,2,0.9", "--cells", "4", "--kA", "2"], None, None),
+        (["oodp", "brute", "--a", "1,2", "--b", "1,3,0.2", "--cells", "4", "--kA", "2", "--kB", "2"], None, None),
+        (["odp", "brute", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "a": [1, 2, 0.9], "f": "const:1"}),
+        (["oodp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, 3, 0.2], "f": "const:1"}),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):

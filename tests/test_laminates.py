@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from homobounds.gclosure import PhaseA, g_membership
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.laminates import (
+    RELATION_CORE,
     ChainViolation,
     InconsistentSpec,
     LaminateSpec,
@@ -16,8 +18,8 @@ from homobounds.laminates import (
     seq_B_pp,
     simple_laminate_pair,
 )
-from homobounds.pairbounds import PhaseB, pair_membership
-from homobounds.symtensor import commutator_norm, rotate, rotation_2d
+from homobounds.pairbounds import PhaseB, admits, pair_membership
+from homobounds.symtensor import commutator_norm, eig, rotate, rotation_2d
 
 E1 = (1.0, 0.0)
 E2 = (0.0, 1.0)
@@ -142,6 +144,113 @@ class TestSequentialBConst:
     def test_theta_zero_gives_b(self):
         spec = LaminateSpec((E1,), (1.0,), "a2", "const_b")
         assert np.allclose(seq_B_const(spec, PhaseA(1, 2, 0.0), 2.5).mat, 2.5 * np.eye(2))
+
+    def test_matches_defining_relation_at_50_digits(self):
+        # specs with direction weights down to 1e-14, contrast up to 1e3
+        rng = np.random.default_rng(20261018)
+        worst_frame = worst_spec = 0.0
+        for _ in range(150):
+            spec, pa, b = _small_weight_spec(rng)
+            got = seq_B_const(spec, pa, b).mat
+            scale = np.abs(got).max()
+            # the closed form against the defining relation on the same moment eigensystem
+            es = eig(spec.moment)
+            ref = _defining_relation_mp(spec, pa, b, es.values, mpmath.matrix(es.frame.tolist()))
+            worst_frame = max(worst_frame, np.abs(got - ref).max() / (1e-12 * scale))
+            # end to end against the exact moment: its float64 eigenvalues are
+            # off by ~eps, which B# amplifies by b theta (1-theta) ((a2-a1)/base)^2
+            with mpmath.workdps(50):
+                m = mpmath.zeros(spec.dim)
+                for d, w in zip(spec.directions, spec.weights):
+                    m += mpmath.mpf(w) * mpmath.matrix(d) * mpmath.matrix(d).T
+                weights, frame = mpmath.eigsy(m)
+            ref = _defining_relation_mp(spec, pa, b, weights, frame)
+            base = pa.a1 if spec.core_phase == "a2" else pa.a2
+            cond = b * pa.thetaA * (1.0 - pa.thetaA) * ((pa.a2 - pa.a1) / base) ** 2 * np.finfo(float).eps
+            worst_spec = max(worst_spec, np.abs(got - ref).max() / (1e-12 * scale + 8.0 * cond))
+        assert worst_frame <= 1.0 and worst_spec <= 1.0
+
+
+def _small_weight_spec(rng) -> tuple:
+    """(spec, pa, b) with N in 2..5, some weights in [1e-14, 1e-2] and some axis-aligned null directions."""
+    n = int(rng.integers(2, 6))
+    p = int(rng.integers(1, n + 2))
+    if rng.uniform() < 0.3:
+        dirs = [tuple(np.eye(n)[int(rng.integers(0, n))]) for _ in range(p)]
+    else:
+        dirs = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n))]
+    w = rng.dirichlet(np.ones(p))
+    small = rng.uniform(size=p) < 0.5
+    w[small] = 10.0 ** rng.uniform(-14, -2, size=small.sum())
+    spec = LaminateSpec(tuple(dirs), tuple(w / w.sum()), "a2" if rng.uniform() < 0.5 else "a1", "const_b")
+    a1 = rng.uniform(0.5, 2.0)
+    return spec, PhaseA(a1, a1 * 10 ** rng.uniform(0.05, 3), rng.uniform(0.01, 0.99)), rng.uniform(0.5, 4.0)
+
+
+def _defining_relation_mp(spec, pa, b, weights, frame) -> np.ndarray:
+    """B# solving b (B# - b I)^-1 (Abar - A*)^2 = theta (1-theta) (a2-a1)^2 M at 50 digits.
+
+    Along each moment eigenvector of weight w (columns of the mpmath frame), A* comes
+    from the core's resolvent relation and B# = b + b (Abar - A*)^2 / (theta
+    (1-theta) (a2-a1)^2 w), which tends to b as w -> 0.
+    """
+    with mpmath.workdps(50):
+        a1, a2, theta, b = (mpmath.mpf(x) for x in (pa.a1, pa.a2, pa.thetaA, b))
+        d, abar = a2 - a1, theta * a1 + (1 - theta) * a2
+        beta = []
+        for w in (mpmath.mpf(x) for x in weights):
+            if spec.core_phase == "a2":
+                lam = a1 + (1 - theta) / (1 / d + theta * w / a1)
+            else:
+                lam = a2 + theta / (-1 / d + (1 - theta) * w / a2)
+            beta.append(b if abs(w) < mpmath.mpf("1e-40") else b + b * (abar - lam) ** 2 / (theta * (1 - theta) * d**2 * w))
+        out = frame * mpmath.diag(beta) * frame.T
+        return np.array(out.tolist(), dtype=float)
+
+
+class TestConstantDensityRelations:
+    """With b1 = b2 the relative limit depends on the A-microstructure alone, so it is seq_B_const."""
+
+    @staticmethod
+    def _draws(relation, count):
+        rng = np.random.default_rng(7)
+        while count:
+            a1, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 4.0)
+            pa = PhaseA(a1, a1 * rng.uniform(1.1, 4.0), rng.uniform(0.05, 0.95))
+            pb = PhaseB(b, b, rng.uniform(0.05, 0.95))
+            if not admits(relation, pa, pb, False):
+                continue
+            n = int(rng.integers(2, 4))
+            p = int(rng.integers(1, n + 1))
+            w = rng.dirichlet(np.ones(p))
+            dirs = tuple(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n)))
+            count -= 1
+            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATION_CORE[relation], relation), pa, pb
+
+    @pytest.mark.parametrize("relation", ["A_subset_B", "disjoint", "B_subset_A"])
+    def test_two_phase_relations_reduce_to_seq_B_const(self, relation):
+        for spec, pa, pb in self._draws(relation, 100):
+            expected = seq_B_const(spec, pa, pb.b1).mat
+            got = seq_B_pp(spec, pa, pb).mat
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_complement_cover_is_not_a_relative_limit(self):
+        # the complement_cover laminate misses seq_B_const, mostly by breaking the chain
+        pa, pb = PhaseA(1.0, 2.0, 0.6), PhaseB(1.0, 1.0, 0.7)
+        spec = LaminateSpec((E1,), (1.0,), "a1", "complement_cover")
+        with pytest.raises(ChainViolation) as info:
+            seq_B_pp(spec, pa, pb)
+        assert info.value.tensor.mat[1, 1] == pytest.approx(1.9, rel=1e-14)
+        assert seq_B_const(spec, pa, 1.0).mat[1, 1] == pytest.approx(1.0, rel=1e-14)
+        deviations, violations = [], 0
+        for spec, pa, pb in self._draws("complement_cover", 200):
+            try:
+                got = seq_B_pp(spec, pa, pb)
+            except ChainViolation as exc:
+                got, violations = exc.tensor, violations + 1
+            expected = seq_B_const(spec, pa, pb.b1).mat
+            deviations.append(np.abs(got.mat - expected).max() / np.abs(expected).max())
+        assert min(deviations) > 1e-3 and violations >= 150
 
 
 class TestSequentialBTwoPhase:

@@ -52,18 +52,17 @@ class TestClassify:
         # the region and the laminate relations take the L1/U1 side of an
         # interface; the coated-sphere inclusions admit both sides
         from homobounds.hashin import CoatingConfig, IncompatibleVolumes, hs_b
-        from homobounds.laminates import LaminateSpec, RegionMismatch, seq_B_pp
+        from homobounds.laminates import RELATION_CORE, LaminateSpec, RegionMismatch, seq_B_pp
 
         pa, pb = PhaseA(1.0, 2.0, ta), PhaseB(1.0, 3.0, tb)
         assert classify_region(pa, pb) == "L1U1"
-        for relation in ("A_subset_B", "B_subset_A", "disjoint", "complement_cover"):
-            core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
+        for relation, core in RELATION_CORE.items():
             spec = LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), core, relation)
             if relation in laminate_ok:
-                seq_B_pp(spec, pa, pb, chain_check=False)
+                seq_B_pp(spec, pa, pb)
             else:
                 with pytest.raises(RegionMismatch):
-                    seq_B_pp(spec, pa, pb, chain_check=False)
+                    seq_B_pp(spec, pa, pb)
         spheres = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2", "b1"), "Ac_in_B": ("a1", "b2")}
         for inclusion, (core_a, core_b) in spheres.items():
             cfg = CoatingConfig(core_a, core_b, inclusion)
