@@ -82,6 +82,13 @@ def core_side(p: PhaseA, core: str) -> tuple:
     raise ValueError(f"core must be 'a1' or 'a2', got {core!r}")
 
 
+def homogeneous_value(p: PhaseA):
+    """a2 (a1) when thetaA is within 1e-12 of 0 (1): the A-medium is that value times I; else None."""
+    if p.thetaA <= _DEGENERATE_THETA:
+        return p.a2
+    return p.a1 if p.thetaA >= 1.0 - _DEGENERATE_THETA else None
+
+
 def lower_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     """S = tr(A* - a1 I)^-1, the resolvent trace of the lower boundary."""
     return sum(1.0 / (lam - p.a1) for lam in eig(astar).values)
@@ -108,9 +115,9 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
     lams = eig(astar).values
     harm, arith = means(p)
 
-    if p.thetaA <= _DEGENERATE_THETA or p.thetaA >= 1.0 - _DEGENERATE_THETA:
+    target = homogeneous_value(p)
+    if target is not None:
         # the set degenerates to a single point: a2 I or a1 I
-        target = p.a2 if p.thetaA <= _DEGENERATE_THETA else p.a1
         if max(abs(lam - target) for lam in lams) > tol:
             raise DegenerateTheta(
                 f"thetaA={p.thetaA} admits only {target}*I, got eigenvalues {lams}"
@@ -154,7 +161,7 @@ def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
         theta = a1 ((a2-a1) S - N) / ((a2-a1)(a1 S + 1)).
     """
     _require_member(astar, p, tol)
-    if p.thetaA >= 1.0 - _DEGENERATE_THETA:
+    if homogeneous_value(p) == p.a1:
         return 1.0
     n = astar.dim
     s = lower_trace_sum(astar, p)
@@ -182,7 +189,7 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     _require_member(astar, p, tol)
     lams = eig(astar).values
     n = astar.dim
-    if p.thetaA >= 1.0 - _DEGENERATE_THETA:
+    if homogeneous_value(p) == p.a1:
         return 1.0
     if any(lam >= p.a2 * (1.0 - 1e-14) for lam in lams):
         # an eigenvalue at a2 forces the degenerate boundary theta -> thetaA -> 0
@@ -216,8 +223,8 @@ def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:
     if side not in ("lower", "upper"):
         raise ValueError("side must be 'lower' or 'upper'")
     harm, arith = means(p)
-    if p.thetaA <= _DEGENERATE_THETA or p.thetaA >= 1.0 - _DEGENERATE_THETA:
-        lam = p.a2 if p.thetaA <= _DEGENERATE_THETA else p.a1
+    lam = homogeneous_value(p)
+    if lam is not None:
         return [(lam, lam)] * count
     base, _, _, sign = core_side(p, "a2" if side == "lower" else "a1")
     u0, u1 = 1.0 / (sign * (harm - base)), 1.0 / (sign * (arith - base))

@@ -135,21 +135,26 @@ def overlap_window(pa: PhaseA, pb: PhaseB) -> tuple:
     return max(0.0, pa.thetaA + pb.thetaB - 1.0), min(pa.thetaA, pb.thetaB)
 
 
-def relative_limit_1d(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
-    """harm(a)^p lim* b/a^p of a layered medium: b# for p = 2, the flux limit for p = 1.
+def lim_b_over_a(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
+    """The weak* limit lim* b/a^p of a layered medium.
 
     The phase values come from pa and pb; the fractions of a1, of b1 and of
     their overlap are given explicitly and may be arrays (one per cell).
+    The limit is affine in each fraction and falls with the overlap.
     """
-    harm, _ = phase_means(pa.a1, pa.a2, thetaA)
     drop = 1.0 / pa.a1**power - 1.0 / pa.a2**power
-    mix = (
+    return (
         pb.b2 / pa.a2**power
         + (pb.b1 - pb.b2) / pa.a2**power * thetaB
         + pb.b2 * drop * thetaA
         - (pb.b2 - pb.b1) * drop * thetaAB
     )
-    return harm**power * mix
+
+
+def relative_limit_1d(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
+    """harm(a)^p lim* b/a^p of a layered medium: b# for p = 2, the flux limit for p = 1."""
+    harm, _ = phase_means(pa.a1, pa.a2, thetaA)
+    return harm**power * lim_b_over_a(pa, pb, thetaA, thetaB, thetaAB, power)
 
 
 def bsharp_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
@@ -215,7 +220,8 @@ class State1D:
     dirichlet_energy: float = field(default=0.0)  # integral of (u')^2
 
     def u(self, x):
-        """Evaluate u at points x (piecewise quadratic, u(0) = u(1) = 0)."""
+        """Evaluate u at points x (piecewise quadratic, u(0) = u(1) = 0); a float for scalar x."""
+        scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         # integrate u' = (c - F)/a cumulatively over segments
@@ -229,13 +235,16 @@ class State1D:
             out[seg] = cum + (self.sigma_const - f0) * t / self.a[i] - fv * t**2 / (2 * self.a[i])
             h = x1 - x0
             cum += (self.sigma_const - f0) * h / self.a[i] - fv * h**2 / (2 * self.a[i])
-        return out if out.shape else float(out)
+        return float(out[0]) if scalar else out
 
     def u_prime(self, x):
+        """Evaluate u' = (sigma_const - F)/a at points x; a float for scalar x."""
+        scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, len(self.a) - 1)
         f_here = self.f_at_breaks[idx] + self.f_values[idx] * (x - self.breakpoints[idx])
-        return (self.sigma_const - f_here) / self.a[idx]
+        out = (self.sigma_const - f_here) / self.a[idx]
+        return float(out[0]) if scalar else out
 
 
 def _expand_profile(profile: Profile1D, pa: PhaseA, pb: PhaseB):
@@ -244,14 +253,8 @@ def _expand_profile(profile: Profile1D, pa: PhaseA, pb: PhaseB):
     fracs, a_cell, b_cell = _cell_coefficients(profile, pa, pb)
     cell_edges = np.concatenate([[0.0], np.cumsum(fracs)])
     cell_edges[-1] = 1.0
-    breaks = [0.0]
-    a_out, b_out = [], []
-    for k in range(n):
-        for i in range(len(fracs)):
-            breaks.append((k + cell_edges[i + 1]) / n)
-            a_out.append(a_cell[i])
-            b_out.append(b_cell[i])
-    return np.array(breaks), np.array(a_out), np.array(b_out)
+    breaks = np.concatenate([[0.0], ((np.arange(n)[:, None] + cell_edges[1:]) / n).ravel()])
+    return breaks, np.tile(a_cell, n), np.tile(b_cell, n)
 
 
 def solve_segments(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, source: Source1D) -> State1D:

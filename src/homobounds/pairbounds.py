@@ -26,12 +26,13 @@ from .gclosure import (
     PhaseA,
     core_side,
     g_membership,
+    homogeneous_value,
     lower_trace_sum,
     means,
     theta_from_lower_boundary,
     theta_from_upper_boundary,
 )
-from .homog1d import phase_means
+from .homog1d import lim_b_over_a, phase_means
 from .symtensor import SingularFactor, SymTensor, eig, positive_spectrum, trace_chain
 
 
@@ -213,21 +214,9 @@ def flux_floor(pa: PhaseA, pb: PhaseB) -> float:
     return min(pb.b1 / pa.a1**2, pb.b2 / pa.a2**2)
 
 
-def _l_of_theta(pa: PhaseA, pb: PhaseB, theta: float) -> float:
-    return (
-        pb.b1 / pa.a1**2 * pb.thetaB
-        + pb.b2 / pa.a1**2 * (theta - pb.thetaB)
-        + pb.b2 / pa.a2**2 * (1.0 - theta)
-    )
-
-
 def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
-    """Scalar weak* limit entering the U2 right-hand side."""
-    return (
-        pb.b2 / pa.a1**2
-        + (pb.b1 - pb.b2) / pa.a1**2 * pb.thetaB
-        + pb.b1 * (1.0 / pa.a2**2 - 1.0 / pa.a1**2) * (1.0 - theta)
-    )
+    """Scalar weak* limit entering U2: lim* b/a^2 with disjoint complements, overlap theta + thetaB - 1."""
+    return lim_b_over_a(pa, pb, theta, pb.thetaB, theta + pb.thetaB - 1.0, 2)
 
 
 def flux_ratio(lam, pa: PhaseA, theta: float):
@@ -249,7 +238,7 @@ def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     c = flux_floor(pa, pb)
     d = pa.a2 - pa.a1
     osc = c * d**2 / pa.a1**2 * theta * (1.0 - theta) + 2.0 * (pb.b2 / pa.a2**2 - c) * d / pa.a1 * (1.0 - theta)
-    return c, _l_of_theta(pa, pb, theta) - c, osc
+    return c, lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB, 2) - c, osc  # l(theta): B nested in A
 
 
 def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
@@ -315,7 +304,7 @@ def pair_membership(
     region = classify_region(pa, pb)
     chain = general_chain_check(astar, bsharp, pa, pb)
 
-    if pa.thetaA <= 1e-12 or pa.thetaA >= 1.0 - 1e-12:
+    if homogeneous_value(pa) is not None:
         # homogeneous A-medium: the fibre collapses to the single point
         # B# = mean(b) I, the trace bounds degenerate to 0 = 0
         g_membership(astar, pa, tol)  # raises DegenerateTheta on mismatch
@@ -447,7 +436,7 @@ def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m1: np.ndarray, m2: np.
     the A-set), evaluated exactly from the cell fractions.
     """
     c = flux_floor(pa, pb)
-    ell = _l_of_theta(pa, pb, theta)
+    ell = lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB, 2)
     g1, g2, g3 = pb.b1 / pa.a1**2, pb.b2 / pa.a1**2, pb.b2 / pa.a2**2
     w1, w2, w3 = pb.thetaB, theta - pb.thetaB, 1.0 - theta
     second_moment = g1**2 * w1 + g2**2 * w2 + g3**2 * w3

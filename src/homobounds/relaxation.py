@@ -12,7 +12,8 @@ over small grids provides the independent classical oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
 
@@ -98,6 +99,40 @@ def classical_pattern_value(
     return state.energyB
 
 
+def _pattern_minimum(
+    cells: int, onesA: int, onesB: int, pa: PhaseA, pb: PhaseB, source: Source1D
+) -> tuple:
+    """Least homogenized energy over periodic (A, B) pattern pairs on a uniform unit cell.
+
+    A pattern's limit energy is lim* b/a^2 times harm^2 times the Dirichlet
+    integral of the harmonic-mean state, with
+        lim* b/a^2 = b2 <1/a^2> - (b2 - b1) <chi_B/a^2>,
+    so for each A-placement the best B-placement covers the largest sum of
+    1/a^2, found in one product with the table of B-masks.  A later
+    A-placement replaces the best one only when it is lower by more than
+    1e-15, so near-ties keep the lexicographically first.  Returns
+    (min value, argmin A-mask).
+    """
+    if not (cells >= 1 and 0 <= onesA <= cells and 0 <= onesB <= cells):
+        raise ValueError(f"need cells >= 1 and 0 <= onesA, onesB <= cells, got {cells}, {onesA}, {onesB}")
+    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
+    dirichlet = homogenized_dirichlet(harm, source)
+    count = comb(cells, onesB)
+    b_cells = np.fromiter(chain.from_iterable(combinations(range(cells), onesB)), int, count * onesB)
+    b_masks = np.zeros((count, cells))
+    b_masks[np.arange(count)[:, None], b_cells.reshape(count, onesB)] = 1.0
+    best_val, best_mask = np.inf, None
+    for placement in combinations(range(cells), onesA):
+        mask = np.zeros(cells, dtype=bool)
+        mask[list(placement)] = True
+        inv_a2 = np.where(mask, pa.a1, pa.a2) ** -2.0
+        lim = pb.b2 * np.sum(inv_a2) / cells - (pb.b2 - pb.b1) * np.max(b_masks @ inv_a2) / cells
+        value = float(lim * harm**2 * dirichlet)
+        if value < best_val - 1e-15:
+            best_val, best_mask = value, mask
+    return best_val, tuple(bool(x) for x in best_mask)
+
+
 def odp_bruteforce_1d(cells: int, onesA: int, pa: PhaseA, source: Source1D) -> tuple:
     """Exhaustive minimum over periodic unit-cell patterns, homogenized.
 
@@ -106,23 +141,12 @@ def odp_bruteforce_1d(cells: int, onesA: int, pa: PhaseA, source: Source1D) -> t
     integrand times the Dirichlet integral of the harmonic-mean state.  For
     a single phase set the limit is arrangement-independent, so enumeration
     certifies that no pattern beats the relaxed value at matching fraction.
+    This is the two-set enumeration at the constant density 1.
     Returns (min value, argmin mask).
     """
     if cells > 20:
         raise TooLarge("enumeration is capped at 20 cells")
-    if not (0 <= onesA <= cells):
-        raise ValueError("onesA out of range")
-    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
-    dirichlet = homogenized_dirichlet(harm, source)
-    best_val, best_mask = np.inf, None
-    for placement in combinations(range(cells), onesA):
-        mask = np.zeros(cells, dtype=bool)
-        mask[list(placement)] = True
-        lim_inv_a2 = float(np.mean(np.where(mask, pa.a1, pa.a2) ** -2.0))
-        value = lim_inv_a2 * harm**2 * dirichlet
-        if value < best_val - 1e-15:
-            best_val, best_mask = value, mask.copy()
-    return best_val, tuple(bool(x) for x in best_mask)
+    return _pattern_minimum(cells, onesA, 0, pa, PhaseB(1.0, 1.0, 0.0), source)
 
 
 def oodp_relaxed_value_1d(
@@ -154,30 +178,11 @@ def oodp_bruteforce_1d(
     limit b# of the pattern times the harmonic-mean Dirichlet integral.  The
     minimum over all pairs realizes the maximal-overlap (nested) patterns
     and equals the relaxed value at matching constant fractions, which is
-    what the enumeration certifies.  B-placements are evaluated in one
-    vectorized sweep per A-placement (the limit is affine in the
-    B-indicator); ties resolve to the lexicographically first pattern.
+    what the enumeration certifies.
     """
-    from math import comb
-
     if comb(cells, onesA) * comb(cells, onesB) > 2_000_000:
         raise TooLarge("pair enumeration is capped at 2e6 combinations")
-    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
-    dirichlet = homogenized_dirichlet(harm, source)
-    b_masks = np.array(
-        [[i in placement for i in range(cells)] for placement in combinations(range(cells), onesB)],
-        dtype=float,
-    )
-    best = np.inf
-    for placement in combinations(range(cells), onesA):
-        mask = np.zeros(cells, dtype=bool)
-        mask[list(placement)] = True
-        inv_a2 = np.where(mask, pa.a1, pa.a2) ** -2.0
-        # lim* b/a^2: per-cell b2/a^2, lowered by (b2-b1)/a^2 on the B-set
-        base = pb.b2 * np.sum(inv_a2) / cells
-        values = base - (pb.b2 - pb.b1) * (b_masks @ inv_a2) / cells
-        best = min(best, float(values.min()))
-    return best * harm**2 * dirichlet
+    return _pattern_minimum(cells, onesA, onesB, pa, pb, source)[0]
 
 
 def h_monotonicity_check(pa: PhaseA, grid: int = 100) -> dict:
@@ -188,13 +193,8 @@ def h_monotonicity_check(pa: PhaseA, grid: int = 100) -> dict:
     negative throughout the admissible range lambda1 <= abar < a2.  Checked
     on a grid over (thetaA, lambda1).
     """
-    thetas = np.linspace(0.01, 0.99, grid)
-    worst = -np.inf
-    checked = 0
-    for theta in thetas:
-        harm, abar = phase_means(pa.a1, pa.a2, theta)
-        for lam1 in np.linspace(harm, abar, grid):
-            deriv = (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
-            worst = max(worst, deriv)
-            checked += 1
-    return {"grid_points": checked, "max_derivative": float(worst), "monotone": bool(worst <= 1e-12)}
+    harm, abar = phase_means(pa.a1, pa.a2, np.linspace(0.01, 0.99, grid))
+    lam1 = np.linspace(harm, abar, grid)  # one column per theta
+    deriv = (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
+    worst = float(np.max(deriv, initial=-np.inf))
+    return {"grid_points": deriv.size, "max_derivative": worst, "monotone": bool(worst <= 1e-12)}

@@ -11,6 +11,7 @@ from homobounds.gclosure import (
     PhaseA,
     boundary_curve_sample,
     g_membership,
+    homogeneous_value,
     means,
     theta_from_lower_boundary,
     theta_from_upper_boundary,
@@ -100,6 +101,10 @@ class TestThetaRecovery:
         lhs = 2.0 / (10 / 7 - 1.0)
         rhs = 1.0 / (harm_t - 1.0) + 1.0 / (arith_t - 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+    def test_homogeneous_value(self):
+        for theta, value in ((0.0, 2.0), (1e-12, 2.0), (2e-12, None), (0.5, None), (1 - 2e-12, None), (1 - 1e-12, 1.0), (1.0, 1.0)):
+            assert homogeneous_value(PhaseA(1.0, 2.0, theta)) == value
 
     def test_homogeneous_edges(self):
         assert theta_from_lower_boundary(SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.0)) == 0.0

@@ -13,7 +13,9 @@ from homobounds.homog1d import (
     bsharp_flux_1d,
     convergence_study,
     homogenized_energy,
+    _expand_profile,
     invert_theta_ab,
+    lim_b_over_a,
     solve_state_exact,
     weakstar_limits,
 )
@@ -81,6 +83,17 @@ class TestWeakStarLimits:
 
 
 class TestRelativeLimit:
+    def test_lim_is_the_cell_average(self):
+        # the closed form equals the cell-weighted b/a^p at the profile's own fractions
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            profile = random_profile(rng)
+            pa = PhaseA(rng.uniform(0.1, 2), rng.uniform(2.5, 500), 0.5)
+            pb = PhaseB(rng.uniform(0.1, 2), rng.uniform(2.5, 50), 0.5)
+            ta, tb, tab, _, _, lim_ba2, lim_ba = weakstar_limits(profile, pa, pb)
+            assert lim_b_over_a(pa, pb, ta, tb, tab, 2) == pytest.approx(lim_ba2, rel=1e-13)
+            assert lim_b_over_a(pa, pb, ta, tb, tab, 1) == pytest.approx(lim_ba, rel=1e-13)
+
     def test_values(self, pa_half, pb_half):
         assert bsharp_1d(pa_half, pb_half, 0.5) == pytest.approx(14 / 9)
         assert bsharp_1d(pa_half, pb_half, 0.0) == pytest.approx(26 / 9)
@@ -179,6 +192,31 @@ class TestExactSolver:
         assert state.u([0.0, 1.0]) == pytest.approx([0.0, 0.0], abs=1e-15)
         assert state.u(0.5) == pytest.approx(3 / 32)
         assert state.u_prime(0.25) == pytest.approx(3 * (1 - 0.5) / 8)
+
+    def test_scalar_points_give_floats(self, pa_half, pb_half):
+        state = solve_state_exact(Profile1D(NESTED.cells, 3), pa_half, pb_half, UNIT_F)
+        grid = np.linspace(0.0, 1.0, 37)
+        us, ups = state.u(grid), state.u_prime(grid)
+        for x, u, up in zip(grid, us, ups):
+            assert type(state.u(x)) is float and state.u(x) == u
+            assert type(state.u_prime(x)) is float and state.u_prime(x) == up
+        assert state.u(grid[:1]).shape == state.u_prime(grid[:1]).shape == (1,)
+
+    def test_expand_profile_matches_loop(self):
+        # the broadcast breakpoints are bit-identical to one (k + edge)/n per segment
+        rng = np.random.default_rng(13)
+        pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.5)
+        for _ in range(100):
+            n = int(rng.integers(1, 1101))
+            profile = Profile1D(random_profile(rng, max_cells=8).cells, n)
+            fracs = [f for f, _, _ in profile.cells]
+            edges = np.concatenate([[0.0], np.cumsum(fracs)])
+            edges[-1] = 1.0
+            breaks = [0.0] + [(k + edges[i + 1]) / n for k in range(n) for i in range(len(fracs))]
+            a = [pa.a1 if in_a else pa.a2 for _ in range(n) for _, in_a, _ in profile.cells]
+            b = [pb.b1 if in_b else pb.b2 for _ in range(n) for _, _, in_b in profile.cells]
+            got = _expand_profile(profile, pa, pb)
+            assert all(np.array_equal(x, np.array(y)) for x, y in zip(got, (breaks, a, b)))
 
     def test_zero_source(self, pa_half, pb_half):
         state = solve_state_exact(NESTED, pa_half, pb_half, Source1D.constant(0.0))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from homobounds.gclosure import PhaseA, boundary_curve_sample
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
-from homobounds.homog1d import overlap_window
+from homobounds.homog1d import Profile1D, overlap_window, weakstar_limits
 from homobounds.laminates import simple_laminate_pair
 from homobounds.pairbounds import (
     NotInRegion,
@@ -22,6 +22,7 @@ from homobounds.pairbounds import (
     fibre_extremes_l1u1,
     fibre_mix,
     general_chain_check,
+    l2_terms,
     pair_membership,
     theta_star_u2,
 )
@@ -365,6 +366,20 @@ class TestEnergyDensity:
     def test_theta_star_value(self):
         pa, pb = PhaseA(1, 2, 0.75), PhaseB(1, 3, 0.5)
         assert theta_star_u2(pa, pb, 0.75) == pytest.approx(1.8125)
+
+    def test_weak_star_limits_of_the_nested_and_complement_cover_media(self):
+        # theta* is lim* b/a^2 of the medium with disjoint complements, and
+        # L2's level l(theta) + c that of the B-set nested in the A-set
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            pa = PhaseA(rng.uniform(0.1, 2), rng.uniform(2.5, 500), 0.5)
+            pb = PhaseB(rng.uniform(0.1, 2), rng.uniform(2.5, 50), rng.uniform(0.05, 0.95))
+            theta = rng.uniform(max(pb.thetaB, 1 - pb.thetaB), 1.0)
+            cover = Profile1D.from_fractions(theta, pb.thetaB, theta + pb.thetaB - 1.0)
+            nested = Profile1D.from_fractions(theta, pb.thetaB, pb.thetaB)
+            assert theta_star_u2(pa, pb, theta) == pytest.approx(weakstar_limits(cover, pa, pb)[5], rel=1e-13)
+            c, level, _ = l2_terms(pa, pb, theta)
+            assert level + c == pytest.approx(weakstar_limits(nested, pa, pb)[5], rel=1e-13)
 
 
 class TestRotationInvariance:

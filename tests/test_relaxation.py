@@ -1,7 +1,10 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from homobounds.gclosure import PhaseA
-from homobounds.homog1d import Source1D
+from homobounds.homog1d import Source1D, homogenized_dirichlet, phase_means
 from homobounds.pairbounds import PhaseB
 from homobounds.relaxation import (
     DesignField1D,
@@ -15,6 +18,52 @@ from homobounds.relaxation import (
 )
 
 UNIT_F = Source1D.constant(1.0)
+
+
+def random_design(rng):
+    """Phases with a2/a1 up to 1e3, b2/b1 up to 1e2, and a piecewise source of either sign."""
+    a1 = float(rng.uniform(0.1, 2.0))
+    b1 = float(rng.uniform(0.1, 2.0))
+    pieces = int(rng.integers(1, 5))
+    breaks = (0.0, *np.sort(rng.uniform(0.05, 0.95, pieces - 1)), 1.0)
+    source = Source1D(breaks, tuple(rng.uniform(-2.0, 2.0, pieces)))
+    a2 = a1 * 10 ** rng.uniform(0.01, 3.0)
+    b2 = b1 * (1.0 if rng.uniform() < 0.2 else 10 ** rng.uniform(0.0, 2.0))
+    return a1, a2, b1, b2, source
+
+
+def odp_loop_reference(cells, onesA, pa, source):
+    """The single-set enumeration as its own loop, one mean of 1/a^2 per placement."""
+    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
+    dirichlet = homogenized_dirichlet(harm, source)
+    best_val, best_mask = np.inf, None
+    for placement in combinations(range(cells), onesA):
+        mask = np.zeros(cells, dtype=bool)
+        mask[list(placement)] = True
+        lim_inv_a2 = float(np.mean(np.where(mask, pa.a1, pa.a2) ** -2.0))
+        value = lim_inv_a2 * harm**2 * dirichlet
+        if value < best_val - 1e-15:
+            best_val, best_mask = value, mask.copy()
+    return best_val, tuple(bool(x) for x in best_mask)
+
+
+def oodp_loop_reference(cells, onesA, onesB, pa, pb, source):
+    """The two-set enumeration as its own loop: least lim* b/a^2 over all pattern pairs."""
+    harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
+    dirichlet = homogenized_dirichlet(harm, source)
+    b_masks = np.array(
+        [[i in placement for i in range(cells)] for placement in combinations(range(cells), onesB)],
+        dtype=float,
+    )
+    best = np.inf
+    for placement in combinations(range(cells), onesA):
+        mask = np.zeros(cells, dtype=bool)
+        mask[list(placement)] = True
+        inv_a2 = np.where(mask, pa.a1, pa.a2) ** -2.0
+        base = pb.b2 * np.sum(inv_a2) / cells
+        values = base - (pb.b2 - pb.b1) * (b_masks @ inv_a2) / cells
+        best = min(best, float(values.min()))
+    return best * harm**2 * dirichlet
 
 
 class TestDesignField:
@@ -69,6 +118,24 @@ class TestOdpBrute:
     def test_cap(self):
         with pytest.raises(TooLarge):
             odp_bruteforce_1d(21, 10, PhaseA(1, 2, 0.5), UNIT_F)
+
+    @pytest.mark.parametrize("cells, onesA", [(0, 0), (4, 5), (4, -1)])
+    def test_malformed_counts(self, cells, onesA):
+        with pytest.raises(ValueError, match="cells >= 1"):
+            odp_bruteforce_1d(cells, onesA, PhaseA(1, 2, 0.5), UNIT_F)
+
+    def test_matches_loop_reference(self):
+        # value and argmin bit-identical to the separate single-set loop
+        rng = np.random.default_rng(8)
+        checked = 0
+        for cells in range(1, 13):
+            for onesA in range(cells + 1):
+                for _ in range(5):
+                    a1, a2, _, _, source = random_design(rng)
+                    pa = PhaseA(a1, a2, onesA / cells)
+                    assert odp_bruteforce_1d(cells, onesA, pa, source) == odp_loop_reference(cells, onesA, pa, source)
+                    checked += 1
+        assert checked == 450
 
     def test_refinement_approaches_relaxed(self):
         # alternating pattern at growing sub-period counts: the Dirichlet
@@ -137,6 +204,28 @@ class TestOodpBrute:
         with pytest.raises(TooLarge):
             oodp_bruteforce_1d(16, 8, 8, pa_half, pb_half, UNIT_F)
 
+    @pytest.mark.parametrize("cells, onesA, onesB", [(0, 0, 0), (4, 6, 2), (4, 2, 6)])
+    def test_malformed_counts(self, pa_half, pb_half, cells, onesA, onesB):
+        with pytest.raises(ValueError, match="cells >= 1"):
+            oodp_bruteforce_1d(cells, onesA, onesB, pa_half, pb_half, UNIT_F)
+
+    def test_matches_loop_reference(self):
+        # every (cells, onesA, onesB) up to 12 cells: never below the separate
+        # two-set loop, and above it only within the tie margin, got - 1e-15
+        # evaluated in floating point (one ulp for energies past 8)
+        rng = np.random.default_rng(9)
+        checked = 0
+        for cells in range(1, 13):
+            for onesA in range(cells + 1):
+                for onesB in range(cells + 1):
+                    a1, a2, b1, b2, source = random_design(rng)
+                    pa, pb = PhaseA(a1, a2, onesA / cells), PhaseB(b1, b2, onesB / cells)
+                    got = oodp_bruteforce_1d(cells, onesA, onesB, pa, pb, source)
+                    ref = oodp_loop_reference(cells, onesA, onesB, pa, pb, source)
+                    assert got - 1e-15 <= ref <= got
+                    checked += 1
+        assert checked == 818
+
     def test_nested_refinement_within_two_percent(self, pa_half, pb_half):
         values = [
             classical_pattern_value([True, False], [True, False], pa_half, pb_half, UNIT_F, m)
@@ -147,6 +236,23 @@ class TestOodpBrute:
 
 
 class TestMonotonicity:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(10)
+        for _ in range(30):
+            a1 = float(rng.uniform(0.1, 2.0))
+            pa = PhaseA(a1, a1 * 10 ** rng.uniform(0.01, 3.0), 0.5)
+            grid = int(rng.integers(1, 40))
+            worst, checked = -np.inf, 0
+            for theta in np.linspace(0.01, 0.99, grid):
+                harm, abar = phase_means(pa.a1, pa.a2, theta)
+                for lam1 in np.linspace(harm, abar, grid):
+                    worst = max(worst, (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar)))
+                    checked += 1
+            report = h_monotonicity_check(pa, grid)
+            assert report["grid_points"] == checked
+            assert report["max_derivative"] == float(worst)
+            assert report["monotone"] == bool(worst <= 1e-12)
+
     def test_canonical(self):
         report = h_monotonicity_check(PhaseA(1, 2, 0.5), grid=100)
         assert report["monotone"]
