@@ -140,14 +140,15 @@ def lim_b_over_a(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
 
     The phase values come from pa and pb; the fractions of a1, of b1 and of
     their overlap are given explicitly and may be arrays (one per cell).
-    The limit is affine in each fraction and falls with the overlap.
+    The limit is affine in each fraction and falls with the overlap.  It is
+    summed over the four cells (a1 or a2, b1 or b2), each fraction times
+    b_i / a_j^p: every term is nonnegative, so nothing cancels.
     """
-    drop = 1.0 / pa.a1**power - 1.0 / pa.a2**power
     return (
-        pb.b2 / pa.a2**power
-        + (pb.b1 - pb.b2) / pa.a2**power * thetaB
-        + pb.b2 * drop * thetaA
-        - (pb.b2 - pb.b1) * drop * thetaAB
+        thetaAB * pb.b1 / pa.a1**power
+        + (thetaA - thetaAB) * pb.b2 / pa.a1**power
+        + (thetaB - thetaAB) * pb.b1 / pa.a2**power
+        + (1.0 - thetaA - thetaB + thetaAB) * pb.b2 / pa.a2**power
     )
 
 

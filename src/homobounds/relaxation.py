@@ -12,7 +12,7 @@ over small grids provides the independent classical oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -30,6 +30,7 @@ from .homog1d import (
 from .pairbounds import PhaseB
 
 _MEAN_TOL = 1e-12
+_BLOCK_ELEMENTS = 1 << 14  # array entries per block of A-placements in _pattern_minimum
 
 
 class TooLarge(ValueError):
@@ -44,7 +45,8 @@ class DesignField1D:
     volume_target: float = None
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        # from a list: a tuple(<generator>) is resized and, freed, strands on a free list
+        vals = tuple([float(v) for v in self.values])
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("field needs at least one cell")
@@ -99,6 +101,14 @@ def classical_pattern_value(
     return state.energyB
 
 
+def _masks(cells: int, ones: int, placements, count: int) -> np.ndarray:
+    """Boolean masks, one row per placement, for the next `count` placements."""
+    picked = np.fromiter(chain.from_iterable(islice(placements, count)), int, count * ones)
+    masks = np.zeros((count, cells), dtype=bool)
+    masks[np.arange(count)[:, None], picked.reshape(count, ones)] = True
+    return masks
+
+
 def _pattern_minimum(
     cells: int, onesA: int, onesB: int, pa: PhaseA, pb: PhaseB, source: Source1D
 ) -> tuple:
@@ -108,7 +118,10 @@ def _pattern_minimum(
     integral of the harmonic-mean state, with
         lim* b/a^2 = b2 <1/a^2> - (b2 - b1) <chi_B/a^2>,
     so for each A-placement the best B-placement covers the largest sum of
-    1/a^2, found in one product with the table of B-masks.  A later
+    1/a^2, found in one product with the table of B-masks.  A-placements are
+    scored in blocks of about _BLOCK_ELEMENTS / max(B-masks, cells); the
+    stacked product runs one matrix-vector product per A-placement, so each
+    value is bit-identical to scoring that placement alone.  A later
     A-placement replaces the best one only when it is lower by more than
     1e-15, so near-ties keep the lexicographically first.  Returns
     (min value, argmin A-mask).
@@ -118,19 +131,20 @@ def _pattern_minimum(
     harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
     dirichlet = homogenized_dirichlet(harm, source)
     count = comb(cells, onesB)
-    b_cells = np.fromiter(chain.from_iterable(combinations(range(cells), onesB)), int, count * onesB)
-    b_masks = np.zeros((count, cells))
-    b_masks[np.arange(count)[:, None], b_cells.reshape(count, onesB)] = 1.0
+    b_masks = _masks(cells, onesB, combinations(range(cells), onesB), count).astype(float)
+    total, block = comb(cells, onesA), max(1, _BLOCK_ELEMENTS // max(count, cells))
+    placements = combinations(range(cells), onesA)
     best_val, best_mask = np.inf, None
-    for placement in combinations(range(cells), onesA):
-        mask = np.zeros(cells, dtype=bool)
-        mask[list(placement)] = True
-        inv_a2 = np.where(mask, pa.a1, pa.a2) ** -2.0
-        lim = pb.b2 * np.sum(inv_a2) / cells - (pb.b2 - pb.b1) * np.max(b_masks @ inv_a2) / cells
-        value = float(lim * harm**2 * dirichlet)
-        if value < best_val - 1e-15:
-            best_val, best_mask = value, mask
-    return best_val, tuple(bool(x) for x in best_mask)
+    for start in range(0, total, block):
+        masks = _masks(cells, onesA, placements, min(block, total - start))
+        inv_a2 = np.where(masks, pa.a1, pa.a2) ** -2.0
+        covered = np.max(b_masks @ inv_a2[:, :, None], axis=(1, 2))
+        lim = pb.b2 * inv_a2.sum(axis=1) / cells - (pb.b2 - pb.b1) * covered / cells
+        values = lim * harm**2 * dirichlet
+        for i in np.flatnonzero(values < best_val - 1e-15):
+            if values[i] < best_val - 1e-15:
+                best_val, best_mask = float(values[i]), masks[i]
+    return best_val, tuple(best_mask.tolist())
 
 
 def odp_bruteforce_1d(cells: int, onesA: int, pa: PhaseA, source: Source1D) -> tuple:
@@ -163,9 +177,10 @@ def oodp_relaxed_value_1d(
         raise ValueError("fields must share the grid")
     harm, _ = phase_means(pa.a1, pa.a2, ta)
     lsh = relative_limit_1d(pa, pb, ta, tb, np.minimum(ta, tb), 2)
-    labels = tuple("A_subset_B" if flag else "B_subset_A" for flag in ta <= tb)
+    # from lists, as in DesignField1D
+    labels = tuple(["A_subset_B" if flag else "B_subset_A" for flag in ta <= tb])
     state = solve_segments(np.linspace(0.0, 1.0, len(ta) + 1), harm, lsh, source)
-    return RelaxedValue(state.energyB, tuple(float(x) for x in lsh), labels, state.sigma_const)
+    return RelaxedValue(state.energyB, tuple(lsh.tolist()), labels, state.sigma_const)
 
 
 def oodp_bruteforce_1d(

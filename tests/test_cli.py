@@ -174,6 +174,17 @@ class TestDesign:
         assert data["min_value"] == pytest.approx(5 / 96)
         assert sum(data["argmin"]) == 3
 
+    def test_odp_brute_at_the_cell_cap(self, capsys):
+        # 184,756 placements at the 20-cell cap; with a1 = 1, a2 = 2 every
+        # placement scores the same, so the first placement is the argmin
+        code, out = run(capsys, "odp", "brute", "--a", "1,2", "--cells", "20", "--kA", "10")
+        assert code == 0
+        data = json.loads(out)
+        code, out = run(capsys, "odp", "relax", "--a", "1,2", "--cells", "20", "--kA", "10")
+        assert code == 0
+        assert data["min_value"] >= json.loads(out)["relaxed_value"] - 1e-12
+        assert data["argmin"] == [1] * 10 + [0] * 10
+
 
 class TestHashin:
     def test_eval_with_oracle(self, capsys):

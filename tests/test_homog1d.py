@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,27 @@ class TestRelativeLimit:
             ta, tb, tab, _, _, lim_ba2, lim_ba = weakstar_limits(profile, pa, pb)
             assert lim_b_over_a(pa, pb, ta, tb, tab, 2) == pytest.approx(lim_ba2, rel=1e-13)
             assert lim_b_over_a(pa, pb, ta, tb, tab, 1) == pytest.approx(lim_ba, rel=1e-13)
+
+    def test_lim_matches_50_digit_reference(self):
+        # the four-cell sum against the same sum in 50-digit arithmetic at the
+        # float inputs; the affine form that it replaced reached 1e-14 here
+        rng = np.random.default_rng(2016)
+        worst = 0.0
+        for _ in range(4000):
+            a1 = float(rng.uniform(0.1, 2.0))
+            a2 = a1 * 10 ** rng.uniform(0.01, 3.0)
+            b1 = float(rng.uniform(0.1, 2.0))
+            b2 = b1 * (1.0 if rng.uniform() < 0.2 else 10 ** rng.uniform(0.0, 2.0))
+            ta, tb = rng.uniform(size=2)
+            tab = rng.uniform(max(0.0, ta + tb - 1.0), min(ta, tb))
+            p = int(rng.integers(1, 3))
+            got = lim_b_over_a(PhaseA(a1, a2, ta), PhaseB(b1, b2, tb), ta, tb, tab, p)
+            with mpmath.workdps(50):
+                A1, A2, B1, B2 = (mpmath.mpf(x) ** e for x, e in ((a1, p), (a2, p), (b1, 1), (b2, 1)))
+                TA, TB, TAB = mpmath.mpf(ta), mpmath.mpf(tb), mpmath.mpf(tab)
+                ref = TAB * B1 / A1 + (TA - TAB) * B2 / A1 + (TB - TAB) * B1 / A2 + (1 - TA - TB + TAB) * B2 / A2
+                worst = max(worst, float(abs(got - ref) / ref))
+        assert worst < 1e-15
 
     def test_values(self, pa_half, pb_half):
         assert bsharp_1d(pa_half, pb_half, 0.5) == pytest.approx(14 / 9)

@@ -1,4 +1,7 @@
+import gc
+import sys
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from homobounds.gclosure import PhaseA
 from homobounds.homog1d import Source1D, homogenized_dirichlet, phase_means
 from homobounds.pairbounds import PhaseB
+from homobounds import relaxation
 from homobounds.relaxation import (
     DesignField1D,
     TooLarge,
@@ -137,6 +141,26 @@ class TestOdpBrute:
                     checked += 1
         assert checked == 450
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_matches_loop_reference_across_blocks(self, monkeypatch, block):
+        # A-placements scored `block` at a time: still bit-identical to the loop
+        rng = np.random.default_rng(80 + block)
+        for cells in range(1, 11):
+            monkeypatch.setattr(relaxation, "_BLOCK_ELEMENTS", block * cells)
+            for onesA in range(cells + 1):
+                a1, a2, _, _, source = random_design(rng)
+                pa = PhaseA(a1, a2, onesA / cells)
+                assert odp_bruteforce_1d(cells, onesA, pa, source) == odp_loop_reference(cells, onesA, pa, source)
+
+    def test_equal_energies_across_blocks_keep_the_first(self, monkeypatch):
+        # 1/a^2 is 1 or 1/4, so all 70 placements score exactly the same
+        # across 24 blocks of 3, and the first placement stays the argmin
+        monkeypatch.setattr(relaxation, "_BLOCK_ELEMENTS", 3 * 8)
+        pa = PhaseA(1.0, 2.0, 0.5)
+        value, mask = odp_bruteforce_1d(8, 4, pa, UNIT_F)
+        assert mask == (True,) * 4 + (False,) * 4
+        assert value == odp_loop_reference(8, 4, pa, UNIT_F)[0]
+
     def test_refinement_approaches_relaxed(self):
         # alternating pattern at growing sub-period counts: the Dirichlet
         # energy climbs toward the relaxed value from below, with the error
@@ -226,6 +250,19 @@ class TestOodpBrute:
                     checked += 1
         assert checked == 818
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_matches_loop_reference_across_blocks(self, monkeypatch, block):
+        # A-placements scored `block` at a time, within the same tie margin
+        rng = np.random.default_rng(90 + block)
+        for cells in range(1, 9):
+            for onesA in range(cells + 1):
+                for onesB in range(cells + 1):
+                    monkeypatch.setattr(relaxation, "_BLOCK_ELEMENTS", block * max(comb(cells, onesB), cells))
+                    a1, a2, b1, b2, source = random_design(rng)
+                    pa, pb = PhaseA(a1, a2, onesA / cells), PhaseB(b1, b2, onesB / cells)
+                    got = oodp_bruteforce_1d(cells, onesA, onesB, pa, pb, source)
+                    assert got - 1e-15 <= oodp_loop_reference(cells, onesA, onesB, pa, pb, source) <= got
+
     def test_nested_refinement_within_two_percent(self, pa_half, pb_half):
         values = [
             classical_pattern_value([True, False], [True, False], pa_half, pb_half, UNIT_F, m)
@@ -267,3 +304,28 @@ class TestMonotonicity:
         assert lam_star > abar
         deriv = (2 * lam_star - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
         assert deriv == pytest.approx(0.0, abs=1e-15)
+
+
+def test_per_cell_tuples_do_not_pile_up():
+    # a tuple built from a generator is allocated at a guessed length and
+    # resized; freed, it sits on the free list of its final length, which
+    # nothing else draws from, so each call used to keep about four blocks
+    pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.5)
+
+    def calls(n):
+        for i in range(n):
+            cells = 8 + (7 * i) % 12
+            theta = DesignField1D.constant(0.5, cells)
+            oodp_relaxed_value_1d(theta, theta, pa, pb, UNIT_F)
+            odp_bruteforce_1d(cells, 1, pa, UNIT_F)
+
+    calls(100)
+    gc.collect()  # a full collection also empties the free lists
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        calls(2000)
+        growth = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert growth < 2000 * 0.5
