@@ -309,7 +309,7 @@ class TestMonotonicity:
 def test_per_cell_tuples_do_not_pile_up():
     # a tuple built from a generator is allocated at a guessed length and
     # resized; freed, it sits on the free list of its final length, which
-    # nothing else draws from, so each call used to keep about four blocks
+    # nothing else draws from, so each iteration here used to keep about four blocks
     pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.5)
 
     def calls(n):
@@ -328,4 +328,4 @@ def test_per_cell_tuples_do_not_pile_up():
         growth = sys.getallocatedblocks() - before
     finally:
         gc.enable()
-    assert growth < 2000 * 0.5
+    assert growth < 2000 * 0.5, growth
