@@ -121,7 +121,7 @@ def _tensor(text) -> SymTensor:
         raise ValueError(f"a matrix is a JSON list of rows of numbers, got {text}") from None
     if not np.isfinite(m).all():
         raise ValueError(f"matrix entries must be finite, got {text}")
-    return SymTensor.from_matrix(m)
+    return SymTensor(m)
 
 
 def _source(spec) -> homog1d.Source1D:

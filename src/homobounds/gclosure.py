@@ -122,10 +122,10 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
             raise DegenerateTheta(
                 f"thetaA={p.thetaA} admits only {target}*I, got eigenvalues {lams}"
             )
-        window = tuple((0.0, 0.0) for _ in lams)
+        window = tuple([(0.0, 0.0)] * len(lams))
         return GMembershipReport(window, 0.0, 0.0, "corner")
 
-    window = tuple((lam - harm, arith - lam) for lam in lams)
+    window = tuple([(lam - harm, arith - lam) for lam in lams])
     window_ok = all(lo >= -tol and hi >= -tol for lo, hi in window)
     # eigenvalues pinned at the phase values make the trace sums blow up;
     # membership then reduces to the window alone

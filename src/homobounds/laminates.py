@@ -21,12 +21,6 @@ from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
     admits,
-    bound_L1,
-    bound_L2,
-    bound_L_const_b,
-    bound_U1,
-    bound_U2,
-    bound_U_const_b,
     flux_ratio,
     general_chain_check,
     gradient_extremes,
@@ -63,19 +57,6 @@ class ChainViolation(RuntimeError):
 
 
 @dataclass(frozen=True)
-class InclusionData:
-    """Overlap fraction of the two phase sets with its admissible window."""
-
-    thetaAB: float
-    window: tuple  # (max-rule lower, min-rule upper)
-
-    def __post_init__(self):
-        lo, hi = self.window
-        if not (lo - _UNIT_TOL <= self.thetaAB <= hi + _UNIT_TOL):
-            raise OverlapOutOfWindow(f"thetaAB={self.thetaAB} outside [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
 class LaminateSpec:
     directions: tuple  # unit vectors e_1..e_p
     weights: tuple  # m_1..m_p >= 0, summing to 1
@@ -84,8 +65,10 @@ class LaminateSpec:
 
     def __post_init__(self):
         try:
-            dirs = tuple(tuple(float(x) for x in d) for d in self.directions)
-            weights = tuple(float(w) for w in self.weights)
+            # from lists: a tuple built from a generator is resized and, once
+            # freed, sits on a free list the check path never draws from
+            dirs = tuple([tuple([float(x) for x in d]) for d in self.directions])
+            weights = tuple([float(w) for w in self.weights])
         except (TypeError, ValueError) as exc:
             raise InconsistentSpec(f"directions must be lists of numbers, weights numbers: {exc}") from exc
         object.__setattr__(self, "directions", dirs)
@@ -119,7 +102,7 @@ class LaminateSpec:
         for d, w in zip(self.directions, self.weights):
             e = np.asarray(d)
             m += w * np.outer(e, e)
-        return SymTensor.from_matrix(m)
+        return SymTensor(m)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -139,11 +122,6 @@ class LaminateSpec:
         return LaminateSpec(data["directions"], data["weights"], data["core"], data["relation"])
 
 
-def inclusion_data(pa: PhaseA, pb: PhaseB, thetaAB: float) -> InclusionData:
-    """Validated overlap record for the given phases."""
-    return InclusionData(float(thetaAB), overlap_window(pa, pb))
-
-
 def simple_laminate_pair(
     pa: PhaseA, pb: PhaseB, thetaAB: float, axis: int = 0, dim: int = 2
 ) -> tuple:
@@ -153,8 +131,10 @@ def simple_laminate_pair(
     arithmetic mean elsewhere; B# carries the one-dimensional relative limit
     on the axis and the plain mean elsewhere.
     """
-    overlap = inclusion_data(pa, pb, thetaAB)
-    thetaAB = overlap.thetaAB
+    thetaAB = float(thetaAB)
+    lo, hi = overlap_window(pa, pb)
+    if not (lo - _UNIT_TOL <= thetaAB <= hi + _UNIT_TOL):
+        raise OverlapOutOfWindow(f"thetaAB={thetaAB} outside [{lo}, {hi}]")
     if not (0 <= axis < dim):
         raise ValueError("axis out of range")
     harm, arith = means(pa)
@@ -191,7 +171,7 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
     in the direction second moment, solved in its eigenframe.
     """
     _, a_diag, frame = _laminate_frame(spec, pa)
-    return SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
+    return SymTensor(frame @ np.diag(a_diag) @ frame.T)
 
 
 def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
@@ -210,7 +190,7 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
     if frac > _UNIT_TOL:
         _, arith = means(pa)
         diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / (frac * (pa.a2 - pa.a1) * base)
-    return SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
+    return SymTensor(frame @ np.diag(diag) @ frame.T)
 
 
 def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
@@ -250,8 +230,8 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
             core = lead / a_diag - (level - osc * (1.0 - w)) * ratio
         diag = a_diag**2 * core
 
-    bsharp = SymTensor.from_matrix(frame @ np.diag(diag) @ frame.T)
-    astar = SymTensor.from_matrix(frame @ np.diag(a_diag) @ frame.T)
+    bsharp = SymTensor(frame @ np.diag(diag) @ frame.T)
+    astar = SymTensor(frame @ np.diag(a_diag) @ frame.T)
     slacks = general_chain_check(astar, bsharp, pa, pb)
     if min(slacks) < -DEFAULT_TOL:
         raise ChainViolation(
@@ -260,31 +240,3 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
         )
     return bsharp
 
-
-def saturation_report(pair, pa: PhaseA, pb_or_b, which_bound: str) -> float:
-    """Feasibility slack of one designated bound for a constructed pair.
-
-    which_bound in {"L", "U"} takes a scalar density; {"L1", "L2", "U1",
-    "U2_step", "U2_printed"} take a PhaseB.  Positive slack = satisfied.
-    """
-    astar, bsharp = pair
-    if which_bound == "L":
-        lhs, rhs = bound_L_const_b(astar, bsharp, pa, float(pb_or_b))
-        return rhs - lhs
-    if which_bound == "U":
-        lhs, rhs = bound_U_const_b(astar, bsharp, pa, float(pb_or_b))
-        return rhs - lhs
-    pb = pb_or_b
-    if which_bound == "L1":
-        lhs, rhs = bound_L1(astar, bsharp, pa, pb)
-        return lhs - rhs
-    if which_bound == "L2":
-        lhs, rhs, _ = bound_L2(astar, bsharp, pa, pb)
-        return lhs - rhs
-    if which_bound == "U1":
-        lhs, rhs = bound_U1(astar, bsharp, pa, pb)
-        return lhs - rhs
-    if which_bound in ("U2_step", "U2_printed"):
-        lhs, printed, step = bound_U2(astar, bsharp, pa, pb)
-        return lhs - (step if which_bound == "U2_step" else printed)
-    raise ValueError(f"unknown bound {which_bound!r}")

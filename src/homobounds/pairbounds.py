@@ -143,7 +143,7 @@ def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, co
     outer = sign * (astar.mat - base * np.eye(n))
     if np.abs(outer).max() <= 1e-14 * base:
         return 0.0, rhs  # homogeneous base medium
-    middle = SymTensor.from_matrix(sign * (b * astar.mat - base * bsharp.mat))
+    middle = SymTensor(sign * (b * astar.mat - base * bsharp.mat))
     return float(trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])), rhs
 
 
@@ -388,14 +388,14 @@ def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = D
     if theta <= 1e-12:
         b_mean = pb.mean
         eye = np.eye(astar.dim)
-        return SymTensor.from_matrix(b_mean * eye), SymTensor.from_matrix(b_mean * eye)
+        return SymTensor(b_mean * eye), SymTensor(b_mean * eye)
     es = eig(astar)
     lam = np.array(es.values)
     # lamination weights along A*'s eigenvectors, from the lower-boundary
     # resolvent relation theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I
     m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
     low, high = gradient_extremes(lam, m, pa, pb, theta)
-    to_tensor = lambda diag: SymTensor.from_matrix(es.frame @ np.diag(diag) @ es.frame.T)
+    to_tensor = lambda diag: SymTensor(es.frame @ np.diag(diag) @ es.frame.T)
     return to_tensor(low), to_tensor(high)
 
 
@@ -418,7 +418,7 @@ def fibre_mix(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: 
     return float(beta1), float(beta2), b_low, b_high
 
 
-def _y_theta(pa: PhaseA, pb: PhaseB, theta: float, m_ab: np.ndarray, m_b: np.ndarray) -> np.ndarray:
+def _y_theta(pa: PhaseA, pb: PhaseB, theta: float, m: np.ndarray) -> np.ndarray:
     """Oscillation correction matrix for the gradient-side lower bound."""
     d = pa.a2 - pa.a1
     coeff = (
@@ -426,10 +426,10 @@ def _y_theta(pa: PhaseA, pb: PhaseB, theta: float, m_ab: np.ndarray, m_b: np.nda
         + (pb.b2 - pb.b1) ** 2 / pb.b1 * pb.thetaB * (1.0 - pb.thetaB)
         - 2.0 * (pb.b2 - pb.b1) * d / pa.a1 * theta * (1.0 - pb.thetaB)
     )
-    return coeff * m_ab - (pb.b2 - pb.b1) ** 2 / pb.b1 * pb.thetaB * (1.0 - pb.thetaB) * m_b
+    return coeff * m - (pb.b2 - pb.b1) ** 2 / pb.b1 * pb.thetaB * (1.0 - pb.thetaB) * m
 
 
-def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m: np.ndarray) -> np.ndarray:
     """Oscillation correction matrix for the flux-side lower bound.
 
     Scalar weights are the weak* limits for the nested choice (B-set inside
@@ -444,9 +444,8 @@ def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m1: np.ndarray, m2: np.
     cov = (g1 * w1 + g2 * w2) - theta * ell  # E[f (chi_A - theta)]
     slope = pa.a2 * (1.0 / pa.a1 - 1.0 / pa.a2)
     l_p = l_pp / c**2 - 2.0 * slope / c * cov + slope**2 * theta * (1.0 - theta)
-    n = m1.shape[0]
-    eye = np.eye(n)
-    return c * l_p * (eye - m1) - l_pp / c * (eye - m2)
+    eye = np.eye(m.shape[0])
+    return c * l_p * (eye - m) - l_pp / c * (eye - m)
 
 
 def energy_density_bounds(
@@ -496,7 +495,7 @@ def energy_density_bounds(
     if side == "gradient_lower":
         theta = theta_from_lower_boundary(astar, pa, tol)
         _, arith_t = phase_means(pa.a1, pa.a2, theta)
-        y = _y_theta(pa, pb, theta, m, m)
+        y = _y_theta(pa, pb, theta, m)
         shift = a - pa.a1 * eye
         b_mean = pb.mean
         form = (
@@ -509,7 +508,7 @@ def energy_density_bounds(
         c, level, _ = l2_terms(pa, pb, theta)
         es = eig(astar)
         ratio = es.frame @ np.diag(flux_ratio(np.array(es.values), pa, theta)) @ es.frame.T
-        y = _y_prime_theta(pa, pb, theta, m, m)
+        y = _y_prime_theta(pa, pb, theta, m)
         form = c * eye + 2.0 * level * ratio + (y - level * eye) @ ratio @ ratio
     else:
         raise ValueError("two-phase sides are 'gradient_lower' and 'flux_lower'")

@@ -69,7 +69,6 @@ class RelaxedValue:
     value: float
     integrand: tuple  # optimal pointwise coefficient per cell
     regions: tuple  # per-cell microstructure family label
-    state_sigma_const: float
 
 
 def odp_relaxed_value_1d(theta: DesignField1D, pa: PhaseA, source: Source1D) -> float:
@@ -180,7 +179,7 @@ def oodp_relaxed_value_1d(
     # from lists, as in DesignField1D
     labels = tuple(["A_subset_B" if flag else "B_subset_A" for flag in ta <= tb])
     state = solve_segments(np.linspace(0.0, 1.0, len(ta) + 1), harm, lsh, source)
-    return RelaxedValue(state.energyB, tuple(lsh.tolist()), labels, state.sigma_const)
+    return RelaxedValue(state.energyB, tuple(lsh.tolist()), labels)
 
 
 def oodp_bruteforce_1d(

@@ -108,8 +108,8 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
                         valid.append((cfg, hs_b(pa, pb, cfg, n), pb))
                 cfg, bval, pb = valid[int(rng.integers(0, len(valid)))]
                 m = hs_m(pa, cfg.coreA, n)
-                astar = SymTensor.from_matrix(m * np.eye(n))
-                bsharp = SymTensor.from_matrix(bval * np.eye(n))
+                astar = SymTensor(m * np.eye(n))
+                bsharp = SymTensor(bval * np.eye(n))
                 family = f"coated_{cfg.coreA}_{cfg.coreB}"
         except ChainViolation:
             rejections += 1

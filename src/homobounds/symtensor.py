@@ -58,11 +58,6 @@ class SymTensor:
         return self._m.copy()
 
     @staticmethod
-    def from_matrix(m) -> "SymTensor":
-        """Build from a square array, symmetrizing by averaging."""
-        return SymTensor(m)
-
-    @staticmethod
     def diag(values) -> "SymTensor":
         return SymTensor(np.diag(np.asarray(values, dtype=float)))
 
@@ -207,7 +202,7 @@ def rotate(s, frame) -> SymTensor:
         raise NotOrthonormal("frame has wrong shape")
     if np.abs(q @ q.T - np.eye(q.shape[0])).max() > _ORTHO_TOL:
         raise NotOrthonormal("frame is not orthonormal within 1e-12")
-    return SymTensor.from_matrix(q @ m @ q.T)
+    return SymTensor(q @ m @ q.T)
 
 
 def rotation_2d(angle: float) -> np.ndarray:

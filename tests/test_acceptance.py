@@ -157,13 +157,13 @@ def test_criterion_07_commutation_and_trace_pairing():
         n = int(rng2.integers(2, 4))
         q1, r1 = np.linalg.qr(rng2.normal(size=(n, n)))
         q1 = q1 * np.sign(np.diag(r1))
-        e = SymTensor.from_matrix(q1 @ np.diag(np.sort(rng2.uniform(1, 5, n))) @ q1.T)
+        e = SymTensor(q1 @ np.diag(np.sort(rng2.uniform(1, 5, n))) @ q1.T)
         if rng2.uniform() < 0.5:
-            f = SymTensor.from_matrix(q1 @ np.diag(np.sort(rng2.uniform(1, 5, n))[::-1]) @ q1.T)
+            f = SymTensor(q1 @ np.diag(np.sort(rng2.uniform(1, 5, n))[::-1]) @ q1.T)
         else:
             q2, r2 = np.linalg.qr(rng2.normal(size=(n, n)))
             q2 = q2 * np.sign(np.diag(r2))
-            f = SymTensor.from_matrix(q2 @ np.diag(np.linspace(1, 5, n)) @ q2.T)
+            f = SymTensor(q2 @ np.diag(np.linspace(1, 5, n)) @ q2.T)
         _, gap = trace_pairing_bound(e, f)
         scale = np.linalg.norm(e.mat) * np.linalg.norm(f.mat)
         gap_zero = gap <= 1e-10 * scale
@@ -185,17 +185,17 @@ def test_criterion_08_fibre_convexity_and_mixing():
     b_low, b_high = fibre_extremes_l1u1(lam_a, PA, PB)
     ok = np.allclose(b_low.mat, np.diag([14 / 9, 2.0]), atol=1e-12)
     ok &= np.allclose(b_high.mat, np.diag([26 / 9, 2.0]), atol=1e-12)
-    mid = SymTensor.from_matrix(0.5 * (b_low.mat + b_high.mat))
+    mid = SymTensor(0.5 * (b_low.mat + b_high.mat))
     ok &= pair_membership(lam_a, mid, PA, PB).verdict in ("feasible", "boundary")
 
     rng = np.random.default_rng(17)
     worst_recon = 0.0
     for _ in range(100):
         t1, t2 = rng.uniform(0.0, 1.0, 2)
-        p1 = SymTensor.from_matrix((1 - t1) * b_low.mat + t1 * b_high.mat)
-        p2 = SymTensor.from_matrix((1 - t2) * b_low.mat + t2 * b_high.mat)
+        p1 = SymTensor((1 - t1) * b_low.mat + t1 * b_high.mat)
+        p2 = SymTensor((1 - t2) * b_low.mat + t2 * b_high.mat)
         for w in np.linspace(0.0, 1.0, 5):
-            mix = SymTensor.from_matrix((1 - w) * p1.mat + w * p2.mat)
+            mix = SymTensor((1 - w) * p1.mat + w * p2.mat)
             verdict = pair_membership(lam_a, mix, PA, PB).verdict
             ok &= verdict in ("feasible", "boundary")
         beta1, beta2, lo, hi = fibre_mix(lam_a, p1, PA, PB)

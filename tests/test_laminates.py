@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,7 +15,6 @@ from homobounds.laminates import (
     OverlapOutOfWindow,
     RegionMismatch,
     overlap_window,
-    saturation_report,
     seq_A,
     seq_B_const,
     seq_B_pp,
@@ -296,7 +298,7 @@ class TestSequentialBTwoPhase:
         spec = LaminateSpec((E1, E2), (0.5, 0.5), "a1", "complement_cover")
         astar = seq_A(spec, pa)
         bsharp = seq_B_pp(spec, pa, pb)
-        assert abs(saturation_report((astar, bsharp), pa, pb, "U2_step")) <= 1e-10
+        assert abs(pair_membership(astar, bsharp, pa, pb).uj_slack) <= 1e-10  # step-form U2
 
 
 class TestInvariants:
@@ -333,17 +335,19 @@ class TestInvariants:
             bsharp = seq_B_pp(spec, pa_half, pb)
             report = pair_membership(astar, bsharp, pa_half, pb)
             assert report.verdict in ("feasible", "boundary")
-            assert abs(saturation_report((astar, bsharp), pa_half, pb, bound)) <= 1e-10
+            assert bound in report.region
+            assert abs(report.li_slack if bound.startswith("L") else report.uj_slack) <= 1e-10
             assert commutator_norm(astar, bsharp) <= 1e-10
 
     def test_saturation_spot_values(self, pa_half, pb_half):
+        # region L1U1: nested saturates L1, disjoint U1; region L2U1 at pbq: L2
         lam_a, nested = simple_laminate_pair(pa_half, pb_half, 0.5)
-        assert abs(saturation_report((lam_a, nested), pa_half, pb_half, "L1")) <= 1e-10
+        assert abs(pair_membership(lam_a, nested, pa_half, pb_half).li_slack) <= 1e-10
         _, disjoint = simple_laminate_pair(pa_half, pb_half, 0.0)
-        assert abs(saturation_report((lam_a, disjoint), pa_half, pb_half, "U1")) <= 1e-10
+        assert abs(pair_membership(lam_a, disjoint, pa_half, pb_half).uj_slack) <= 1e-10
         pbq = PhaseB(1, 3, 0.25)
         _, core = simple_laminate_pair(pa_half, pbq, 0.25)
-        assert abs(saturation_report((lam_a, core), pa_half, pbq, "L2")) <= 1e-10
+        assert abs(pair_membership(lam_a, core, pa_half, pbq).li_slack) <= 1e-10
 
 
 class TestHigherDimensions:
@@ -360,8 +364,9 @@ class TestHigherDimensions:
             spec = LaminateSpec(tuple(dirs), tuple(w / np.sum(w)), "a2", "A_subset_B")
             astar = seq_A(spec, pa)
             bsharp = seq_B_pp(spec, pa, pb)
-            assert pair_membership(astar, bsharp, pa, pb).verdict in ("feasible", "boundary")
-            assert abs(saturation_report((astar, bsharp), pa, pb, "L1")) <= 1e-12
+            report = pair_membership(astar, bsharp, pa, pb)
+            assert report.verdict in ("feasible", "boundary")
+            assert abs(report.li_slack) <= 1e-12  # L1, region L1U2
 
     def test_isotropic_matches_coated_spheres_any_dim(self):
         pa = PhaseA(1, 2.7, 0.45)
@@ -372,3 +377,30 @@ class TestHigherDimensions:
             b = hs_b(pa, 1.0, CoatingConfig("a1", "const", "none"), n)
             assert np.allclose(seq_A(iso, pa).mat, m * np.eye(n), atol=1e-12)
             assert np.allclose(seq_B_const(iso, pa, 1.0).mat, b * np.eye(n), atol=1e-12)
+
+
+def test_check_path_tuples_do_not_pile_up():
+    # the check path's per-call tuples (spec directions and weights, the
+    # membership window) are built from lists; built from generators, each
+    # iteration here kept about seven blocks on the tuple free lists
+    pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.5)
+
+    def calls(n):
+        for i in range(n):
+            dim = 2 + i % 7
+            axes = [[1.0 if j == k else 0.0 for k in range(dim)] for j in range(dim)]
+            spec = LaminateSpec(axes, [1.0 / dim] * dim, "a2", "A_subset_B")
+            astar = seq_A(spec, pa)
+            g_membership(astar, pa)
+            pair_membership(astar, seq_B_pp(spec, pa, pb), pa, pb)
+
+    calls(100)
+    gc.collect()  # a full collection also empties the free lists
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        calls(2000)
+        growth = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert growth < 2000 * 0.5, f"{growth / 2000:.2f} blocks per iteration"

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from homobounds.gclosure import OutsideGSet, PhaseA, theta_from_lower_boundary
-from homobounds.homog1d import bsharp_1d
-from homobounds.laminates import inclusion_data, simple_laminate_pair
+from homobounds.homog1d import bsharp_1d, overlap_window
+from homobounds.laminates import simple_laminate_pair
 from homobounds.pairbounds import (
     PhaseB,
     bound_L1,
@@ -83,7 +83,7 @@ def test_inverse_residual_contract():
         n = int(rng.integers(2, 6))
         q, r = np.linalg.qr(rng.normal(size=(n, n)))
         q = q * np.sign(np.diag(r))
-        s = SymTensor.from_matrix(q @ np.diag(rng.uniform(0.2, 8.0, n)) @ q.T)
+        s = SymTensor(q @ np.diag(rng.uniform(0.2, 8.0, n)) @ q.T)
         inv = matrix_power(s, -1)
         assert np.linalg.norm(inv @ s.mat - np.eye(n)) <= 1e-12 * np.linalg.norm(s.mat)
 
@@ -98,10 +98,14 @@ def test_outside_tensor_rejected_by_recovery_and_energy():
 
 
 def test_inclusion_data_validation():
+    # the overlap must lie in its window up to 1e-12 either side
     from homobounds.laminates import OverlapOutOfWindow
 
     pa, pb = PhaseA(1, 2, 0.5), PhaseB(1, 3, 0.5)
-    record = inclusion_data(pa, pb, 0.25)
-    assert record.window == pytest.approx((0.0, 0.5))
+    assert overlap_window(pa, pb) == pytest.approx((0.0, 0.5))
+    for edge, outward in ((0.0, -1.0), (0.5, 1.0)):
+        simple_laminate_pair(pa, pb, edge + outward * 0.5e-12)
+        with pytest.raises(OverlapOutOfWindow):
+            simple_laminate_pair(pa, pb, edge + outward * 2e-12)
     with pytest.raises(OverlapOutOfWindow):
-        inclusion_data(pa, pb, 0.75)
+        simple_laminate_pair(pa, pb, 0.75)

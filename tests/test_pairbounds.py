@@ -87,7 +87,7 @@ class TestChain:
     def test_upper_link_tight(self, pa_half, pb_half):
         # the self-similar case B = (b2/a1) A has slack 0 on the A*-link
         ratio = pb_half.b2 / pa_half.a1
-        slacks = general_chain_check(LAM_A, SymTensor.from_matrix(ratio * LAM_A.mat), pa_half, pb_half)
+        slacks = general_chain_check(LAM_A, SymTensor(ratio * LAM_A.mat), pa_half, pb_half)
         assert slacks[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -173,7 +173,7 @@ class TestTwoPhaseBounds:
                     pts = boundary_curve_sample(pa, "upper", 5)
                     lam1, lam2 = pts[int(lam_shift * 4)]
                     astar = SymTensor.diag([lam1, lam2])
-                    bsharp = SymTensor.from_matrix(pb.b1 * 1.01 * np.eye(2))
+                    bsharp = SymTensor(pb.b1 * 1.01 * np.eye(2))
                     lhs, printed, step = bound_U2(astar, bsharp, pa, pb)
                     theta = theta_from_upper_boundary(astar, pa)
                     delta = 2 * pb.b2 * (pa.a2 - pa.a1) * (2 * theta - 1.0) / pa.a1**3
@@ -220,13 +220,13 @@ class TestEigenframe:
 
         q = frame()
         lam = pa.a1 + (pa.a2 - pa.a1) * rng.uniform(0.01, 1.0, n)
-        astar = SymTensor.from_matrix(q @ np.diag(lam) @ q.T)
+        astar = SymTensor(q @ np.diag(lam) @ q.T)
         # b1 I < B# < (b2/a1) A*, with the gap weights in a frame of their own
         root = q @ np.diag(np.sqrt(pb.b2 / pa.a1 * lam - pb.b1)) @ q.T
         r = frame()
-        bsharp = SymTensor.from_matrix(pb.b1 * np.eye(n) + root @ r @ np.diag(rng.uniform(0.05, 0.95, n)) @ r.T @ root)
+        bsharp = SymTensor(pb.b1 * np.eye(n) + root @ r @ np.diag(rng.uniform(0.05, 0.95, n)) @ r.T @ root)
         assume(commutator_norm(astar, bsharp) > 1e-3 * np.linalg.norm(bsharp.mat))
-        shift = SymTensor.from_matrix(astar.mat - pa.a1 * np.eye(n))
+        shift = SymTensor(astar.mat - pa.a1 * np.eye(n))
         l1 = trace_chain([(bsharp.mat - pb.b1 * np.eye(n), 1), (shift, -2)])
         u1 = trace_chain([((pb.b2 / pa.a1) * astar.mat - bsharp.mat, 1), (shift, -2)])
         # lambda - a1 taken from eig(A*) carries an absolute error of a few
@@ -322,7 +322,7 @@ class TestFibre:
             b1m = (1 - t1) * b_low.mat + t1 * b_high.mat
             b2m = (1 - t2) * b_low.mat + t2 * b_high.mat
             for w in np.linspace(0.0, 1.0, 5):
-                mix = SymTensor.from_matrix((1 - w) * b1m + w * b2m)
+                mix = SymTensor((1 - w) * b1m + w * b2m)
                 report = pair_membership(LAM_A, mix, pa_half, pb_half)
                 assert report.verdict in ("feasible", "boundary")
 
@@ -473,8 +473,8 @@ class TestRotationInvariance:
             # core a1 two-phase spheres break the printed L1 on thetaA <= thetaB (DECISIONS.md)
             assume(admits(cfg.relation, pa, pb, True) and not (cfg.coreA == "a1" and ta <= tb))
             bval = hs_b(pa, pb, cfg, n)
-        astar = SymTensor.from_matrix(hs_m(pa, cfg.coreA, n) * np.eye(n))
-        bsharp = SymTensor.from_matrix(bval * np.eye(n))
+        astar = SymTensor(hs_m(pa, cfg.coreA, n) * np.eye(n))
+        bsharp = SymTensor(bval * np.eye(n))
         q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
         q = q * np.sign(np.diag(r))
         want = pair_membership(astar, bsharp, pa, pb)

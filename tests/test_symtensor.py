@@ -20,7 +20,7 @@ def random_spd(rng, n):
     q, r = np.linalg.qr(rng.normal(size=(n, n)))
     q = q * np.sign(np.diag(r))
     vals = rng.uniform(0.5, 5.0, size=n)
-    return SymTensor.from_matrix(q @ np.diag(vals) @ q.T)
+    return SymTensor(q @ np.diag(vals) @ q.T)
 
 
 class TestEig:
@@ -34,7 +34,7 @@ class TestEig:
 
     def test_rotation_round_trip(self):
         q = rotation_2d(np.pi / 6)
-        es = eig(SymTensor.from_matrix(q @ np.diag([2.0, 1.0]) @ q.T))
+        es = eig(SymTensor(q @ np.diag([2.0, 1.0]) @ q.T))
         assert es.values == pytest.approx((2.0, 1.0), abs=1e-12)
         # frame matches the rotation up to column sign
         for i in range(2):
@@ -43,7 +43,7 @@ class TestEig:
             assert min(np.abs(col - ref).max(), np.abs(col + ref).max()) < 1e-10
 
     def test_deterministic_sign_convention(self):
-        es = eig(SymTensor.from_matrix([[2.0, 1.0], [1.0, 2.0]]))
+        es = eig(SymTensor([[2.0, 1.0], [1.0, 2.0]]))
         for i in range(2):
             lead = np.nonzero(np.abs(es.frame[:, i]) > 1e-9)[0][0]
             assert es.frame[lead, i] > 0
@@ -68,7 +68,7 @@ class TestEig:
         n = len(values)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         for m in (np.diag(values), q @ np.diag(values) @ q.T):
-            es = eig(SymTensor.from_matrix(m))
+            es = eig(SymTensor(m))
             assert list(es.values) == sorted(es.values, reverse=True)
             assert es.values == pytest.approx(sorted(values, reverse=True), abs=1e-14)
             for col in es.frame.T:
@@ -78,29 +78,29 @@ class TestEig:
             assert np.abs(es.frame @ np.diag(es.values) @ es.frame.T - m).max() < 1e-14 * max(values)
 
     def test_memoised_once_per_tensor(self):
-        s = SymTensor.from_matrix([[2.0, 0.5], [0.5, 1.0]])
+        s = SymTensor([[2.0, 0.5], [0.5, 1.0]])
         assert eig(s) is eig(s)
         m = s.mat
         assert eig(m) is not eig(m)  # plain arrays are decomposed on every call
 
     def test_mutating_outputs_leaves_tensor_and_cache_intact(self):
         ref = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]]
-        s = SymTensor.from_matrix(ref)
+        s = SymTensor(ref)
         es = eig(s)
         values, frame = es.values, es.frame.copy()
         m = s.mat
         m[:] = 0.0
         np.asarray(s)[0, 0] = -1.0
-        assert s == SymTensor.from_matrix(ref) and (s.mat == np.array(ref)).all()
+        assert s == SymTensor(ref) and (s.mat == np.array(ref)).all()
         assert eig(s) is es and es.values == values and (es.frame == frame).all()
         with pytest.raises(ValueError):
             es.frame[0, 0] = 0.0  # the cached frame is read-only
 
     def test_value_equality(self):
-        a = SymTensor.from_matrix([[1.0, 2.0], [0.0, 3.0]])
-        assert a == SymTensor.from_matrix([[1.0, 1.0], [1.0, 3.0]])
+        a = SymTensor([[1.0, 2.0], [0.0, 3.0]])
+        assert a == SymTensor([[1.0, 1.0], [1.0, 3.0]])
         assert a != SymTensor.diag([1.0, 3.0])
-        assert hash(a) == hash(SymTensor.from_matrix([[1.0, 1.0], [1.0, 3.0]]))
+        assert hash(a) == hash(SymTensor([[1.0, 1.0], [1.0, 3.0]]))
         assert a.dim == 2 and SymTensor.identity(3).dim == 3
 
 
@@ -109,7 +109,7 @@ class TestTraceChain:
         a = SymTensor.diag([4 / 3, 3 / 2])
         b = SymTensor.diag([10 / 9, 1.0])
         outer = 2.0 * np.eye(2) - a.mat
-        middle = SymTensor.from_matrix(2.0 * b.mat - a.mat)
+        middle = SymTensor(2.0 * b.mat - a.mat)
         value = trace_chain([(1.0, 1), (outer, 1), (middle, -1), (outer, 1)])
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -143,8 +143,8 @@ class TestCommutator:
 
     def test_shared_frame(self):
         q = rotation_2d(0.7)
-        s = SymTensor.from_matrix(q @ np.diag([1.0, 2.0]) @ q.T)
-        t = SymTensor.from_matrix(q @ np.diag([5.0, 3.0]) @ q.T)
+        s = SymTensor(q @ np.diag([1.0, 2.0]) @ q.T)
+        t = SymTensor(q @ np.diag([5.0, 3.0]) @ q.T)
         assert commutator_norm(s, t) <= 1e-12
 
     def test_hand_value(self):
@@ -165,7 +165,7 @@ class TestTracePairing:
 
     def test_rotated_gap_positive(self):
         q = rotation_2d(np.pi / 4)
-        f = SymTensor.from_matrix(q @ np.diag([2.0, 3.0]) @ q.T)
+        f = SymTensor(q @ np.diag([2.0, 3.0]) @ q.T)
         _, gap = trace_pairing_bound(SymTensor.diag([1, 4]), f)
         assert gap > 1e-3
 
@@ -180,15 +180,15 @@ class TestTracePairing:
             q1, r1 = np.linalg.qr(rng.normal(size=(n, n)))
             q1 = q1 * np.sign(np.diag(r1))
             d_asc = np.sort(rng.uniform(1.0, 5.0, n))
-            e = SymTensor.from_matrix(q1 @ np.diag(d_asc) @ q1.T)
+            e = SymTensor(q1 @ np.diag(d_asc) @ q1.T)
             if rng.uniform() < 0.5:
                 f_desc = np.sort(rng.uniform(1.0, 5.0, n))[::-1]
-                f = SymTensor.from_matrix(q1 @ np.diag(f_desc) @ q1.T)
+                f = SymTensor(q1 @ np.diag(f_desc) @ q1.T)
                 expect_commuting = True
             else:
                 q2, r2 = np.linalg.qr(rng.normal(size=(n, n)))
                 q2 = q2 * np.sign(np.diag(r2))
-                f = SymTensor.from_matrix(q2 @ np.diag(np.linspace(1.0, 5.0, n)) @ q2.T)
+                f = SymTensor(q2 @ np.diag(np.linspace(1.0, 5.0, n)) @ q2.T)
                 expect_commuting = commutator_norm(e, f) <= 1e-8
             _, gap = trace_pairing_bound(e, f)
             scale = np.linalg.norm(e.mat) * np.linalg.norm(f.mat)
