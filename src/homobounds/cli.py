@@ -161,8 +161,10 @@ def cmd_laminate(args) -> int:
     if args.spec_file:
         with open(args.spec_file) as fh:
             spec = laminates.LaminateSpec.from_json(fh.read())
-    else:
+    elif args.spec:
         spec = laminates.LaminateSpec.from_json(args.spec)
+    else:
+        raise ValueError("provide --spec <json> or --spec-file <file>")
     astar = laminates.seq_A(spec, pa)
     payload = {"astar": astar.mat.tolist(), "relation": spec.relation}
     if spec.relation == "const_b":

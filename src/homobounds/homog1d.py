@@ -2,9 +2,9 @@
 
 Periodic piecewise-constant profiles on the unit interval carry joint
 indicator data for the two phase sets.  Every weak* limit, the relative
-limit b#, the flux limit, and the two-point boundary-value solution are
-computed exactly on piecewise-polynomial representations, so convergence
-studies measure homogenization error only.
+limit b#, and the two-point boundary-value solution are computed exactly
+on piecewise-polynomial representations, so convergence studies measure
+homogenization error only.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ class Profile1D:
     period_count: int = 1
 
     def __post_init__(self):
-        cells = tuple((float(f), bool(a), bool(b)) for f, a, b in self.cells)
+        # from lists: a tuple(<generator>) is resized and, freed, strands on a free list
+        cells = tuple([(float(f), bool(a), bool(b)) for f, a, b in self.cells])
         object.__setattr__(self, "cells", cells)
         if self.period_count < 1:
             raise ValueError("period_count must be >= 1")
@@ -53,28 +54,42 @@ class Profile1D:
 
     @staticmethod
     def from_json(text: str) -> "Profile1D":
+        """Profile from its wire format; a value of the wrong JSON type raises ValueError.
+
+        `len` is a number, `inA` and `inB` are booleans and `periods` is an
+        integer.  The types are checked here because the constructor's
+        bool() and float() would turn "no" into True and true into 1.0.
+        """
         data = json.loads(text)
         try:
-            return Profile1D(tuple((c["len"], c["inA"], c["inB"]) for c in data["cells"]), data["periods"])
+            cells = [(c["len"], c["inA"], c["inB"]) for c in data["cells"]]
+            periods = data["periods"]
         except TypeError as exc:  # a JSON value of the wrong type somewhere in the document
             raise ValueError(f"malformed profile, see the Profile wire format: {exc}") from exc
+        for length, in_a, in_b in cells:
+            if isinstance(length, bool) or not isinstance(length, (int, float)):
+                raise ValueError(f"a profile cell's len is a number, got {length!r}")
+            if not (isinstance(in_a, bool) and isinstance(in_b, bool)):
+                raise ValueError(f"a profile cell's inA and inB are true or false, got {in_a!r}, {in_b!r}")
+        if isinstance(periods, bool) or not isinstance(periods, int):
+            raise ValueError(f"profile periods is an integer >= 1, got {periods!r}")
+        return Profile1D(cells, periods)
 
     @staticmethod
-    def from_fractions(thetaA: float, thetaB: float, thetaAB: float, period_count: int = 1) -> "Profile1D":
-        """Profile realizing given phase fractions and overlap (up to 4 cells)."""
+    def from_fractions(thetaA: float, thetaB: float, thetaAB: float) -> "Profile1D":
+        """One-period profile realizing given phase fractions and overlap (up to 4 cells)."""
         pieces = [
             (thetaAB, True, True),
             (thetaA - thetaAB, True, False),
             (thetaB - thetaAB, False, True),
             (1.0 - thetaA - thetaB + thetaAB, False, False),
         ]
-        cells = tuple((f, a, b) for f, a, b in pieces if f > _SUM_TOL)
+        cells = [(f, a, b) for f, a, b in pieces if f > _SUM_TOL]
         if not cells:
             raise ValueError("degenerate fractions")
         # renormalize against float drift so the unit-sum invariant is exact
         total = sum(f for f, _, _ in cells)
-        cells = tuple((f / total, a, b) for f, a, b in cells)
-        return Profile1D(cells, period_count)
+        return Profile1D([(f / total, a, b) for f, a, b in cells])
 
 
 @dataclass(frozen=True)
@@ -85,9 +100,9 @@ class Source1D:
     values: tuple = (1.0,)
 
     def __post_init__(self):
-        bp = tuple(float(x) for x in self.breakpoints)
+        bp = tuple([float(x) for x in self.breakpoints])  # from lists, as in Profile1D
         object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple([float(v) for v in self.values]))
         if len(bp) != len(self.values) + 1 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must span [0, 1] with one value per piece")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
@@ -135,37 +150,32 @@ def overlap_window(pa: PhaseA, pb: PhaseB) -> tuple:
     return max(0.0, pa.thetaA + pb.thetaB - 1.0), min(pa.thetaA, pb.thetaB)
 
 
-def lim_b_over_a(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
-    """The weak* limit lim* b/a^p of a layered medium.
+def lim_b_over_a(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB):
+    """The weak* limit lim* b/a^2 of a layered medium.
 
     The phase values come from pa and pb; the fractions of a1, of b1 and of
     their overlap are given explicitly and may be arrays (one per cell).
     The limit is affine in each fraction and falls with the overlap.  It is
     summed over the four cells (a1 or a2, b1 or b2), each fraction times
-    b_i / a_j^p: every term is nonnegative, so nothing cancels.
+    b_i / a_j^2: every term is nonnegative, so nothing cancels.
     """
     return (
-        thetaAB * pb.b1 / pa.a1**power
-        + (thetaA - thetaAB) * pb.b2 / pa.a1**power
-        + (thetaB - thetaAB) * pb.b1 / pa.a2**power
-        + (1.0 - thetaA - thetaB + thetaAB) * pb.b2 / pa.a2**power
+        thetaAB * pb.b1 / pa.a1**2
+        + (thetaA - thetaAB) * pb.b2 / pa.a1**2
+        + (thetaB - thetaAB) * pb.b1 / pa.a2**2
+        + (1.0 - thetaA - thetaB + thetaAB) * pb.b2 / pa.a2**2
     )
 
 
-def relative_limit_1d(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB, power: int):
-    """harm(a)^p lim* b/a^p of a layered medium: b# for p = 2, the flux limit for p = 1."""
+def relative_limit_1d(pa: PhaseA, pb: PhaseB, thetaA, thetaB, thetaAB):
+    """b# = harm(a)^2 lim* b/a^2 of a layered medium."""
     harm, _ = phase_means(pa.a1, pa.a2, thetaA)
-    return harm**power * lim_b_over_a(pa, pb, thetaA, thetaB, thetaAB, power)
+    return harm**2 * lim_b_over_a(pa, pb, thetaA, thetaB, thetaAB)
 
 
 def bsharp_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
     """Relative limit b# = (harmonic a)^2 lim* b/a^2 as a function of overlap."""
-    return float(relative_limit_1d(pa, pb, pa.thetaA, pb.thetaB, thetaAB, 2))
-
-
-def bsharp_flux_1d(pa: PhaseA, pb: PhaseB, thetaAB: float) -> float:
-    """Flux limit (harmonic a) lim* b/a; distinct from b# in general."""
-    return float(relative_limit_1d(pa, pb, pa.thetaA, pb.thetaB, thetaAB, 1))
+    return float(relative_limit_1d(pa, pb, pa.thetaA, pb.thetaB, thetaAB))
 
 
 def bounds_1d(pa: PhaseA, pb: PhaseB) -> tuple:
@@ -179,11 +189,11 @@ def bounds_1d(pa: PhaseA, pb: PhaseB) -> tuple:
     """
     lo, hi = overlap_window(pa, pb)
     overlaps = (pa.thetaA, pb.thetaB, 0.0, pa.thetaA + pb.thetaB - 1.0, hi, lo)
-    return tuple(bsharp_1d(pa, pb, t) for t in overlaps)
+    return tuple([bsharp_1d(pa, pb, t) for t in overlaps])  # from a list, as in Profile1D
 
 
-def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float, period_count: int = 1) -> tuple:
-    """Overlap fraction and a realizing profile for a target b#.
+def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float) -> tuple:
+    """Overlap fraction and a realizing one-period profile for a target b#.
 
     b# is affine decreasing in the overlap, so the inversion is a single
     division; the profile lays the four indicator combinations out in one
@@ -201,7 +211,7 @@ def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float, period_count: int = 1
     else:
         theta_ab = (at_zero - target) / coeff
         theta_ab = min(max(theta_ab, lo), hi)
-    profile = Profile1D.from_fractions(pa.thetaA, pb.thetaB, theta_ab, period_count)
+    profile = Profile1D.from_fractions(pa.thetaA, pb.thetaB, theta_ab)
     return float(theta_ab), profile
 
 
@@ -255,7 +265,10 @@ def _expand_profile(profile: Profile1D, pa: PhaseA, pb: PhaseB):
     cell_edges = np.concatenate([[0.0], np.cumsum(fracs)])
     cell_edges[-1] = 1.0
     breaks = np.concatenate([[0.0], ((np.arange(n)[:, None] + cell_edges[1:]) / n).ravel()])
-    return breaks, np.tile(a_cell, n), np.tile(b_cell, n)
+    # one row per period, filled by broadcasting; np.tile builds its shape tuples from generators
+    a, b = np.empty((n, len(fracs))), np.empty((n, len(fracs)))
+    a[:], b[:] = a_cell, b_cell
+    return breaks, a.ravel(), b.ravel()
 
 
 def solve_segments(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, source: Source1D) -> State1D:

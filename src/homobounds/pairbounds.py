@@ -10,8 +10,8 @@ and one upper trace bound selected by the volume fractions:
 
 All four are linear in B#, so the fibre of admissible B# over a fixed A*
 is a closed convex set.  The module evaluates each bound, classifies pairs,
-mixes fibre extremes, and evaluates the pointwise energy-density bounds
-used by the relaxed design problems.
+mixes fibre extremes, and evaluates the pointwise energy-density bounds of
+a constant density.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def flux_floor(pa: PhaseA, pb: PhaseB) -> float:
 
 def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
     """Scalar weak* limit entering U2: lim* b/a^2 with disjoint complements, overlap theta + thetaB - 1."""
-    return lim_b_over_a(pa, pb, theta, pb.thetaB, theta + pb.thetaB - 1.0, 2)
+    return lim_b_over_a(pa, pb, theta, pb.thetaB, theta + pb.thetaB - 1.0)
 
 
 def flux_ratio(lam, pa: PhaseA, theta: float):
@@ -238,7 +238,7 @@ def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     c = flux_floor(pa, pb)
     d = pa.a2 - pa.a1
     osc = c * d**2 / pa.a1**2 * theta * (1.0 - theta) + 2.0 * (pb.b2 / pa.a2**2 - c) * d / pa.a1 * (1.0 - theta)
-    return c, lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB, 2) - c, osc  # l(theta): B nested in A
+    return c, lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB) - c, osc  # l(theta): B nested in A
 
 
 def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
@@ -418,98 +418,26 @@ def fibre_mix(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: 
     return float(beta1), float(beta2), b_low, b_high
 
 
-def _y_theta(pa: PhaseA, pb: PhaseB, theta: float, m: np.ndarray) -> np.ndarray:
-    """Oscillation correction matrix for the gradient-side lower bound."""
-    d = pa.a2 - pa.a1
-    coeff = (
-        pb.b1 * d**2 / pa.a1**2 * theta * (1.0 - theta)
-        + (pb.b2 - pb.b1) ** 2 / pb.b1 * pb.thetaB * (1.0 - pb.thetaB)
-        - 2.0 * (pb.b2 - pb.b1) * d / pa.a1 * theta * (1.0 - pb.thetaB)
-    )
-    return coeff * m - (pb.b2 - pb.b1) ** 2 / pb.b1 * pb.thetaB * (1.0 - pb.thetaB) * m
+def energy_density_bounds(astar: SymTensor, pa: PhaseA, b: float, vector, side: str, tol: float = DEFAULT_TOL) -> tuple:
+    """Pointwise bounds on the limiting energy density of a constant density b at a field v.
 
-
-def _y_prime_theta(pa: PhaseA, pb: PhaseB, theta: float, m: np.ndarray) -> np.ndarray:
-    """Oscillation correction matrix for the flux-side lower bound.
-
-    Scalar weights are the weak* limits for the nested choice (B-set inside
-    the A-set), evaluated exactly from the cell fractions.
-    """
-    c = flux_floor(pa, pb)
-    ell = lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB, 2)
-    g1, g2, g3 = pb.b1 / pa.a1**2, pb.b2 / pa.a1**2, pb.b2 / pa.a2**2
-    w1, w2, w3 = pb.thetaB, theta - pb.thetaB, 1.0 - theta
-    second_moment = g1**2 * w1 + g2**2 * w2 + g3**2 * w3
-    l_pp = second_moment - ell**2
-    cov = (g1 * w1 + g2 * w2) - theta * ell  # E[f (chi_A - theta)]
-    slope = pa.a2 * (1.0 / pa.a1 - 1.0 / pa.a2)
-    l_p = l_pp / c**2 - 2.0 * slope / c * cov + slope**2 * theta * (1.0 - theta)
-    eye = np.eye(m.shape[0])
-    return c * l_p * (eye - m) - l_pp / c * (eye - m)
-
-
-def energy_density_bounds(
-    astar: SymTensor,
-    pa: PhaseA,
-    pb_or_b,
-    vector,
-    side: str,
-    m_matrix=None,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
-    """Pointwise bounds on the limiting energy density at a given field.
-
-    Constant density b (pb_or_b a scalar): side "lower" or "upper" evaluates
+    Side "lower" or "upper" evaluates
         lower:  (b/a2) {A* + (a2 I - Abar)^-1 (a2 I - A*)^2} v.v
         upper:  (b/a1) {A* + (Abar - a1 I)^-1 (A* - a1 I)^2} v.v
-    Two-phase density (pb_or_b a PhaseB): side "gradient_lower" bounds
-    B# grad u . grad u from below at v = grad u; side "flux_lower" bounds
-    A*^-1 B# A*^-1 sigma . sigma from below at v = sigma.  The oscillation
-    matrices default to the isotropic (1/N) I and may be overridden with a
-    unit-trace matrix (e.g. a laminate's direction second moment).
-
-    Returns (value, quadratic form matrix).
+    Core-a1 laminates meet the lower side.  Returns (value, quadratic form matrix).
     """
     report = g_membership(astar, pa, tol)
     if report.verdict == "outside":
         raise OutsideGSet("tensor is outside its phase set")
-    n = astar.dim
+    if side not in ("lower", "upper"):
+        raise ValueError("the sides are 'lower' and 'upper'")
     v = np.asarray(vector, dtype=float)
-    eye = np.eye(n)
     _, arith = means(pa)
     a = astar.mat
-
-    if np.isscalar(pb_or_b):
-        if side not in ("lower", "upper"):
-            raise ValueError("constant-density sides are 'lower' and 'upper'")
-        base, frac, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
-        form = a  # the homogeneous base medium at frac <= 1e-12, where the correction vanishes
-        if frac > 1e-12:
-            shift = a - base * eye
-            form = a + shift @ shift / (sign * (arith - base))
-        form = (float(pb_or_b) / base) * form
-        return float(v @ form @ v), form
-
-    pb = pb_or_b
-    m = np.eye(n) / n if m_matrix is None else np.asarray(m_matrix, dtype=float)
-    if side == "gradient_lower":
-        theta = theta_from_lower_boundary(astar, pa, tol)
-        _, arith_t = phase_means(pa.a1, pa.a2, theta)
-        y = _y_theta(pa, pb, theta, m)
-        shift = a - pa.a1 * eye
-        b_mean = pb.mean
-        form = (
-            pb.b1 * eye
-            + 2.0 * (b_mean - pb.b1) / (arith_t - pa.a1) * shift
-            + (y - (b_mean - pb.b1) * eye) @ shift @ shift / (arith_t - pa.a1) ** 2
-        )
-    elif side == "flux_lower":
-        theta = theta_from_upper_boundary(astar, pa, tol)
-        c, level, _ = l2_terms(pa, pb, theta)
-        es = eig(astar)
-        ratio = es.frame @ np.diag(flux_ratio(np.array(es.values), pa, theta)) @ es.frame.T
-        y = _y_prime_theta(pa, pb, theta, m)
-        form = c * eye + 2.0 * level * ratio + (y - level * eye) @ ratio @ ratio
-    else:
-        raise ValueError("two-phase sides are 'gradient_lower' and 'flux_lower'")
+    base, frac, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
+    form = a  # the homogeneous base medium at frac <= 1e-12, where the correction vanishes
+    if frac > 1e-12:
+        shift = a - base * np.eye(astar.dim)
+        form = a + shift @ shift / (sign * (arith - base))
+    form = (float(b) / base) * form
     return float(v @ form @ v), form

@@ -81,7 +81,7 @@ def odp_relaxed_value_1d(theta: DesignField1D, pa: PhaseA, source: Source1D) -> 
     """
     t = np.array(theta.values)
     harm, _ = phase_means(pa.a1, pa.a2, t)
-    i_sharp = relative_limit_1d(pa, PhaseB(1.0, 1.0, 0.0), t, 0.0, 0.0, 2)
+    i_sharp = relative_limit_1d(pa, PhaseB(1.0, 1.0, 0.0), t, 0.0, 0.0)
     return solve_segments(np.linspace(0.0, 1.0, len(t) + 1), harm, i_sharp, source).energyB
 
 
@@ -95,7 +95,7 @@ def classical_pattern_value(
     approaches the pattern's homogenization limit.
     """
     n = len(maskA)
-    cells = tuple((1.0 / n, bool(a), bool(b)) for a, b in zip(maskA, maskB))
+    cells = [(1.0 / n, bool(a), bool(b)) for a, b in zip(maskA, maskB)]
     state = solve_state_exact(Profile1D(cells, periods), pa, pb, source)
     return state.energyB
 
@@ -175,7 +175,7 @@ def oodp_relaxed_value_1d(
     if len(ta) != len(tb):
         raise ValueError("fields must share the grid")
     harm, _ = phase_means(pa.a1, pa.a2, ta)
-    lsh = relative_limit_1d(pa, pb, ta, tb, np.minimum(ta, tb), 2)
+    lsh = relative_limit_1d(pa, pb, ta, tb, np.minimum(ta, tb))
     # from lists, as in DesignField1D
     labels = tuple(["A_subset_B" if flag else "B_subset_A" for flag in ta <= tb])
     state = solve_segments(np.linspace(0.0, 1.0, len(ta) + 1), harm, lsh, source)

@@ -135,6 +135,8 @@ def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFA
         raise ValueError(f"max_dim must be in [2, {MAX_DIM}], got {max_dim}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     rng = make_rng(seed)
     rows = []
     for i in range(count):

@@ -334,6 +334,12 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["oodp", "brute", "--a", "1,2", "--b", "1,3,0.2", "--cells", "4", "--kA", "2", "--kB", "2"], None, None),
         (["odp", "brute", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "a": [1, 2, 0.9], "f": "const:1"}),
         (["oodp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, 3, 0.2], "f": "const:1"}),
+        (["laminate", "--a", "1,2,0.5"], None, None),
+        (["pair", "sweep", "--seed", "-1", "--count", "3"], None, None),
+        (["pair", "sweep", "--seed", "18446744073709551616", "--count", "3"], None, None),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": 1.0, "inA": "no", "inB": True}], "periods": 1}),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": True, "inA": True, "inB": True}], "periods": 1}),
+        (["oned", "converge", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": 1.0, "inA": True, "inB": True}], "periods": 1.5}),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):

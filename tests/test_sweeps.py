@@ -48,10 +48,18 @@ class TestSweep:
             assert report.verdict in ("feasible", "boundary")
 
 
-@pytest.mark.parametrize("count, max_dim", [(3, MAX_DIM + 1), (-5, 3)])
-def test_sweep_rejects_arguments_out_of_range(count, max_dim):
+@pytest.mark.parametrize(
+    "count, max_dim, seed",
+    [
+        pytest.param(3, MAX_DIM + 1, 0, id=f"3-{MAX_DIM + 1}"),
+        pytest.param(-5, 3, 0, id="-5-3"),
+        pytest.param(3, 3, -1, id="seed-1"),
+        pytest.param(3, 3, 2**64, id="seed2**64"),
+    ],
+)
+def test_sweep_rejects_arguments_out_of_range(count, max_dim, seed):
     with pytest.raises(ValueError):
-        feasibility_sweep(0, count, max_dim)
+        feasibility_sweep(seed, count, max_dim)
 
 
 def test_sweep_argument_limits_accepted():
