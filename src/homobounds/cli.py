@@ -204,6 +204,7 @@ def _load_profile(args) -> homog1d.Profile1D:
 
 def cmd_oned(args) -> int:
     pa, pb = _phase(args, "a"), _phase(args, "b")
+    source, periods = _source(args.f), [int(x) for x in args.periods.split(",")]
     if args.action == "bounds":
         l1, l2, u1, u2, lsel, usel = homog1d.bounds_1d(pa, pb)
         _emit(args, {"l1": l1, "l2": l2, "u1": u1, "u2": u2, "l": lsel, "u": usel})
@@ -219,9 +220,7 @@ def cmd_oned(args) -> int:
         names = ("thetaA", "thetaB", "thetaAB", "a_harm", "b_mean", "lim_b_a2", "lim_b_a")
         _emit(args, dict(zip(names, homog1d.weakstar_limits(profile, pa, pb))))
         return 0
-    profile = _load_profile(args)
-    periods = [int(x) for x in args.periods.split(",")]
-    rows = homog1d.convergence_study(profile, pa, pb, _source(args.f), periods)
+    rows = homog1d.convergence_study(_load_profile(args), pa, pb, source, periods)
     _emit_csv(args, ["periods", "epsilon", "energy", "abs_error", "rel_error"], rows)
     return _exit_code(args, rows[-1][4] > 0.02)
 

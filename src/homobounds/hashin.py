@@ -161,6 +161,8 @@ def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature
     """
     if n not in (2, 3):
         raise UnsupportedGeometry("radial oracle supports N = 2 or 3")
+    if quadrature_points < 1:
+        raise ValueError(f"the radial oracle needs at least 1 quadrature point, got {quadrature_points}")
     theta = pa.thetaA
     if cfg.coreA == "a1":
         core_val, coat_val, core_vol = pa.a1, pa.a2, theta

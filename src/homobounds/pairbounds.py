@@ -288,9 +288,23 @@ def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: f
     return lhs, float(rhs_printed), float(rhs_step)
 
 
-def _infeasible(region: str, chain: tuple) -> PairBoundReport:
-    """Report for a pair rejected before its trace bounds are evaluated."""
-    return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
+def _one_form(sides: tuple) -> tuple:
+    """(lhs, printed rhs, rhs) of a bound whose printed form is the one evaluated."""
+    return sides[0], sides[1], sides[1]
+
+
+# One record per trace bound: (report side, whether feasible pairs have
+# lhs >= rhs rather than lhs <= rhs, evaluation returning (lhs, printed rhs,
+# rhs) as bound_U2 does).  The evaluations look each bound_* up by name when
+# they run, so a wrapper installed over the module attribute sees every call.
+_BOUNDS = {
+    "L1": ("li", True, lambda a, b, pa, pb, tol: _one_form(bound_L1(a, b, pa, pb))),
+    "L2": ("li", True, lambda a, b, pa, pb, tol: _one_form(bound_L2(a, b, pa, pb, tol))),
+    "U1": ("uj", True, lambda a, b, pa, pb, tol: _one_form(bound_U1(a, b, pa, pb))),
+    "U2": ("uj", True, lambda a, b, pa, pb, tol: bound_U2(a, b, pa, pb, tol)),
+    "L_const_b": ("li", False, lambda a, b, pa, pb, tol: _one_form(bound_L_const_b(a, b, pa, pb.b1))),
+    "U_const_b": ("uj", False, lambda a, b, pa, pb, tol: _one_form(bound_U_const_b(a, b, pa, pb.b1))),
+}
 
 
 def pair_membership(
@@ -314,53 +328,32 @@ def pair_membership(
         zero = 0.0 if ok else -np.inf
         return PairBoundReport(region, chain, 0.0, 0.0, zero, 0.0, 0.0, zero, zero, verdict)
 
-    if g_membership(astar, pa, tol).verdict == "outside":
-        return _infeasible(region, chain)
-    try:
-        if pb.b2 - pb.b1 <= 1e-14 * pb.b1:
-            # degenerate B-phase: the two-phase bounds collapse onto the unique
-            # lower-boundary relative limit and would reject the legitimate
-            # upper-boundary constructions; the constant-density trace bounds
-            # are the valid feasibility test here
-            li_lhs, li_rhs = bound_L_const_b(astar, bsharp, pa, pb.b1)
-            uj_lhs, uj_rhs = bound_U_const_b(astar, bsharp, pa, pb.b1)
-            li_slack = li_rhs - li_lhs
-            uj_slack = variant = uj_rhs - uj_lhs
-        else:
-            if region.startswith("L1"):
-                li_lhs, li_rhs = bound_L1(astar, bsharp, pa, pb)
-            else:
-                li_lhs, li_rhs, _ = bound_L2(astar, bsharp, pa, pb, tol)
-            li_slack = li_lhs - li_rhs
-            if region.endswith("U1"):
-                uj_lhs, uj_rhs = bound_U1(astar, bsharp, pa, pb)
-                uj_slack = variant = uj_lhs - uj_rhs
-            else:
-                uj_lhs, printed, uj_rhs = bound_U2(astar, bsharp, pa, pb, tol)
-                uj_slack, variant = uj_lhs - uj_rhs, uj_lhs - printed
-    except SingularFactor:
-        # an indefinite middle factor already certifies chain violation
-        return _infeasible(region, chain)
+    # a degenerate B-phase is judged by the constant-density bounds (DECISIONS #4)
+    const_b = pb.b2 - pb.b1 <= 1e-14 * pb.b1
+    sides = {}
+    if g_membership(astar, pa, tol).verdict != "outside":
+        try:
+            for name in ("L_const_b", "U_const_b") if const_b else (region[:2], region[2:]):
+                side, at_least, evaluate = _BOUNDS[name]
+                lhs, printed, rhs = evaluate(astar, bsharp, pa, pb, tol)
+                # subtract in the bound's sense: negating lhs - rhs would turn 0.0 into -0.0
+                slack, variant = (lhs - rhs, lhs - printed) if at_least else (rhs - lhs, printed - lhs)
+                sides[side] = (lhs, rhs, slack)
+        except SingularFactor:
+            sides = {}  # an indefinite middle factor already certifies chain violation
+    if not sides:
+        return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
 
-    feasible = all(s >= -tol for s in chain) and li_slack >= -tol and uj_slack >= -tol
+    li, uj = sides["li"], sides["uj"]
+    feasible = all(s >= -tol for s in chain) and li[2] >= -tol and uj[2] >= -tol
     if not feasible:
         verdict = "infeasible"
-    elif min(abs(li_slack), abs(uj_slack)) <= tol:
+    elif min(abs(li[2]), abs(uj[2])) <= tol:
         verdict = "boundary"
     else:
         verdict = "feasible"
-    return PairBoundReport(
-        region,
-        chain,
-        float(li_lhs),
-        float(li_rhs),
-        float(li_slack),
-        float(uj_lhs),
-        float(uj_rhs),
-        float(uj_slack),
-        float(variant),
-        verdict,
-    )
+    # the upper bound runs last, so variant is its printed-form slack
+    return PairBoundReport(region, chain, *li, *uj, variant, verdict)
 
 
 def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:

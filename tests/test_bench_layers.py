@@ -8,8 +8,10 @@ benchmark run.  These checks make it fail the test suite instead.
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -45,3 +47,50 @@ def test_bound_arguments_keep_their_names(module, name):
     assert name in LAYERS[module]
     params = inspect.signature(getattr(importlib.import_module(f"homobounds.{module}"), name)).parameters
     assert set(BOUND_ARGUMENTS[module, name]) <= set(params)
+
+
+def _golden_memberships() -> dict:
+    """A feasible or boundary golden `pair check` case per region, and one at constant density."""
+    corpus = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
+    cases = {}
+    for case in corpus:
+        argv = case["argv"]
+        if argv[:2] != ["pair", "check"]:
+            continue
+        report, flag = json.loads(case["stdout"]), dict(zip(argv[2::2], argv[3::2]))
+        if report["verdict"] == "infeasible":
+            continue
+        a, b = (list(map(float, flag[f].split(","))) for f in ("--a", "--b"))
+        key = "const_b" if b[0] == b[1] else report["region"]
+        cases.setdefault(key, (flag["--astar"], flag["--bsharp"], a, b))
+    return cases
+
+
+def test_tracer_sees_both_bounds_of_every_membership(monkeypatch):
+    # the tracer wraps pairbounds.bound_* by attribute, so pair_membership must
+    # look its bounds up when it runs, not hold the functions it found at import
+    from homobounds import pairbounds
+    from homobounds.gclosure import PhaseA
+    from homobounds.symtensor import SymTensor
+
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in LAYERS["pairbounds"]:
+        if name.startswith("bound_"):
+            monkeypatch.setattr(pairbounds, name, counting(name, getattr(pairbounds, name)))
+    expected = {"const_b": ("bound_L_const_b", "bound_U_const_b")}
+    cases = _golden_memberships()
+    assert sorted(cases) == ["L1U1", "L1U2", "L2U1", "L2U2", "const_b"]
+    for key, (astar, bsharp, a, b) in cases.items():
+        calls.clear()
+        tensors = (SymTensor(np.array(json.loads(m))) for m in (astar, bsharp))
+        pairbounds.pair_membership(*tensors, PhaseA(*a), pairbounds.PhaseB(*b))
+        pair = expected.get(key, (f"bound_{key[:2]}", f"bound_{key[2:]}"))
+        assert calls == dict.fromkeys(pair, 1), f"{key}: {calls}"

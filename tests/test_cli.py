@@ -340,6 +340,10 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": 1.0, "inA": "no", "inB": True}], "periods": 1}),
         (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": True, "inA": True, "inB": True}], "periods": 1}),
         (["oned", "converge", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "inst.json"], None, {"cells": [{"len": 1.0, "inA": True, "inB": True}], "periods": 1.5}),
+        (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--oracle", "--points", "-5"], None, None),
+        (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5", "--target", "2.2", "--f", "const:nan"], None, None),
+        (["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5", "--f", "bogus"], None, None),
+        (["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5", "--periods", "abc"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):

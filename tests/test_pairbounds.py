@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +30,7 @@ from homobounds.pairbounds import (
     theta_star_u2,
 )
 from homobounds import symtensor
+from homobounds.cli import main
 from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
@@ -288,6 +292,20 @@ class TestPairMembership:
         assert report.verdict == "boundary"
         report = pair_membership(SymTensor.diag([2.0, 2.0]), SymTensor.diag([2.5, 2.0]), pa, pb)
         assert report.verdict == "infeasible"
+
+    @pytest.mark.parametrize("a, core, field", [((1, 3, 0.25), "a1", "li_slack"), ((1, 4, 0.25), "a2", "uj_slack")])
+    def test_const_b_slack_on_the_bound_is_positive_zero(self, a, core, field, capsys):
+        # the constant-density slacks are rhs - lhs; negating lhs - rhs would
+        # report -0.0 for these coated spheres, which sit exactly on the bound
+        pa, pb = PhaseA(*a), PhaseB(1, 1, 0.5)
+        m, b = hs_m(pa, core, 2), hs_b(pa, 1.0, CoatingConfig(core, "const", "none"), 2)
+        slack = getattr(pair_membership(SymTensor.diag([m, m]), SymTensor.diag([b, b]), pa, pb), field)
+        assert slack == 0.0 and math.copysign(1.0, slack) == 1.0
+        astar, bsharp = json.dumps([[m, 0.0], [0.0, m]]), json.dumps([[b, 0.0], [0.0, b]])
+        argv = ["pair", "check", "--a", ",".join(map(str, a)), "--b", "1,1,0.5", "--astar", astar, "--bsharp", bsharp]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f'"{field}": 0.0' in out and "-0.0" not in out
 
 
 class TestFibre:
