@@ -255,31 +255,30 @@ def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     return lead, level, osc
 
 
-def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
+def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     """Lower bound on the region thetaB < thetaA.
 
     Works in flux variables: lhs = tr (A*^-1 B# A*^-1 - c I) Q with the
     resolvent weight Q = (underline(A)_theta^-1 - a2^-1)^2 (A*^-1 - a2^-1)^-2
-    and theta recovered from the upper boundary.  Returns (lhs, rhs, case).
+    at the upper-boundary fraction theta_from_upper_boundary(astar, pa).  Returns (lhs, rhs, case).
     """
     n = astar.dim
-    theta = theta_from_upper_boundary(astar, pa, tol)
     c, level, osc = l2_terms(pa, pb, theta)
     lam, beta = _eigenframe(astar, bsharp)
     lhs = float(np.dot(beta / lam**2 - c, flux_ratio(lam, pa, theta) ** -2))
     return lhs, float(n * level + (n - 1) * osc), l2_case(pa, pb)
 
 
-def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
+def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     """Upper bound on the region thetaA + thetaB > 1, both right-hand sides.
 
+    theta is the upper-boundary fraction theta_from_upper_boundary(astar, pa).
     Returns (lhs, rhs_printed, rhs_step).  The two sides differ by
     N b2 (a2-a1)(2 theta - 1)/a1^3: the printed statement carries (1-theta)
     where its own derivation step produces theta.  Feasibility is certified
     against the step form; the printed form is reported alongside.
     """
     n = astar.dim
-    theta = theta_from_upper_boundary(astar, pa, tol)
     lead, level, osc = u2_terms(pa, pb, theta)
     lam, beta = _eigenframe(astar, bsharp)
     lhs = float(np.dot(lead / lam - beta / lam**2, flux_ratio(lam, pa, theta) ** -2))
@@ -298,12 +297,12 @@ def _one_form(sides: tuple) -> tuple:
 # rhs) as bound_U2 does).  The evaluations look each bound_* up by name when
 # they run, so a wrapper installed over the module attribute sees every call.
 _BOUNDS = {
-    "L1": ("li", True, lambda a, b, pa, pb, tol: _one_form(bound_L1(a, b, pa, pb))),
-    "L2": ("li", True, lambda a, b, pa, pb, tol: _one_form(bound_L2(a, b, pa, pb, tol))),
-    "U1": ("uj", True, lambda a, b, pa, pb, tol: _one_form(bound_U1(a, b, pa, pb))),
-    "U2": ("uj", True, lambda a, b, pa, pb, tol: bound_U2(a, b, pa, pb, tol)),
-    "L_const_b": ("li", False, lambda a, b, pa, pb, tol: _one_form(bound_L_const_b(a, b, pa, pb.b1))),
-    "U_const_b": ("uj", False, lambda a, b, pa, pb, tol: _one_form(bound_U_const_b(a, b, pa, pb.b1))),
+    "L1": ("li", True, lambda a, b, pa, pb, theta: _one_form(bound_L1(a, b, pa, pb))),
+    "L2": ("li", True, lambda a, b, pa, pb, theta: _one_form(bound_L2(a, b, pa, pb, theta))),
+    "U1": ("uj", True, lambda a, b, pa, pb, theta: _one_form(bound_U1(a, b, pa, pb))),
+    "U2": ("uj", True, lambda a, b, pa, pb, theta: bound_U2(a, b, pa, pb, theta)),
+    "L_const_b": ("li", False, lambda a, b, pa, pb, theta: _one_form(bound_L_const_b(a, b, pa, pb.b1))),
+    "U_const_b": ("uj", False, lambda a, b, pa, pb, theta: _one_form(bound_U_const_b(a, b, pa, pb.b1))),
 }
 
 
@@ -331,17 +330,16 @@ def pair_membership(
     # a degenerate B-phase is judged by the constant-density bounds (DECISIONS #4)
     const_b = pb.b2 - pb.b1 <= 1e-14 * pb.b1
     sides = {}
-    if g_membership(astar, pa, tol).verdict != "outside":
-        try:
-            for name in ("L_const_b", "U_const_b") if const_b else (region[:2], region[2:]):
-                side, at_least, evaluate = _BOUNDS[name]
-                lhs, printed, rhs = evaluate(astar, bsharp, pa, pb, tol)
-                # subtract in the bound's sense: negating lhs - rhs would turn 0.0 into -0.0
-                slack, variant = (lhs - rhs, lhs - printed) if at_least else (rhs - lhs, printed - lhs)
-                sides[side] = (lhs, rhs, slack)
-        except SingularFactor:
-            sides = {}  # an indefinite middle factor already certifies chain violation
-    if not sides:
+    try:
+        # a member's eigenvalues lie 1e-13 inside (a1, a2), so its upper trace clears N a1 a2/(a2-a1): no NoBracket
+        theta = theta_from_upper_boundary(astar, pa, tol)
+        for name in ("L_const_b", "U_const_b") if const_b else (region[:2], region[2:]):
+            side, at_least, evaluate = _BOUNDS[name]
+            lhs, printed, rhs = evaluate(astar, bsharp, pa, pb, theta)
+            # subtract in the bound's sense: negating lhs - rhs would turn 0.0 into -0.0
+            slack, variant = (lhs - rhs, lhs - printed) if at_least else (rhs - lhs, printed - lhs)
+            sides[side] = (lhs, rhs, slack)
+    except (OutsideGSet, SingularFactor):  # off the phase set, or an indefinite middle factor
         return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
 
     li, uj = sides["li"], sides["uj"]

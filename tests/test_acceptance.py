@@ -83,7 +83,7 @@ def test_criterion_03_two_phase_saturation():
     lam_a = SymTensor.diag([4 / 3, 3 / 2])
     l1 = bound_L1(lam_a, SymTensor.diag([14 / 9, 2.0]), PA, PB)
     u1 = bound_U1(lam_a, SymTensor.diag([26 / 9, 2.0]), PA, PB)
-    l2 = bound_L2(lam_a, SymTensor.diag([22 / 9, 5 / 2]), PA, PhaseB(1, 3, 0.25))
+    l2 = bound_L2(lam_a, SymTensor.diag([22 / 9, 5 / 2]), PA, PhaseB(1, 3, 0.25), theta_from_upper_boundary(lam_a, PA))
     assert l1[0] == pytest.approx(9.0, abs=1e-10) and l1[1] == pytest.approx(9.0, abs=1e-10)
     assert u1[0] == pytest.approx(20.0, abs=1e-10) and u1[1] == pytest.approx(20.0, abs=1e-10)
     assert l2[0] == pytest.approx(1.4375, abs=1e-10) and l2[1] == pytest.approx(1.4375, abs=1e-10)
@@ -93,7 +93,8 @@ def test_criterion_03_two_phase_saturation():
 
 def test_criterion_04_u2_dual_forms():
     pa, pb = PhaseA(1, 2, 0.75), PhaseB(1, 3, 0.5)
-    lhs, printed, step = bound_U2(SymTensor.diag([8 / 7, 5 / 4]), SymTensor.diag([116 / 49, 2.0]), pa, pb)
+    astar = SymTensor.diag([8 / 7, 5 / 4])
+    lhs, printed, step = bound_U2(astar, SymTensor.diag([116 / 49, 2.0]), pa, pb, theta_from_upper_boundary(astar, pa))
     values_ok = (
         lhs == pytest.approx(8.9375, abs=1e-10)
         and printed == pytest.approx(2.875, abs=1e-10)
@@ -115,8 +116,8 @@ def test_criterion_04_u2_dual_forms():
                 for lam1, lam2 in boundary_curve_sample(pa, "upper", 3):
                     astar = SymTensor.diag([lam1, lam2])
                     bsh = SymTensor.diag([pb.b1 * 1.05] * 2)
-                    _, rp, rs = bound_U2(astar, bsh, pa, pb)
                     theta = theta_from_upper_boundary(astar, pa)
+                    _, rp, rs = bound_U2(astar, bsh, pa, pb, theta)
                     delta = 2 * pb.b2 * (pa.a2 - pa.a1) * (2 * theta - 1.0) / pa.a1**3
                     worst = max(worst, abs((rs - rp) - delta))
     report(4, "U2 dual forms 8.9375 | 2.875 | 5.875 and grid discrepancy identity", values_ok and worst <= 1e-10, f"max grid dev {worst:.2e}")

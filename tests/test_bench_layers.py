@@ -68,8 +68,9 @@ def _golden_memberships() -> dict:
 
 def test_tracer_sees_both_bounds_of_every_membership(monkeypatch):
     # the tracer wraps pairbounds.bound_* by attribute, so pair_membership must
-    # look its bounds up when it runs, not hold the functions it found at import
-    from homobounds import pairbounds
+    # look its bounds up when it runs, not hold the functions it found at import;
+    # it checks the phase set and recovers theta once, however many bounds read it
+    from homobounds import gclosure, pairbounds
     from homobounds.gclosure import PhaseA
     from homobounds.symtensor import SymTensor
 
@@ -82,9 +83,10 @@ def test_tracer_sees_both_bounds_of_every_membership(monkeypatch):
 
         return wrapper
 
-    for name in LAYERS["pairbounds"]:
-        if name.startswith("bound_"):
-            monkeypatch.setattr(pairbounds, name, counting(name, getattr(pairbounds, name)))
+    once = ("g_membership", "theta_from_upper_boundary")
+    bounds = [(pairbounds, name) for name in LAYERS["pairbounds"] if name.startswith("bound_")]
+    for module, name in bounds + [(m, name) for m in (gclosure, pairbounds) for name in once]:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     expected = {"const_b": ("bound_L_const_b", "bound_U_const_b")}
     cases = _golden_memberships()
     assert sorted(cases) == ["L1U1", "L1U2", "L2U1", "L2U2", "const_b"]
@@ -93,4 +95,4 @@ def test_tracer_sees_both_bounds_of_every_membership(monkeypatch):
         tensors = (SymTensor(np.array(json.loads(m))) for m in (astar, bsharp))
         pairbounds.pair_membership(*tensors, PhaseA(*a), pairbounds.PhaseB(*b))
         pair = expected.get(key, (f"bound_{key[:2]}", f"bound_{key[2:]}"))
-        assert calls == dict.fromkeys(pair, 1), f"{key}: {calls}"
+        assert calls == dict.fromkeys(pair + once, 1), f"{key}: {calls}"

@@ -216,16 +216,24 @@ class TestHashin:
         assert json.loads(out)["bsharp"] > 1.0
 
 
+NESTED_SPEC = json.dumps({"directions": [[1.0, 0.0]], "weights": [1.0], "core": "a2", "relation": "A_subset_B"})
+
+
+def check_nested_laminate(capsys, *spec_argv):
+    code, out = run(capsys, "laminate", *spec_argv, "--a", "1,2,0.5", "--b", "1,3,0.5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["bsharp"][0][0] == pytest.approx(14 / 9)
+    assert data["chain_ok"] is True
+
+
 class TestLaminate:
     def test_build_from_inline_spec(self, capsys):
-        spec = json.dumps(
-            {"directions": [[1.0, 0.0]], "weights": [1.0], "core": "a2", "relation": "A_subset_B"}
-        )
-        code, out = run(capsys, "laminate", "--spec", spec, "--a", "1,2,0.5", "--b", "1,3,0.5")
-        assert code == 0
-        data = json.loads(out)
-        assert data["bsharp"][0][0] == pytest.approx(14 / 9)
-        assert data["chain_ok"] is True
+        check_nested_laminate(capsys, "--spec", NESTED_SPEC)
+
+    def test_build_from_spec_file(self, capsys, tmp_path):
+        (tmp_path / "spec.json").write_text(NESTED_SPEC)
+        check_nested_laminate(capsys, "--spec-file", str(tmp_path / "spec.json"))
 
     def test_chain_violation_reported(self, capsys):
         spec = json.dumps(
@@ -259,6 +267,13 @@ class TestPhase:
         assert first[0] == pytest.approx(4 / 3)
         assert first[2] == pytest.approx(14 / 9)
         assert first[5] == pytest.approx(26 / 9)
+
+    def test_homogeneous_a2_medium(self, capsys):
+        code, out = run(capsys, "phase", "--a", "1,2,0", "--b", "1,3,0.5", "--n", "3")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all([float(x) for x in row.split(",")] == [2.0] * 6 for row in rows)
 
 
 class TestEnv:

@@ -79,6 +79,19 @@ class TestMembership:
         assert report.verdict == "outside"
         assert report.lower_trace_slack == pytest.approx(5.0 - 6.0)
 
+    def test_interior_inside(self, pa_half):
+        report = g_membership(SymTensor.diag([1.4, 1.45]), pa_half)
+        assert report.verdict == "inside"
+        assert report.lower_trace_slack == pytest.approx(0.27778, abs=1e-5)
+        assert report.upper_trace_slack == pytest.approx(0.015152, abs=1e-6)
+
+    def test_pinned_eigenvalue_outside(self):
+        # eigenvalues at a1 blow up the trace sums, so the window alone cannot admit the tensor
+        report = g_membership(SymTensor.diag([1.0, 1.0]), PhaseA(1, 2, 1 - 1e-10))
+        assert report.verdict == "outside"
+        assert report.lower_trace_slack == report.upper_trace_slack == -np.inf
+        assert all(lo >= -1e-9 and hi >= -1e-9 for lo, hi in report.eigenvalue_window_slacks)
+
     def test_degenerate_theta(self):
         report = g_membership(SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.0))
         assert report.verdict == "corner"

@@ -4,7 +4,7 @@ one-dimensional embedding family across their intended regions."""
 import numpy as np
 import pytest
 
-from homobounds.gclosure import OutsideGSet, PhaseA, theta_from_lower_boundary
+from homobounds.gclosure import OutsideGSet, PhaseA, theta_from_lower_boundary, theta_from_upper_boundary
 from homobounds.homog1d import bsharp_1d, overlap_window
 from homobounds.laminates import simple_laminate_pair
 from homobounds.pairbounds import (
@@ -37,7 +37,7 @@ def test_l2_randomized_embedding_sweep():
         if pb.thetaB >= pa.thetaA:
             continue
         astar, bsharp = embedded_pair(pa, pb, theta_ab)
-        lhs, rhs, _ = bound_L2(astar, bsharp, pa, pb)
+        lhs, rhs, _ = bound_L2(astar, bsharp, pa, pb, theta_from_upper_boundary(astar, pa))
         assert lhs - rhs >= -1e-10 * max(1.0, abs(rhs))
         count += 1
 
@@ -50,7 +50,7 @@ def test_u2_step_randomized_embedding_sweep():
         if pa.thetaA + pb.thetaB <= 1.0:
             continue
         astar, bsharp = embedded_pair(pa, pb, theta_ab)
-        lhs, _, step = bound_U2(astar, bsharp, pa, pb)
+        lhs, _, step = bound_U2(astar, bsharp, pa, pb, theta_from_upper_boundary(astar, pa))
         assert lhs - step >= -1e-9 * max(1.0, abs(step))
         count += 1
 

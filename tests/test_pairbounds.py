@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homobounds.gclosure import PhaseA, boundary_curve_sample
+from homobounds.gclosure import PhaseA, boundary_curve_sample, g_membership, theta_from_upper_boundary
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.homog1d import Profile1D, overlap_window, weakstar_limits
 from homobounds.laminates import LaminateSpec, seq_A, seq_B_const, simple_laminate_pair
@@ -146,21 +146,23 @@ class TestTwoPhaseBounds:
 
     def test_l2_case_a_equality(self, pa_half):
         pb = PhaseB(1, 3, 0.25)
-        lhs, rhs, case = bound_L2(LAM_A, SymTensor.diag([22 / 9, 5 / 2]), pa_half, pb)
+        theta = theta_from_upper_boundary(LAM_A, pa_half)
+        lhs, rhs, case = bound_L2(LAM_A, SymTensor.diag([22 / 9, 5 / 2]), pa_half, pb, theta)
         assert case == "a"
         assert lhs == pytest.approx(1.4375, abs=1e-10)
         assert rhs == pytest.approx(1.4375, abs=1e-10)
 
     def test_l2_case_selector(self):
         # case a iff b2/a2^2 <= b1/a1^2
-        assert bound_L2(LAM_A, SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.5), PhaseB(1, 3, 0.25))[2] == "a"
-        assert bound_L2(LAM_A, SymTensor.diag([4.0, 4.0]), PhaseA(1, 2, 0.5), PhaseB(0.5, 3, 0.25))[2] == "b"
+        theta = theta_from_upper_boundary(LAM_A, PhaseA(1, 2, 0.5))
+        assert bound_L2(LAM_A, SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.5), PhaseB(1, 3, 0.25), theta)[2] == "a"
+        assert bound_L2(LAM_A, SymTensor.diag([4.0, 4.0]), PhaseA(1, 2, 0.5), PhaseB(0.5, 3, 0.25), theta)[2] == "b"
 
     def test_u2_dual_forms(self):
         pa, pb = PhaseA(1, 2, 0.75), PhaseB(1, 3, 0.5)
         astar = SymTensor.diag([8 / 7, 5 / 4])
         bsharp = SymTensor.diag([116 / 49, 2.0])
-        lhs, printed, step = bound_U2(astar, bsharp, pa, pb)
+        lhs, printed, step = bound_U2(astar, bsharp, pa, pb, theta_from_upper_boundary(astar, pa))
         assert lhs == pytest.approx(8.9375, abs=1e-10)
         assert printed == pytest.approx(2.875, abs=1e-10)
         assert step == pytest.approx(5.875, abs=1e-10)
@@ -168,8 +170,6 @@ class TestTwoPhaseBounds:
 
     def test_u2_discrepancy_formula_on_grid(self):
         # the two right-hand sides differ by N b2 (a2-a1)(2 theta - 1)/a1^3
-        from homobounds.gclosure import theta_from_upper_boundary
-
         for ta in (0.55, 0.7, 0.85):
             for tb in (0.5, 0.75, 0.9):
                 for lam_shift in (0.0, 0.3, 0.8):
@@ -178,8 +178,8 @@ class TestTwoPhaseBounds:
                     lam1, lam2 = pts[int(lam_shift * 4)]
                     astar = SymTensor.diag([lam1, lam2])
                     bsharp = SymTensor(pb.b1 * 1.01 * np.eye(2))
-                    lhs, printed, step = bound_U2(astar, bsharp, pa, pb)
                     theta = theta_from_upper_boundary(astar, pa)
+                    lhs, printed, step = bound_U2(astar, bsharp, pa, pb, theta)
                     delta = 2 * pb.b2 * (pa.a2 - pa.a1) * (2 * theta - 1.0) / pa.a1**3
                     assert step - printed == pytest.approx(delta, abs=1e-10)
 
@@ -292,6 +292,21 @@ class TestPairMembership:
         assert report.verdict == "boundary"
         report = pair_membership(SymTensor.diag([2.0, 2.0]), SymTensor.diag([2.5, 2.0]), pa, pb)
         assert report.verdict == "infeasible"
+
+    def test_indefinite_middle_factor_infeasible(self, capsys):
+        # A* is inside its phase set, but the constant-density middle factor 2 B# - A* is indefinite
+        pa, pb = PhaseA(1, 2, 0.5), PhaseB(1, 1, 0.5)
+        astar, bsharp = SymTensor.diag([1.4, 1.45]), SymTensor.diag([0.1, 5])
+        assert g_membership(astar, pa).verdict == "inside"
+        report = pair_membership(astar, bsharp, pa, pb)
+        assert math.isnan(report.li_lhs) and math.isnan(report.uj_lhs)
+        assert report.li_slack == report.uj_slack == -math.inf
+        assert report.verdict == "infeasible"
+        argv = ["pair", "check", "--a", "1,2,0.5", "--b", "1,1,0.5"]
+        argv += ["--astar", "[[1.4,0],[0,1.45]]", "--bsharp", "[[0.1,0],[0,5]]"]
+        assert main(argv) == 0
+        assert main(argv + ["--assert"]) == 1
+        capsys.readouterr()
 
     @pytest.mark.parametrize("a, core, field", [((1, 3, 0.25), "a1", "li_slack"), ((1, 4, 0.25), "a2", "uj_slack")])
     def test_const_b_slack_on_the_bound_is_positive_zero(self, a, core, field, capsys):
