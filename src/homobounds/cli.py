@@ -91,11 +91,13 @@ _PHASES = {"a": (gclosure.PhaseA, "theta", "a1,a2,theta"), "b": (pairbounds.Phas
 
 
 def _phase(args, flag: str):
-    """PhaseA from --a (and --theta) or PhaseB from --b (and --thetaB)."""
+    """PhaseA from --a (and --theta) or PhaseB from --b (and --thetaB); the fraction is given once."""
     cls, theta_flag, form = _PHASES[flag]
     parts = _floats(getattr(args, flag), flag)
     theta = getattr(args, theta_flag)
-    if len(parts) == 3 and theta is None:
+    if len(parts) == 3:
+        if theta is not None:
+            raise ValueError(f"give the fraction once: --{theta_flag} or the third component of --{flag}")
         theta = parts[2]
     if theta is None:
         raise ValueError(f"provide --{theta_flag} or a three-component --{flag} {form}")

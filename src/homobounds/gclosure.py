@@ -99,17 +99,6 @@ def upper_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     return sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in eig(astar).values)
 
 
-def _trace_bound_slacks(astar: SymTensor, p: PhaseA):
-    harm, arith = means(p)
-    lams = eig(astar).values
-    n = len(lams)
-    lower_lhs = lower_trace_sum(astar, p)
-    lower_rhs = 1.0 / (harm - p.a1) + (n - 1) / (arith - p.a1)
-    upper_lhs = sum(1.0 / (p.a2 - lam) for lam in lams)
-    upper_rhs = 1.0 / (p.a2 - harm) + (n - 1) / (p.a2 - arith)
-    return lower_rhs - lower_lhs, upper_rhs - upper_lhs
-
-
 def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMembershipReport:
     """Evaluate the three membership conditions and classify the tensor."""
     lams = eig(astar).values
@@ -133,7 +122,9 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
         verdict = "outside"
         return GMembershipReport(window, -np.inf, -np.inf, verdict)
 
-    low_slack, up_slack = _trace_bound_slacks(astar, p)
+    n = len(lams)
+    low_slack = 1.0 / (harm - p.a1) + (n - 1) / (arith - p.a1) - lower_trace_sum(astar, p)
+    up_slack = 1.0 / (p.a2 - harm) + (n - 1) / (p.a2 - arith) - sum(1.0 / (p.a2 - lam) for lam in lams)
     if not window_ok or low_slack < -tol or up_slack < -tol:
         verdict = "outside"
     elif abs(low_slack) <= tol and abs(up_slack) <= tol:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gclosure import PhaseA, core_side
-from .pairbounds import PhaseB, admits
+from .pairbounds import admits
 
 # inclusion relation of the two phase sets that each assignment realizes
 INCLUSION_RELATION = {
@@ -51,14 +51,6 @@ class CoatingConfig:
     def relation(self):
         """Inclusion relation of the two phase sets, None without one."""
         return INCLUSION_RELATION.get(self.inclusion)
-
-
-def _check_volumes(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB):
-    # coated spheres realize each inclusion on both sides of its interface
-    if cfg.relation and not admits(cfg.relation, pa, pb, True):
-        raise IncompatibleVolumes(
-            f"inclusion {cfg.inclusion} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
-        )
 
 
 def _hs_terms(pa: PhaseA, core: str, n: int) -> tuple:
@@ -99,20 +91,12 @@ def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
         b_out swell - (b_out - b_in) (N a_coat)^2 v / denom^2,
     with the coating conductivity a_coat and the Hashin-Shtrikman
     denominator from the core (_hs_terms), and the radial density
-    (b_in, b_out, interface radius^N v) from _b_interface_radius, or
-    (b, b, 0) for a constant density.
+    (b_in, b_out, interface radius^N v) from _radial_density; a constant
+    density has b_out - b_in = 0, so v drops out.
     """
     a_coat, _, denom = _hs_terms(pa, cfg.coreA, n)
     swell = 1.0 + n * pa.thetaA * (1.0 - pa.thetaA) * (pa.a2 - pa.a1) ** 2 / denom**2
-
-    if np.isscalar(pb_or_b):
-        if cfg.coreB != "const":
-            raise UnsupportedGeometry("scalar density requires coreB='const'")
-        b_in = b_out = float(pb_or_b)
-        v = 0.0
-    else:
-        _check_volumes(cfg, pa, pb_or_b)
-        b_in, b_out, v = _b_interface_radius(cfg, pa, pb_or_b, n)
+    b_in, b_out, v = _radial_density(cfg, pa, pb_or_b)
     return float(b_out * swell - (b_out - b_in) * (n * a_coat) ** 2 * v / denom**2)
 
 
@@ -141,8 +125,21 @@ def radial_profile_coefficients(core_val: float, coat_val: float, core_volume: f
 _RADIAL_CORES = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2", "b1"), "Ac_in_B": ("a1", "b2")}
 
 
-def _b_interface_radius(cfg: CoatingConfig, pa: PhaseA, pb: PhaseB, n: int) -> tuple:
-    """Radial B-profile (inner value, outer value, interface radius^N)."""
+def _radial_density(cfg: CoatingConfig, pa: PhaseA, pb) -> tuple:
+    """Radial B-profile (inner value, outer value, interface radius^N) of one coated sphere.
+
+    pb is a PhaseB or a constant density b, which gives (b, b, 0.5): its
+    interface may sit anywhere.
+    """
+    if np.isscalar(pb):
+        if cfg.coreB != "const":
+            raise UnsupportedGeometry("scalar density requires coreB='const'")
+        return float(pb), float(pb), 0.5
+    # coated spheres realize each inclusion on both sides of its interface
+    if cfg.relation and not admits(cfg.relation, pa, pb, True):
+        raise IncompatibleVolumes(
+            f"inclusion {cfg.inclusion} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
+        )
     if _RADIAL_CORES.get(cfg.inclusion) != (cfg.coreA, cfg.coreB):
         key = (cfg.coreA, cfg.coreB, cfg.inclusion)
         raise UnsupportedGeometry(f"configuration {key} is not radially representable")
@@ -163,30 +160,15 @@ def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature
         raise UnsupportedGeometry("radial oracle supports N = 2 or 3")
     if quadrature_points < 1:
         raise ValueError(f"the radial oracle needs at least 1 quadrature point, got {quadrature_points}")
-    theta = pa.thetaA
-    if cfg.coreA == "a1":
-        core_val, coat_val, core_vol = pa.a1, pa.a2, theta
-    else:
-        core_val, coat_val, core_vol = pa.a2, pa.a1, 1.0 - theta
-    if core_vol <= 0.0 or core_vol >= 1.0:
-        # degenerate coating: homogeneous ball, f is identically 1
-        core_vol = None
-
-    if np.isscalar(pb_or_b):
-        if cfg.coreB != "const":
-            raise UnsupportedGeometry("scalar density requires coreB='const'")
-        b_inner = b_outer = float(pb_or_b)
-        rb_n = 0.5  # placement irrelevant for a constant density
-    else:
-        _check_volumes(cfg, pa, pb_or_b)
-        b_inner, b_outer, rb_n = _b_interface_radius(cfg, pa, pb_or_b, n)
-
-    if core_vol is None:
-        f_core, f_const, f_decay, r_a = 1.0, 1.0, 0.0, 1.0
-    else:
-        f_core, f_const, f_decay = radial_profile_coefficients(core_val, coat_val, core_vol, n)
+    coat_val, core_vol, _, _ = core_side(pa, cfg.coreA)
+    b_inner, b_outer, rb_n = _radial_density(cfg, pa, pb_or_b)
+    if 0.0 < core_vol < 1.0:
+        f_core, f_const, f_decay = radial_profile_coefficients(getattr(pa, cfg.coreA), coat_val, core_vol, n)
         r_a = core_vol ** (1.0 / n)
-    r_b = min(max(rb_n, 0.0), 1.0) ** (1.0 / n)
+    else:
+        # degenerate coating: homogeneous ball, f is identically 1
+        f_core, f_const, f_decay, r_a = 1.0, 1.0, 0.0, 1.0
+    r_b = rb_n ** (1.0 / n)
 
     def density(r):
         # gradient magnitude factor: N f^2 + 2 f f' r + (f')^2 r^2

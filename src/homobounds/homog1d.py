@@ -10,7 +10,7 @@ homogenization error only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -228,24 +228,23 @@ class State1D:
     z_adjoint: float  # constant adjoint flux a p' - b u'
     energyB: float  # integral of b (u')^2
     fluxB: float  # integral of b u'
-    dirichlet_energy: float = field(default=0.0)  # integral of (u')^2
+    dirichlet_energy: float  # integral of (u')^2
 
     def u(self, x):
-        """Evaluate u at points x (piecewise quadratic, u(0) = u(1) = 0); a float for scalar x."""
+        """Evaluate u at points x (piecewise quadratic, u(0) = u(1) = 0); a float for scalar x.
+
+        Outside [0, 1] the end segments extend, as in u_prime, and NaN gives NaN.
+        """
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(x)
-        # integrate u' = (c - F)/a cumulatively over segments
-        cum = 0.0
-        for i in range(len(self.a)):
-            x0, x1 = self.breakpoints[i], self.breakpoints[i + 1]
-            f0, fv = self.f_at_breaks[i], self.f_values[i]
-            seg = (x >= x0) & (x <= x1) if i == len(self.a) - 1 else (x >= x0) & (x < x1)
-            t = x[seg] - x0
-            # F(x) = f0 + fv t on the segment
-            out[seg] = cum + (self.sigma_const - f0) * t / self.a[i] - fv * t**2 / (2 * self.a[i])
-            h = x1 - x0
-            cum += (self.sigma_const - f0) * h / self.a[i] - fv * h**2 / (2 * self.a[i])
+        c, a, f0, fv = self.sigma_const, self.a, self.f_at_breaks, self.f_values
+        h = np.diff(self.breakpoints)
+        h2 = np.array([w**2 for w in h.tolist()])  # scalar pow: numpy's array square can differ by an ulp
+        # u at each segment's left end: the running sum of the segment increments
+        left = np.concatenate([[0.0], np.cumsum((c - f0) * h / a - fv * h2 / (2 * a))[:-1]])
+        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1, 0, len(a) - 1)
+        t = x - self.breakpoints[idx]
+        out = left[idx] + (c - f0[idx]) * t / a[idx] - fv[idx] * t**2 / (2 * a[idx])
         return float(out[0]) if scalar else out
 
     def u_prime(self, x):

@@ -78,11 +78,10 @@ def odp_relaxed_value_1d(theta: DesignField1D, pa: PhaseA, source: Source1D) -> 
     limit b# of the constant density 1,
         i#(t) = harm(t)^2 (t/a1^2 + (1-t)/a2^2),
     and the state solves with the harmonic-mean coefficient cell by cell.
+    This is the two-set relaxed value at the constant density 1.
     """
-    t = np.array(theta.values)
-    harm, _ = phase_means(pa.a1, pa.a2, t)
-    i_sharp = relative_limit_1d(pa, PhaseB(1.0, 1.0, 0.0), t, 0.0, 0.0)
-    return solve_segments(np.linspace(0.0, 1.0, len(t) + 1), harm, i_sharp, source).energyB
+    empty = DesignField1D.constant(0.0, len(theta.values))
+    return oodp_relaxed_value_1d(theta, empty, pa, PhaseB(1.0, 1.0, 0.0), source).value
 
 
 def classical_pattern_value(

@@ -133,20 +133,15 @@ def positive_spectrum(values) -> np.ndarray:
     return vals
 
 
-def _sym_inverse(s, power: int) -> np.ndarray:
-    """s**power for negative integer power via eigendecomposition."""
-    es = eig(s)
-    vals = positive_spectrum(es.values)
-    return es.frame @ np.diag(vals ** float(power)) @ es.frame.T
-
-
 def matrix_power(s, power: int) -> np.ndarray:
     """Integer matrix power; negative powers demand SPD."""
     m = _as_matrix(s)
     if power == 0:
         return np.eye(m.shape[0])
     if power < 0:
-        return _sym_inverse(s, power)
+        es = eig(s)
+        vals = positive_spectrum(es.values)
+        return es.frame @ np.diag(vals ** float(power)) @ es.frame.T
     return np.linalg.matrix_power(m, power)
 
 

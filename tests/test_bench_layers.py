@@ -96,3 +96,24 @@ def test_tracer_sees_both_bounds_of_every_membership(monkeypatch):
         pairbounds.pair_membership(*tensors, PhaseA(*a), pairbounds.PhaseB(*b))
         pair = expected.get(key, (f"bound_{key[:2]}", f"bound_{key[2:]}"))
         assert calls == dict.fromkeys(pair + once, 1), f"{key}: {calls}"
+
+
+def test_eig_aliases_are_the_kernel():
+    # the tracer replaces each module's eig alias, so every alias must be
+    # the one symtensor kernel, imported by name
+    from homobounds import gclosure, laminates, pairbounds, symtensor
+
+    assert gclosure.eig is pairbounds.eig is laminates.eig is symtensor.eig
+
+
+def test_inverse_power_calls_eig_through_the_module(monkeypatch):
+    # the tracer counts the eig inside a negative matrix power, which it sees
+    # only if matrix_power looks eig up in symtensor when it runs
+    from homobounds import symtensor
+
+    calls = []
+    eig = symtensor.eig
+    monkeypatch.setattr(symtensor, "eig", lambda s: calls.append(s) or eig(s))
+    inverse = symtensor.matrix_power(symtensor.SymTensor.diag([3.0, 1.0]), -1)
+    assert len(calls) == 1
+    assert np.allclose(inverse, np.diag([1.0 / 3.0, 1.0]), rtol=1e-15, atol=0.0)

@@ -359,6 +359,14 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5", "--target", "2.2", "--f", "const:nan"], None, None),
         (["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5", "--f", "bogus"], None, None),
         (["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5", "--periods", "abc"], None, None),
+        (CHECK + ["--theta", "0.3", "--astar", INSIDE], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--thetaB", "0.9", "--astar", INSIDE, "--bsharp", "[[2,0],[0,2]]"], None, None),
+        (["gset", "check", "--a", "1,2", "--astar", INSIDE], None, None),
+        (["pair", "check", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--bsharp", INSIDE], None, None),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
+        (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
+        (["phase", "--a", "1,2,0.5", "--b", "1,3,0.3"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):

@@ -123,6 +123,12 @@ class TestThetaRecovery:
         assert theta_from_lower_boundary(SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.0)) == 0.0
         assert theta_from_upper_boundary(SymTensor.diag([1.0, 1.0]), PhaseA(1, 2, 1.0)) == 1.0
 
+    def test_homogeneous_edges_other_side(self):
+        # the a1 medium is the lower boundary at theta 1; the a2 medium sits on
+        # the upper boundary at its own thetaA = 0
+        assert theta_from_lower_boundary(SymTensor.diag([1.0, 1.0]), PhaseA(1, 2, 1.0)) == 1.0
+        assert theta_from_upper_boundary(SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.0)) == 0.0
+
     def test_upper_isotropic(self):
         theta = theta_from_upper_boundary(SymTensor.diag([1.2, 1.2]), PhaseA(1, 2, 0.75))
         assert theta == pytest.approx(0.75, abs=1e-10)

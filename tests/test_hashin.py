@@ -133,6 +133,23 @@ class TestRadialOracle:
         with pytest.raises(UnsupportedGeometry):
             hs_radial_oracle(pa_half, 1.0, CONST_A1, 4)
 
+    def test_scalar_density_needs_const_core(self, pa_half):
+        cfg = CoatingConfig("a1", "b1", "B_in_A")
+        for fn in (hs_b, hs_radial_oracle):
+            with pytest.raises(UnsupportedGeometry):
+                fn(pa_half, 1.0, cfg, 2)
+
+    def test_incompatible_volumes(self):
+        with pytest.raises(IncompatibleVolumes):
+            hs_radial_oracle(PhaseA(1, 2, 0.3), PhaseB(1, 3, 0.5), CoatingConfig("a1", "b1", "B_in_A"), 2)
+
+    @pytest.mark.parametrize("core, theta", [("a1", 0.0), ("a2", 1.0)])
+    def test_degenerate_coating(self, core, theta):
+        # a core of zero volume leaves a homogeneous ball: f is identically 1
+        pa, cfg = PhaseA(1.0, 2.0, theta), CoatingConfig(core, "const", "none")
+        assert hs_radial_oracle(pa, 1.5, cfg, 2) == 1.5
+        assert abs(hs_radial_oracle(pa, 1.5, cfg, 3) - hs_b(pa, 1.5, cfg, 3)) <= 1e-8
+
 
 class TestSaturationPairings:
     def test_const_b_pairings(self, pa_half):

@@ -218,6 +218,20 @@ class TestExactSolver:
             assert type(state.u_prime(x)) is float and state.u_prime(x) == up
         assert state.u(grid[:1]).shape == state.u_prime(grid[:1]).shape == (1,)
 
+    def test_u_at_breakpoints(self):
+        # pinned values; the source break at 0.4 sits one ulp from a cell edge
+        profile = Profile1D([(0.2, True, False), (0.5, False, True), (0.3, True, True)], 3)
+        source = Source1D((0.0, 0.4, 1.0), (1.0, -0.5))
+        state = solve_state_exact(profile, PhaseA(1.0, 3.0, 0.5), PhaseB(1.0, 2.0, 0.5), source)
+        expected = [
+            0.0, 0.012999999999999994, 0.01735185185185184, 0.011851851851851836,
+            0.0026296296296296155, 0.0026296296296296124, -0.004592592592592612,
+            -0.010925925925925952, -0.012370370370370403, -0.010333333333333368,
+            -4.336808689942018e-17,
+        ]
+        assert len(state.breakpoints) == len(expected)
+        assert state.u(state.breakpoints) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_expand_profile_matches_loop(self):
         # the broadcast breakpoints are bit-identical to one (k + edge)/n per segment
         rng = np.random.default_rng(13)

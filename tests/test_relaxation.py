@@ -94,6 +94,11 @@ class TestOdpRelaxed:
         value = odp_relaxed_value_1d(DesignField1D.constant(0.0), PhaseA(1, 2, 0.0), UNIT_F)
         assert value == pytest.approx((1.0 / 4.0) * (1.0 / 12.0), abs=1e-15)
 
+    def test_non_constant_field(self):
+        # cells at 0 and 1 are pure phases; the value is pinned
+        value = odp_relaxed_value_1d(DesignField1D((0.2, 0.0, 0.7, 1.0)), PhaseA(1, 3, 0.5), UNIT_F)
+        assert value == pytest.approx(0.0395422419460881, rel=1e-15)
+
     def test_relaxation_identity(self):
         # integral of i# (u')^2 equals the flux-form value
         # |(a2-a_)u'|^2/(a2(a2-a1)theta) + (1/a2) int f u  on constant fields
