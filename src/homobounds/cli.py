@@ -11,7 +11,7 @@ default feasibility tolerance.  Exit codes: 0 ok, 1 failed --assert,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import os
 import sys
@@ -58,6 +58,11 @@ def _fmt(x) -> str:
 
 
 def _sanitize(value):
+    """JSON-ready copy: tuples become lists and non-finite floats strings.
+
+    Reports come in as vars(report): dataclasses.asdict would copy them first,
+    rebuilding each tuple from a generator, and such tuples pile up on the free lists.
+    """
     if isinstance(value, float) and not np.isfinite(value):
         return str(value)  # strict JSON has no Infinity/NaN literals
     if isinstance(value, dict):
@@ -121,9 +126,12 @@ def _tensor(text) -> SymTensor:
         m = np.asarray(json.loads(text), dtype=float)
     except TypeError:  # a JSON object where a row or number belongs
         raise ValueError(f"a matrix is a JSON list of rows of numbers, got {text}") from None
-    if not np.isfinite(m).all():
-        raise ValueError(f"matrix entries must be finite, got {text}")
-    return SymTensor(m)
+    # checked after symmetrising: finite entries such as 1e308 overflow in 0.5*(m + m.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tensor = SymTensor(m)
+    if not np.isfinite(tensor.mat).all():
+        raise ValueError(f"matrix entries and their symmetrised values must be finite, got {text}")
+    return tensor
 
 
 def _source(spec) -> homog1d.Source1D:
@@ -136,7 +144,7 @@ def cmd_gset(args) -> int:
     pa = _phase(args, "a")
     if args.action == "check":
         report = gclosure.g_membership(_tensor(args.astar), pa, _tol(args))
-        _emit(args, dataclasses.asdict(report))
+        _emit(args, vars(report))
         return _exit_code(args, report.verdict == "outside")
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
     _emit_csv(args, ["lambda1", "lambda2"], pts)
@@ -154,7 +162,7 @@ def cmd_pair(args) -> int:
         return _exit_code(args, any(r[-1] == "infeasible" for r in rows))
     pa, pb = _phase(args, "a"), _phase(args, "b")
     report = pairbounds.pair_membership(_tensor(args.astar), _tensor(args.bsharp), pa, pb, _tol(args))
-    _emit(args, dataclasses.asdict(report))
+    _emit(args, vars(report))
     return _exit_code(args, report.verdict == "infeasible")
 
 
@@ -234,6 +242,10 @@ def _design(args, two_sets: bool) -> tuple:
             inst = json.load(fh)
         if not isinstance(inst, dict):
             raise ValueError(f"a design instance is a JSON object, got {inst!r}")
+        keys = ("cells", "kA", "kB", "a", "b", "f") if two_sets else ("cells", "kA", "a", "f")
+        missing = [k for k in keys if k not in inst]
+        if missing:
+            raise ValueError(f"missing from the design instance: {', '.join(map(repr, missing))}")
     else:
         inst = {"cells": args.cells, "kA": args.kA, "a": args.a, "f": args.f}
         if two_sets:
@@ -325,7 +337,13 @@ def _subcommand(sub, name: str, func, help_text: str, flags: str, required: tupl
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    parse_args leaves the parser unchanged and returns a fresh Namespace, so
+    repeated `main` calls in one process see no state from earlier ones.
+    """
     ap = argparse.ArgumentParser(prog="homobounds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -128,12 +128,14 @@ _RADIAL_CORES = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2
 def _radial_density(cfg: CoatingConfig, pa: PhaseA, pb) -> tuple:
     """Radial B-profile (inner value, outer value, interface radius^N) of one coated sphere.
 
-    pb is a PhaseB or a constant density b, which gives (b, b, 0.5): its
+    pb is a PhaseB or a constant density b > 0, which gives (b, b, 0.5): its
     interface may sit anywhere.
     """
     if np.isscalar(pb):
         if cfg.coreB != "const":
             raise UnsupportedGeometry("scalar density requires coreB='const'")
+        if not pb > 0:
+            raise ValueError(f"need a density b > 0, got {pb}")
         return float(pb), float(pb), 0.5
     # coated spheres realize each inclusion on both sides of its interface
     if cfg.relation and not admits(cfg.relation, pa, pb, True):
@@ -146,6 +148,9 @@ def _radial_density(cfg: CoatingConfig, pa: PhaseA, pb) -> tuple:
     if cfg.coreB == "b1":
         return pb.b1, pb.b2, pb.thetaB
     return pb.b2, pb.b1, 1.0 - pb.thetaB
+
+
+_ORACLE_BLOCK = 4096  # quadrature points per block of integrand evaluation
 
 
 def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature_points: int = 10_000) -> float:
@@ -183,7 +188,12 @@ def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature
         if hi - lo < 1e-15:
             continue
         pts = max(64, int(round(quadrature_points * (hi - lo))))
-        r = lo + (np.arange(pts) + 0.5) * (hi - lo) / pts
+        # the integrand is evaluated in blocks, so its temporaries stay small, and
+        # summed over the whole piece at once: np.sum's pairwise order sets the last bits
+        values = np.empty(pts)
+        for start in range(0, pts, _ORACLE_BLOCK):
+            k = np.arange(start, min(start + _ORACLE_BLOCK, pts))
+            values[start : start + len(k)] = density(lo + (k + 0.5) * (hi - lo) / pts)
         b_here = b_inner if hi <= r_b + 1e-15 else b_outer
-        total += b_here * np.sum(density(r)) * (hi - lo) / pts
+        total += b_here * np.sum(values) * (hi - lo) / pts
     return float(total)

@@ -66,6 +66,8 @@ class Profile1D:
             periods = data["periods"]
         except TypeError as exc:  # a JSON value of the wrong type somewhere in the document
             raise ValueError(f"malformed profile, see the Profile wire format: {exc}") from exc
+        except KeyError as exc:  # a key missing from the document or from one of its cells
+            raise ValueError(f"malformed profile, see the Profile wire format: missing key {exc.args[0]!r}") from exc
         for length, in_a, in_b in cells:
             if isinstance(length, bool) or not isinstance(length, (int, float)):
                 raise ValueError(f"a profile cell's len is a number, got {length!r}")

@@ -119,6 +119,9 @@ class LaminateSpec:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise InconsistentSpec("a laminate spec is a JSON object")
+        missing = [k for k in ("directions", "weights", "core", "relation") if k not in data]
+        if missing:
+            raise InconsistentSpec(f"missing from the laminate spec: {', '.join(map(repr, missing))}")
         return LaminateSpec(data["directions"], data["weights"], data["core"], data["relation"])
 
 
@@ -184,6 +187,8 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
         B# = b + b (Abar - lambda) sign (lambda - base) / (frac (a2-a1) base),
     which is b wherever M has zero weight.
     """
+    if not b > 0:
+        raise ValueError(f"need a density b > 0, got {b}")
     _, a_diag, frame = _laminate_frame(spec, pa)
     base, frac, _, sign = core_side(pa, spec.core_phase)
     diag = np.full_like(a_diag, b)  # homogeneous base medium at frac <= _UNIT_TOL

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -367,6 +371,12 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["phase", "--a", "1,2,0.5", "--b", "1,3,0.3"], None, None),
+        (CHECK + ["--astar", "[[1e308,0],[0,1e308]]"], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1e308,0],[0,1e308]]"], None, None),
+        (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "-1"], None, None),
+        (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "0"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5", "--const-b", "0"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5", "--const-b", "-1"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -380,6 +390,116 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
     if instance is not None:
         (tmp_path / "inst.json").write_text(json.dumps(instance))
     assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, document, key, doc",
+    [
+        (["laminate", "--spec", '{"directions":[[1,0]],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], "laminate spec", "weights", None),
+        (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5", "--profile", "doc.json"], "profile", "periods", {"cells": [{"len": 1.0, "inA": True, "inB": True}]}),
+        (["odp", "relax", "--instance", "doc.json"], "design instance", "a", {"cells": 4, "kA": 2, "f": "const:1"}),
+        (["oodp", "relax", "--instance", "doc.json"], "design instance", "kB", {"cells": 4, "kA": 2, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
+    ],
+    ids=["laminate-spec", "profile", "odp-instance", "oodp-instance"],
+)
+def test_missing_key_is_named(argv, document, key, doc, tmp_path, monkeypatch, capsys):
+    # a JSON input without a required key names the key and the document
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert document in err and repr(key) in err
+
+
+# infeasible at the default tolerance, boundary at tolerance 10
+LEAK_REQUEST = ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", "[[1.3333333333333333,0],[0,1.5]]", "--bsharp", "[[1.5,0],[0,1.5]]"]
+
+
+def test_no_state_leaks_between_main_calls(capsys, monkeypatch):
+    # each call in one process prints and exits as the same call in a fresh interpreter
+    steps = [
+        (LEAK_REQUEST + ["--tol", "10"], None),
+        (LEAK_REQUEST, None),
+        (LEAK_REQUEST + ["--assert"], None),
+        (LEAK_REQUEST, None),
+        (LEAK_REQUEST, "10"),
+        (LEAK_REQUEST, None),
+        (["pair", "check", "--no-such-flag"], None),
+        (LEAK_REQUEST, None),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HOMOBOUNDS_TOL", None)
+    fresh = {}
+    for argv, tol in steps:  # the distinct invocations, run side by side
+        if (tuple(argv), tol) not in fresh:
+            proc_env = env if tol is None else dict(env, HOMOBOUNDS_TOL=tol)
+            fresh[tuple(argv), tol] = subprocess.Popen(
+                [sys.executable, "-m", "homobounds.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=proc_env
+            )
+    for key, proc in fresh.items():
+        out, err = proc.communicate(timeout=120)
+        fresh[key] = (proc.returncode, out, err)
+
+    verdicts = []
+    for argv, tol in steps:
+        if tol is None:
+            monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
+        else:
+            monkeypatch.setenv("HOMOBOUNDS_TOL", tol)
+        code = exit_code(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == fresh[tuple(argv), tol], (argv, tol)
+        verdicts.append(json.loads(out)["verdict"] if code != 2 else "usage")
+    # the sequence exercises a changed verdict and exit code at every switch
+    assert verdicts == ["boundary", "infeasible", "infeasible", "infeasible", "boundary", "infeasible", "usage", "infeasible"]
+    assert [fresh[tuple(argv), tol][0] for argv, tol in steps] == [0, 0, 1, 0, 0, 0, 2, 0]
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    # main reuses one parser: no ArgumentParser is constructed after the first call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    exit_code(CHECK + ["--astar", INSIDE])
+    after_first = len(built)
+    for argv in [
+        CHECK + ["--astar", INSIDE],
+        LEAK_REQUEST,
+        ["laminate", "--spec", SPEC, "--a", "1,2,0.5", "--b", "1,3,0.5"],
+        ["hashin", "--a", "1,2,0.5", "--coreA", "a1"],
+        ["oned", "bounds", "--a", "1,2,0.5", "--b", "1,3,0.5"],
+        ["odp", "relax", "--a", "1,2", "--cells", "4", "--kA", "2"],
+        ["phase", "--a", "1,2,0.5", "--b", "1,3,0.5", "--n", "3"],
+        ["pair", "check", "--no-such-flag"],
+    ]:
+        assert exit_code(argv) in (0, 2)
+    capsys.readouterr()
+    assert len(built) == after_first
+
+
+def test_report_tuples_do_not_pile_up():
+    # reports reach JSON without dataclasses.asdict, which rebuilt every tuple
+    # from a generator; the resized tuples piled up on the free lists, about
+    # 2.6 blocks per check here
+    argvs = [CHECK + ["--astar", INSIDE], LEAK_REQUEST]
+
+    def blocks_after(n):
+        for i in range(n):
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(argvs[i % 2])
+        gc.collect(1)  # the JSON encoder's reference cycles, leaving the free lists alone
+        return sys.getallocatedblocks()
+
+    gc.collect()  # a full collection also empties the free lists
+    settled = blocks_after(300)
+    growth = (blocks_after(600) - settled) / 600
+    assert growth < 0.5, f"{growth:.2f} blocks per call"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -69,6 +71,14 @@ class TestClosedForms:
         assert hs_b(pa_half, 1.0, CONST_A1, 2) == pytest.approx(51 / 49, abs=1e-14)
         assert hs_b(pa_half, 1.0, CONST_A2, 2) == pytest.approx(27 / 25, abs=1e-14)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+    def test_nonpositive_const_b(self, pa_half, b):
+        # the rule PhaseB applies to b1: a density is positive
+        with pytest.raises(ValueError, match="b > 0"):
+            hs_b(pa_half, b, CONST_A1, 2)
+        with pytest.raises(ValueError, match="b > 0"):
+            hs_radial_oracle(pa_half, b, CONST_A2, 2, 100)
+
     def test_volume_compatibility(self, pa_half):
         with pytest.raises(IncompatibleVolumes):
             hs_b(pa_half, PhaseB(1, 3, 0.75), CoatingConfig("a1", "b1", "B_in_A"), 2)
@@ -117,6 +127,19 @@ class TestRadialOracle:
             for n in (2, 3):
                 closed = hs_b(pa, pb, cfg, n)
                 assert hs_radial_oracle(pa, pb, cfg, n) == pytest.approx(closed, rel=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_working_memory_is_two_quadrature_arrays(self, pa_half, n):
+        # the integrand is evaluated in blocks; whole-piece temporaries took
+        # over 3 MB here, four times the quadrature array
+        points = 100_000
+        tracemalloc.start()
+        try:
+            hs_radial_oracle(pa_half, PhaseB(1, 3, 0.6), CoatingConfig("a2", "b2", "A_in_B"), n, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * points
 
     def test_flat_profile(self):
         # equal phases make f identically 1 and b# = b

@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 
 import mpmath
@@ -60,6 +61,19 @@ class TestSpecValidation:
     def test_wrong_shapes(self, directions, weights):
         with pytest.raises(InconsistentSpec):
             LaminateSpec(directions, weights, "a2", "const_b")
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, float("nan")])
+    def test_nonpositive_const_b(self, pa_half, b):
+        spec = LaminateSpec((E1,), (1.0,), "a2", "const_b")
+        with pytest.raises(ValueError, match="b > 0"):
+            seq_B_const(spec, pa_half, b)
+
+    @pytest.mark.parametrize("key", ["directions", "weights", "core", "relation"])
+    def test_json_missing_key_is_named(self, key):
+        data = {"directions": [E1], "weights": [1.0], "core": "a2", "relation": "const_b"}
+        del data[key]
+        with pytest.raises(InconsistentSpec, match=f"laminate spec: '{key}'"):
+            LaminateSpec.from_json(json.dumps(data))
 
     def test_moment_decomposed_once_per_spec(self, pa_half, pb_half, monkeypatch):
         from homobounds import symtensor
