@@ -114,23 +114,28 @@ def _floats(value, flag: str, counts=(2, 3)) -> list:
     if not value:
         raise ValueError(f"provide --{flag}")
     parts = value.split(",") if isinstance(value, str) else value
-    if not isinstance(parts, list) or len(parts) not in counts:
+    # float() reads a JSON true as 1.0, so a boolean is refused like a list of the wrong length
+    if not isinstance(parts, list) or len(parts) not in counts or any(isinstance(x, bool) for x in parts):
         raise ValueError(f"--{flag} takes {' or '.join(map(str, counts))} numbers, got {value!r}")
     return [finite(x) for x in parts]
 
 
-def _tensor(text) -> SymTensor:
+def _tensor(text, flag: str) -> SymTensor:
     if not text:
-        raise ValueError("provide the matrix as JSON, e.g. --astar '[[1.3,0],[0,1.5]]'")
+        raise ValueError(f"provide --{flag} as JSON, e.g. --{flag} '[[1.3,0],[0,1.5]]'")
+    # float() reads a JSON true as 1.0; a true or false in a matrix's JSON is
+    # a literal or sits in a string, and neither is a number
+    if "true" in text or "false" in text:
+        raise ValueError(f"--{flag} holds numbers, not true or false, got {text}")
     try:
         m = np.asarray(json.loads(text), dtype=float)
     except TypeError:  # a JSON object where a row or number belongs
-        raise ValueError(f"a matrix is a JSON list of rows of numbers, got {text}") from None
+        raise ValueError(f"--{flag} is a JSON list of rows of numbers, got {text}") from None
     # checked after symmetrising: finite entries such as 1e308 overflow in 0.5*(m + m.T)
     with np.errstate(over="ignore", invalid="ignore"):
         tensor = SymTensor(m)
     if not np.isfinite(tensor.mat).all():
-        raise ValueError(f"matrix entries and their symmetrised values must be finite, got {text}")
+        raise ValueError(f"--{flag} entries and their symmetrised values must be finite, got {text}")
     return tensor
 
 
@@ -143,7 +148,7 @@ def _source(spec) -> homog1d.Source1D:
 def cmd_gset(args) -> int:
     pa = _phase(args, "a")
     if args.action == "check":
-        report = gclosure.g_membership(_tensor(args.astar), pa, _tol(args))
+        report = gclosure.g_membership(_tensor(args.astar, "astar"), pa, _tol(args))
         _emit(args, vars(report))
         return _exit_code(args, report.verdict == "outside")
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
@@ -161,7 +166,8 @@ def cmd_pair(args) -> int:
         )
         return _exit_code(args, any(r[-1] == "infeasible" for r in rows))
     pa, pb = _phase(args, "a"), _phase(args, "b")
-    report = pairbounds.pair_membership(_tensor(args.astar), _tensor(args.bsharp), pa, pb, _tol(args))
+    astar, bsharp = _tensor(args.astar, "astar"), _tensor(args.bsharp, "bsharp")
+    report = pairbounds.pair_membership(astar, bsharp, pa, pb, _tol(args))
     _emit(args, vars(report))
     return _exit_code(args, report.verdict == "infeasible")
 
@@ -251,7 +257,7 @@ def _design(args, two_sets: bool) -> tuple:
         if two_sets:
             inst.update(kB=args.kB, b=args.b)
     cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
-    if not all(isinstance(x, int) for x in (cells, ka, kb)) or cells < 1:
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (cells, ka, kb)) or cells < 1:
         raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
     a = _floats(inst["a"], "a", (2,))
     pa = gclosure.PhaseA(a[0], a[1], ka / cells)
@@ -292,13 +298,12 @@ def cmd_phase(args) -> int:
     if pairbounds.classify_region(pa, pb) != "L1U1":
         raise ValueError("phase diagram sampling targets the region L1U1")
     pts = gclosure.boundary_curve_sample(pa, "lower", args.n)
-    rows = []
-    for lam1, lam2 in pts:
-        astar = SymTensor.diag([lam1, lam2])
-        b_low, b_high = pairbounds.fibre_extremes_l1u1(astar, pa, pb, _tol(args))
-        mu_low = sorted(np.diag(b_low.mat))
-        mu_high = sorted(np.diag(b_high.mat))
-        rows.append((lam1, lam2, mu_low[0], mu_low[1], mu_high[0], mu_high[1]))
+    grid = np.zeros((len(pts), 2, 2))
+    grid[:, [0, 1], [0, 1]] = pts  # the diagonal A* of every sample
+    low, high = pairbounds.fibre_extremes_stack([SymTensor(m) for m in grid], pa, pb, _tol(args))
+    mu_low = np.sort(np.diagonal(low, axis1=1, axis2=2), axis=1).tolist()
+    mu_high = np.sort(np.diagonal(high, axis1=1, axis2=2), axis=1).tolist()
+    rows = [(*lams, *lo, *hi) for lams, lo, hi in zip(pts, mu_low, mu_high)]
     _emit_csv(
         args,
         ["lambda1", "lambda2", "mu1_low", "mu2_low", "mu1_high", "mu2_high"],

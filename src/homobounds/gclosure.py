@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homog1d import phase_means
-from .symtensor import SymTensor, eig
+from .symtensor import SymTensor, eig, eig_stack
 
 _DEGENERATE_THETA = 1e-12
 DEFAULT_TOL = 1e-9  # default absolute tolerance on the slack of a bound or membership condition
@@ -151,14 +151,26 @@ def theta_from_lower_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     Closed form in S = tr(astar - a1 I)^-1:
         theta = a1 ((a2-a1) S - N) / ((a2-a1)(a1 S + 1)).
     """
-    _require_member(astar, p, tol)
+    return float(thetas_from_lower_boundary([astar], p, tol)[0])
+
+
+def thetas_from_lower_boundary(astars, p: PhaseA, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """theta_from_lower_boundary of each tensor in a nonempty sequence of one dimension.
+
+    One LAPACK call decomposes the tensors and each must be a member; the
+    closed form then runs once over the whole sequence.
+    """
+    lams = np.array([es.values for es in eig_stack(astars)])
+    for astar in astars:
+        _require_member(astar, p, tol)
     if homogeneous_value(p) == p.a1:
-        return 1.0
-    n = astar.dim
-    s = lower_trace_sum(astar, p)
+        return np.ones(len(astars))
+    s = 0.0
+    for inverse in (1.0 / (lams - p.a1)).T:  # left to right, as lower_trace_sum adds
+        s = s + inverse
+    n = lams.shape[1]
     d = p.a2 - p.a1
-    theta = p.a1 * (d * s - n) / (d * (p.a1 * s + 1.0))
-    return float(min(max(theta, 0.0), p.thetaA))
+    return np.clip(p.a1 * (d * s - n) / (d * (p.a1 * s + 1.0)), 0.0, p.thetaA)
 
 
 def upper_boundary_residual(astar: SymTensor, p: PhaseA, theta: float) -> float:

@@ -11,6 +11,7 @@ the laminate eigenframe.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -80,7 +81,8 @@ class LaminateSpec:
         if not np.isfinite([x for d in self.directions for x in d] + list(self.weights)).all():
             raise InconsistentSpec("directions and weights must be finite")
         for d in self.directions:
-            if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
+            # hypot scales its arguments, so a huge finite direction fails here without an overflow warning
+            if abs(math.hypot(*d) - 1.0) > _UNIT_TOL:
                 raise InconsistentSpec(f"direction {d} is not a unit vector")
         if any(w < -_UNIT_TOL for w in self.weights):
             raise InconsistentSpec("weights must be nonnegative")
@@ -122,6 +124,12 @@ class LaminateSpec:
         missing = [k for k in ("directions", "weights", "core", "relation") if k not in data]
         if missing:
             raise InconsistentSpec(f"missing from the laminate spec: {', '.join(map(repr, missing))}")
+        # float() reads a JSON true as 1.0, so booleans are refused here, at the wire format
+        for key in ("directions", "weights"):
+            value = data[key]
+            rows = value if isinstance(value, list) else [value]
+            if any(isinstance(x, bool) for row in rows for x in (row if isinstance(row, list) else [row])):
+                raise InconsistentSpec(f"laminate spec {key!r} holds numbers, not true or false, got {json.dumps(value)}")
         return LaminateSpec(data["directions"], data["weights"], data["core"], data["relation"])
 
 

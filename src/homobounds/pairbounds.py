@@ -29,11 +29,11 @@ from .gclosure import (
     homogeneous_value,
     lower_trace_sum,
     means,
-    theta_from_lower_boundary,
     theta_from_upper_boundary,
+    thetas_from_lower_boundary,
 )
 from .homog1d import lim_b_over_a, phase_means
-from .symtensor import SingularFactor, SymTensor, eig, positive_spectrum, trace_chain
+from .symtensor import SingularFactor, SymTensor, eig, eig_stack, positive_spectrum, trace_chain
 
 
 class DimensionMismatch(ValueError):
@@ -354,19 +354,55 @@ def pair_membership(
     return PairBoundReport(region, chain, *li, *uj, variant, verdict)
 
 
-def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
+def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
     """L1- and U1-saturating eigenvalues of B# over a lower-boundary A*.
 
     lam are the eigenvalues of A* on the lower boundary of fraction theta and
     m the lamination weights along its eigenvectors.  Returns (nested,
-    disjoint): B# of the A-set inside the B-set and of disjoint sets.
+    disjoint): B# of the A-set inside the B-set and of disjoint sets.  For a
+    stack of tensors, lam and m hold one row and theta one column entry per tensor.
     """
     _, arith = phase_means(pa.a1, pa.a2, theta)
-    ratio = (lam - pa.a1) ** 2 / (arith - pa.a1) ** 2
+    span = arith - pa.a1
+    if np.ndim(span):
+        # squared entry by entry with the scalar pow that a lone theta gets:
+        # numpy's array square can differ from it by an ulp
+        span2 = np.array([x**2 for x in span.ravel().tolist()]).reshape(span.shape)
+    else:
+        span2 = span**2
+    ratio = (lam - pa.a1) ** 2 / span2
     osc = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2 * m
     nested = pb.b1 + (pb.mean - pb.b1 + pb.b1 * osc) * ratio
     disjoint = pb.b2 - (pb.b2 - pb.mean - pb.b2 * osc) * ratio
     return nested, disjoint
+
+
+def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
+    """fibre_extremes_l1u1 of a nonempty sequence of tensors of one dimension, evaluated over the whole stack.
+
+    Returns (low, high), arrays of shape (K, N, N) holding the matrices that
+    fibre_extremes_l1u1 returns one tensor at a time, bit for bit.  One
+    LAPACK call decomposes every tensor not decomposed before.
+    """
+    theta = thetas_from_lower_boundary(astars, pa, tol)
+    n = astars[0].dim
+    low = np.empty((len(astars), n, n))
+    low[:] = pb.mean * np.eye(n)  # b_mean I wherever theta <= 1e-12
+    high = low.copy()
+    live = theta > 1e-12
+    if live.any():
+        systems = [es for es, keep in zip(eig_stack(astars), live) if keep]
+        lam = np.array([es.values for es in systems])
+        frames = np.array([es.frame for es in systems])
+        theta = theta[live, None]
+        # lamination weights along A*'s eigenvectors, from the lower-boundary
+        # resolvent relation theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I
+        m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
+        for out, diag in zip((low, high), gradient_extremes(lam, m, pa, pb, theta)):
+            grid = np.zeros(frames.shape)
+            grid.reshape(len(grid), -1)[:, :: n + 1] = diag  # np.diag of each row
+            out[live] = frames @ grid @ frames.transpose(0, 2, 1)
+    return low, high
 
 
 def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:
@@ -375,19 +411,8 @@ def fibre_extremes_l1u1(astar: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = D
     Returns (B_low, B_high): the nested-laminate tensor saturating L1 and the
     disjoint-laminate tensor saturating U1, both sharing A*'s eigenframe.
     """
-    theta = theta_from_lower_boundary(astar, pa, tol)
-    if theta <= 1e-12:
-        b_mean = pb.mean
-        eye = np.eye(astar.dim)
-        return SymTensor(b_mean * eye), SymTensor(b_mean * eye)
-    es = eig(astar)
-    lam = np.array(es.values)
-    # lamination weights along A*'s eigenvectors, from the lower-boundary
-    # resolvent relation theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I
-    m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
-    low, high = gradient_extremes(lam, m, pa, pb, theta)
-    to_tensor = lambda diag: SymTensor(es.frame @ np.diag(diag) @ es.frame.T)
-    return to_tensor(low), to_tensor(high)
+    low, high = fibre_extremes_stack([astar], pa, pb, tol)
+    return SymTensor(low[0]), SymTensor(high[0])
 
 
 def fibre_mix(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:

@@ -4,7 +4,9 @@ Everything downstream (phase-space membership, trace bounds, laminate
 constructors) works with symmetric positive-definite matrices of dimension
 N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
 computes its eigensystem once, with LAPACK's symmetric solver, on first
-request; every later eig of the same tensor reuses it.  The module also
+request; every later eig of the same tensor reuses it.  eig_stack
+decomposes many tensors of one dimension in a single LAPACK call and
+memoises each result exactly as eig would.  The module also
 evaluates trace chains of matrix powers, rotations, and the rearrangement
 inequality tr(EF) >= sum of oppositely sorted eigenvalue products used by
 the commutativity argument.
@@ -120,6 +122,28 @@ def eig(s) -> EigSystem:
             s._eig = _eigh(s._m)
         return s._eig
     return _eigh(_as_matrix(s))
+
+
+def eig_stack(tensors) -> list:
+    """eig of each SymTensor in a sequence, with one LAPACK call for every one not yet decomposed.
+
+    The tensors must share one dimension (else ValueError).  Each result is
+    bit for bit the one eig gives, values, frame and signs alike, and is
+    memoised on its tensor; a tensor already decomposed keeps its EigSystem.
+    """
+    if len({t.dim for t in tensors}) > 1:
+        raise ValueError("eig_stack needs tensors of one dimension")
+    fresh = [t for t in tensors if t._eig is None]
+    if fresh:
+        vals, q = np.linalg.eigh(np.stack([t._m for t in fresh]))
+        q = q[:, :, ::-1]
+        # _eigh's sign rule, applied to every matrix of the stack at once
+        lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
+        q = q * np.copysign(1.0, q[np.arange(len(fresh))[:, None], lead, np.arange(q.shape[2])])[:, None, :]
+        q.flags.writeable = False
+        for t, values, frame in zip(fresh, vals[:, ::-1].tolist(), q):
+            t._eig = EigSystem(tuple(values), frame)
+    return [t._eig for t in tensors]
 
 
 def positive_spectrum(values) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,16 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "0"], None, None),
         (["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5", "--const-b", "0"], None, None),
         (["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5", "--const-b", "-1"], None, None),
+        # JSON true and false where numbers belong
+        (CHECK + ["--astar", "[[true,0],[0,2]]"], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[false,0],[0,2]]"], None, None),
+        (["laminate", "--spec", '{"directions":[[true,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":[true],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":true,"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, None),
+        (["oodp", "relax", "--instance", "inst.json"], None, {"cells": True, "kA": True, "kB": True, "a": [1, 2], "b": [1, 3], "f": "const:1"}),
+        (["odp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": True, "a": [1, 2], "f": "const:1"}),
+        (["odp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "a": [True, 2], "f": "const:1"}),
+        (["oodp", "brute", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, True], "f": "const:1"}),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -410,6 +421,39 @@ def test_missing_key_is_named(argv, document, key, doc, tmp_path, monkeypatch, c
     assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert document in err and repr(key) in err
+
+
+@pytest.mark.parametrize(
+    "argv, doc, field",
+    [
+        (CHECK + ["--astar", "[[true,0],[0,2]]"], None, "--astar"),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1,0],[0,false]]"], None, "--bsharp"),
+        (["laminate", "--spec", '{"directions":[[1,0],[0,true]],"weights":[0.5,0.5],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, "'directions'"),
+        (["laminate", "--spec", '{"directions":[[1,0]],"weights":[true],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"], None, "'weights'"),
+        (["oodp", "relax", "--instance", "doc.json"], {"cells": True, "kA": True, "kB": True, "a": [1, 2], "b": [1, 3], "f": "const:1"}, "cells=True"),
+        (["oodp", "relax", "--instance", "doc.json"], {"cells": 4, "kA": 2, "kB": False, "a": [1, 2], "b": [1, 3], "f": "const:1"}, "kB=False"),
+        (["oodp", "relax", "--instance", "doc.json"], {"cells": 4, "kA": 2, "kB": 2, "a": [True, 2], "b": [1, 3], "f": "const:1"}, "--a"),
+        (["oodp", "relax", "--instance", "doc.json"], {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, True], "f": "const:1"}, "--b"),
+    ],
+    ids=["astar", "bsharp", "directions", "weights", "cells", "kB", "a", "b"],
+)
+def test_boolean_for_a_number_is_named(argv, doc, field, tmp_path, monkeypatch, capsys):
+    # float() would read true as 1.0; the error names the field that held it
+    monkeypatch.chdir(tmp_path)
+    if doc is not None:
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert exit_code(argv) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_huge_direction_prints_only_the_error(capsys):
+    # a finite direction whose squared norm overflows is refused without a numpy RuntimeWarning
+    spec = '{"directions":[[1e308,1e308]],"weights":[1],"core":"a2","relation":"const_b"}'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would escape main as an exception
+        assert exit_code(["laminate", "--spec", spec, "--a", "1,2,0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a unit vector" in err and err.count("\n") == 1
 
 
 # infeasible at the default tolerance, boundary at tolerance 10

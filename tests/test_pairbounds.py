@@ -6,7 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homobounds.gclosure import PhaseA, boundary_curve_sample, g_membership, theta_from_upper_boundary
+from homobounds.gclosure import (
+    OutsideGSet,
+    PhaseA,
+    boundary_curve_sample,
+    g_membership,
+    lower_trace_sum,
+    theta_from_upper_boundary,
+)
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.homog1d import Profile1D, overlap_window, weakstar_limits
 from homobounds.laminates import LaminateSpec, seq_A, seq_B_const, simple_laminate_pair
@@ -23,17 +30,55 @@ from homobounds.pairbounds import (
     classify_region,
     energy_density_bounds,
     fibre_extremes_l1u1,
+    fibre_extremes_stack,
     fibre_mix,
     general_chain_check,
+    gradient_extremes,
     l2_terms,
     pair_membership,
     theta_star_u2,
 )
 from homobounds import symtensor
 from homobounds.cli import main
-from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, rotate, trace_chain
+from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, eig, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
+
+
+def fibre_extremes_reference(astar, pa, pb, tol=1e-9):
+    """fibre_extremes_l1u1's matrices for one tensor on its own: a lone float theta and one frame product each."""
+    if g_membership(astar, pa, tol).verdict == "outside":
+        raise OutsideGSet("outside")
+    n, s, d = astar.dim, lower_trace_sum(astar, pa), pa.a2 - pa.a1
+    theta = min(max(pa.a1 * (d * s - n) / (d * (pa.a1 * s + 1.0)), 0.0), pa.thetaA)
+    if theta <= 1e-12:
+        return pb.mean * np.eye(astar.dim), pb.mean * np.eye(astar.dim)
+    es = eig(astar)
+    lam = np.array(es.values)
+    m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
+    return tuple(SymTensor(es.frame @ np.diag(d) @ es.frame.T).mat for d in gradient_extremes(lam, m, pa, pb, theta))
+
+
+def phase_loop_reference(pa, pb, n, tol=1e-9):
+    """The `phase` CSV one boundary sample at a time."""
+    lines = ["lambda1,lambda2,mu1_low,mu2_low,mu1_high,mu2_high"]
+    for lam1, lam2 in boundary_curve_sample(pa, "lower", n):
+        low, high = fibre_extremes_reference(SymTensor.diag([lam1, lam2]), pa, pb, tol)
+        lines.append(",".join(repr(float(x)) for x in [lam1, lam2, *sorted(np.diag(low)), *sorted(np.diag(high))]))
+    return "\n".join(lines) + "\n"
+
+
+def phase_inputs(seed, count):
+    """Seeded L1U1 phase requests: thetaA 0, just above the 1e-12 cutoff (rows on both sides) or up to 0.5; a2/a1 up to 50, n up to 41."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        a1 = float(rng.uniform(0.2, 3.0))
+        a2 = a1 * float(np.exp(rng.uniform(0.005, np.log(50.0))))
+        ta = (0.0, 1e-12 * (1.0 + float(rng.uniform(0.0, 1e-4))))[i % 2] if i % 5 == 0 else float(rng.uniform(0.01, 0.5))
+        tb = float(rng.uniform(ta, 1.0 - ta))
+        b1 = float(rng.uniform(0.2, 3.0))
+        n = int(rng.integers(2, 42 if i % 4 == 0 else 12))
+        yield PhaseA(a1, a2, ta), PhaseB(b1, b1 * float(rng.uniform(1.0, 20.0)), tb), n
 
 
 class TestClassify:
@@ -363,6 +408,48 @@ class TestFibre:
         b_low, b_high = fibre_extremes_l1u1(LAM_A, pa_half, pb_half)
         assert commutator_norm(LAM_A, b_low) <= 1e-10
         assert commutator_norm(LAM_A, b_high) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_stack_matches_single_tensors_bit_for_bit(self, n):
+        # rotated lower-boundary tensors with random lamination weights
+        rng = np.random.default_rng(n)
+        pa, pb = PhaseA(1.0, float(rng.uniform(1.5, 50.0)), 0.3), PhaseB(1.0, 4.0, 0.5)
+        mats = []
+        for _ in range(6):
+            w = rng.dirichlet(np.ones(n))
+            lam = pa.a1 + (1.0 - pa.thetaA) / (1.0 / (pa.a2 - pa.a1) + pa.thetaA * w / pa.a1)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            mats.append(q @ np.diag(lam) @ q.T)
+        low, high = fibre_extremes_stack([SymTensor(m) for m in mats], pa, pb)
+        for k, m in enumerate(mats):
+            single = fibre_extremes_l1u1(SymTensor(m), pa, pb)
+            reference = fibre_extremes_reference(SymTensor(m), pa, pb)
+            for got, one, ref in zip((low[k], high[k]), single, reference):
+                assert np.array_equal(SymTensor(got).mat, one.mat) and np.array_equal(one.mat, ref)
+
+    def test_phase_csv_matches_the_per_sample_loop(self, capsys):
+        # the stacked grid prints the bytes of the one-sample-at-a-time loop;
+        # the pinned request is the one whose (arith - a1)^2 differs by an ulp
+        # when a column of theta is squared as an array
+        pinned = (PhaseA(0.4658539227863775, 1.4772714569762981, 0.22220226919052377), PhaseB(0.7197269353728672, 9.7553013134947, 0.7572432924227174), 2)
+        checked = 0
+        for pa, pb, n in [pinned, *phase_inputs(16, 200)]:
+            argv = ["phase", "--a", f"{pa.a1!r},{pa.a2!r},{pa.thetaA!r}", "--b", f"{pb.b1!r},{pb.b2!r},{pb.thetaB!r}", "--n", str(n)]
+            try:
+                expected = phase_loop_reference(pa, pb, n)
+            except ValueError:  # a boundary sample past the phase set: the grid fails too
+                expected = None
+            assert main(argv) == (0 if expected else 2)
+            assert capsys.readouterr().out == (expected or "")
+            checked += expected is not None
+        assert checked >= 180
+
+    def test_phase_grid_makes_one_lapack_call(self, monkeypatch, capsys):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        assert main(["phase", "--a", "1,2,0.3", "--b", "1,3,0.5", "--n", "20"]) == 0
+        assert calls == [(20, 2, 2)]
 
 
 class TestEnergyDensity:

@@ -9,6 +9,7 @@ from homobounds.symtensor import (
     SymTensor,
     commutator_norm,
     eig,
+    eig_stack,
     rotate,
     rotation_2d,
     trace_chain,
@@ -102,6 +103,55 @@ class TestEig:
         assert a != SymTensor.diag([1.0, 3.0])
         assert hash(a) == hash(SymTensor([[1.0, 1.0], [1.0, 3.0]]))
         assert a.dim == 2 and SymTensor.identity(3).dim == 3
+
+
+def spectra(rng, n):
+    """Matrices of dimension n with random, diagonal, repeated and clustered spectra."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    random = rng.uniform(0.5, 5.0, n)
+    repeated = np.repeat(rng.uniform(0.5, 5.0, (n + 1) // 2), 2)[:n]
+    clustered = 2.0 + 1e-13 * rng.normal(size=n)
+    out = [np.diag(random), np.diag(repeated), np.diag(np.sort(random)), np.eye(n)]
+    for values in (random, repeated, clustered):
+        out.append(q @ np.diag(values) @ q.T)
+    out.append(rng.normal(size=(n, n)))  # indefinite, symmetrised by SymTensor
+    return out
+
+
+class TestEigStack:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bit_identical_to_eig(self, n):
+        # values, frame and the sign bit of every frame entry, tensor by tensor
+        rng = np.random.default_rng(n)
+        mats = [m for _ in range(5) for m in spectra(rng, n)]
+        stacked = eig_stack([SymTensor(m) for m in mats])
+        for m, got in zip(mats, stacked):
+            want = eig(SymTensor(m))
+            assert got.values == want.values
+            assert np.array_equal(got.frame, want.frame)
+            assert np.array_equal(np.signbit(got.frame), np.signbit(want.frame))
+            assert not got.frame.flags.writeable
+
+    def test_memoises_each_tensor_and_keeps_earlier_results(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        done, fresh = SymTensor(spectra(rng, 3)[4]), [SymTensor(m) for m in spectra(rng, 3)[5:]]
+        kept = eig(done)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        tensors = [fresh[0], done, *fresh[1:]]
+        out = eig_stack(tensors)
+        assert calls == [(len(fresh), 3, 3)]  # one LAPACK call, for the fresh tensors only
+        assert out[1] is kept
+        assert all(eig(t) is es for t, es in zip(tensors, out))  # every result is memoised
+        assert all(a is b for a, b in zip(eig_stack(tensors), out)) and len(calls) == 1
+
+    def test_mixed_dimensions_raise(self):
+        with pytest.raises(ValueError):
+            eig_stack([SymTensor.identity(2), SymTensor.identity(3)])
+
+    def test_empty(self):
+        assert eig_stack([]) == []
 
 
 class TestTraceChain:
