@@ -33,7 +33,7 @@ from .gclosure import (
     thetas_from_lower_boundary,
 )
 from .homog1d import lim_b_over_a, phase_means
-from .symtensor import SingularFactor, SymTensor, eig, eig_stack, positive_spectrum, trace_chain
+from .symtensor import SingularFactor, SymTensor, combination, eig, eig_stack, positive_spectrum, trace_chain
 
 
 class DimensionMismatch(ValueError):
@@ -102,6 +102,18 @@ def admits(relation: str, pa: PhaseA, pb: PhaseB, closed: bool) -> bool:
     return closed and on_interface
 
 
+def _constant_density(pb: PhaseB) -> bool:
+    """Whether b2 - b1 is within 1e-14 b1, a degenerate B-phase judged by the constant-density bounds (DECISIONS #4)."""
+    return pb.b2 - pb.b1 <= 1e-14 * pb.b1
+
+
+def _link(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> SymTensor:
+    """(b2/a1) A* - B#, the middle link of the chain; DimensionMismatch unless A* and B# share a dimension."""
+    if astar.dim != bsharp.dim:
+        raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
+    return combination(astar, pb.b2 / pa.a1, bsharp, 1.0)
+
+
 def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
     """Eigen-slacks of the general bounds chain.
 
@@ -113,13 +125,11 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
       4: min eig A* - a1
       5: a2 - max eig A*
     """
-    if astar.dim != bsharp.dim:
-        raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
+    link = eig(_link(astar, bsharp, pa, pb)).values
     _, arith = means(pa)
     ratio = pb.b2 / pa.a1
     lam = eig(astar).values
     mu = eig(bsharp).values
-    link = eig(ratio * astar.mat - bsharp.mat).values
     return (
         float(mu[-1] - pb.b1),
         float(link[-1]),
@@ -130,20 +140,31 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
     )
 
 
-def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
-    """Constant-density trace bound saturated by the constructions with the given core.
+def _const_b_factors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
+    """(outer, middle, rhs) of the constant-density bound with the given core; middle is None on a homogeneous base medium.
 
-    With (base, frac, _, sign) = core_side(pa, core) and the outer factor
-    F = sign (A* - base I), feasible pairs have
-        lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
+    With (base, frac, _, sign) = core_side(pa, core), the outer factor is
+    F = sign (A* - base I), the middle one sign (b A* - base B#) and
+    rhs = N frac (a2-a1).
     """
     n = astar.dim
     base, frac, _, sign = core_side(pa, core)
     rhs = float(n * frac * (pa.a2 - pa.a1))
     outer = sign * (astar.mat - base * np.eye(n))
     if np.abs(outer).max() <= 1e-14 * base:
+        return outer, None, rhs
+    return outer, combination(astar, b, bsharp, base, sign), rhs
+
+
+def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
+    """Constant-density trace bound saturated by the constructions with the given core.
+
+    With the factors of _const_b_factors, feasible pairs have
+        lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
+    """
+    outer, middle, rhs = _const_b_factors(astar, bsharp, pa, b, core)
+    if middle is None:
         return 0.0, rhs  # homogeneous base medium
-    middle = SymTensor(sign * (b * astar.mat - base * bsharp.mat))
     return float(trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])), rhs
 
 
@@ -306,6 +327,23 @@ _BOUNDS = {
 }
 
 
+def _membership_tensors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> list:
+    """Every tensor that pair_membership decomposes, built once per pair.
+
+    A*, B#, the chain link and, for a constant density on a non-homogeneous
+    A-medium, the middle factor of each bound whose base medium is not
+    homogeneous.  DimensionMismatch is raised before the link is built.
+    """
+    tensors = [astar, bsharp, _link(astar, bsharp, pa, pb)]
+    if _constant_density(pb) and homogeneous_value(pa) is None:
+        for core in ("a1", "a2"):
+            middle = _const_b_factors(astar, bsharp, pa, pb.b1, core)[1]
+            # at a1 = 1 the core-a2 middle b A* - a1 B# is the link itself
+            if middle is not None and middle is not tensors[2]:
+                tensors.append(middle)
+    return tensors
+
+
 def pair_membership(
     astar: SymTensor,
     bsharp: SymTensor,
@@ -313,7 +351,14 @@ def pair_membership(
     pb: PhaseB,
     tol: float = DEFAULT_TOL,
 ) -> PairBoundReport:
-    """Full feasibility verdict for a candidate pair (A*, B#)."""
+    """Full feasibility verdict for a candidate pair (A*, B#).
+
+    While A* or B# is not decomposed, one LAPACK call decomposes every tensor
+    of the verdict not decomposed before; pair_memberships has decomposed
+    them all before it judges a pair.
+    """
+    if not (astar.decomposed and bsharp.decomposed):
+        eig_stack(_membership_tensors(astar, bsharp, pa, pb))
     region = classify_region(pa, pb)
     chain = general_chain_check(astar, bsharp, pa, pb)
 
@@ -327,8 +372,7 @@ def pair_membership(
         zero = 0.0 if ok else -np.inf
         return PairBoundReport(region, chain, 0.0, 0.0, zero, 0.0, 0.0, zero, zero, verdict)
 
-    # a degenerate B-phase is judged by the constant-density bounds (DECISIONS #4)
-    const_b = pb.b2 - pb.b1 <= 1e-14 * pb.b1
+    const_b = _constant_density(pb)
     sides = {}
     try:
         # a member's eigenvalues lie 1e-13 inside (a1, a2), so its upper trace clears N a1 a2/(a2-a1): no NoBracket
@@ -352,6 +396,23 @@ def pair_membership(
         verdict = "feasible"
     # the upper bound runs last, so variant is its printed-form slack
     return PairBoundReport(region, chain, *li, *uj, variant, verdict)
+
+
+def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
+    """pair_membership of each (astar, bsharp, pa, pb) in a sequence, with one LAPACK call per dimension.
+
+    Every tensor that the verdicts decompose is built and decomposed first;
+    each pair is then judged by the module's pair_membership, which finds
+    every eigensystem memoised.  A pair whose A* and B# differ in dimension
+    raises DimensionMismatch before any pair is judged.
+    """
+    by_dim = {}
+    for pair in pairs:
+        for tensor in _membership_tensors(*pair):
+            by_dim.setdefault(tensor.dim, []).append(tensor)
+    for tensors in by_dim.values():
+        eig_stack(tensors)
+    return [pair_membership(*pair, tol) for pair in pairs]
 
 
 def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:

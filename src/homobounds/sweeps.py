@@ -14,10 +14,14 @@ from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
 from .laminates import RELATION_CORE, ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
-from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_membership
+from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_memberships
 from .symtensor import MAX_DIM, SymTensor, rotate
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
+
+# Rows drawn, then judged, together: each chunk makes one LAPACK call per
+# dimension, and the chunk's tensors bound the memory a long sweep holds.
+_CHUNK = 64
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -129,7 +133,9 @@ def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFA
     """Evaluate pair membership on `count` seeded composites.
 
     Returns one row per draw: (index, family, dim, region, min chain slack,
-    li slack, uj slack, verdict).
+    li slack, uj slack, verdict).  The draws are made in chunks and each
+    chunk is judged by pair_memberships; no draw depends on a verdict, so
+    the rows are those of judging each draw as it is made.
     """
     if not 2 <= max_dim <= MAX_DIM:
         raise ValueError(f"max_dim must be in [2, {MAX_DIM}], got {max_dim}")
@@ -139,19 +145,11 @@ def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFA
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     rng = make_rng(seed)
     rows = []
-    for i in range(count):
-        draw = draw_composite(rng, max_dim)
-        report = pair_membership(draw["astar"], draw["bsharp"], draw["pa"], draw["pb"], tol)
-        rows.append(
-            (
-                i,
-                draw["family"],
-                draw["dim"],
-                report.region,
-                min(report.chain_slacks),
-                report.li_slack,
-                report.uj_slack,
-                report.verdict,
-            )
-        )
+    for start in range(0, count, _CHUNK):
+        draws = [draw_composite(rng, max_dim) for _ in range(min(_CHUNK, count - start))]
+        reports = pair_memberships([(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in draws], tol)
+        rows += [
+            (i, d["family"], d["dim"], r.region, min(r.chain_slacks), r.li_slack, r.uj_slack, r.verdict)
+            for i, (d, r) in enumerate(zip(draws, reports), start)
+        ]
     return rows

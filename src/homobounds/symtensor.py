@@ -6,7 +6,9 @@ N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
 computes its eigensystem once, with LAPACK's symmetric solver, on first
 request; every later eig of the same tensor reuses it.  eig_stack
 decomposes many tensors of one dimension in a single LAPACK call and
-memoises each result exactly as eig would.  The module also
+memoises each result exactly as eig would.  combination builds a linear
+combination of two tensors once and keeps it, so that a combination
+decomposed in a stack is found again, decomposed, later.  The module also
 evaluates trace chains of matrix powers, rotations, and the rearrangement
 inequality tr(EF) >= sum of oppositely sorted eigenvalue products used by
 the commutativity argument.
@@ -37,7 +39,7 @@ class NotOrthonormal(ValueError):
 class SymTensor:
     """N x N real symmetric matrix, immutable, with a memoised eigensystem."""
 
-    __slots__ = ("_m", "_eig")
+    __slots__ = ("_m", "_eig", "_derived")
 
     def __init__(self, m):
         m = np.asarray(m, dtype=float)
@@ -49,10 +51,16 @@ class SymTensor:
         m.flags.writeable = False
         self._m = m
         self._eig = None
+        self._derived = None  # (t, combinations with t), see combination
 
     @property
     def dim(self) -> int:
         return self._m.shape[0]
+
+    @property
+    def decomposed(self) -> bool:
+        """Whether the eigensystem is already computed and memoised."""
+        return self._eig is not None
 
     @property
     def mat(self) -> np.ndarray:
@@ -144,6 +152,23 @@ def eig_stack(tensors) -> list:
         for t, values, frame in zip(fresh, vals[:, ::-1].tolist(), q):
             t._eig = EigSystem(tuple(values), frame)
     return [t._eig for t in tensors]
+
+
+def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 1.0) -> SymTensor:
+    """The SymTensor sign (cs s - ct t), built on the first call and kept on s.
+
+    s keeps the combinations with the last tensor object t it was combined
+    with, so the memo stays bounded: a later call with that t and the same
+    coefficients returns the same SymTensor, with its eigensystem if one was
+    computed.
+    """
+    if s._derived is None or s._derived[0] is not t:
+        s._derived = (t, {})
+    memo = s._derived[1]
+    key = (cs, ct, sign)
+    if key not in memo:
+        memo[key] = SymTensor(sign * (cs * s._m - ct * t._m))
+    return memo[key]
 
 
 def positive_spectrum(values) -> np.ndarray:

@@ -38,7 +38,7 @@ from homobounds.pairbounds import (
     pair_membership,
     theta_star_u2,
 )
-from homobounds import symtensor
+from homobounds import sweeps
 from homobounds.cli import main
 from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, eig, rotate, trace_chain
 
@@ -284,21 +284,77 @@ class TestEigenframe:
         assert bound_L1(astar, bsharp, pa, pb)[0] == pytest.approx(l1, rel=rel)
         assert bound_U1(astar, bsharp, pa, pb)[0] == pytest.approx(u1, rel=rel)
 
+    @staticmethod
+    def lapack_calls(monkeypatch) -> list:
+        # the matrices of each LAPACK call, as a (K, N, N) stack: symtensor._eigh
+        # and eig_stack both decompose through np.linalg.eigh
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.array(m, ndmin=3)) or eigh(m))
+        return calls
+
     @pytest.mark.parametrize("ta, tb", [(0.3, 0.5), (0.5, 0.7), (0.5, 0.3), (0.7, 0.5)])
     def test_membership_decomposes_three_tensors(self, monkeypatch, ta, tb):
-        # A*, B# and (b2/a1) A* - B# for the chain: no bound decomposes a
-        # shifted copy of A* again
+        # one call for A*, B# and (b2/a1) A* - B# for the chain: no bound
+        # decomposes a shifted copy of A* again
         pa, pb = PhaseA(1.0, 2.0, ta), PhaseB(1.0, 3.0, tb)
         lo, hi = overlap_window(pa, pb)
         astar, bsharp = simple_laminate_pair(pa, pb, 0.5 * (lo + hi), 0, 3)
         q, r = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
         astar, bsharp = rotate(astar, q), rotate(bsharp, q)
-        calls = []
-        eigh = symtensor._eigh
-        monkeypatch.setattr(symtensor, "_eigh", lambda m: calls.append(m) or eigh(m))
+        calls = self.lapack_calls(monkeypatch)
         report = pair_membership(astar, bsharp, pa, pb)
         assert report.region == classify_region(pa, pb) and report.verdict in ("feasible", "boundary")
-        assert len(calls) == 3
+        link = SymTensor(3.0 * astar.mat - bsharp.mat).mat
+        assert len(calls) == 1 and np.array_equal(calls[0], [astar.mat, bsharp.mat, link])
+
+    def test_constant_density_membership_adds_both_middle_factors(self, monkeypatch):
+        # the link (b/a1) A* - B# and the middles -(b A* - a2 B#) of core a1
+        # and b A* - a1 B# of core a2, in one call
+        pa, b = PhaseA(1.5, 3.0, 0.4), 1.7
+        spec = LaminateSpec(((0.6, 0.8), (1.0, 0.0)), (0.3, 0.7), "a2", "const_b")
+        astar, bsharp = seq_A(spec, pa), seq_B_const(spec, pa, b)
+        calls = self.lapack_calls(monkeypatch)
+        report = pair_membership(astar, bsharp, pa, PhaseB(b, b, 0.5))
+        assert report.verdict == "boundary"
+        a, bs = astar.mat, bsharp.mat
+        link = SymTensor(b / 1.5 * a - bs).mat
+        middles = [SymTensor(-(b * a - 3.0 * bs)).mat, SymTensor(b * a - 1.5 * bs).mat]
+        assert len(calls) == 1 and np.array_equal(calls[0], [a, bs, link, *middles])
+
+    def test_unit_a1_stacks_the_link_once(self, monkeypatch):
+        # b A* - a1 B#, the core-a2 middle, is the link (b/a1) A* - B# when a1 = 1
+        pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.3, 1.3, 0.5)
+        calls = self.lapack_calls(monkeypatch)
+        pair_membership(SymTensor.diag([1.4, 1.45]), SymTensor.diag([1.5, 1.6]), pa, pb)
+        assert [len(c) for c in calls] == [4]
+
+    @pytest.mark.parametrize("theta_a, count", [(0.5, 4), (0.0, 3)])
+    def test_homogeneous_base_skips_its_middle(self, monkeypatch, theta_a, count):
+        # A* = a2 I: the core-a1 bound's base medium a2 I is A* itself, so its
+        # middle factor is never inverted; at thetaA = 0 no bound runs at all
+        pa, pb = PhaseA(1.5, 3.0, theta_a), PhaseB(1.0, 1.0, 0.5)
+        calls = self.lapack_calls(monkeypatch)
+        pair_membership(SymTensor.diag([3.0, 3.0]), SymTensor.diag([1.0, 1.0]), pa, pb)
+        assert [len(c) for c in calls] == [count]
+
+    @pytest.mark.parametrize("max_dim", [3, 8])
+    def test_sweep_chunk_makes_one_call_per_dimension(self, monkeypatch, max_dim):
+        # the draws decompose single tensors (seq_B_pp checks the chain); the
+        # verdicts add one stacked call per dimension present in each chunk
+        count = sweeps._CHUNK + 5
+        calls = self.lapack_calls(monkeypatch)
+        rng = sweeps.make_rng(7)
+        for _ in range(count):
+            sweeps.draw_composite(rng, max_dim)
+        draw_calls = len(calls)
+        calls.clear()
+        rows = sweeps.feasibility_sweep(7, count, max_dim)
+        assert sum(len(c) == 1 for c in calls) == draw_calls
+        chunks = [rows[start : start + sweeps._CHUNK] for start in range(0, count, sweeps._CHUNK)]
+        per_dim = [dim for chunk in chunks for dim in dict.fromkeys(r[2] for r in chunk)]
+        assert [c.shape[1] for c in calls if len(c) > 1] == per_dim
+        assert len(set(per_dim)) > 1
 
     @pytest.mark.parametrize("bound", [bound_L1, bound_U1])
     def test_singular_shift_raises(self, bound):

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from homobounds.pairbounds import pair_membership
-from homobounds.sweeps import draw_composite, feasibility_sweep, make_rng
-from homobounds.symtensor import MAX_DIM
+from homobounds.cli import main
+from homobounds.gclosure import PhaseA
+from homobounds.pairbounds import DimensionMismatch, PhaseB, pair_membership, pair_memberships
+from homobounds.sweeps import _CHUNK, draw_composite, feasibility_sweep, make_rng
+from homobounds.symtensor import MAX_DIM, SymTensor
 
 
 class TestGenerator:
@@ -65,3 +69,54 @@ def test_sweep_rejects_arguments_out_of_range(count, max_dim, seed):
 def test_sweep_argument_limits_accepted():
     assert feasibility_sweep(0, 0) == []
     assert {r[2] for r in feasibility_sweep(0, 12, MAX_DIM)} <= set(range(2, MAX_DIM + 1))
+
+
+def row_by_row_reference(seed: int, count: int, max_dim: int) -> list:
+    """The sweep's rows with each draw judged as it is made, on fresh copies of its tensors."""
+    rng = make_rng(seed)
+    rows = []
+    for i in range(count):
+        d = draw_composite(rng, max_dim)
+        report = pair_membership(SymTensor(d["astar"].mat), SymTensor(d["bsharp"].mat), d["pa"], d["pb"])
+        rows.append((i, d["family"], d["dim"], report.region, min(report.chain_slacks), report.li_slack, report.uj_slack, report.verdict))
+    return rows
+
+
+@pytest.mark.parametrize("max_dim", [2, 3, 8])
+def test_chunked_sweep_matches_row_by_row(max_dim):
+    # repr tells nan, -inf and -0.0 apart, so equal reprs are equal bits
+    counts = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+    reference = [repr(row) for row in row_by_row_reference(11, max(counts), max_dim)]
+    for count in counts:
+        rows = feasibility_sweep(11, count, max_dim)
+        assert [repr(row) for row in rows] == reference[:count]
+    assert len({row[2] for row in rows[:_CHUNK]}) == max_dim - 1  # dimensions share a chunk
+
+
+def test_memberships_refuse_a_dimension_mismatch_before_any_link():
+    pa, pb = PhaseA(1, 2, 0.5), PhaseB(1, 3, 0.5)
+    good = (SymTensor.diag([1.4, 1.45]), SymTensor.diag([2.0, 2.0]), pa, pb)
+    astar, bsharp = SymTensor.diag([1.5, 1.5]), SymTensor.diag([2.0, 2.0, 2.0])
+    with pytest.raises(DimensionMismatch, match=r"^A\* is 2x2, B# is 3x3$"):
+        pair_memberships([good, (astar, bsharp, pa, pb)])
+    assert astar._derived is None and not astar.decomposed
+
+
+def test_pair_check_names_a_dimension_mismatch(capsys):
+    argv = ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", "[[1.5,0],[0,1.5]]"]
+    assert main(argv + ["--bsharp", "[[2,0,0],[0,2,0],[0,0,2]]"]) == 2
+    assert capsys.readouterr() == ("", "error: A* is 2x2, B# is 3x3\n")
+
+
+@pytest.mark.parametrize(
+    "max_dim, digest",
+    [
+        (3, "b019b4d97e346405eea00f5405252b42d1509be32e9f4305d2ad0d74a38d95a7"),
+        (8, "214ed460dedb38a2137400078accfc2428d78ee9975b916174aa4021aa62cb13"),
+    ],
+    ids=["max-dim-3", "max-dim-8"],
+)
+def test_sweep_csv_is_bit_identical(max_dim, digest, capsys):
+    # sha256 of the CSV as judged one draw at a time, before sweeps were chunked
+    assert main(["pair", "sweep", "--seed", "7", "--count", "1000", "--max-dim", str(max_dim)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
