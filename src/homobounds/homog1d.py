@@ -280,24 +280,23 @@ def solve_segments(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, source: Sou
     fixed by the zero-mean condition on u' = sigma/a; all integrals (energy,
     flux, adjoint constant) are evaluated in closed form segment by segment.
     """
-    merged = np.unique(np.concatenate([breaks, np.array(source.breakpoints)]))
-    seg = np.clip(np.searchsorted(breaks, merged[:-1], side="right") - 1, 0, len(a) - 1)
-    s_idx = np.clip(
-        np.searchsorted(np.array(source.breakpoints), merged[:-1], side="right") - 1,
-        0,
-        len(source.values) - 1,
-    )
+    source_breaks = np.array(source.breakpoints)
+    merged = np.unique(np.concatenate([breaks, source_breaks]))
+    # the segment and the source piece holding each segment's left end
+    left = merged[:-1]
+    seg = np.minimum(np.maximum(np.searchsorted(breaks, left, side="right") - 1, 0), len(a) - 1)
+    s_idx = np.minimum(np.maximum(source_breaks.searchsorted(left, side="right") - 1, 0), len(source.values) - 1)
     a = a[seg]
     b = b[seg]
     fv = np.array(source.values)[s_idx]
-    h = np.diff(merged)
+    h = merged[1:] - merged[:-1]
 
     # F at breakpoints: cumulative integral of f
     f_breaks = np.concatenate([[0.0], np.cumsum(fv * h)])[:-1]
 
     # c from int sigma/a = 0:  c int 1/a = int F/a ; F linear per segment
-    int_inv_a = np.sum(h / a)
-    int_f_over_a = np.sum((f_breaks * h + fv * h**2 / 2.0) / a)
+    int_inv_a = np.add.reduce(h / a)
+    int_f_over_a = np.add.reduce((f_breaks * h + fv * h**2 / 2.0) / a)
     c = float(int_f_over_a / int_inv_a)
 
     # segmentwise integrals of sigma and sigma^2 with sigma = (c - f0) - fv t
@@ -305,11 +304,11 @@ def solve_segments(breaks: np.ndarray, a: np.ndarray, b: np.ndarray, source: Sou
     int_sigma = s0 * h - fv * h**2 / 2.0
     int_sigma2 = s0**2 * h - s0 * fv * h**2 + fv**2 * h**3 / 3.0
 
-    energy_b = float(np.sum(b / a**2 * int_sigma2))
-    flux_b = float(np.sum(b / a * int_sigma))
-    dirichlet = float(np.sum(int_sigma2 / a**2))
+    energy_b = float(np.add.reduce(b / a**2 * int_sigma2))
+    flux_b = float(np.add.reduce(b / a * int_sigma))
+    dirichlet = float(np.add.reduce(int_sigma2 / a**2))
     # adjoint: p' = z/a + (b/a^2) sigma with int p' = 0
-    z = float(-np.sum(b / a**2 * int_sigma) / int_inv_a)
+    z = float(-np.add.reduce(b / a**2 * int_sigma) / int_inv_a)
 
     return State1D(
         breakpoints=merged,

@@ -33,7 +33,7 @@ from .gclosure import (
     thetas_from_lower_boundary,
 )
 from .homog1d import lim_b_over_a, phase_means
-from .symtensor import SingularFactor, SymTensor, combination, eig, eig_stack, positive_spectrum, trace_chain
+from .symtensor import SingularFactor, SymTensor, combination, derived, eig, eig_stack, positive_spectrum, trace_chain
 
 
 class DimensionMismatch(ValueError):
@@ -145,15 +145,24 @@ def _const_b_factors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, 
 
     With (base, frac, _, sign) = core_side(pa, core), the outer factor is
     F = sign (A* - base I), the middle one sign (b A* - base B#) and
-    rhs = N frac (a2-a1).
+    rhs = N frac (a2-a1).  The factors are built once per (A*, B#, pa, b,
+    core) and kept on A* (see symtensor.derived): a verdict asks for them
+    when it lists its tensors and again in each bound.
     """
-    n = astar.dim
-    base, frac, _, sign = core_side(pa, core)
-    rhs = float(n * frac * (pa.a2 - pa.a1))
-    outer = sign * (astar.mat - base * np.eye(n))
-    if np.abs(outer).max() <= 1e-14 * base:
-        return outer, None, rhs
-    return outer, combination(astar, b, bsharp, base, sign), rhs
+
+    def build():
+        n = astar.dim
+        base, frac, _, sign = core_side(pa, core)
+        # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
+        outer = astar.mat
+        outer.flat[:: n + 1] -= base
+        outer *= sign
+        outer.flags.writeable = False
+        homogeneous = np.abs(outer).max() <= 1e-14 * base
+        middle = None if homogeneous else combination(astar, b, bsharp, base, sign)
+        return outer, middle, float(n * frac * (pa.a2 - pa.a1))
+
+    return derived(astar, bsharp, (pa, b, core), build)
 
 
 def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:

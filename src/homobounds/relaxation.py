@@ -12,7 +12,6 @@ over small grids provides the independent classical oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -30,7 +29,7 @@ from .homog1d import (
 from .pairbounds import PhaseB
 
 _MEAN_TOL = 1e-12
-_BLOCK_ELEMENTS = 1 << 14  # array entries per block of A-placements in _pattern_minimum
+_BLOCK_ELEMENTS = 1 << 14  # array entries per block of placements in _pattern_minimum
 
 
 class TooLarge(ValueError):
@@ -99,12 +98,31 @@ def classical_pattern_value(
     return state.energyB
 
 
-def _masks(cells: int, ones: int, placements, count: int) -> np.ndarray:
-    """Boolean masks, one row per placement, for the next `count` placements."""
-    picked = np.fromiter(chain.from_iterable(islice(placements, count)), int, count * ones)
-    masks = np.zeros((count, cells), dtype=bool)
-    masks[np.arange(count)[:, None], picked.reshape(count, ones)] = True
-    return masks
+def _placements(cells: int, ones: int, rows: int):
+    """Boolean masks of every placement of `ones` marked cells, `rows` at a time, in itertools.combinations order.
+
+    Each block is decoded from its ranks in the combinatorial number system.
+    Mirrored (cell c to cells-1-c), the placement of lexicographic rank r
+    among the total is the one of colexicographic rank total-1-r, whose
+    largest marked cell is the largest y with comb(y, ones) <= that rank;
+    the rest of the rank decodes the remaining cells the same way.  Past
+    half the cells a placement is the complement of the placement of the
+    unmarked cells at the reversed rank, which takes fewer steps.
+    """
+    flip = 2 * ones > cells
+    # one row comb(y, i) over y < cells per decoding step, i from the marked count down to 1
+    steps = [np.array([comb(y, i) for y in range(cells)]) for i in range(cells - ones if flip else ones, 0, -1)]
+    total = comb(cells, ones)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        rank = np.arange(start, stop) if flip else np.arange(total - 1 - start, total - 1 - stop, -1)
+        marked = np.zeros((stop - start, cells), dtype=bool)
+        flat, last = marked.reshape(-1), np.arange(cells - 1, marked.size, cells)  # each row's last cell
+        for table in steps:
+            y = table.searchsorted(rank, side="right") - 1
+            rank -= table[y]
+            flat[last - y] = True
+        yield ~marked if flip else marked
 
 
 def _pattern_minimum(
@@ -116,10 +134,21 @@ def _pattern_minimum(
     integral of the harmonic-mean state, with
         lim* b/a^2 = b2 <1/a^2> - (b2 - b1) <chi_B/a^2>,
     so for each A-placement the best B-placement covers the largest sum of
-    1/a^2, found in one product with the table of B-masks.  A-placements are
-    scored in blocks of about _BLOCK_ELEMENTS / max(B-masks, cells); the
-    stacked product runs one matrix-vector product per A-placement, so each
-    value is bit-identical to scoring that placement alone.  A later
+    1/a^2, found in one product with the table of B-masks; with no B-cells
+    that sum is 0 and the product is skipped.
+
+    The two values 1/a1^2 and 1/a2^2 are powered once, as one numpy array,
+    and each cell picks its own: that gives the bits of powering every
+    cell, whereas Python's scalar pow differs from numpy's array power in
+    the last bit for about 5% of arguments.  A-placements stream
+    in blocks of about _BLOCK_ELEMENTS / cells, and each block's product
+    runs in slices of about _BLOCK_ELEMENTS / max(B-masks, cells)
+    placements, so memory stays bounded.  The product stays one
+    matrix-vector product (gemv) per A-placement, which makes each value
+    bit-identical to scoring that placement alone, whatever the blocks: one
+    matrix-matrix product (gemm) over a slice sums in another order and
+    differs in the last bits in about a third of the entries, and picking
+    the onesB largest 1/a^2 by a sort rounds differently again.  A later
     A-placement replaces the best one only when it is lower by more than
     1e-15, so near-ties keep the lexicographically first.  Returns
     (min value, argmin A-mask).
@@ -128,16 +157,19 @@ def _pattern_minimum(
         raise ValueError(f"need cells >= 1 and 0 <= onesA, onesB <= cells, got {cells}, {onesA}, {onesB}")
     harm, _ = phase_means(pa.a1, pa.a2, onesA / cells)
     dirichlet = homogenized_dirichlet(harm, source)
+    inv_sq1, inv_sq2 = np.array([pa.a1, pa.a2]) ** -2.0
     count = comb(cells, onesB)
-    b_masks = _masks(cells, onesB, combinations(range(cells), onesB), count).astype(float)
-    total, block = comb(cells, onesA), max(1, _BLOCK_ELEMENTS // max(count, cells))
-    placements = combinations(range(cells), onesA)
+    b_masks = next(_placements(cells, onesB, count)).astype(float) if onesB else None
+    block = max(1, _BLOCK_ELEMENTS // max(count, cells))
     best_val, best_mask = np.inf, None
-    for start in range(0, total, block):
-        masks = _masks(cells, onesA, placements, min(block, total - start))
-        inv_a2 = np.where(masks, pa.a1, pa.a2) ** -2.0
-        covered = np.max(b_masks @ inv_a2[:, :, None], axis=(1, 2))
-        lim = pb.b2 * inv_a2.sum(axis=1) / cells - (pb.b2 - pb.b1) * covered / cells
+    for masks in _placements(cells, onesA, max(1, _BLOCK_ELEMENTS // cells)):
+        inv_a2 = np.where(masks, inv_sq1, inv_sq2)
+        lim = pb.b2 * inv_a2.sum(axis=1) / cells
+        if onesB:
+            covered = np.concatenate(
+                [np.max(b_masks @ inv_a2[i : i + block, :, None], axis=(1, 2)) for i in range(0, len(masks), block)]
+            )
+            lim = lim - (pb.b2 - pb.b1) * covered / cells
         values = lim * harm**2 * dirichlet
         for i in np.flatnonzero(values < best_val - 1e-15):
             if values[i] < best_val - 1e-15:

@@ -7,8 +7,9 @@ computes its eigensystem once, with LAPACK's symmetric solver, on first
 request; every later eig of the same tensor reuses it.  eig_stack
 decomposes many tensors of one dimension in a single LAPACK call and
 memoises each result exactly as eig would.  combination builds a linear
-combination of two tensors once and keeps it, so that a combination
-decomposed in a stack is found again, decomposed, later.  The module also
+combination of two tensors once and keeps it (derived keeps any value
+computed from a pair of tensors), so that a combination decomposed in a
+stack is found again, decomposed, later.  The module also
 evaluates trace chains of matrix powers, rotations, and the rearrangement
 inequality tr(EF) >= sum of oppositely sorted eigenvalue products used by
 the commutativity argument.
@@ -51,7 +52,7 @@ class SymTensor:
         m.flags.writeable = False
         self._m = m
         self._eig = None
-        self._derived = None  # (t, combinations with t), see combination
+        self._derived = None  # (t, what was derived with t), see derived
 
     @property
     def dim(self) -> int:
@@ -154,21 +155,28 @@ def eig_stack(tensors) -> list:
     return [t._eig for t in tensors]
 
 
-def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 1.0) -> SymTensor:
-    """The SymTensor sign (cs s - ct t), built on the first call and kept on s.
+def derived(s: SymTensor, t: SymTensor, key, build):
+    """build(), called on the first request for key and kept on s with the tensor t.
 
-    s keeps the combinations with the last tensor object t it was combined
-    with, so the memo stays bounded: a later call with that t and the same
-    coefficients returns the same SymTensor, with its eigensystem if one was
-    computed.
+    s keeps what was derived with the last tensor object t it was paired
+    with, so the memo stays bounded: a later request with that t and key
+    returns the same object; pairing s with another t starts afresh.
     """
     if s._derived is None or s._derived[0] is not t:
         s._derived = (t, {})
     memo = s._derived[1]
-    key = (cs, ct, sign)
     if key not in memo:
-        memo[key] = SymTensor(sign * (cs * s._m - ct * t._m))
+        memo[key] = build()
     return memo[key]
+
+
+def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 1.0) -> SymTensor:
+    """The SymTensor sign (cs s - ct t), built on the first call and kept on s (see derived).
+
+    A later call with the same t and coefficients returns the same
+    SymTensor, with its eigensystem if one was computed.
+    """
+    return derived(s, t, (cs, ct, sign), lambda: SymTensor(sign * (cs * s._m - ct * t._m)))
 
 
 def positive_spectrum(values) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import sys
 
@@ -11,6 +12,7 @@ from homobounds.gclosure import PhaseA
 from homobounds.homog1d import (
     Profile1D,
     Source1D,
+    State1D,
     TargetOutsideInterval,
     bounds_1d,
     bsharp_1d,
@@ -19,6 +21,7 @@ from homobounds.homog1d import (
     _expand_profile,
     invert_theta_ab,
     lim_b_over_a,
+    solve_segments,
     solve_state_exact,
     weakstar_limits,
 )
@@ -36,6 +39,33 @@ def random_profile(rng, max_cells=6):
         (float(f), bool(rng.integers(0, 2)), bool(rng.integers(0, 2))) for f in fracs
     )
     return Profile1D(cells)
+
+
+def solve_segments_reference(breaks, a, b, source):
+    """solve_segments as first written, through numpy's convenience wrappers; kept as the bit-for-bit reference."""
+    merged = np.unique(np.concatenate([breaks, np.array(source.breakpoints)]))
+    seg = np.clip(np.searchsorted(breaks, merged[:-1], side="right") - 1, 0, len(a) - 1)
+    s_idx = np.clip(
+        np.searchsorted(np.array(source.breakpoints), merged[:-1], side="right") - 1,
+        0,
+        len(source.values) - 1,
+    )
+    a = a[seg]
+    b = b[seg]
+    fv = np.array(source.values)[s_idx]
+    h = np.diff(merged)
+    f_breaks = np.concatenate([[0.0], np.cumsum(fv * h)])[:-1]
+    int_inv_a = np.sum(h / a)
+    int_f_over_a = np.sum((f_breaks * h + fv * h**2 / 2.0) / a)
+    c = float(int_f_over_a / int_inv_a)
+    s0 = c - f_breaks
+    int_sigma = s0 * h - fv * h**2 / 2.0
+    int_sigma2 = s0**2 * h - s0 * fv * h**2 + fv**2 * h**3 / 3.0
+    energy_b = float(np.sum(b / a**2 * int_sigma2))
+    flux_b = float(np.sum(b / a * int_sigma))
+    dirichlet = float(np.sum(int_sigma2 / a**2))
+    z = float(-np.sum(b / a**2 * int_sigma) / int_inv_a)
+    return State1D(merged, a, b, c, f_breaks, fv, z, energy_b, flux_b, dirichlet)
 
 
 class TestProfiles:
@@ -247,6 +277,36 @@ class TestExactSolver:
             b = [pb.b1 if in_b else pb.b2 for _ in range(n) for _, _, in_b in profile.cells]
             got = _expand_profile(profile, pa, pb)
             assert all(np.array_equal(x, np.array(y)) for x, y in zip(got, (breaks, a, b)))
+
+    def test_solve_segments_matches_reference(self):
+        # every State1D field bit for bit (signs of zeros included, and repr
+        # keeps a scalar's last digit) on profiles of 1-40 cells, 1-1024 periods and sources of 1-4 pieces,
+        # some of whose breakpoints fall on a cell edge
+        rng = np.random.default_rng(18)
+        fields = [f.name for f in dataclasses.fields(State1D)]
+        for case in range(300):
+            cells = int(rng.integers(1, 41))
+            fracs = rng.dirichlet(np.ones(cells))
+            profile = Profile1D(
+                [(f, bool(rng.integers(0, 2)), bool(rng.integers(0, 2))) for f in fracs.tolist()],
+                int(2 ** rng.uniform(0, 10)) if case % 3 else 1,
+            )
+            pieces = int(rng.integers(1, 5))
+            inner = np.sort(rng.choice([0.25, 0.5, float(rng.uniform(0.01, 0.99))], pieces - 1, replace=False))
+            source = Source1D((0.0, *inner.tolist(), 1.0), tuple(rng.uniform(-2.0, 2.0, pieces).tolist()))
+            a1 = float(rng.uniform(0.1, 2.0))
+            pa = PhaseA(a1, a1 * 10 ** rng.uniform(0.01, 3.0), 0.5)
+            b1 = float(rng.uniform(0.1, 2.0))
+            pb = PhaseB(b1, b1 * 10 ** rng.uniform(0.0, 2.0), 0.5)
+            expanded = _expand_profile(profile, pa, pb)
+            got, want = solve_segments(*expanded, source), solve_segments_reference(*expanded, source)
+            for name in fields:
+                x, y = getattr(got, name), getattr(want, name)
+                if isinstance(y, np.ndarray):
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (case, name)
+                    assert np.array_equal(np.signbit(x), np.signbit(y)), (case, name)
+                else:
+                    assert type(x) is type(y) and repr(x) == repr(y), (case, name)
 
     def test_zero_source(self, pa_half, pb_half):
         state = solve_state_exact(NESTED, pa_half, pb_half, Source1D.constant(0.0))

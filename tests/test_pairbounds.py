@@ -10,6 +10,7 @@ from homobounds.gclosure import (
     OutsideGSet,
     PhaseA,
     boundary_curve_sample,
+    core_side,
     g_membership,
     lower_trace_sum,
     theta_from_upper_boundary,
@@ -36,9 +37,10 @@ from homobounds.pairbounds import (
     gradient_extremes,
     l2_terms,
     pair_membership,
+    pair_memberships,
     theta_star_u2,
 )
-from homobounds import sweeps
+from homobounds import pairbounds, sweeps
 from homobounds.cli import main
 from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, eig, rotate, trace_chain
 
@@ -164,6 +166,36 @@ class TestConstDensityBounds:
         pa = PhaseA(1, 2, 0.0)
         lhs, rhs = bound_L_const_b(SymTensor.diag([2.0, 2.0]), SymTensor.identity(2), pa, 1.0)
         assert lhs == pytest.approx(0.0, abs=1e-14) and rhs == 0.0
+
+
+    @staticmethod
+    def const_b_pair():
+        # a simple laminate of (1.5, 3) at thetaA 0.5, with a constant density 1.2
+        pa, pb = PhaseA(1.5, 3.0, 0.5), PhaseB(1.2, 1.2, 0.4)
+        return SymTensor.diag([2.0, 2.25]), SymTensor.diag([1.3, 1.25]), pa, pb
+
+    def test_factors_built_once_per_core(self, monkeypatch):
+        # a verdict lists its tensors, then evaluates both bounds: each core's
+        # factors are built once, on the pair check path and on the sweep path
+        calls = []
+        monkeypatch.setattr(pairbounds, "core_side", lambda pa, core: calls.append(core) or core_side(pa, core))
+        report = pair_membership(*self.const_b_pair())
+        assert np.isfinite([report.li_lhs, report.uj_lhs]).all()  # both bounds ran
+        assert sorted(calls) == ["a1", "a2"]
+        calls.clear()
+        pair_memberships([self.const_b_pair() for _ in range(3)])
+        assert sorted(calls) == ["a1"] * 3 + ["a2"] * 3
+
+    def test_outer_factor_is_the_shift_by_base_identity(self):
+        # sign (A* - base I) bit for bit, with the -0.0 off the diagonal kept
+        pa, bsharp = self.const_b_pair()[2], SymTensor.diag([1.3, 1.25, 1.3])
+        astar = SymTensor([[2.1, -0.0, 0.1], [-0.0, 2.2, 0.0], [0.1, 0.0, 2.4]])
+        for core in ("a1", "a2"):
+            factors = pairbounds._const_b_factors(astar, bsharp, pa, 1.2, core)
+            base, _, _, sign = core_side(pa, core)
+            want = sign * (astar.mat - base * np.eye(3))
+            assert np.array_equal(factors[0], want) and np.array_equal(np.signbit(factors[0]), np.signbit(want))
+            assert pairbounds._const_b_factors(astar, bsharp, pa, 1.2, core) is factors
 
 
 class TestTwoPhaseBounds:

@@ -1,6 +1,7 @@
 import gc
 import sys
-from itertools import combinations
+import tracemalloc
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -68,6 +69,42 @@ def oodp_loop_reference(cells, onesA, onesB, pa, pb, source):
         values = base - (pb.b2 - pb.b1) * (b_masks @ inv_a2) / cells
         best = min(best, float(values.min()))
     return best * harm**2 * dirichlet
+
+
+def combinations_table(cells, ones):
+    """The masks of itertools.combinations(range(cells), ones), one row per placement."""
+    count = comb(cells, ones)
+    picked = np.fromiter(chain.from_iterable(combinations(range(cells), ones)), int, count * ones)
+    table = np.zeros((count, cells), dtype=bool)
+    table[np.arange(count)[:, None], picked.reshape(count, ones)] = True
+    return table
+
+
+class TestPlacements:
+    @staticmethod
+    def sizes():
+        every = [(cells, ones) for cells in range(1, 15) for ones in range(cells + 1)]
+        edges = [(cells, ones) for cells in range(15, 21) for ones in (0, 1, cells - 1, cells)]
+        # both sides of cells/2, where the table switches to complements
+        halves = [(cells, cells // 2 + shift) for cells in range(15, 21) for shift in (-1, 0, 1, 2)]
+        return every + edges + halves
+
+    def test_table_is_combinations_order(self):
+        for cells, ones in self.sizes():
+            blocks = list(relaxation._placements(cells, ones, comb(cells, ones)))
+            assert len(blocks) == 1
+            assert blocks[0].dtype == bool
+            assert np.array_equal(blocks[0], combinations_table(cells, ones)), (cells, ones)
+
+    @pytest.mark.parametrize("block_elements", [1, 7, 64, 1000, 1 << 14])
+    def test_blocks_join_to_the_table(self, block_elements):
+        # _pattern_minimum streams A-placements in blocks of _BLOCK_ELEMENTS // cells
+        # rows; at each block size the blocks join to the unblocked table
+        for cells, ones in [(1, 0), (1, 1), (5, 2), (8, 4), (9, 7), (12, 5), (13, 8), (16, 3)]:
+            rows = max(1, block_elements // cells)
+            blocks = list(relaxation._placements(cells, ones, rows))
+            assert all(len(block) == rows for block in blocks[:-1])
+            assert np.array_equal(np.concatenate(blocks), combinations_table(cells, ones))
 
 
 class TestDesignField:
@@ -156,6 +193,21 @@ class TestOdpBrute:
                 a1, a2, _, _, source = random_design(rng)
                 pa = PhaseA(a1, a2, onesA / cells)
                 assert odp_bruteforce_1d(cells, onesA, pa, source) == odp_loop_reference(cells, onesA, pa, source)
+
+    def test_working_memory_is_one_block(self):
+        # A-placements stream in blocks of about _BLOCK_ELEMENTS / cells: the
+        # whole table of 48,620 placements would hold 7 MB of 1/a^2 values,
+        # and the peak stays under 1 MB
+        pa = PhaseA(1.0, 2.0, 0.5)
+        tracemalloc.start()
+        try:
+            value, mask = odp_bruteforce_1d(18, 9, pa, UNIT_F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * relaxation._BLOCK_ELEMENTS
+        assert sum(mask) == 9
+        assert value == pytest.approx(odp_relaxed_value_1d(DesignField1D.constant(0.5), pa, UNIT_F), rel=1e-12)
 
     def test_equal_energies_across_blocks_keep_the_first(self, monkeypatch):
         # 1/a^2 is 1 or 1/4, so all 70 placements score exactly the same
