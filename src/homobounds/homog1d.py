@@ -105,6 +105,10 @@ class Source1D:
         bp = tuple([float(x) for x in self.breakpoints])  # from lists, as in Profile1D
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", tuple([float(v) for v in self.values]))
+        # a NaN breakpoint would pass both order tests below, and solve_state_exact would return NaN
+        for field in ("breakpoints", "values"):
+            if not np.isfinite(getattr(self, field)).all():
+                raise ValueError(f"Source1D {field} must be finite, got {getattr(self, field)}")
         if len(bp) != len(self.values) + 1 or bp[0] != 0.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must span [0, 1] with one value per piece")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):

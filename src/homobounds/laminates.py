@@ -5,7 +5,10 @@ laminates iterate lamination in p directions with weights m_i and realize
 every boundary point of the A* phase set.  For each of the four inclusion
 relations between the two microstructure sets there is a linear matrix
 relation defining the accompanying relative limit, solved here entrywise in
-the laminate eigenframe.
+the laminate eigenframe.  seq_A and seq_B_const are the one-spec cases of
+seq_A_stack and seq_B_const_stack, which build many laminates of one
+dimension with one LAPACK call on their direction moments and one frame
+product.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +24,14 @@ from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
     admits,
+    chain_link,
     flux_ratio,
     general_chain_check,
     gradient_extremes,
     l2_terms,
     u2_terms,
 )
-from .symtensor import SymTensor, eig
+from .symtensor import SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
 
 RELATIONS = ("A_subset_B", "B_subset_A", "disjoint", "complement_cover", "const_b")
 # core phase of the sequential laminates that realize each two-phase relation
@@ -97,14 +100,10 @@ class LaminateSpec:
     def dim(self) -> int:
         return len(self.directions[0])
 
-    @cached_property
+    @property
     def moment(self) -> SymTensor:
-        """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec."""
-        m = np.zeros((self.dim, self.dim))
-        for d, w in zip(self.directions, self.weights):
-            e = np.asarray(d)
-            m += w * np.outer(e, e)
-        return SymTensor(m)
+        """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec (see _moments)."""
+        return _moments([self])[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -156,22 +155,55 @@ def simple_laminate_pair(
     return SymTensor.diag(a_diag), SymTensor.diag(b_diag)
 
 
-def _laminate_frame(spec: LaminateSpec, pa: PhaseA) -> tuple:
-    """(w, a_diag, frame): the moment weights and the A* eigenvalues along the moment eigenframe.
+def _moments(specs) -> list:
+    """The direction moment of each spec of one dimension, built once per spec.
+
+    The moments not built before are built in one stacked pass and kept on
+    their specs.  Each is accumulated over the directions in order, so it
+    has the bits of the one-spec case.
+    """
+    fresh = [s for s in specs if "_moment" not in vars(s)]
+    if fresh:
+        n, p = fresh[0].dim, max(len(s.weights) for s in fresh)
+        # a spec with fewer directions is padded with zero weights on zero
+        # directions: the sums start at +0.0 and so never hold -0.0, and
+        # adding the padding's +0.0 terms leaves each as it is
+        e = np.array([[*s.directions, *[(0.0,) * n] * (p - len(s.weights))] for s in fresh])
+        w = np.array([[*s.weights, *[0.0] * (p - len(s.weights))] for s in fresh])
+        terms = w[:, :, None, None] * (e[:, :, :, None] * e[:, :, None, :])  # w np.outer(e, e)
+        m = np.zeros((len(fresh), n, n))
+        for i in range(p):
+            m += terms[:, i]
+        for s, moment in zip(fresh, m):
+            object.__setattr__(s, "_moment", SymTensor(moment))
+    return [s._moment for s in specs]
+
+
+def _laminate_frames(specs, pas) -> tuple:
+    """(w, a_diag, frames): the moment weights and the A* eigenvalues along each moment eigenframe, as (K, N) and (K, N, N) stacks.
 
     A* shares the eigenframe of the direction second moment M, so every
     function of A* the constructors need is read from a_diag.  With
     (base, frac, rest, sign) = core_side(pa, core) it solves the resolvent relation
         frac (A* - base I)^-1 = sign (a2-a1)^-1 I + rest M / base.
+    The specs share one dimension; one LAPACK call decomposes the moments
+    not decomposed before, and each row has the bits of its one-spec case.
     """
-    es = eig(spec.moment)
-    w = np.array(es.values)
-    base, frac, rest, sign = core_side(pa, spec.core_phase)
-    if frac <= _UNIT_TOL:
-        diag = np.full_like(w, base)  # homogeneous base medium
-    else:
-        diag = base + frac / (sign / (pa.a2 - pa.a1) + rest * w / base)
-    return w, diag, es.frame
+    systems = eig_stack(_moments(specs))
+    w = np.array([es.values for es in systems])
+    rows = []
+    for spec, pa in zip(specs, pas):
+        base, frac, rest, sign = core_side(pa, spec.core_phase)
+        # at frac <= _UNIT_TOL the base medium is homogeneous: its row is base + 0/1
+        rows.append((base, frac, rest, sign / (pa.a2 - pa.a1)) if frac > _UNIT_TOL else (base, 0.0, 0.0, 1.0))
+    base, frac, rest, lead = np.array(rows).T[:, :, None]
+    return w, base + frac / (lead + rest * w / base), np.array([es.frame for es in systems])
+
+
+def seq_A_stack(specs, pas) -> list:
+    """seq_A of each (spec, pa), the specs of one dimension, in stacked passes."""
+    _, a_diag, frames = _laminate_frames(specs, pas)
+    return [SymTensor(m) for m in from_frames(frames, a_diag)]
 
 
 def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
@@ -181,8 +213,24 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
     core a1 / matrix a2 the upper one; the formulas are resolvent relations
     in the direction second moment, solved in its eigenframe.
     """
-    _, a_diag, frame = _laminate_frame(spec, pa)
-    return SymTensor(frame @ np.diag(a_diag) @ frame.T)
+    return seq_A_stack([spec], [pa])[0]
+
+
+def seq_B_const_stack(specs, pas, bs) -> list:
+    """seq_B_const of each (spec, pa, b), the specs of one dimension, in stacked passes."""
+    for b in bs:
+        if not b > 0:
+            raise ValueError(f"need a density b > 0, got {b}")
+    _, a_diag, frames = _laminate_frames(specs, pas)
+    rows = []
+    for spec, pa, b in zip(specs, pas, bs):
+        base, frac, _, sign = core_side(pa, spec.core_phase)
+        # at frac <= _UNIT_TOL, where A* = base I, the row is b + 0/1
+        scale = frac * (pa.a2 - pa.a1) * base if frac > _UNIT_TOL else 1.0
+        rows.append((b, base, sign, scale, means(pa)[1]))
+    b, base, sign, scale, arith = np.array(rows).T[:, :, None]
+    diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
+    return [SymTensor(m) for m in from_frames(frames, diag)]
 
 
 def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
@@ -190,20 +238,12 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
 
     Defining relation in the laminate frame:
         b (B# - b I)^-1 (Abar - A*)^2 = theta (1-theta) (a2-a1)^2 M.
-    Eliminating M through the resolvent relation of _laminate_frame gives,
+    Eliminating M through the resolvent relation of _laminate_frames gives,
     along each eigenvalue lambda of A*,
         B# = b + b (Abar - lambda) sign (lambda - base) / (frac (a2-a1) base),
     which is b wherever M has zero weight.
     """
-    if not b > 0:
-        raise ValueError(f"need a density b > 0, got {b}")
-    _, a_diag, frame = _laminate_frame(spec, pa)
-    base, frac, _, sign = core_side(pa, spec.core_phase)
-    diag = np.full_like(a_diag, b)  # homogeneous base medium at frac <= _UNIT_TOL
-    if frac > _UNIT_TOL:
-        _, arith = means(pa)
-        diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / (frac * (pa.a2 - pa.a1) * base)
-    return SymTensor(frame @ np.diag(diag) @ frame.T)
+    return seq_B_const_stack([spec], [pa], [b])[0]
 
 
 def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
@@ -217,6 +257,16 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     legitimately fail it, in which case ChainViolation is raised with the
     tensor attached.
     """
+    return seq_pair_pp(spec, pa, pb)[1]
+
+
+def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
+    """(A*, B#) = (seq_A, seq_B_pp) of a two-phase spec, with ChainViolation as in seq_B_pp.
+
+    One LAPACK call decomposes A*, B# and the chain link (b2/a1) A* - B#
+    for the chain check, and both tensors keep their eigensystems, so a
+    verdict on the pair decomposes nothing again.
+    """
     relation = spec.relation
     if relation == "const_b":
         raise InconsistentSpec("use seq_B_const for the constant-density relation")
@@ -227,7 +277,8 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     if spec.core_phase != RELATION_CORE[relation]:
         raise InconsistentSpec(f"relation {relation} needs core {RELATION_CORE[relation]}")
 
-    w, a_diag, frame = _laminate_frame(spec, pa)
+    w, a_diag, frames = _laminate_frames([spec], [pa])
+    w, a_diag = w[0], a_diag[0]
     theta = pa.thetaA
 
     if spec.core_phase == "a2":
@@ -243,13 +294,13 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
             core = lead / a_diag - (level - osc * (1.0 - w)) * ratio
         diag = a_diag**2 * core
 
-    bsharp = SymTensor(frame @ np.diag(diag) @ frame.T)
-    astar = SymTensor(frame @ np.diag(a_diag) @ frame.T)
+    astar, bsharp = [SymTensor(m) for m in from_frames(frames[[0, 0]], np.array([a_diag, diag]))]
+    eig_stack([astar, bsharp, chain_link(astar, bsharp, pa, pb)])
     slacks = general_chain_check(astar, bsharp, pa, pb)
     if min(slacks) < -DEFAULT_TOL:
         raise ChainViolation(
             f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
             tensor=bsharp,
         )
-    return bsharp
+    return astar, bsharp
 

@@ -33,7 +33,17 @@ from .gclosure import (
     thetas_from_lower_boundary,
 )
 from .homog1d import lim_b_over_a, phase_means
-from .symtensor import SingularFactor, SymTensor, combination, derived, eig, eig_stack, positive_spectrum, trace_chain
+from .symtensor import (
+    SingularFactor,
+    SymTensor,
+    combination,
+    derived,
+    eig,
+    eig_stack,
+    from_frames,
+    positive_spectrum,
+    singular_spectra,
+)
 
 
 class DimensionMismatch(ValueError):
@@ -107,7 +117,7 @@ def _constant_density(pb: PhaseB) -> bool:
     return pb.b2 - pb.b1 <= 1e-14 * pb.b1
 
 
-def _link(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> SymTensor:
+def chain_link(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> SymTensor:
     """(b2/a1) A* - B#, the middle link of the chain; DimensionMismatch unless A* and B# share a dimension."""
     if astar.dim != bsharp.dim:
         raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
@@ -125,7 +135,7 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
       4: min eig A* - a1
       5: a2 - max eig A*
     """
-    link = eig(_link(astar, bsharp, pa, pb)).values
+    link = eig(chain_link(astar, bsharp, pa, pb)).values
     _, arith = means(pa)
     ratio = pb.b2 / pa.a1
     lam = eig(astar).values
@@ -165,16 +175,34 @@ def _const_b_factors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, 
     return derived(astar, bsharp, (pa, b, core), build)
 
 
+def _const_b_lhs(rows) -> list:
+    """b tr F middle^-1 F of each (b, outer F, middle) whose middles share a dimension, in one stacked product.
+
+    Each value has the bits of trace_chain([(b, 1), (F, 1), (middle, -1),
+    (F, 1)]); SingularFactor, as there, if a middle is not positive definite.
+    """
+    systems = eig_stack([middle for _, _, middle in rows])
+    values = np.array([es.values for es in systems])
+    singular = singular_spectra(values)
+    if singular.any():
+        positive_spectrum(values[singular.argmax()])  # raises SingularFactor
+    outer = np.array([f for _, f, _ in rows])
+    inverse = from_frames(np.array([es.frame for es in systems]), values**-1.0)
+    traces = np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
+    return [float(b * t) for (b, _, _), t in zip(rows, traces.tolist())]
+
+
 def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
     """Constant-density trace bound saturated by the constructions with the given core.
 
     With the factors of _const_b_factors, feasible pairs have
         lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
+    lhs is read from the memo that pair_memberships fills, else computed.
     """
     outer, middle, rhs = _const_b_factors(astar, bsharp, pa, b, core)
     if middle is None:
         return 0.0, rhs  # homogeneous base medium
-    return float(trace_chain([(b, 1), (outer, 1), (middle, -1), (outer, 1)])), rhs
+    return derived(astar, bsharp, ("lhs", pa, b, core), lambda: _const_b_lhs([(b, outer, middle)])[0]), rhs
 
 
 def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
@@ -187,14 +215,22 @@ def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -
     return _bound_const_b(astar, bsharp, pa, b, "a2")
 
 
+def _eigenframes(pairs) -> list:
+    """_eigenframe of each (A*, B#) of one dimension, in one stacked product."""
+    systems = eig_stack([astar for astar, _ in pairs])
+    frames = np.array([es.frame for es in systems])
+    beta = frames.transpose(0, 2, 1) @ np.array([bsharp._m for _, bsharp in pairs]) @ frames
+    return list(zip(np.array([es.values for es in systems]), beta.diagonal(axis1=1, axis2=2)))
+
+
 def _eigenframe(astar: SymTensor, bsharp: SymTensor) -> tuple:
     """Eigenvalues lambda of A* and the diagonal beta of B# in A*'s eigenframe.
 
     Each trace bound pairs B# with a function f of A* alone, and
     tr B# f(A*) = sum_i beta_i f(lambda_i) whether or not B# commutes with A*.
+    Read from the memo that pair_memberships fills, else computed.
     """
-    es = eig(astar)
-    return np.array(es.values), np.diag(es.frame.T @ bsharp.mat @ es.frame)
+    return derived(astar, bsharp, "eigenframe", lambda: _eigenframes([(astar, bsharp)])[0])
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -343,7 +379,7 @@ def _membership_tensors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
     A-medium, the middle factor of each bound whose base medium is not
     homogeneous.  DimensionMismatch is raised before the link is built.
     """
-    tensors = [astar, bsharp, _link(astar, bsharp, pa, pb)]
+    tensors = [astar, bsharp, chain_link(astar, bsharp, pa, pb)]
     if _constant_density(pb) and homogeneous_value(pa) is None:
         for core in ("a1", "a2"):
             middle = _const_b_factors(astar, bsharp, pa, pb.b1, core)[1]
@@ -410,10 +446,13 @@ def pair_membership(
 def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     """pair_membership of each (astar, bsharp, pa, pb) in a sequence, with one LAPACK call per dimension.
 
-    Every tensor that the verdicts decompose is built and decomposed first;
-    each pair is then judged by the module's pair_membership, which finds
-    every eigensystem memoised.  A pair whose A* and B# differ in dimension
-    raises DimensionMismatch before any pair is judged.
+    Every tensor that the verdicts decompose is built and decomposed first.
+    Then one stacked product per dimension gives each two-phase pair's
+    eigenframe and one more each constant-density bound's lhs; both are
+    kept on A* (see symtensor.derived).  Each pair is then judged by the
+    module's pair_membership, which finds them all memoised.  A pair whose
+    A* and B# differ in dimension raises DimensionMismatch before any pair
+    is judged.
     """
     by_dim = {}
     for pair in pairs:
@@ -421,6 +460,26 @@ def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
             by_dim.setdefault(tensor.dim, []).append(tensor)
     for tensors in by_dim.values():
         eig_stack(tensors)
+    frames, const_b = {}, {}
+    for astar, bsharp, pa, pb in pairs:
+        if homogeneous_value(pa) is not None:
+            continue
+        if not _constant_density(pb):
+            frames.setdefault(astar.dim, []).append((astar, bsharp))
+            continue
+        for core in ("a1", "a2"):
+            outer, middle, _ = _const_b_factors(astar, bsharp, pa, pb.b1, core)
+            if middle is not None:
+                const_b.setdefault(astar.dim, []).append((astar, bsharp, ("lhs", pa, pb.b1, core), pb.b1, outer, middle))
+    for group in frames.values():
+        for (astar, bsharp), frame in zip(group, _eigenframes(group)):
+            derived(astar, bsharp, "eigenframe", lambda: frame)
+    for group in const_b.values():
+        singular = singular_spectra([es.values for es in eig_stack([row[5] for row in group])])
+        # a middle that is not positive definite keeps no memo: its bound raises SingularFactor
+        group = [row for row, bad in zip(group, singular) if not bad]
+        for (astar, bsharp, key, *_), lhs in zip(group, _const_b_lhs([row[3:] for row in group]) if group else []):
+            derived(astar, bsharp, key, lambda: lhs)
     return [pair_membership(*pair, tol) for pair in pairs]
 
 
@@ -469,9 +528,7 @@ def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TO
         # resolvent relation theta M / a1 = (1-theta)(A* - a1 I)^-1 - (a2-a1)^-1 I
         m = pa.a1 / theta * ((1.0 - theta) / (lam - pa.a1) - 1.0 / (pa.a2 - pa.a1))
         for out, diag in zip((low, high), gradient_extremes(lam, m, pa, pb, theta)):
-            grid = np.zeros(frames.shape)
-            grid.reshape(len(grid), -1)[:, :: n + 1] = diag  # np.diag of each row
-            out[live] = frames @ grid @ frames.transpose(0, 2, 1)
+            out[live] = from_frames(frames, diag)
     return low, high
 
 

@@ -49,9 +49,12 @@ class DesignField1D:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("field needs at least one cell")
-        if any(v < 0.0 or v > 1.0 for v in vals):
-            raise ValueError("fractions must lie in [0, 1]")
+        bad = [v for v in vals if not 0.0 <= v <= 1.0]  # NaN fails both comparisons
+        if bad:
+            raise ValueError(f"DesignField1D values must be fractions in [0, 1], got {bad[0]}")
         if self.volume_target is not None:
+            if not np.isfinite(self.volume_target):
+                raise ValueError(f"DesignField1D volume_target must be finite, got {self.volume_target}")
             mean = sum(vals) / len(vals)
             if abs(mean - self.volume_target) > _MEAN_TOL:
                 raise ValueError(

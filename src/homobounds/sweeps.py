@@ -4,6 +4,8 @@ Draws phase data and a construction (simple or sequential laminate, coated
 sphere, one-dimensional embedding, possibly rotated) from a counter-based
 generator, so a 64-bit seed reproduces a sweep bit for bit.  Used by the
 command-line `pair sweep` and by the feasibility acceptance run.
+draw_composites makes a chunk's random draws first and then builds what it
+can in stacked passes; draw_composite is its one-composite case.
 """
 
 from __future__ import annotations
@@ -13,14 +15,35 @@ import numpy as np
 from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
-from .laminates import RELATION_CORE, ChainViolation, LaminateSpec, seq_A, seq_B_const, seq_B_pp, simple_laminate_pair
+from .laminates import (
+    RELATION_CORE,
+    ChainViolation,
+    LaminateSpec,
+    seq_A_stack,
+    seq_B_const_stack,
+    seq_pair_pp,
+    simple_laminate_pair,
+)
 from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_memberships
-from .symtensor import MAX_DIM, SymTensor, rotate
+from .symtensor import MAX_DIM, SymTensor, rotate_stack
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
 
-# Rows drawn, then judged, together: each chunk makes one LAPACK call per
-# dimension, and the chunk's tensors bound the memory a long sweep holds.
+# The coated spheres a sweep draws from.  The two core-a1 two-phase
+# assignments are only drawn with thetaB < thetaA: on {thetaA <= thetaB} they
+# genuinely violate the printed L1 bound (see DECISIONS.md), so they are not
+# feasibility-sweep material there.
+_COATINGS = (
+    CoatingConfig("a2", "b2", "A_in_B"),
+    CoatingConfig("a2", "b1", "A_in_Bc"),
+    CoatingConfig("a1", "const", "none"),
+    CoatingConfig("a2", "const", "none"),
+)
+_CORE_A1_COATINGS = (CoatingConfig("a1", "b1", "B_in_A"), CoatingConfig("a1", "b2", "Ac_in_B"))
+
+# Rows drawn, then judged, together: each chunk is built and judged in
+# stacked passes per dimension, and its tensors bound the memory a long
+# sweep holds.
 _CHUNK = 64
 
 
@@ -39,9 +62,10 @@ def _random_phases(rng) -> tuple:
     return pa, pb
 
 
-def _random_rotation(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
+def _rotations(gaussians: np.ndarray) -> np.ndarray:
+    """Random orthonormal frames from a (K, N, N) stack of Gaussian matrices: one stacked QR, columns signed by R's diagonal."""
+    q, r = np.linalg.qr(gaussians)
+    return q * np.sign(r.diagonal(axis1=1, axis2=2))[:, None, :]
 
 
 def _random_spec(rng, n: int, relation: str, core: str) -> LaminateSpec:
@@ -55,70 +79,60 @@ def _random_spec(rng, n: int, relation: str, core: str) -> LaminateSpec:
     return LaminateSpec(tuple(dirs), tuple(w), core, relation)
 
 
-def draw_composite(rng, max_dim: int = 3) -> dict:
-    """One feasible composite: phases, pair (A*, B#), family label.
+def _draw(rng, max_dim: int) -> tuple:
+    """One composite's random draws, in stream order: (draw, todo).
 
-    complement_cover relations can produce chain-violating tensors; those
-    draws are resampled (and counted) since they are not relative limits.
+    todo is None when the draw is built: simple laminates, coated spheres,
+    and seq_pp laminates, which must be built at once because a
+    complement_cover output that breaks the bounds chain is redrawn, and
+    the redraw moves the stream.  Otherwise the draw's astar and bsharp
+    are left for draw_composites to build in stacks: todo is
+    ("rotated_simple", Gaussian matrix of the rotation) for a simple
+    laminate still to rotate, or ("seq_const", spec, b).
     """
     rejections = 0
     while True:
         n = int(rng.integers(2, max_dim + 1))
         pa, pb = _random_phases(rng)
         family = FAMILIES[int(rng.integers(0, len(FAMILIES)))]
+        todo = None
         try:
             if family in ("simple", "rotated_simple"):
                 theta_ab = rng.uniform(*overlap_window(pa, pb))
                 axis = int(rng.integers(0, n))
                 astar, bsharp = simple_laminate_pair(pa, pb, theta_ab, axis, n)
                 if family == "rotated_simple":
-                    q = _random_rotation(rng, n)
-                    astar, bsharp = rotate(astar, q), rotate(bsharp, q)
+                    todo = (family, rng.normal(size=(n, n)))
             elif family == "seq_const":
                 b = rng.uniform(0.5, 4.0)
                 pb = PhaseB(b, b, pb.thetaB)
                 core = "a2" if rng.uniform() < 0.5 else "a1"
-                spec = _random_spec(rng, n, "const_b", core)
-                astar = seq_A(spec, pa)
-                bsharp = seq_B_const(spec, pa, b)
+                astar = bsharp = None
+                todo = (family, _random_spec(rng, n, "const_b", core), b)
             elif family == "seq_pp":
                 choices = [r for r in RELATION_BOUND if admits(r, pa, pb, False)]
                 relation = choices[int(rng.integers(0, len(choices)))]
                 spec = _random_spec(rng, n, relation, RELATION_CORE[relation])
-                astar = seq_A(spec, pa)
-                bsharp = seq_B_pp(spec, pa, pb)
+                astar, bsharp = seq_pair_pp(spec, pa, pb)
             else:
-                # the two core-a1 two-phase assignments are only drawn with
-                # thetaB < thetaA: on {thetaA <= thetaB} they genuinely
-                # violate the printed L1 bound (see DECISIONS.md),
-                # so they are not feasibility-sweep material there
-                configs = [
-                    CoatingConfig("a2", "b2", "A_in_B"),
-                    CoatingConfig("a2", "b1", "A_in_Bc"),
-                    CoatingConfig("a1", "const", "none"),
-                    CoatingConfig("a2", "const", "none"),
-                ]
-                if admits("B_subset_A", pa, pb, False):
-                    configs += [
-                        CoatingConfig("a1", "b1", "B_in_A"),
-                        CoatingConfig("a1", "b2", "Ac_in_B"),
-                    ]
+                configs = _COATINGS + (_CORE_A1_COATINGS if admits("B_subset_A", pa, pb, False) else ())
+                # each constant density is drawn in turn; b# is evaluated for the picked config only
                 valid = []
                 for cfg in configs:
                     if cfg.coreB == "const":
-                        b = rng.uniform(0.5, 4.0)
-                        valid.append((cfg, hs_b(pa, b, cfg, n), PhaseB(b, b, pb.thetaB)))
+                        valid.append((cfg, rng.uniform(0.5, 4.0)))
                     elif admits(cfg.relation, pa, pb, True):
-                        valid.append((cfg, hs_b(pa, pb, cfg, n), pb))
-                cfg, bval, pb = valid[int(rng.integers(0, len(valid)))]
-                m = hs_m(pa, cfg.coreA, n)
-                astar = SymTensor(m * np.eye(n))
-                bsharp = SymTensor(bval * np.eye(n))
+                        valid.append((cfg, pb))
+                cfg, density = valid[int(rng.integers(0, len(valid)))]
+                if cfg.coreB == "const":
+                    pb = PhaseB(density, density, pb.thetaB)
+                astar = SymTensor(hs_m(pa, cfg.coreA, n) * np.eye(n))
+                bsharp = SymTensor(hs_b(pa, density, cfg, n) * np.eye(n))
                 family = f"coated_{cfg.coreA}_{cfg.coreB}"
         except ChainViolation:
             rejections += 1
             continue
-        return {
+        draw = {
             "family": family,
             "dim": n,
             "pa": pa,
@@ -127,6 +141,45 @@ def draw_composite(rng, max_dim: int = 3) -> dict:
             "bsharp": bsharp,
             "chain_rejections": rejections,
         }
+        return draw, todo
+
+
+def draw_composites(rng, count: int, max_dim: int = 3) -> list:
+    """count feasible composites: phases, pair (A*, B#), family label each.
+
+    The random draws are made first, one composite after another, and
+    consume the stream exactly as count calls of draw_composite would.  The
+    constructions are then built per dimension in stacked passes: the
+    rotated simple laminates by one QR and one congruence, the
+    constant-density sequential laminates by one pass over the direction
+    moments, one LAPACK call on them and one frame product for each of A*
+    and B#.  Every tensor has the bits of its one-composite case.
+    complement_cover relations can produce chain-violating tensors; those
+    draws are resampled (and counted in chain_rejections) since they are
+    not relative limits.
+    """
+    draws, pending = [], {"rotated_simple": {}, "seq_const": {}}
+    for _ in range(count):
+        draw, todo = _draw(rng, max_dim)
+        draws.append(draw)
+        if todo is not None:
+            family, *inputs = todo
+            pending[family].setdefault(draw["dim"], []).append((draw, *inputs))
+    for group in pending["rotated_simple"].values():
+        q = _rotations(np.array([gaussian for _, gaussian in group]))
+        rotated = rotate_stack([d["astar"] for d, _ in group] + [d["bsharp"] for d, _ in group], np.concatenate([q, q]))
+        for (d, _), astar, bsharp in zip(group, rotated[: len(group)], rotated[len(group) :]):
+            d["astar"], d["bsharp"] = astar, bsharp
+    for group in pending["seq_const"].values():
+        specs, pas, bs = [spec for _, spec, _ in group], [d["pa"] for d, _, _ in group], [b for _, _, b in group]
+        for (d, _, _), astar, bsharp in zip(group, seq_A_stack(specs, pas), seq_B_const_stack(specs, pas, bs)):
+            d["astar"], d["bsharp"] = astar, bsharp
+    return draws
+
+
+def draw_composite(rng, max_dim: int = 3) -> dict:
+    """One feasible composite: phases, pair (A*, B#), family label (the one-composite case of draw_composites)."""
+    return draw_composites(rng, 1, max_dim)[0]
 
 
 def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFAULT_TOL) -> list:
@@ -146,7 +199,7 @@ def feasibility_sweep(seed: int, count: int, max_dim: int = 3, tol: float = DEFA
     rng = make_rng(seed)
     rows = []
     for start in range(0, count, _CHUNK):
-        draws = [draw_composite(rng, max_dim) for _ in range(min(_CHUNK, count - start))]
+        draws = draw_composites(rng, min(_CHUNK, count - start), max_dim)
         reports = pair_memberships([(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in draws], tol)
         rows += [
             (i, d["family"], d["dim"], r.region, min(r.chain_slacks), r.li_slack, r.uj_slack, r.verdict)

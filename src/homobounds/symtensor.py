@@ -10,9 +10,10 @@ memoises each result exactly as eig would.  combination builds a linear
 combination of two tensors once and keeps it (derived keeps any value
 computed from a pair of tensors), so that a combination decomposed in a
 stack is found again, decomposed, later.  The module also
-evaluates trace chains of matrix powers, rotations, and the rearrangement
-inequality tr(EF) >= sum of oppositely sorted eigenvalue products used by
-the commutativity argument.
+evaluates trace chains of matrix powers, rotations (rotate_stack takes many
+at once, and from_frames builds Q diag(v) Q^T over a stack), and the
+rearrangement inequality tr(EF) >= sum of oppositely sorted eigenvalue
+products used by the commutativity argument.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def eig_stack(tensors) -> list:
     if len({t.dim for t in tensors}) > 1:
         raise ValueError("eig_stack needs tensors of one dimension")
     fresh = [t for t in tensors if t._eig is None]
-    if fresh:
-        vals, q = np.linalg.eigh(np.stack([t._m for t in fresh]))
+    if len(fresh) == 1:
+        fresh[0]._eig = _eigh(fresh[0]._m)  # a lone tensor as eig decomposes it, without the stack's indexing
+    elif fresh:
+        vals, q = np.linalg.eigh(np.array([t._m for t in fresh]))
         q = q[:, :, ::-1]
         # _eigh's sign rule, applied to every matrix of the stack at once
         lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
@@ -179,13 +182,18 @@ def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 
     return derived(s, t, (cs, ct, sign), lambda: SymTensor(sign * (cs * s._m - ct * t._m)))
 
 
+def singular_spectra(values) -> np.ndarray:
+    """Whether each row of eigenvalues has one at or below the relative floor, which positive_spectrum refuses."""
+    vals = np.asarray(values, dtype=float)
+    return vals.min(axis=-1) <= _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR)
+
+
 def positive_spectrum(values) -> np.ndarray:
     """Eigenvalues of an inverse factor as an array; SingularFactor unless all are positive at the relative floor."""
     vals = np.asarray(values, dtype=float)
-    scale = np.abs(vals).max() + _ABS_FLOOR
-    if vals.min() <= _EIG_SINGULAR_REL * scale:
+    if singular_spectra(vals):
         raise SingularFactor(
-            f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {scale:.3e})"
+            f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {np.abs(vals).max() + _ABS_FLOOR:.3e})"
         )
     return vals
 
@@ -246,15 +254,35 @@ def trace_pairing_bound(e, f) -> tuple:
     return lower, gap
 
 
-def rotate(s, frame) -> SymTensor:
-    """Congruence Q S Q^T by an orthonormal frame Q."""
-    q = np.asarray(frame, dtype=float)
-    m = _as_matrix(s)
+def from_frames(frames: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The matrices Q diag(v) Q^T of a (K, N, N) stack of frames Q and a (K, N) stack of values v.
+
+    One stacked product, bit for bit frame @ np.diag(v) @ frame.T of each row.
+    """
+    k, n = values.shape
+    grid = np.zeros((k, n, n))
+    grid.reshape(k, -1)[:, :: n + 1] = values  # np.diag of each row
+    return frames @ grid @ frames.transpose(0, 2, 1)
+
+
+def rotate_stack(tensors, frames) -> list:
+    """Congruences Q S Q^T of a sequence of tensors of one dimension by orthonormal frames Q, one per tensor.
+
+    One stacked product, bit for bit the product of each pair on its own;
+    NotOrthonormal if a frame has the wrong shape or fails the tolerance.
+    """
+    q = np.asarray(frames, dtype=float)
+    m = np.array([_as_matrix(s) for s in tensors])
     if q.shape != m.shape:
         raise NotOrthonormal("frame has wrong shape")
-    if np.abs(q @ q.T - np.eye(q.shape[0])).max() > _ORTHO_TOL:
+    if np.abs(q @ q.transpose(0, 2, 1) - np.eye(q.shape[-1])).max() > _ORTHO_TOL:
         raise NotOrthonormal("frame is not orthonormal within 1e-12")
-    return SymTensor(q @ m @ q.T)
+    return [SymTensor(r) for r in q @ m @ q.transpose(0, 2, 1)]
+
+
+def rotate(s, frame) -> SymTensor:
+    """Congruence Q S Q^T by an orthonormal frame Q (the one-tensor case of rotate_stack)."""
+    return rotate_stack([s], [frame])[0]
 
 
 def rotation_2d(angle: float) -> np.ndarray:

@@ -308,6 +308,18 @@ class TestExactSolver:
                 else:
                     assert type(x) is type(y) and repr(x) == repr(y), (case, name)
 
+    @pytest.mark.parametrize(
+        "breakpoints, values, field",
+        [
+            pytest.param((0.0, float("nan"), 1.0), (1.0, 2.0), "breakpoints", id="nan-breakpoint"),
+            pytest.param((0.0, 1.0), (float("inf"),), "values", id="inf-value"),
+        ],
+    )
+    def test_source_refuses_non_finite_input(self, breakpoints, values, field):
+        # both were accepted, and the exact solver then returned energies of NaN
+        with pytest.raises(ValueError, match=f"^Source1D {field} must be finite"):
+            Source1D(breakpoints, values)
+
     def test_zero_source(self, pa_half, pb_half):
         state = solve_state_exact(NESTED, pa_half, pb_half, Source1D.constant(0.0))
         assert state.energyB == 0.0

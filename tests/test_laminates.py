@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from homobounds.gclosure import PhaseA, g_membership
+from homobounds.gclosure import PhaseA, core_side, g_membership, means
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.laminates import (
     RELATION_CORE,
@@ -17,12 +17,15 @@ from homobounds.laminates import (
     RegionMismatch,
     overlap_window,
     seq_A,
+    seq_A_stack,
     seq_B_const,
+    seq_B_const_stack,
     seq_B_pp,
+    seq_pair_pp,
     simple_laminate_pair,
 )
 from homobounds.pairbounds import PhaseB, admits, pair_membership
-from homobounds.symtensor import commutator_norm, eig, rotate, rotation_2d
+from homobounds.symtensor import SymTensor, commutator_norm, eig, rotate, rotation_2d
 
 E1 = (1.0, 0.0)
 E2 = (0.0, 1.0)
@@ -313,6 +316,65 @@ class TestSequentialBTwoPhase:
         astar = seq_A(spec, pa)
         bsharp = seq_B_pp(spec, pa, pb)
         assert abs(pair_membership(astar, bsharp, pa, pb).uj_slack) <= 1e-10  # step-form U2
+
+
+def laminate_reference(spec, pa, b=None) -> np.ndarray:
+    """seq_A (b None) or seq_B_const of one spec, as the constructors computed them one spec at a time."""
+    m = np.zeros((spec.dim, spec.dim))
+    for d, w in zip(spec.directions, spec.weights):
+        e = np.asarray(d)
+        m += w * np.outer(e, e)
+    es = eig(SymTensor(m))
+    base, frac, rest, sign = core_side(pa, spec.core_phase)
+    if frac <= 1e-12:
+        diag = np.full(spec.dim, base)
+    else:
+        diag = base + frac / (sign / (pa.a2 - pa.a1) + rest * np.array(es.values) / base)
+    if b is not None:
+        a_diag, diag = diag, np.full(spec.dim, b)
+        if frac > 1e-12:
+            diag = b + b * (means(pa)[1] - a_diag) * (sign * (a_diag - base)) / (frac * (pa.a2 - pa.a1) * base)
+    return SymTensor(es.frame @ np.diag(diag) @ es.frame.T).mat
+
+
+class TestStacks:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_stacks_match_the_one_spec_formulas(self, n):
+        # ranks 1 to N+1 in one stack (the moments are padded), both cores,
+        # and fractions on and inside the homogeneous threshold
+        rng = np.random.default_rng(n)
+        specs, pas, bs = [], [], []
+        for k in range(40):
+            v = rng.normal(size=(1 + k % (n + 1), n))
+            w = rng.dirichlet(np.ones(len(v)))
+            specs.append(LaminateSpec(v / np.linalg.norm(v, axis=1, keepdims=True), w / w.sum(), "a1" if k % 2 else "a2", "const_b"))
+            theta = (0.0, 1e-13, 1.0 - 1e-13, 1.0)[k // 2] if k < 8 else rng.uniform(0.05, 0.95)
+            a1 = rng.uniform(0.5, 2.0)
+            pas.append(PhaseA(a1, a1 * rng.uniform(1.1, 20.0), theta))
+            bs.append(rng.uniform(0.5, 4.0))
+        for got, want in [
+            (seq_A_stack(specs, pas), [laminate_reference(*args) for args in zip(specs, pas)]),
+            (seq_B_const_stack(specs, pas, bs), [laminate_reference(*args) for args in zip(specs, pas, bs)]),
+        ]:
+            for tensor, m in zip(got, want):
+                assert np.array_equal(tensor.mat, m) and np.array_equal(np.signbit(tensor.mat), np.signbit(m))
+
+    def test_stack_refuses_a_density_before_building(self, pa_half):
+        spec = LaminateSpec((E1,), (1.0,), "a2", "const_b")
+        with pytest.raises(ValueError, match="need a density b > 0, got -1.0"):
+            seq_B_const_stack([spec, spec], [pa_half, pa_half], [1.0, -1.0])
+        assert "_moment" not in vars(spec)
+
+    def test_pair_pp_hands_over_a_decomposed_pair(self, monkeypatch, pa_half, pb_half):
+        spec = LaminateSpec((E1, (0.6, 0.8)), (0.4, 0.6), "a2", "A_subset_B")
+        astar, bsharp = seq_pair_pp(spec, pa_half, pb_half)
+        assert astar == seq_A(spec, pa_half) and bsharp == seq_B_pp(spec, pa_half, pb_half)
+        assert astar.decomposed and bsharp.decomposed
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        assert pair_membership(astar, bsharp, pa_half, pb_half).verdict == "boundary"
+        assert calls == []  # the chain link was decomposed with them
 
 
 class TestInvariants:

@@ -372,21 +372,92 @@ class TestEigenframe:
 
     @pytest.mark.parametrize("max_dim", [3, 8])
     def test_sweep_chunk_makes_one_call_per_dimension(self, monkeypatch, max_dim):
-        # the draws decompose single tensors (seq_B_pp checks the chain); the
-        # verdicts add one stacked call per dimension present in each chunk
+        # every LAPACK call of a sweep, with its exact matrix count: each
+        # seq_pp attempt, redraws included, decomposes its direction moment
+        # and then A*, B# and the chain link for the chain check, as it is
+        # drawn; after a chunk's draws come one stack of the seq_const
+        # moments and then one stack of the verdicts' fresh tensors per
+        # dimension present, in row order (a seq_pp row brings none, a
+        # constant density brings both middle factors)
         count = sweeps._CHUNK + 5
+        draws = sweeps.draw_composites(sweeps.make_rng(7), count, max_dim)
         calls = self.lapack_calls(monkeypatch)
-        rng = sweeps.make_rng(7)
-        for _ in range(count):
-            sweeps.draw_composite(rng, max_dim)
-        draw_calls = len(calls)
-        calls.clear()
         rows = sweeps.feasibility_sweep(7, count, max_dim)
-        assert sum(len(c) == 1 for c in calls) == draw_calls
-        chunks = [rows[start : start + sweeps._CHUNK] for start in range(0, count, sweeps._CHUNK)]
-        per_dim = [dim for chunk in chunks for dim in dict.fromkeys(r[2] for r in chunk)]
-        assert [c.shape[1] for c in calls if len(c) > 1] == per_dim
-        assert len(set(per_dim)) > 1
+        assert [(r[1], r[2]) for r in rows] == [(d["family"], d["dim"]) for d in draws]
+        expected = []
+        for start in range(0, count, sweeps._CHUNK):
+            chunk = draws[start : start + sweeps._CHUNK]
+            for d in chunk:
+                expected += [(1, None), (3, None)] * d["chain_rejections"]  # a redraw's dimension is not kept
+                if d["family"] == "seq_pp":
+                    expected += [(1, d["dim"]), (3, d["dim"])]
+            seq_const = [d["dim"] for d in chunk if d["family"] == "seq_const"]
+            expected += [(seq_const.count(n), n) for n in dict.fromkeys(seq_const)]
+            fresh = {}
+            for d in chunk:
+                constant = d["pb"].b1 == d["pb"].b2
+                fresh[d["dim"]] = fresh.get(d["dim"], 0) + (0 if d["family"] == "seq_pp" else 5 if constant else 3)
+            expected += [(k, n) for n, k in fresh.items() if k]
+        assert [(len(c), n and c.shape[1]) for c, (_, n) in zip(calls, expected)] == expected
+        assert len(calls) == len(expected)
+        # the seed exercises a redraw and stacks of several dimensions in one chunk
+        assert sum(d["chain_rejections"] for d in draws) > 0
+        assert len({d["dim"] for d in draws[: sweeps._CHUNK] if d["family"] == "seq_const"}) > 1
+
+    def test_memberships_keep_eigenframes_and_const_lhs(self, monkeypatch):
+        # one stacked pass per dimension gives each two-phase eigenframe and
+        # each constant-density lhs; the bounds read them, and each report is
+        # the one of judging fresh copies one pair at a time
+        rng = np.random.default_rng(2)
+        pa, pb, pc = PhaseA(1.5, 3.0, 0.4), PhaseB(1.0, 2.5, 0.6), PhaseB(1.2, 1.2, 0.4)
+        pairs = []
+        for n in (2, 3, 2, 3):
+            astar, bsharp = simple_laminate_pair(pa, pb, sum(overlap_window(pa, pb)) / 2, 0, n)
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            pairs.append((rotate(astar, q), rotate(bsharp, q), pa, pb))
+            spec = LaminateSpec(tuple(map(tuple, q[: n - 1])), (1.0 / (n - 1),) * (n - 1), "a1" if n == 2 else "a2", "const_b")
+            pairs.append((seq_A(spec, pa), seq_B_const(spec, pa, pc.b1), pa, pc))
+        # an indefinite middle factor: no lhs is kept and the verdict is infeasible
+        pairs.append((SymTensor.diag([1.4, 1.45]), SymTensor.diag([0.1, 5.0]), PhaseA(1, 2, 0.5), PhaseB(1, 1, 0.5)))
+        calls = []
+        for name in ("_eigenframes", "_const_b_lhs"):
+            original = getattr(pairbounds, name)
+            monkeypatch.setattr(pairbounds, name, lambda rows, f=original, name=name: calls.append((name, len(rows))) or f(rows))
+        reports = pairbounds.pair_memberships(pairs)
+        assert calls == [("_eigenframes", 2), ("_eigenframes", 2), ("_const_b_lhs", 4), ("_const_b_lhs", 4), ("_const_b_lhs", 1)]
+        for (astar, bsharp, a, b), report in zip(pairs, reports):
+            assert repr(report) == repr(pair_membership(SymTensor(astar.mat), SymTensor(bsharp.mat), a, b))
+            memo = astar._derived[1]
+            assert ("eigenframe" in memo) == (b is pb)
+            assert sum(key[0] == "lhs" for key in memo if isinstance(key, tuple)) == (2 if b is pc else 0)
+        assert reports[-1].verdict == "infeasible"
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_stacked_frames_and_lhs_match_the_one_pair_formulas(self, n):
+        # the eigenframes and constant-density lhs of a stack have the bits
+        # of np.diag(Q^T B# Q) and of the trace chain, pair by pair
+        rng = np.random.default_rng(n)
+        pa, pc = PhaseA(1.5, 3.0, 0.4), PhaseB(1.2, 1.2, 0.4)
+        pairs = []
+        for k in range(24):
+            spec = LaminateSpec(tuple(map(tuple, np.linalg.qr(rng.normal(size=(n, n)))[0][:2])), (0.3, 0.7), "a2", "const_b")
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            # B# off A*'s frame, so beta is not B#'s spectrum
+            bsharp = seq_B_const(spec, pa, pc.b1).mat
+            pairs.append((seq_A(spec, pa), SymTensor(0.5 * (bsharp + q @ bsharp @ q.T)), pa, pc if k % 2 else PhaseB(1.0, 2.5, 0.6)))
+        copies = [(SymTensor(a.mat), SymTensor(b.mat), a_, b_) for a, b, a_, b_ in pairs]
+        pair_memberships(pairs)
+        for group in (pairs, copies):  # from the memos, then one pair at a time
+            for astar, bsharp, _, pb in group:
+                es = eig(astar)
+                lam, beta = pairbounds._eigenframe(astar, bsharp)
+                assert np.array_equal(lam, es.values) and np.array_equal(beta, np.diag(es.frame.T @ bsharp.mat @ es.frame))
+                if pb is not pc:
+                    continue
+                for core in ("a1", "a2"):
+                    outer, middle, _ = pairbounds._const_b_factors(astar, bsharp, pa, pc.b1, core)
+                    want = trace_chain([(pc.b1, 1), (outer, 1), (middle, -1), (outer, 1)])
+                    assert pairbounds._bound_const_b(astar, bsharp, pa, pc.b1, core)[0] == want
 
     @pytest.mark.parametrize("bound", [bound_L1, bound_U1])
     def test_singular_shift_raises(self, bound):

@@ -116,6 +116,15 @@ class TestDesignField:
         with pytest.raises(ValueError):
             DesignField1D((1.2,))
 
+    def test_nan_fraction_refused(self):
+        # NaN fails both range comparisons, so it was accepted and the relaxed values came out NaN
+        with pytest.raises(ValueError, match=r"^DesignField1D values must be fractions in \[0, 1\], got nan$"):
+            DesignField1D((0.5, float("nan")))
+
+    def test_nan_volume_target_refused(self):
+        with pytest.raises(ValueError, match="^DesignField1D volume_target must be finite"):
+            DesignField1D((0.5,), volume_target=float("nan"))
+
 
 class TestOdpRelaxed:
     def test_constant_half(self):

@@ -11,8 +11,12 @@ from homobounds.symtensor import (
     commutator_norm,
     eig,
     eig_stack,
+    from_frames,
+    positive_spectrum,
     rotate,
+    rotate_stack,
     rotation_2d,
+    singular_spectra,
     trace_chain,
     trace_pairing_bound,
 )
@@ -292,3 +296,35 @@ class TestRotate:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormal):
             rotate(SymTensor.identity(2), [[1.0, 0.0], [0.1, 1.0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_stack_matches_each_congruence(self, n):
+        # the stacked products have the bits of Q S Q^T taken one frame at a time
+        rng = np.random.default_rng(n)
+        frames = [np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(30)]
+        tensors = [random_spd(rng, n) for _ in range(30)]
+        for got, s, q in zip(rotate_stack(tensors, frames), tensors, frames):
+            assert np.array_equal(got.mat, SymTensor(q @ s.mat @ q.T).mat)
+            assert got == rotate(s, q)
+        values = rng.uniform(-2.0, 2.0, (30, n))
+        for got, q, v in zip(from_frames(np.array(frames), values), frames, values):
+            assert np.array_equal(got, q @ np.diag(v) @ q.T)
+
+    def test_stack_rejects_one_bad_frame(self):
+        frames = [rotation_2d(0.3), [[1.0, 0.0], [0.1, 1.0]]]
+        with pytest.raises(NotOrthonormal, match="not orthonormal"):
+            rotate_stack([SymTensor.identity(2)] * 2, frames)
+        with pytest.raises(NotOrthonormal, match="wrong shape"):
+            rotate_stack([SymTensor.identity(2), SymTensor.identity(2)], [np.eye(3), np.eye(3)])
+
+
+def test_singular_spectra_is_the_positive_spectrum_test():
+    rows = [[2.0, 1.0], [2.0, 1e-15], [2.0, 0.0], [2.0, -1.0], [0.0, 0.0]]
+    refused = []
+    for row in rows:
+        try:
+            positive_spectrum(row)
+            refused.append(False)
+        except SingularFactor:
+            refused.append(True)
+    assert singular_spectra(rows).tolist() == refused == [False, True, True, True, True]
