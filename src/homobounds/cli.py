@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -23,12 +24,15 @@ from .symtensor import SymTensor
 
 
 def finite(value) -> float:
-    """A float that is neither NaN nor infinite (JSON and float() accept both)."""
+    """A float that is neither NaN nor infinite (JSON and float() accept both).
+
+    The number is a Python float, so math.isfinite tests it without a numpy call.
+    """
     try:
         number = float(value)
     except TypeError:
         raise ValueError(f"{value!r} is not a number") from None
-    if not np.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
 
@@ -62,8 +66,10 @@ def _sanitize(value):
 
     Reports come in as vars(report): dataclasses.asdict would copy them first,
     rebuilding each tuple from a generator, and such tuples pile up on the free lists.
+    Every float here, numpy's float64 included, is a Python float, which
+    math.isfinite tests at a fraction of np.isfinite's cost per scalar.
     """
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return str(value)  # strict JSON has no Infinity/NaN literals
     if isinstance(value, dict):
         return {k: _sanitize(v) for k, v in value.items()}
@@ -181,20 +187,19 @@ def cmd_laminate(args) -> int:
         spec = laminates.LaminateSpec.from_json(args.spec)
     else:
         raise ValueError("provide --spec <json> or --spec-file <file>")
-    astar = laminates.seq_A(spec, pa)
-    payload = {"astar": astar.mat.tolist(), "relation": spec.relation}
+    payload = {"relation": spec.relation}
     if spec.relation == "const_b":
-        bsharp = laminates.seq_B_const(spec, pa, args.const_b)
-        payload["bsharp"] = bsharp.mat.tolist()
+        astar, bsharp = laminates.seq_A(spec, pa), laminates.seq_B_const(spec, pa, args.const_b)
     else:
+        spec.moment  # built first, as seq_A does: a spec of more than MAX_DIM dimensions is refused before --b is read
         pb = _phase(args, "b")
         try:
-            bsharp = laminates.seq_B_pp(spec, pa, pb)
-            payload["bsharp"] = bsharp.mat.tolist()
+            astar, bsharp = laminates.seq_pair_pp(spec, pa, pb)  # A* is built once, with B#
             payload["chain_ok"] = True
-        except laminates.ChainViolation as exc:
-            payload["bsharp"] = exc.tensor.mat.tolist()
+        except laminates.ChainViolation as exc:  # it carries B# alone
+            astar, bsharp = laminates.seq_A(spec, pa), exc.tensor
             payload["chain_ok"] = False
+    payload.update(astar=astar.mat.tolist(), bsharp=bsharp.mat.tolist())
     _emit(args, payload)
     return _exit_code(args, not payload.get("chain_ok", True))
 
@@ -417,8 +422,38 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _subcommands() -> dict:
+    """{name: parser} of build_parser()'s subcommands, found once with the parser they belong to."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def parse_request(argv) -> argparse.Namespace:
+    """The Namespace build_parser().parse_args(argv) gives, with each token parsed once.
+
+    When argv starts with a subcommand name, that subcommand's parser reads
+    the rest with parse_known_args, the call argparse's subparsers action
+    makes, and the subcommand name goes to `command` as that action sets it.
+    Only a request that names no subcommand first, or leaves tokens the
+    subcommand does not read, goes to the full parser, so help, usage errors
+    and their exit codes come from the same parsers as before.
+    """
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one request, argv or else sys.argv[1:], and return its exit code.
+
+    The request is parsed once, by its subcommand's parser (see
+    parse_request); the top-level parser answers only help and usage errors.
+    """
+    args = parse_request(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError, gclosure.NoBracket, laminates.ChainViolation) as exc:

@@ -18,6 +18,7 @@ products used by the commutativity argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,11 @@ MAX_DIM = 8
 _EIG_SINGULAR_REL = 1e-14
 _ORTHO_TOL = 1e-12
 _ABS_FLOOR = 1e-300
+
+# a NaN or infinite entry, given or overflowed, gives NaN eigenvalues, which
+# compare False against every bound and so would pass for a verdict; a plain
+# ValueError is no verdict
+_NON_FINITE = "eigenvalues are not finite: a matrix entry is NaN or infinite, given or overflowed"
 
 
 class SingularFactor(ValueError):
@@ -110,13 +116,16 @@ def _as_matrix(s) -> np.ndarray:
 
 def _eigh(m: np.ndarray) -> EigSystem:
     vals, q = np.linalg.eigh(m)
+    values = tuple(vals[::-1].tolist())
+    if not all(map(math.isfinite, values)):
+        raise ValueError(_NON_FINITE)
     q = q[:, ::-1]
     # sign each column so its first component above _ORTHO_TOL max(1, max|col|)
     # is positive; the columns are unit vectors, so that bound is _ORTHO_TOL
     lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=0)
     q = q * np.copysign(1.0, q[lead, np.arange(q.shape[1])])
     q.flags.writeable = False
-    return EigSystem(tuple(vals[::-1].tolist()), q)
+    return EigSystem(values, q)
 
 
 def eig(s) -> EigSystem:
@@ -126,6 +135,8 @@ def eig(s) -> EigSystem:
     component of significant magnitude is positive, which makes the
     decomposition deterministic.  A SymTensor is decomposed once and keeps
     the result; a plain array is symmetrized and decomposed on every call.
+    A matrix with a non-finite eigenvalue raises ValueError (neither
+    SingularFactor nor any other verdict-bearing error) and keeps nothing.
     """
     if isinstance(s, SymTensor):
         if s._eig is None:
@@ -140,6 +151,8 @@ def eig_stack(tensors) -> list:
     The tensors must share one dimension (else ValueError).  Each result is
     bit for bit the one eig gives, values, frame and signs alike, and is
     memoised on its tensor; a tensor already decomposed keeps its EigSystem.
+    A non-finite eigenvalue anywhere in the stack raises ValueError, as in
+    eig, before any result is memoised.
     """
     if len({t.dim for t in tensors}) > 1:
         raise ValueError("eig_stack needs tensors of one dimension")
@@ -148,6 +161,8 @@ def eig_stack(tensors) -> list:
         fresh[0]._eig = _eigh(fresh[0]._m)  # a lone tensor as eig decomposes it, without the stack's indexing
     elif fresh:
         vals, q = np.linalg.eigh(np.array([t._m for t in fresh]))
+        if not np.isfinite(vals).all():
+            raise ValueError(_NON_FINITE)
         q = q[:, :, ::-1]
         # _eigh's sign rule, applied to every matrix of the stack at once
         lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
@@ -183,9 +198,10 @@ def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 
 
 
 def singular_spectra(values) -> np.ndarray:
-    """Whether each row of eigenvalues has one at or below the relative floor, which positive_spectrum refuses."""
+    """Whether each row of eigenvalues has one at or below the relative floor, or a NaN, which positive_spectrum refuses."""
     vals = np.asarray(values, dtype=float)
-    return vals.min(axis=-1) <= _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR)
+    # "not above" rather than "at or below": every comparison with NaN is False
+    return ~(vals.min(axis=-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR))
 
 
 def positive_spectrum(values) -> np.ndarray:

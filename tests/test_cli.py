@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from homobounds.cli import main
+from homobounds.cli import _subcommands, build_parser, main, parse_request
 
 
 def run(capsys, *argv):
@@ -605,3 +605,128 @@ def test_process_exit_code(argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert ("error:" in proc.stderr) == (code == 2)
+
+
+CORPUS = json.loads((Path(__file__).parent / "golden" / "corpus.json").read_text())
+DISPATCH_EDGES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--help", "pair"],
+    ["pair", "-h"],
+    ["frobnicate"],
+    ["frobnicate", "check"],
+    ["pai", "check"],
+    ["--no-such-option"],
+    ["pair", "check", "--no-such-option", "1"],
+    CHECK + ["--astar", INSIDE, "stray"],
+    ["gset", "--", "check", "--a", "1,2,0.5"],
+    CHECK + ["--astar", INSIDE, "--"],
+    ["--", "gset", "check", "--a", "1,2,0.5"],
+    ["gset", "check", "--a=1,2,0.5", "--astar", INSIDE],
+    CHECK + ["--ast", INSIDE],
+    ["gset", "check", "--he"],
+    ["laminate", "--s", SPEC, "--a", "1,2,0.5"],
+    ["gset"],
+    ["pair", "check", "--a"],
+    CHECK + ["--astar", INSIDE, "--tol", "nan"],
+]
+
+
+def parsed(parse, argv) -> tuple:
+    """(Namespace or exit code, stdout, stderr) of one parse of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv", [case["argv"] for case in CORPUS] + DISPATCH_EDGES, ids=[case["name"] for case in CORPUS] + [" ".join(a) or "no-args" for a in DISPATCH_EDGES]
+)
+def test_request_parses_as_the_full_parser(argv):
+    # parsing by the subcommand's parser alone gives the Namespace, or the exit
+    # code, help and usage error, that the top-level parser gives
+    assert parsed(parse_request, argv) == parsed(build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv, full", [(CHECK + ["--astar", INSIDE], 0), (CHECK + ["--astar", INSIDE, "stray"], 1), (["-h"], 1)])
+def test_request_is_parsed_once(argv, full, monkeypatch):
+    # a request the subcommand reads in full never reaches the top-level parser
+    top, gset = build_parser(), _subcommands()["gset"]
+    calls = {"top": 0, "gset": 0}
+    for name, parser in (("top", top), ("gset", gset)):
+        def counting(*args, _name=name, _parse=parser.parse_known_args, **kwargs):
+            calls[_name] += 1
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+    parsed(parse_request, argv)
+    assert calls["top"] == full
+    assert calls["gset"] == (argv[0] == "gset") * (1 + full)
+
+
+def test_entry_point_under_dev_mode(tmp_path):
+    # main() with no argv reads sys.argv; with -X dev -W error an unclosed
+    # file or any warning prints "Exception ignored" or a traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("HOMOBOUNDS_TOL", None)
+    report = tmp_path / "report.json"
+    cases = [
+        (["--help"], 0, "usage: homobounds [-h]"),
+        ([], 2, "usage: homobounds [-h]"),
+        (CHECK + ["--astar", INSIDE, "--no-such-option"], 2, "homobounds: error: unrecognized arguments: --no-such-option"),
+        (CHECK + ["--astar", INSIDE, "--out", str(report)], 0, ""),
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "homobounds.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for argv, _, _ in cases
+    ]
+    for (argv, code, expected), proc in zip(cases, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == code, (argv, err)
+        assert expected in out + err, argv
+        assert "Traceback" not in err and "Exception ignored" not in err and "Warning" not in err, (argv, err)
+    assert json.loads(report.read_text())["verdict"] == "inside"
+
+
+@pytest.mark.parametrize("case", [c for c in CORPUS if c["argv"][0] == "laminate"], ids=lambda c: c["name"])
+def test_laminate_request_builds_its_frames_once(case, monkeypatch, capsys):
+    # a two-phase request takes A* from seq_pair_pp, which builds it with B#;
+    # seq_A builds the frames again only for a ChainViolation, which carries
+    # B# alone, and for const_b.  The report holds the bits of seq_A and seq_B_*.
+    from homobounds import cli, laminates
+
+    built = []
+    frames = laminates._laminate_frames
+    monkeypatch.setattr(laminates, "_laminate_frames", lambda *args: built.append(1) or frames(*args))
+    assert exit_code(case["argv"]) == case["exit"]
+    report = json.loads(capsys.readouterr().out or "{}")
+    if case["exit"]:
+        assert built == []  # a region mismatch is found before any frame is built
+        return
+    assert len(built) == (1 if report.get("chain_ok") else 2)
+    args = parse_request(case["argv"])
+    spec, pa = laminates.LaminateSpec.from_json(args.spec), cli._phase(args, "a")
+    if spec.relation == "const_b":
+        bsharp = laminates.seq_B_const(spec, pa, args.const_b)
+    else:
+        try:
+            bsharp = laminates.seq_B_pp(spec, pa, cli._phase(args, "b"))
+        except laminates.ChainViolation as exc:
+            bsharp = exc.tensor
+    assert report["astar"] == laminates.seq_A(spec, pa).mat.tolist()
+    assert report["bsharp"] == bsharp.mat.tolist()
+
+
+def test_oversized_laminate_is_refused_before_b_is_read(capsys):
+    # the spec's moment is built before --b is read, so its dimension error comes first
+    spec = json.dumps({"directions": [[1.0] + [0.0] * 8], "weights": [1.0], "core": "a2", "relation": "A_subset_B"})
+    assert exit_code(["laminate", "--spec", spec, "--a", "1,2,0.5"]) == 2
+    assert capsys.readouterr().err == "error: dim must be in [1, 8], got 9\n"

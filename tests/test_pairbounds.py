@@ -774,3 +774,12 @@ class TestRotationInvariance:
         want = pair_membership(astar, bsharp, pa, pb)
         got = pair_membership(rotate(astar, q), rotate(bsharp, q), pa, pb)
         self._assert_same_report(got, want)
+
+
+def test_nan_tensor_is_no_verdict():
+    # a NaN entry used to give verdict 'infeasible' with NaN chain slacks
+    args = (SymTensor([[np.nan, 0.0], [0.0, 1.5]]), SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.5), PhaseB(1, 3, 0.5))
+    for judge in (lambda: pair_membership(*args), lambda: pair_memberships([args])):
+        with pytest.raises(ValueError, match="not finite") as info:
+            judge()
+        assert not isinstance(info.value, (OutsideGSet, SingularFactor))

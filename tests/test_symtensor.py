@@ -328,3 +328,25 @@ def test_singular_spectra_is_the_positive_spectrum_test():
         except SingularFactor:
             refused.append(True)
     assert singular_spectra(rows).tolist() == refused == [False, True, True, True, True]
+
+
+def test_nan_spectrum_is_refused():
+    # every comparison with NaN is False, so "at or below the floor" alone let a NaN row pass
+    assert singular_spectra([[2.0, np.nan], [np.nan, np.nan], [2.0, 1.0]]).tolist() == [True, True, False]
+    with pytest.raises(SingularFactor):
+        positive_spectrum([2.0, np.nan])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_eigenvalues_raise_no_verdict(bad):
+    # LAPACK returns NaN eigenvalues for a NaN or infinite entry; that is a
+    # ValueError of its own, not the SingularFactor a verdict is made from
+    m = [[bad, 0.0], [0.0, 1.5]]
+    for decompose in (eig, lambda t: eig_stack([t]), lambda t: eig_stack([SymTensor.identity(2), t])):
+        tensor = SymTensor(m)
+        with pytest.raises(ValueError, match="not finite") as info:
+            decompose(tensor)
+        assert not isinstance(info.value, SingularFactor)
+        assert not tensor.decomposed
+    with pytest.raises(ValueError, match="not finite"):
+        eig(np.array(m))
