@@ -152,6 +152,15 @@ def _pair_cases() -> list:
     cases.append(("pair_check_chain_violation", pa, pb, lam, np.diag([0.5, 0.5])))
     cases.append(("pair_check_bound_violation", pa, pb, lam, np.diag([1.5, 2.0])))
     cases.append(("pair_check_theta_zero", PhaseA(*a, 0.0), pb, np.diag([2.0, 2.0]), np.diag([2.0, 2.0])))
+    # the verdict's edge branches at constant density: a middle factor that is
+    # not positive definite, a1 = 1 (the core-a2 middle equals the chain link),
+    # b2 - b1 of one ulp (judged as constant) and a homogeneous A-medium
+    wide = np.diag([1.4, 1.45])
+    cases.append(("pair_check_const_b_singular_middle", pa, PhaseB(1.0, 1.0, 0.5), wide, np.diag([0.1, 5.0])))
+    cases.append(("pair_check_const_b_unit_a1", pa, PhaseB(1.3, 1.3, 0.5), wide, np.diag([1.5, 1.6])))
+    pb = PhaseB(1.2, 1.2000000000000002, 0.4)
+    cases.append(("pair_check_near_const_b", PhaseA(1.5, 3.0, 0.5), pb, np.diag([2.0, 2.25]), np.diag([1.3, 1.25])))
+    cases.append(("pair_check_const_b_homogeneous_a", PhaseA(1.5, 3.0, 0.0), PhaseB(1.0, 1.0, 0.5), np.diag([3.0, 3.0]), np.eye(2)))
     out = []
     for name, pa, pb, astar, bsharp in cases:
         argv = ["pair", "check", "--a", _phase(pa.a1, pa.a2, pa.thetaA), "--b", _phase(pb.b1, pb.b2, pb.thetaB)]
