@@ -188,16 +188,16 @@ def cmd_laminate(args) -> int:
     else:
         raise ValueError("provide --spec <json> or --spec-file <file>")
     payload = {"relation": spec.relation}
+    spec.moment  # built first: a spec of more than MAX_DIM dimensions is refused before the density is read
     if spec.relation == "const_b":
-        astar, bsharp = laminates.seq_A(spec, pa), laminates.seq_B_const(spec, pa, args.const_b)
+        (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [args.const_b])  # A* is built once, with B#
     else:
-        spec.moment  # built first, as seq_A does: a spec of more than MAX_DIM dimensions is refused before --b is read
         pb = _phase(args, "b")
         try:
             astar, bsharp = laminates.seq_pair_pp(spec, pa, pb)  # A* is built once, with B#
             payload["chain_ok"] = True
-        except laminates.ChainViolation as exc:  # it carries B# alone
-            astar, bsharp = laminates.seq_A(spec, pa), exc.tensor
+        except laminates.ChainViolation as exc:  # it carries both tensors
+            astar, bsharp = exc.astar, exc.tensor
             payload["chain_ok"] = False
     payload.update(astar=astar.mat.tolist(), bsharp=bsharp.mat.tolist())
     _emit(args, payload)

@@ -8,7 +8,7 @@ relation defining the accompanying relative limit, solved here entrywise in
 the laminate eigenframe.  seq_A and seq_B_const are the one-spec cases of
 seq_A_stack and seq_B_const_stack, which build many laminates of one
 dimension with one LAPACK call on their direction moments and one frame
-product.
+product; a constant-density pair (A*, B#) comes from one such pass.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import (
     PhaseB,
     admits,
-    chain_link,
     flux_ratio,
     general_chain_check,
     gradient_extremes,
@@ -53,11 +52,12 @@ class RegionMismatch(ValueError):
 
 
 class ChainViolation(RuntimeError):
-    """Relation output breaks the general bounds chain; tensor attached."""
+    """Relation output breaks the general bounds chain; B# (tensor) and A* (astar) attached."""
 
-    def __init__(self, message, tensor=None):
+    def __init__(self, message, tensor=None, astar=None):
         super().__init__(message)
         self.tensor = tensor
+        self.astar = astar
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,8 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
     return seq_A_stack([spec], [pa])[0]
 
 
-def seq_B_const_stack(specs, pas, bs) -> list:
-    """seq_B_const of each (spec, pa, b), the specs of one dimension, in stacked passes."""
+def _seq_const_stack(specs, pas, bs) -> tuple:
+    """(seq_A_stack, seq_B_const_stack) of each (spec, pa, b), the specs of one dimension, from one _laminate_frames pass."""
     for b in bs:
         if not b > 0:
             raise ValueError(f"need a density b > 0, got {b}")
@@ -230,7 +230,13 @@ def seq_B_const_stack(specs, pas, bs) -> list:
         rows.append((b, base, sign, scale, means(pa)[1]))
     b, base, sign, scale, arith = np.array(rows).T[:, :, None]
     diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
-    return [SymTensor(m) for m in from_frames(frames, diag)]
+    tensors = [SymTensor(m) for m in from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag]))]
+    return tensors[: len(specs)], tensors[len(specs) :]
+
+
+def seq_B_const_stack(specs, pas, bs) -> list:
+    """seq_B_const of each (spec, pa, b), the specs of one dimension, in stacked passes."""
+    return _seq_const_stack(specs, pas, bs)[1]
 
 
 def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
@@ -255,7 +261,7 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     flux-side ones (B_subset_A, complement_cover).  The result is checked
     against the general bounds chain; a complement_cover output may
     legitimately fail it, in which case ChainViolation is raised with the
-    tensor attached.
+    tensor and A* attached.
     """
     return seq_pair_pp(spec, pa, pb)[1]
 
@@ -263,9 +269,9 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
 def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     """(A*, B#) = (seq_A, seq_B_pp) of a two-phase spec, with ChainViolation as in seq_B_pp.
 
-    One LAPACK call decomposes A*, B# and the chain link (b2/a1) A* - B#
-    for the chain check, and both tensors keep their eigensystems, so a
-    verdict on the pair decomposes nothing again.
+    The chain check builds the pair's verdict record with one LAPACK call
+    (see pairbounds._verdict_inputs), and A* keeps it, so a verdict on the
+    pair decomposes nothing again.
     """
     relation = spec.relation
     if relation == "const_b":
@@ -295,12 +301,12 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
         diag = a_diag**2 * core
 
     astar, bsharp = [SymTensor(m) for m in from_frames(frames[[0, 0]], np.array([a_diag, diag]))]
-    eig_stack([astar, bsharp, chain_link(astar, bsharp, pa, pb)])
     slacks = general_chain_check(astar, bsharp, pa, pb)
     if min(slacks) < -DEFAULT_TOL:
         raise ChainViolation(
             f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
             tensor=bsharp,
+            astar=astar,
         )
     return astar, bsharp
 

@@ -11,12 +11,15 @@ and one upper trace bound selected by the volume fractions:
 All four are linear in B#, so the fibre of admissible B# over a fixed A*
 is a closed convex set.  The module evaluates each bound, classifies pairs,
 mixes fibre extremes, and evaluates the pointwise energy-density bounds of
-a constant density.
+a constant density.  What a verdict on a pair decomposes is decided in one
+place, _verdict_inputs: it builds one record per pair, kept on A*, and the
+chain check and every bound read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from .homog1d import lim_b_over_a, phase_means
 from .symtensor import (
     SingularFactor,
     SymTensor,
-    combination,
     derived,
     eig,
     eig_stack,
@@ -117,11 +119,86 @@ def _constant_density(pb: PhaseB) -> bool:
     return pb.b2 - pb.b1 <= 1e-14 * pb.b1
 
 
-def chain_link(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> SymTensor:
-    """(b2/a1) A* - B#, the middle link of the chain; DimensionMismatch unless A* and B# share a dimension."""
-    if astar.dim != bsharp.dim:
-        raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
-    return combination(astar, pb.b2 / pa.a1, bsharp, 1.0)
+class _Inputs(NamedTuple):
+    """What a verdict on (A*, B#) at phases (pa, b1, b2) decomposes; see _verdict_inputs."""
+
+    link: tuple  # eigenvalues of the chain link (b2/a1) A* - B#, descending
+    beta: np.ndarray  # the diagonal of B# in A*'s eigenframe
+    const_b: dict  # at b1 = b2: core -> (lhs, rhs), or the eigenvalues of a middle factor not positive definite
+
+
+def _verdict_inputs(rows) -> list:
+    """The _Inputs of each (A*, B#, pa, b1, b2) in a sequence, built once and kept on A* under (pa, b1, b2).
+
+    A* keeps the records of its last partner B# only (see symtensor.derived),
+    and a row whose record is kept is skipped.  Per dimension, one LAPACK call
+    decomposes, row by row, A*, B#, the chain link (b2/a1) A* - B# and, at
+    b1 = b2 = b, each core's middle factor sign (b A* - base B#), where
+    (base, frac, _, sign) = core_side(pa, core).  One stacked product then
+    gives every beta, and one more every constant-density lhs
+    b tr F middle^-1 F with the outer factor F = sign (A* - base I); its rhs
+    is N frac (a2-a1).  A core whose F vanishes (a homogeneous base medium)
+    inverts nothing and has lhs 0.0.  A pair whose A* and B# differ in
+    dimension raises DimensionMismatch before anything is built.
+    """
+    for astar, bsharp, *_ in rows:
+        if astar.dim != bsharp.dim:
+            raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
+    records, by_dim = [], {}
+    for i, (astar, bsharp, pa, b1, b2) in enumerate(rows):
+        fresh = by_dim.setdefault(astar.dim, [])  # every row, kept or not, fixes the order of the dimensions
+        records.append(derived(astar, bsharp).get((pa, b1, b2)))
+        if records[i] is not None:
+            continue
+        tensors, sides = [astar, bsharp, SymTensor((b2 / pa.a1) * astar._m - bsharp._m)], {}
+        if b1 == b2:
+            n = astar.dim
+            for core in ("a1", "a2"):
+                base, frac, _, sign = core_side(pa, core)
+                # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
+                outer = astar.mat
+                outer.flat[:: n + 1] -= base
+                outer *= sign
+                if np.abs(outer).max() <= 1e-14 * base:
+                    outer = None  # a homogeneous base medium
+                else:
+                    tensors.append(SymTensor(sign * (b1 * astar._m - base * bsharp._m)))
+                sides[core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
+        fresh.append((i, (pa, b1, b2), tensors, sides))
+    for group in filter(None, by_dim.values()):
+        flat = iter(eig_stack([t for *_, tensors, _ in group for t in tensors]))
+        systems = [[next(flat) for _ in tensors] for *_, tensors, _ in group]
+        frames = np.array([es[0].frame for es in systems])
+        beta = frames.transpose(0, 2, 1) @ np.array([tensors[1]._m for *_, tensors, _ in group]) @ frames
+        inverted = []  # (const_b of a record, core, b, F, the middle's EigSystem, rhs)
+        for (i, key, tensors, sides), es, row_beta in zip(group, systems, beta.diagonal(axis1=1, axis2=2)):
+            const_b, middles = {}, iter(es[3:])
+            for core, (outer, rhs) in sides.items():
+                if outer is None:
+                    const_b[core] = (0.0, rhs)
+                else:
+                    inverted.append((const_b, core, key[1], outer, next(middles), rhs))
+            records[i] = derived(tensors[0], tensors[1])[key] = _Inputs(es[2].values, row_beta, const_b)
+        if not inverted:
+            continue
+        values = np.array([row[4].values for row in inverted])
+        singular = singular_spectra(values)
+        for (const_b, core, *_), vals, bad in zip(inverted, values, singular):
+            if bad:
+                const_b[core] = vals
+        live = [row for row, bad in zip(inverted, singular) if not bad]
+        if live:
+            inverse = from_frames(np.array([row[4].frame for row in live]), values[~singular] ** -1.0)
+            outer = np.array([row[3] for row in live])
+            traces = np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
+            for (const_b, core, b, _, _, rhs), t in zip(live, traces.tolist()):
+                const_b[core] = (float(b * t), rhs)
+    return records
+
+
+def _inputs(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b1: float, b2: float) -> _Inputs:
+    """The record of one pair: the one kept on A*, else the one _verdict_inputs builds."""
+    return derived(astar, bsharp).get((pa, b1, b2)) or _verdict_inputs([(astar, bsharp, pa, b1, b2)])[0]
 
 
 def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -135,7 +212,7 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
       4: min eig A* - a1
       5: a2 - max eig A*
     """
-    link = eig(chain_link(astar, bsharp, pa, pb)).values
+    link = _inputs(astar, bsharp, pa, pb.b1, pb.b2).link
     _, arith = means(pa)
     ratio = pb.b2 / pa.a1
     lam = eig(astar).values
@@ -150,59 +227,15 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
     )
 
 
-def _const_b_factors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
-    """(outer, middle, rhs) of the constant-density bound with the given core; middle is None on a homogeneous base medium.
-
-    With (base, frac, _, sign) = core_side(pa, core), the outer factor is
-    F = sign (A* - base I), the middle one sign (b A* - base B#) and
-    rhs = N frac (a2-a1).  The factors are built once per (A*, B#, pa, b,
-    core) and kept on A* (see symtensor.derived): a verdict asks for them
-    when it lists its tensors and again in each bound.
-    """
-
-    def build():
-        n = astar.dim
-        base, frac, _, sign = core_side(pa, core)
-        # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
-        outer = astar.mat
-        outer.flat[:: n + 1] -= base
-        outer *= sign
-        outer.flags.writeable = False
-        homogeneous = np.abs(outer).max() <= 1e-14 * base
-        middle = None if homogeneous else combination(astar, b, bsharp, base, sign)
-        return outer, middle, float(n * frac * (pa.a2 - pa.a1))
-
-    return derived(astar, bsharp, (pa, b, core), build)
-
-
-def _const_b_lhs(rows) -> list:
-    """b tr F middle^-1 F of each (b, outer F, middle) whose middles share a dimension, in one stacked product.
-
-    Each value has the bits of trace_chain([(b, 1), (F, 1), (middle, -1),
-    (F, 1)]); SingularFactor, as there, if a middle is not positive definite.
-    """
-    systems = eig_stack([middle for _, _, middle in rows])
-    values = np.array([es.values for es in systems])
-    singular = singular_spectra(values)
-    if singular.any():
-        positive_spectrum(values[singular.argmax()])  # raises SingularFactor
-    outer = np.array([f for _, f, _ in rows])
-    inverse = from_frames(np.array([es.frame for es in systems]), values**-1.0)
-    traces = np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
-    return [float(b * t) for (b, _, _), t in zip(rows, traces.tolist())]
-
-
 def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
-    """Constant-density trace bound saturated by the constructions with the given core.
+    """(lhs, rhs) of the constant-density trace bound with the given core, read from the pair's record.
 
-    With the factors of _const_b_factors, feasible pairs have
-        lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
-    lhs is read from the memo that pair_memberships fills, else computed.
+    Feasible pairs have lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
     """
-    outer, middle, rhs = _const_b_factors(astar, bsharp, pa, b, core)
-    if middle is None:
-        return 0.0, rhs  # homogeneous base medium
-    return derived(astar, bsharp, ("lhs", pa, b, core), lambda: _const_b_lhs([(b, outer, middle)])[0]), rhs
+    side = _inputs(astar, bsharp, pa, b, b).const_b[core]
+    if isinstance(side, np.ndarray):
+        positive_spectrum(side)  # raises SingularFactor for a middle factor that is not positive definite
+    return side
 
 
 def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
@@ -215,22 +248,15 @@ def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -
     return _bound_const_b(astar, bsharp, pa, b, "a2")
 
 
-def _eigenframes(pairs) -> list:
-    """_eigenframe of each (A*, B#) of one dimension, in one stacked product."""
-    systems = eig_stack([astar for astar, _ in pairs])
-    frames = np.array([es.frame for es in systems])
-    beta = frames.transpose(0, 2, 1) @ np.array([bsharp._m for _, bsharp in pairs]) @ frames
-    return list(zip(np.array([es.values for es in systems]), beta.diagonal(axis1=1, axis2=2)))
-
-
-def _eigenframe(astar: SymTensor, bsharp: SymTensor) -> tuple:
+def _eigenframe(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
     """Eigenvalues lambda of A* and the diagonal beta of B# in A*'s eigenframe.
 
-    Each trace bound pairs B# with a function f of A* alone, and
-    tr B# f(A*) = sum_i beta_i f(lambda_i) whether or not B# commutes with A*.
-    Read from the memo that pair_memberships fills, else computed.
+    Each trace bound pairs B# with a function f of A* alone, and tr B# f(A*)
+    = sum_i beta_i f(lambda_i) whether or not B# commutes with A*.  beta is
+    read from the pair's record.
     """
-    return derived(astar, bsharp, "eigenframe", lambda: _eigenframes([(astar, bsharp)])[0])
+    beta = _inputs(astar, bsharp, pa, pb.b1, pb.b2).beta
+    return np.array(eig(astar).values), beta
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -240,7 +266,7 @@ def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     microstructures (the A-set inside the B-set).
     """
     n = astar.dim
-    lam, beta = _eigenframe(astar, bsharp)
+    lam, beta = _eigenframe(astar, bsharp, pa, pb)
     lhs = np.sum((beta - pb.b1) / positive_spectrum(lam - pa.a1) ** 2)
     s = lower_trace_sum(astar, pa)
     d = pa.a2 - pa.a1
@@ -259,7 +285,7 @@ def bound_U1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     disjoint microstructures.
     """
     n = astar.dim
-    lam, beta = _eigenframe(astar, bsharp)
+    lam, beta = _eigenframe(astar, bsharp, pa, pb)
     lhs = np.sum(((pb.b2 / pa.a1) * lam - beta) / positive_spectrum(lam - pa.a1) ** 2)
     s = lower_trace_sum(astar, pa)
     denom = pa.a2 + pa.a1 * (n - 1)
@@ -330,7 +356,7 @@ def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta:
     """
     n = astar.dim
     c, level, osc = l2_terms(pa, pb, theta)
-    lam, beta = _eigenframe(astar, bsharp)
+    lam, beta = _eigenframe(astar, bsharp, pa, pb)
     lhs = float(np.dot(beta / lam**2 - c, flux_ratio(lam, pa, theta) ** -2))
     return lhs, float(n * level + (n - 1) * osc), l2_case(pa, pb)
 
@@ -346,7 +372,7 @@ def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta:
     """
     n = astar.dim
     lead, level, osc = u2_terms(pa, pb, theta)
-    lam, beta = _eigenframe(astar, bsharp)
+    lam, beta = _eigenframe(astar, bsharp, pa, pb)
     lhs = float(np.dot(lead / lam - beta / lam**2, flux_ratio(lam, pa, theta) ** -2))
     rhs_step = n * level - (n - 1) * osc
     rhs_printed = rhs_step - n * pb.b2 * (pa.a2 - pa.a1) * (2.0 * theta - 1.0) / pa.a1**3
@@ -372,23 +398,6 @@ _BOUNDS = {
 }
 
 
-def _membership_tensors(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> list:
-    """Every tensor that pair_membership decomposes, built once per pair.
-
-    A*, B#, the chain link and, for a constant density on a non-homogeneous
-    A-medium, the middle factor of each bound whose base medium is not
-    homogeneous.  DimensionMismatch is raised before the link is built.
-    """
-    tensors = [astar, bsharp, chain_link(astar, bsharp, pa, pb)]
-    if _constant_density(pb) and homogeneous_value(pa) is None:
-        for core in ("a1", "a2"):
-            middle = _const_b_factors(astar, bsharp, pa, pb.b1, core)[1]
-            # at a1 = 1 the core-a2 middle b A* - a1 B# is the link itself
-            if middle is not None and middle is not tensors[2]:
-                tensors.append(middle)
-    return tensors
-
-
 def pair_membership(
     astar: SymTensor,
     bsharp: SymTensor,
@@ -398,12 +407,9 @@ def pair_membership(
 ) -> PairBoundReport:
     """Full feasibility verdict for a candidate pair (A*, B#).
 
-    While A* or B# is not decomposed, one LAPACK call decomposes every tensor
-    of the verdict not decomposed before; pair_memberships has decomposed
-    them all before it judges a pair.
+    The chain check builds the verdict's record (see _verdict_inputs) unless
+    it is kept, with one LAPACK call, and every bound reads it.
     """
-    if not (astar.decomposed and bsharp.decomposed):
-        eig_stack(_membership_tensors(astar, bsharp, pa, pb))
     region = classify_region(pa, pb)
     chain = general_chain_check(astar, bsharp, pa, pb)
 
@@ -446,40 +452,13 @@ def pair_membership(
 def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     """pair_membership of each (astar, bsharp, pa, pb) in a sequence, with one LAPACK call per dimension.
 
-    Every tensor that the verdicts decompose is built and decomposed first.
-    Then one stacked product per dimension gives each two-phase pair's
-    eigenframe and one more each constant-density bound's lhs; both are
-    kept on A* (see symtensor.derived).  Each pair is then judged by the
-    module's pair_membership, which finds them all memoised.  A pair whose
-    A* and B# differ in dimension raises DimensionMismatch before any pair
-    is judged.
+    The records of every verdict are built first (see _verdict_inputs), and
+    then each pair is judged by the module's pair_membership, which finds
+    its record; a DimensionMismatch is raised before any pair is judged.
+    (At 0 < b2 - b1 <= 1e-14 b1 the bounds of the constant density b1 build
+    a record of their own.)
     """
-    by_dim = {}
-    for pair in pairs:
-        for tensor in _membership_tensors(*pair):
-            by_dim.setdefault(tensor.dim, []).append(tensor)
-    for tensors in by_dim.values():
-        eig_stack(tensors)
-    frames, const_b = {}, {}
-    for astar, bsharp, pa, pb in pairs:
-        if homogeneous_value(pa) is not None:
-            continue
-        if not _constant_density(pb):
-            frames.setdefault(astar.dim, []).append((astar, bsharp))
-            continue
-        for core in ("a1", "a2"):
-            outer, middle, _ = _const_b_factors(astar, bsharp, pa, pb.b1, core)
-            if middle is not None:
-                const_b.setdefault(astar.dim, []).append((astar, bsharp, ("lhs", pa, pb.b1, core), pb.b1, outer, middle))
-    for group in frames.values():
-        for (astar, bsharp), frame in zip(group, _eigenframes(group)):
-            derived(astar, bsharp, "eigenframe", lambda: frame)
-    for group in const_b.values():
-        singular = singular_spectra([es.values for es in eig_stack([row[5] for row in group])])
-        # a middle that is not positive definite keeps no memo: its bound raises SingularFactor
-        group = [row for row, bad in zip(group, singular) if not bad]
-        for (astar, bsharp, key, *_), lhs in zip(group, _const_b_lhs([row[3:] for row in group]) if group else []):
-            derived(astar, bsharp, key, lambda: lhs)
+    _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs])
     return [pair_membership(*pair, tol) for pair in pairs]
 
 

@@ -19,8 +19,7 @@ from .laminates import (
     RELATION_CORE,
     ChainViolation,
     LaminateSpec,
-    seq_A_stack,
-    seq_B_const_stack,
+    _seq_const_stack,
     seq_pair_pp,
     simple_laminate_pair,
 )
@@ -152,8 +151,8 @@ def draw_composites(rng, count: int, max_dim: int = 3) -> list:
     constructions are then built per dimension in stacked passes: the
     rotated simple laminates by one QR and one congruence, the
     constant-density sequential laminates by one pass over the direction
-    moments, one LAPACK call on them and one frame product for each of A*
-    and B#.  Every tensor has the bits of its one-composite case.
+    moments, one LAPACK call on them and one frame product for A* and B#.
+    Every tensor has the bits of its one-composite case.
     complement_cover relations can produce chain-violating tensors; those
     draws are resampled (and counted in chain_rejections) since they are
     not relative limits.
@@ -172,7 +171,7 @@ def draw_composites(rng, count: int, max_dim: int = 3) -> list:
             d["astar"], d["bsharp"] = astar, bsharp
     for group in pending["seq_const"].values():
         specs, pas, bs = [spec for _, spec, _ in group], [d["pa"] for d, _, _ in group], [b for _, _, b in group]
-        for (d, _, _), astar, bsharp in zip(group, seq_A_stack(specs, pas), seq_B_const_stack(specs, pas, bs)):
+        for (d, _, _), astar, bsharp in zip(group, *_seq_const_stack(specs, pas, bs)):
             d["astar"], d["bsharp"] = astar, bsharp
     return draws
 

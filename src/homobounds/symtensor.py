@@ -6,11 +6,9 @@ N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
 computes its eigensystem once, with LAPACK's symmetric solver, on first
 request; every later eig of the same tensor reuses it.  eig_stack
 decomposes many tensors of one dimension in a single LAPACK call and
-memoises each result exactly as eig would.  combination builds a linear
-combination of two tensors once and keeps it (derived keeps any value
-computed from a pair of tensors), so that a combination decomposed in a
-stack is found again, decomposed, later.  The module also
-evaluates trace chains of matrix powers, rotations (rotate_stack takes many
+memoises each result exactly as eig would.  derived keeps on a tensor what
+was computed from it with one partner tensor.  The module also evaluates
+trace chains of matrix powers, rotations (rotate_stack takes many
 at once, and from_frames builds Q diag(v) Q^T over a stack), and the
 rearrangement inequality tr(EF) >= sum of oppositely sorted eigenvalue
 products used by the commutativity argument.
@@ -173,28 +171,15 @@ def eig_stack(tensors) -> list:
     return [t._eig for t in tensors]
 
 
-def derived(s: SymTensor, t: SymTensor, key, build):
-    """build(), called on the first request for key and kept on s with the tensor t.
+def derived(s: SymTensor, t: SymTensor) -> dict:
+    """The dict of what was derived from s with the tensor t, kept on s.
 
-    s keeps what was derived with the last tensor object t it was paired
-    with, so the memo stays bounded: a later request with that t and key
-    returns the same object; pairing s with another t starts afresh.
+    s keeps the dict of its last partner object t only, so the memo stays
+    bounded: another t, even an equal one, starts afresh.
     """
     if s._derived is None or s._derived[0] is not t:
         s._derived = (t, {})
-    memo = s._derived[1]
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
-def combination(s: SymTensor, cs: float, t: SymTensor, ct: float, sign: float = 1.0) -> SymTensor:
-    """The SymTensor sign (cs s - ct t), built on the first call and kept on s (see derived).
-
-    A later call with the same t and coefficients returns the same
-    SymTensor, with its eigensystem if one was computed.
-    """
-    return derived(s, t, (cs, ct, sign), lambda: SymTensor(sign * (cs * s._m - ct * t._m)))
+    return s._derived[1]
 
 
 def singular_spectra(values) -> np.ndarray:

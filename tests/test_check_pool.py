@@ -41,7 +41,7 @@ def test_check_pool_bytes(monkeypatch):
     monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
     pool = json.loads(POOL.read_text())
     assert len(pool) == 200
-    changed = [(i, case["argv"][:2]) for i, case in enumerate(pool) if replay(case["argv"]) != {k: case[k] for k in ("exit", "stdout", "stderr")}]
+    changed = [(i, case["argv"][:2]) for i, case in enumerate(pool) if {"argv": case["argv"], **replay(case["argv"])} != case]
     assert not changed, f"{len(changed)} requests changed output: {changed[:10]}"
 
 

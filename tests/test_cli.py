@@ -550,7 +550,7 @@ def test_report_tuples_do_not_pile_up():
     "target, error, argv",
     [
         ("homobounds.pairbounds.pair_membership", "NoBracket", ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", INSIDE]),
-        ("homobounds.laminates.seq_A", "ChainViolation", ["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"]),
+        ("homobounds.laminates._seq_const_stack", "ChainViolation", ["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"]),
     ],
 )
 def test_library_errors_exit_2(target, error, argv, monkeypatch):
@@ -698,9 +698,10 @@ def test_entry_point_under_dev_mode(tmp_path):
 
 @pytest.mark.parametrize("case", [c for c in CORPUS if c["argv"][0] == "laminate"], ids=lambda c: c["name"])
 def test_laminate_request_builds_its_frames_once(case, monkeypatch, capsys):
-    # a two-phase request takes A* from seq_pair_pp, which builds it with B#;
-    # seq_A builds the frames again only for a ChainViolation, which carries
-    # B# alone, and for const_b.  The report holds the bits of seq_A and seq_B_*.
+    # every request builds its laminate's frames once: a two-phase one takes
+    # A* and B# from seq_pair_pp, or from the ChainViolation, which carries
+    # both, and a const_b one from one constant-density pass.  The report
+    # holds the bits of seq_A and seq_B_*.
     from homobounds import cli, laminates
 
     built = []
@@ -711,7 +712,7 @@ def test_laminate_request_builds_its_frames_once(case, monkeypatch, capsys):
     if case["exit"]:
         assert built == []  # a region mismatch is found before any frame is built
         return
-    assert len(built) == (1 if report.get("chain_ok") else 2)
+    assert len(built) == 1
     args = parse_request(case["argv"])
     spec, pa = laminates.LaminateSpec.from_json(args.spec), cli._phase(args, "a")
     if spec.relation == "const_b":

@@ -42,7 +42,7 @@ from homobounds.pairbounds import (
 )
 from homobounds import pairbounds, sweeps
 from homobounds.cli import main
-from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, eig, rotate, trace_chain
+from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, derived, eig, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
 
@@ -187,15 +187,17 @@ class TestConstDensityBounds:
         assert sorted(calls) == ["a1"] * 3 + ["a2"] * 3
 
     def test_outer_factor_is_the_shift_by_base_identity(self):
-        # sign (A* - base I) bit for bit, with the -0.0 off the diagonal kept
+        # each lhs has the bits of the trace chain whose outer factor is
+        # sign (A* - base I), here with a -0.0 off the diagonal of A*
         pa, bsharp = self.const_b_pair()[2], SymTensor.diag([1.3, 1.25, 1.3])
         astar = SymTensor([[2.1, -0.0, 0.1], [-0.0, 2.2, 0.0], [0.1, 0.0, 2.4]])
-        for core in ("a1", "a2"):
-            factors = pairbounds._const_b_factors(astar, bsharp, pa, 1.2, core)
-            base, _, _, sign = core_side(pa, core)
-            want = sign * (astar.mat - base * np.eye(3))
-            assert np.array_equal(factors[0], want) and np.array_equal(np.signbit(factors[0]), np.signbit(want))
-            assert pairbounds._const_b_factors(astar, bsharp, pa, 1.2, core) is factors
+        record = pairbounds._verdict_inputs([(astar, bsharp, pa, 1.2, 1.2)])[0]
+        for core, bound in (("a1", bound_L_const_b), ("a2", bound_U_const_b)):
+            base, frac, _, sign = core_side(pa, core)
+            outer = sign * (astar.mat - base * np.eye(3))
+            middle = SymTensor(sign * (1.2 * astar.mat - base * bsharp.mat))
+            want = trace_chain([(1.2, 1), (outer, 1), (middle, -1), (outer, 1)])
+            assert bound(astar, bsharp, pa, 1.2) == record.const_b[core] == (want, 3 * frac * (pa.a2 - pa.a1))
 
 
 class TestTwoPhaseBounds:
@@ -355,16 +357,18 @@ class TestEigenframe:
         assert len(calls) == 1 and np.array_equal(calls[0], [a, bs, link, *middles])
 
     def test_unit_a1_stacks_the_link_once(self, monkeypatch):
-        # b A* - a1 B#, the core-a2 middle, is the link (b/a1) A* - B# when a1 = 1
+        # b A* - a1 B#, the core-a2 middle, equals the link (b/a1) A* - B# when
+        # a1 = 1; it is stacked as a middle of its own, in the one call
         pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.3, 1.3, 0.5)
         calls = self.lapack_calls(monkeypatch)
         pair_membership(SymTensor.diag([1.4, 1.45]), SymTensor.diag([1.5, 1.6]), pa, pb)
-        assert [len(c) for c in calls] == [4]
+        assert [len(c) for c in calls] == [5] and np.array_equal(calls[0][2], calls[0][4])
 
-    @pytest.mark.parametrize("theta_a, count", [(0.5, 4), (0.0, 3)])
+    @pytest.mark.parametrize("theta_a, count", [(0.5, 4), (0.0, 4)])
     def test_homogeneous_base_skips_its_middle(self, monkeypatch, theta_a, count):
         # A* = a2 I: the core-a1 bound's base medium a2 I is A* itself, so its
-        # middle factor is never inverted; at thetaA = 0 no bound runs at all
+        # middle factor is never inverted; at thetaA = 0 no bound runs, but the
+        # record of a constant density holds both bounds all the same
         pa, pb = PhaseA(1.5, 3.0, theta_a), PhaseB(1.0, 1.0, 0.5)
         calls = self.lapack_calls(monkeypatch)
         pair_membership(SymTensor.diag([3.0, 3.0]), SymTensor.diag([1.0, 1.0]), pa, pb)
@@ -405,9 +409,9 @@ class TestEigenframe:
         assert len({d["dim"] for d in draws[: sweeps._CHUNK] if d["family"] == "seq_const"}) > 1
 
     def test_memberships_keep_eigenframes_and_const_lhs(self, monkeypatch):
-        # one stacked pass per dimension gives each two-phase eigenframe and
-        # each constant-density lhs; the bounds read them, and each report is
-        # the one of judging fresh copies one pair at a time
+        # one LAPACK call per dimension builds every pair's record, which A*
+        # keeps: beta, and at b1 = b2 both constant-density sides; each report
+        # is the one of judging fresh copies one pair at a time
         rng = np.random.default_rng(2)
         pa, pb, pc = PhaseA(1.5, 3.0, 0.4), PhaseB(1.0, 2.5, 0.6), PhaseB(1.2, 1.2, 0.4)
         pairs = []
@@ -417,25 +421,24 @@ class TestEigenframe:
             pairs.append((rotate(astar, q), rotate(bsharp, q), pa, pb))
             spec = LaminateSpec(tuple(map(tuple, q[: n - 1])), (1.0 / (n - 1),) * (n - 1), "a1" if n == 2 else "a2", "const_b")
             pairs.append((seq_A(spec, pa), seq_B_const(spec, pa, pc.b1), pa, pc))
-        # an indefinite middle factor: no lhs is kept and the verdict is infeasible
+        # indefinite middle factors: both bounds raise SingularFactor and the verdict is infeasible
         pairs.append((SymTensor.diag([1.4, 1.45]), SymTensor.diag([0.1, 5.0]), PhaseA(1, 2, 0.5), PhaseB(1, 1, 0.5)))
-        calls = []
-        for name in ("_eigenframes", "_const_b_lhs"):
-            original = getattr(pairbounds, name)
-            monkeypatch.setattr(pairbounds, name, lambda rows, f=original, name=name: calls.append((name, len(rows))) or f(rows))
+        calls = self.lapack_calls(monkeypatch)
         reports = pairbounds.pair_memberships(pairs)
-        assert calls == [("_eigenframes", 2), ("_eigenframes", 2), ("_const_b_lhs", 4), ("_const_b_lhs", 4), ("_const_b_lhs", 1)]
+        assert [c.shape[1] for c in calls] == [2, 3]
         for (astar, bsharp, a, b), report in zip(pairs, reports):
+            record = derived(astar, bsharp)[(a, b.b1, b.b2)]
+            assert sorted(record.const_b) == (["a1", "a2"] if b.b1 == b.b2 else [])
             assert repr(report) == repr(pair_membership(SymTensor(astar.mat), SymTensor(bsharp.mat), a, b))
-            memo = astar._derived[1]
-            assert ("eigenframe" in memo) == (b is pb)
-            assert sum(key[0] == "lhs" for key in memo if isinstance(key, tuple)) == (2 if b is pc else 0)
+        for bound in (bound_L_const_b, bound_U_const_b):
+            with pytest.raises(SingularFactor):
+                bound(astar, bsharp, a, 1.0)
         assert reports[-1].verdict == "infeasible"
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_stacked_frames_and_lhs_match_the_one_pair_formulas(self, n):
-        # the eigenframes and constant-density lhs of a stack have the bits
-        # of np.diag(Q^T B# Q) and of the trace chain, pair by pair
+        # the records of a stack have the bits of np.diag(Q^T B# Q) and of the
+        # constant-density trace chain, pair by pair
         rng = np.random.default_rng(n)
         pa, pc = PhaseA(1.5, 3.0, 0.4), PhaseB(1.2, 1.2, 0.4)
         pairs = []
@@ -447,17 +450,42 @@ class TestEigenframe:
             pairs.append((seq_A(spec, pa), SymTensor(0.5 * (bsharp + q @ bsharp @ q.T)), pa, pc if k % 2 else PhaseB(1.0, 2.5, 0.6)))
         copies = [(SymTensor(a.mat), SymTensor(b.mat), a_, b_) for a, b, a_, b_ in pairs]
         pair_memberships(pairs)
-        for group in (pairs, copies):  # from the memos, then one pair at a time
+        for group in (pairs, copies):  # from the stacked records, then one pair at a time
             for astar, bsharp, _, pb in group:
+                record = pairbounds._verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2)])[0]
                 es = eig(astar)
-                lam, beta = pairbounds._eigenframe(astar, bsharp)
-                assert np.array_equal(lam, es.values) and np.array_equal(beta, np.diag(es.frame.T @ bsharp.mat @ es.frame))
-                if pb is not pc:
-                    continue
-                for core in ("a1", "a2"):
-                    outer, middle, _ = pairbounds._const_b_factors(astar, bsharp, pa, pc.b1, core)
-                    want = trace_chain([(pc.b1, 1), (outer, 1), (middle, -1), (outer, 1)])
-                    assert pairbounds._bound_const_b(astar, bsharp, pa, pc.b1, core)[0] == want
+                assert np.array_equal(record.beta, np.diag(es.frame.T @ bsharp.mat @ es.frame))
+                assert sorted(record.const_b) == (["a1", "a2"] if pb is pc else [])
+                for core, (lhs, rhs) in record.const_b.items():
+                    base, frac, _, sign = core_side(pa, core)
+                    outer = sign * (astar.mat - base * np.eye(n))
+                    middle = SymTensor(sign * (pc.b1 * astar.mat - base * bsharp.mat))
+                    assert lhs == trace_chain([(pc.b1, 1), (outer, 1), (middle, -1), (outer, 1)])
+                    assert rhs == n * frac * (pa.a2 - pa.a1)
+
+    def test_memberships_share_an_astar_between_partners(self):
+        # one A* object judged with two B# in one call keeps only the last
+        # partner's records, and each verdict is still its own
+        pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.5)
+        astar = SymTensor.diag([4 / 3, 1.5])
+        pairs = [(astar, SymTensor.diag([14 / 9, 2.0]), pa, pb), (astar, SymTensor.diag([20 / 9, 2.0]), pa, pb)]
+        reports = pair_memberships(pairs + pairs[:1])
+        assert [r.verdict for r in reports] == ["boundary", "feasible", "boundary"]
+        for (a, b, _, _), report in zip(pairs, reports):
+            assert repr(report) == repr(pair_membership(SymTensor(a.mat), SymTensor(b.mat), pa, pb))
+
+    def test_record_keeps_only_the_last_partner(self):
+        # A* keeps the records of one B# object at a time, which bounds what a
+        # long sweep holds: an equal but distinct B# starts afresh
+        pa = PhaseA(1.0, 2.0, 0.5)
+        astar, bsharp = SymTensor.diag([4 / 3, 1.5]), SymTensor.diag([14 / 9, 2.0])
+        first = pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0]
+        assert pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0] is first
+        twin = SymTensor(bsharp.mat)
+        second = pairbounds._verdict_inputs([(astar, twin, pa, 1.0, 3.0)])[0]
+        assert second is not first and second.link == first.link and np.array_equal(second.beta, first.beta)
+        assert derived(astar, twin) == {(pa, 1.0, 3.0): second}
+        assert pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0] is not first
 
     @pytest.mark.parametrize("bound", [bound_L1, bound_U1])
     def test_singular_shift_raises(self, bound):

@@ -7,7 +7,6 @@ from homobounds.symtensor import (
     NotOrthonormal,
     SingularFactor,
     SymTensor,
-    combination,
     commutator_norm,
     eig,
     eig_stack,
@@ -157,31 +156,6 @@ class TestEigStack:
 
     def test_empty(self):
         assert eig_stack([]) == []
-
-
-class TestCombination:
-    def test_values_and_memo(self):
-        rng = np.random.default_rng(3)
-        s, t = random_spd(rng, 3), random_spd(rng, 3)
-        link = combination(s, 2.5, t, 1.0)
-        assert np.array_equal(link.mat, SymTensor(2.5 * s.mat - t.mat).mat)
-        middle = combination(s, 1.7, t, 3.0, -1.0)
-        assert np.array_equal(middle.mat, SymTensor(-(1.7 * s.mat - 3.0 * t.mat)).mat)
-        eig_stack([link, middle])
-        # the same t object and coefficients give the same, decomposed tensor
-        assert combination(s, 2.5, t, 1.0) is link and combination(s, 1.7, t, 3.0, -1.0) is middle
-        assert link.decomposed and middle.decomposed
-
-    def test_keeps_only_the_last_partner(self):
-        # an equal but distinct t starts a fresh memo, so s holds one partner at a time
-        rng = np.random.default_rng(4)
-        s, t = random_spd(rng, 2), random_spd(rng, 2)
-        first = combination(s, 2.0, t, 1.0)
-        twin = SymTensor(t.mat)
-        second = combination(s, 2.0, twin, 1.0)
-        assert second is not first and second == first
-        assert combination(s, 2.0, twin, 1.0) is second
-        assert combination(s, 2.0, t, 1.0) is not first
 
 
 class TestTraceChain:
