@@ -452,11 +452,13 @@ def main(argv=None) -> int:
 
     The request is parsed once, by its subcommand's parser (see
     parse_request); the top-level parser answers only help and usage errors.
+    A refused request, an ArithmeticError of scalar float arithmetic
+    included, exits 2 with one error line.
     """
     args = parse_request(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, gclosure.NoBracket, laminates.ChainViolation) as exc:
+    except (ValueError, ArithmeticError, FileNotFoundError, KeyError, gclosure.NoBracket) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

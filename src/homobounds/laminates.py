@@ -8,7 +8,9 @@ relation defining the accompanying relative limit, solved here entrywise in
 the laminate eigenframe.  seq_A and seq_B_const are the one-spec cases of
 seq_A_stack and seq_B_const_stack, which build many laminates of one
 dimension with one LAPACK call on their direction moments and one frame
-product; a constant-density pair (A*, B#) comes from one such pass.
+product; a constant-density pair (A*, B#) comes from one such pass.  A
+two-phase pair is diagonal in its moment's eigenframe, and seq_pair_pp
+judges the bounds chain there, on the spectra it built.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ import numpy as np
 
 from .gclosure import DEFAULT_TOL, PhaseA, core_side, means
 from .homog1d import bsharp_1d, overlap_window
-from .pairbounds import (
-    PhaseB,
-    admits,
-    flux_ratio,
-    general_chain_check,
-    gradient_extremes,
-    l2_terms,
-    u2_terms,
-)
-from .symtensor import SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
+from .pairbounds import PhaseB, _chain_slacks, admits, flux_ratio, gradient_extremes, l2_terms, u2_terms
+from .symtensor import _NON_FINITE, SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
 
 RELATIONS = ("A_subset_B", "B_subset_A", "disjoint", "complement_cover", "const_b")
 # core phase of the sequential laminates that realize each two-phase relation
@@ -269,9 +263,12 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
 def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     """(A*, B#) = (seq_A, seq_B_pp) of a two-phase spec, with ChainViolation as in seq_B_pp.
 
-    The chain check builds the pair's verdict record with one LAPACK call
-    (see pairbounds._verdict_inputs), and A* keeps it, so a verdict on the
-    pair decomposes nothing again.
+    A* and B# are diagonal in the moment's eigenframe (Francfort & Murat
+    1986), so the chain is judged there, on their spectra and the link's
+    (b2/a1) a_diag - diag, and only the moment is decomposed.  A non-finite
+    A* or B# entry or link value is refused with the ValueError a
+    decomposition gives it.  At a core-a2 fraction at or below _UNIT_TOL
+    the medium is a1 I, whose relative limit is mean(b) I.
     """
     relation = spec.relation
     if relation == "const_b":
@@ -288,8 +285,11 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     theta = pa.thetaA
 
     if spec.core_phase == "a2":
-        nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
-        diag = nested if relation == "A_subset_B" else disjoint
+        if core_side(pa, "a2")[1] <= _UNIT_TOL:
+            diag = np.full(len(a_diag), pb.mean)
+        else:
+            nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
+            diag = nested if relation == "A_subset_B" else disjoint
     else:
         ratio = flux_ratio(a_diag, pa, theta) ** 2
         if relation == "B_subset_A":
@@ -301,7 +301,11 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
         diag = a_diag**2 * core
 
     astar, bsharp = [SymTensor(m) for m in from_frames(frames[[0, 0]], np.array([a_diag, diag]))]
-    slacks = general_chain_check(astar, bsharp, pa, pb)
+    link = (pb.b2 / pa.a1) * a_diag - diag
+    if not all(np.isfinite(v).all() for v in (astar._m, bsharp._m, link)):
+        raise ValueError(_NON_FINITE)
+    # as Python floats, like the eigenvalues general_chain_check takes, so an overflow is inf without a numpy warning
+    slacks = _chain_slacks(a_diag.tolist(), diag.tolist(), link.tolist(), pa, pb)
     if min(slacks) < -DEFAULT_TOL:
         raise ChainViolation(
             f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
@@ -309,4 +313,3 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
             astar=astar,
         )
     return astar, bsharp
-

@@ -11,9 +11,9 @@ and one upper trace bound selected by the volume fractions:
 All four are linear in B#, so the fibre of admissible B# over a fixed A*
 is a closed convex set.  The module evaluates each bound, classifies pairs,
 mixes fibre extremes, and evaluates the pointwise energy-density bounds of
-a constant density.  What a verdict on a pair decomposes is decided in one
-place, _verdict_inputs: it builds one record per pair, kept on A*, and the
-chain check and every bound read it.
+a constant density.  Only _verdict_inputs decomposes a pair: it builds one
+record per pair, kept on A*, from which the chain check and every bound
+evaluate their own sides.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .symtensor import (
     eig_stack,
     from_frames,
     positive_spectrum,
-    singular_spectra,
 )
 
 
@@ -114,9 +113,9 @@ def admits(relation: str, pa: PhaseA, pb: PhaseB, closed: bool) -> bool:
     return closed and on_interface
 
 
-def _constant_density(pb: PhaseB) -> bool:
+def _constant_density(b1: float, b2: float) -> bool:
     """Whether b2 - b1 is within 1e-14 b1, a degenerate B-phase judged by the constant-density bounds (DECISIONS #4)."""
-    return pb.b2 - pb.b1 <= 1e-14 * pb.b1
+    return b2 - b1 <= 1e-14 * b1
 
 
 class _Inputs(NamedTuple):
@@ -124,34 +123,31 @@ class _Inputs(NamedTuple):
 
     link: tuple  # eigenvalues of the chain link (b2/a1) A* - B#, descending
     beta: np.ndarray  # the diagonal of B# in A*'s eigenframe
-    const_b: dict  # at b1 = b2: core -> (lhs, rhs), or the eigenvalues of a middle factor not positive definite
+    const_b: dict  # at a constant density: core -> (F, the middle's EigSystem, rhs), F None for a homogeneous base medium
 
 
 def _verdict_inputs(rows) -> list:
-    """The _Inputs of each (A*, B#, pa, b1, b2) in a sequence, built once and kept on A* under (pa, b1, b2).
+    """The _Inputs of each (A*, B#, pa, b1, b2) in a sequence, kept on A* under (pa, b1, b2).
 
-    A* keeps the records of its last partner B# only (see symtensor.derived),
-    and a row whose record is kept is skipped.  Per dimension, one LAPACK call
-    decomposes, row by row, A*, B#, the chain link (b2/a1) A* - B# and, at
-    b1 = b2 = b, each core's middle factor sign (b A* - base B#), where
+    A* keeps the records of its last partner B# only (see symtensor.derived).
+    Per dimension, one LAPACK call decomposes, row by row, A*, B#, the chain
+    link (b2/a1) A* - B# and, at a constant density (see _constant_density),
+    each core's middle factor sign (b1 A* - base B#), where
     (base, frac, _, sign) = core_side(pa, core).  One stacked product then
-    gives every beta, and one more every constant-density lhs
-    b tr F middle^-1 F with the outer factor F = sign (A* - base I); its rhs
-    is N frac (a2-a1).  A core whose F vanishes (a homogeneous base medium)
-    inverts nothing and has lhs 0.0.  A pair whose A* and B# differ in
-    dimension raises DimensionMismatch before anything is built.
+    gives every beta.  Each core keeps its outer factor F = sign (A* - base I)
+    and its rhs N frac (a2-a1), from which _bound_const_b evaluates the lhs;
+    a core whose F vanishes (a homogeneous base medium) has no middle.  The
+    record of a constant density is kept under (pa, b1) too, where the bounds
+    of the density b1 find it.  A pair whose A* and B# differ in dimension
+    raises DimensionMismatch before anything is built.
     """
     for astar, bsharp, *_ in rows:
         if astar.dim != bsharp.dim:
             raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
-    records, by_dim = [], {}
+    records, by_dim = [None] * len(rows), {}
     for i, (astar, bsharp, pa, b1, b2) in enumerate(rows):
-        fresh = by_dim.setdefault(astar.dim, [])  # every row, kept or not, fixes the order of the dimensions
-        records.append(derived(astar, bsharp).get((pa, b1, b2)))
-        if records[i] is not None:
-            continue
-        tensors, sides = [astar, bsharp, SymTensor((b2 / pa.a1) * astar._m - bsharp._m)], {}
-        if b1 == b2:
+        tensors, outers = [astar, bsharp, SymTensor((b2 / pa.a1) * astar._m - bsharp._m)], {}
+        if _constant_density(b1, b2):
             n = astar.dim
             for core in ("a1", "a2"):
                 base, frac, _, sign = core_side(pa, core)
@@ -163,42 +159,42 @@ def _verdict_inputs(rows) -> list:
                     outer = None  # a homogeneous base medium
                 else:
                     tensors.append(SymTensor(sign * (b1 * astar._m - base * bsharp._m)))
-                sides[core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
-        fresh.append((i, (pa, b1, b2), tensors, sides))
-    for group in filter(None, by_dim.values()):
-        flat = iter(eig_stack([t for *_, tensors, _ in group for t in tensors]))
-        systems = [[next(flat) for _ in tensors] for *_, tensors, _ in group]
+                outers[core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
+        by_dim.setdefault(astar.dim, []).append((i, tensors, outers))
+    for group in by_dim.values():
+        flat = iter(eig_stack([t for _, tensors, _ in group for t in tensors]))
+        systems = [[next(flat) for _ in tensors] for _, tensors, _ in group]
         frames = np.array([es[0].frame for es in systems])
-        beta = frames.transpose(0, 2, 1) @ np.array([tensors[1]._m for *_, tensors, _ in group]) @ frames
-        inverted = []  # (const_b of a record, core, b, F, the middle's EigSystem, rhs)
-        for (i, key, tensors, sides), es, row_beta in zip(group, systems, beta.diagonal(axis1=1, axis2=2)):
-            const_b, middles = {}, iter(es[3:])
-            for core, (outer, rhs) in sides.items():
-                if outer is None:
-                    const_b[core] = (0.0, rhs)
-                else:
-                    inverted.append((const_b, core, key[1], outer, next(middles), rhs))
-            records[i] = derived(tensors[0], tensors[1])[key] = _Inputs(es[2].values, row_beta, const_b)
-        if not inverted:
-            continue
-        values = np.array([row[4].values for row in inverted])
-        singular = singular_spectra(values)
-        for (const_b, core, *_), vals, bad in zip(inverted, values, singular):
-            if bad:
-                const_b[core] = vals
-        live = [row for row, bad in zip(inverted, singular) if not bad]
-        if live:
-            inverse = from_frames(np.array([row[4].frame for row in live]), values[~singular] ** -1.0)
-            outer = np.array([row[3] for row in live])
-            traces = np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
-            for (const_b, core, b, _, _, rhs), t in zip(live, traces.tolist()):
-                const_b[core] = (float(b * t), rhs)
+        beta = frames.transpose(0, 2, 1) @ np.array([tensors[1]._m for _, tensors, _ in group]) @ frames
+        for (i, tensors, outers), es, row_beta in zip(group, systems, beta.diagonal(axis1=1, axis2=2)):
+            middles = iter(es[3:])
+            const_b = {core: (outer, None if outer is None else next(middles), rhs) for core, (outer, rhs) in outers.items()}
+            pa, b1, b2 = rows[i][2:]
+            kept = derived(tensors[0], tensors[1])
+            records[i] = kept[(pa, b1, b2)] = _Inputs(es[2].values, row_beta, const_b)
+            if const_b:
+                kept[(pa, b1)] = records[i]
     return records
 
 
 def _inputs(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b1: float, b2: float) -> _Inputs:
     """The record of one pair: the one kept on A*, else the one _verdict_inputs builds."""
     return derived(astar, bsharp).get((pa, b1, b2)) or _verdict_inputs([(astar, bsharp, pa, b1, b2)])[0]
+
+
+def _chain_slacks(lam, mu, link, pa: PhaseA, pb: PhaseB) -> tuple:
+    """The six slacks of general_chain_check from the spectra of A*, B# and the chain link, each in any order."""
+    _, arith = means(pa)
+    ratio = pb.b2 / pa.a1
+    top = max(lam)
+    return (
+        float(min(mu) - pb.b1),
+        float(min(link)),
+        float(ratio * (arith - top)),
+        float(ratio * (pa.a2 - arith)),
+        float(min(lam) - pa.a1),
+        float(pa.a2 - top),
+    )
 
 
 def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -213,29 +209,23 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
       5: a2 - max eig A*
     """
     link = _inputs(astar, bsharp, pa, pb.b1, pb.b2).link
-    _, arith = means(pa)
-    ratio = pb.b2 / pa.a1
-    lam = eig(astar).values
-    mu = eig(bsharp).values
-    return (
-        float(mu[-1] - pb.b1),
-        float(link[-1]),
-        float(ratio * (arith - lam[0])),
-        float(ratio * (pa.a2 - arith)),
-        float(lam[-1] - pa.a1),
-        float(pa.a2 - lam[0]),
-    )
+    return _chain_slacks(eig(astar).values, eig(bsharp).values, link, pa, pb)
 
 
 def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
-    """(lhs, rhs) of the constant-density trace bound with the given core, read from the pair's record.
+    """(lhs, rhs) of the constant-density trace bound with the given core, from the pair's record.
 
-    Feasible pairs have lhs = b tr F (sign (b A* - base B#))^-1 F <= rhs = N frac (a2-a1).
+    Feasible pairs have lhs = b tr F M^-1 F <= rhs = N frac (a2-a1), with
+    F = sign (A* - base I) and the middle factor M = sign (b A* - base B#);
+    a homogeneous base medium (F = 0) has lhs 0.0.
     """
-    side = _inputs(astar, bsharp, pa, b, b).const_b[core]
-    if isinstance(side, np.ndarray):
-        positive_spectrum(side)  # raises SingularFactor for a middle factor that is not positive definite
-    return side
+    record = derived(astar, bsharp).get((pa, b)) or _verdict_inputs([(astar, bsharp, pa, b, b)])[0]
+    outer, middle, rhs = record.const_b[core]
+    if outer is None:
+        return 0.0, rhs
+    # raises SingularFactor for a middle factor that is not positive definite
+    inverse = middle.frame @ np.diag(positive_spectrum(middle.values) ** -1.0) @ middle.frame.T
+    return float(b * np.trace(outer @ inverse @ outer)), rhs
 
 
 def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
@@ -408,7 +398,7 @@ def pair_membership(
     """Full feasibility verdict for a candidate pair (A*, B#).
 
     The chain check builds the verdict's record (see _verdict_inputs) unless
-    it is kept, with one LAPACK call, and every bound reads it.
+    it is kept, with one LAPACK call, and every bound evaluates its lhs from it.
     """
     region = classify_region(pa, pb)
     chain = general_chain_check(astar, bsharp, pa, pb)
@@ -423,7 +413,7 @@ def pair_membership(
         zero = 0.0 if ok else -np.inf
         return PairBoundReport(region, chain, 0.0, 0.0, zero, 0.0, 0.0, zero, zero, verdict)
 
-    const_b = _constant_density(pb)
+    const_b = _constant_density(pb.b1, pb.b2)
     sides = {}
     try:
         # a member's eigenvalues lie 1e-13 inside (a1, a2), so its upper trace clears N a1 a2/(a2-a1): no NoBracket
@@ -455,8 +445,6 @@ def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     The records of every verdict are built first (see _verdict_inputs), and
     then each pair is judged by the module's pair_membership, which finds
     its record; a DimensionMismatch is raised before any pair is judged.
-    (At 0 < b2 - b1 <= 1e-14 b1 the bounds of the constant density b1 build
-    a record of their own.)
     """
     _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs])
     return [pair_membership(*pair, tol) for pair in pairs]

@@ -7,8 +7,9 @@ computes its eigensystem once, with LAPACK's symmetric solver, on first
 request; every later eig of the same tensor reuses it.  eig_stack
 decomposes many tensors of one dimension in a single LAPACK call and
 memoises each result exactly as eig would.  derived keeps on a tensor what
-was computed from it with one partner tensor.  The module also evaluates
-trace chains of matrix powers, rotations (rotate_stack takes many
+was computed from it with one partner tensor, and positive_spectrum refuses
+an inverse factor whose eigenvalues are not all positive.  The module also
+evaluates trace chains of matrix powers, rotations (rotate_stack takes many
 at once, and from_frames builds Q diag(v) Q^T over a stack), and the
 rearrangement inequality tr(EF) >= sum of oppositely sorted eigenvalue
 products used by the commutativity argument.
@@ -182,17 +183,11 @@ def derived(s: SymTensor, t: SymTensor) -> dict:
     return s._derived[1]
 
 
-def singular_spectra(values) -> np.ndarray:
-    """Whether each row of eigenvalues has one at or below the relative floor, or a NaN, which positive_spectrum refuses."""
-    vals = np.asarray(values, dtype=float)
-    # "not above" rather than "at or below": every comparison with NaN is False
-    return ~(vals.min(axis=-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR))
-
-
 def positive_spectrum(values) -> np.ndarray:
     """Eigenvalues of an inverse factor as an array; SingularFactor unless all are positive at the relative floor."""
     vals = np.asarray(values, dtype=float)
-    if singular_spectra(vals):
+    # "not above" rather than "at or below": every comparison with NaN is False
+    if not vals.min() > _EIG_SINGULAR_REL * (np.abs(vals).max() + _ABS_FLOOR):
         raise SingularFactor(
             f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {np.abs(vals).max() + _ABS_FLOOR:.3e})"
         )

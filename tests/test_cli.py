@@ -456,6 +456,43 @@ def test_huge_direction_prints_only_the_error(capsys):
     assert err.startswith("error: ") and "not a unit vector" in err and err.count("\n") == 1
 
 
+A_SUBSET_B_2D = '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"A_subset_B"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # hs_b's swell overflows
+        ["hashin", "--a", "1e154,1.7e308,0.3", "--b", "1,2,0.3", "--coreA", "a2", "--coreB", "b2", "--inclusion", "A_in_B", "--n", "2"],
+        # hs_b's denominator squared underflows to zero
+        ["hashin", "--a", "5e-324,1e-300,0.3", "--b", "1e-300,2,1", "--coreA", "a2", "--coreB", "b2", "--inclusion", "A_in_B", "--n", "2"],
+        # gradient_extremes' osc divides by a1^2, which underflows to zero
+        ["laminate", "--spec", A_SUBSET_B_2D, "--a", "1e-300,1,0", "--b", "1e5,1.7e308,0.5"],
+    ],
+    ids=["hs_b_overflow", "hs_b_zero_division", "gradient_extremes_zero_division"],
+)
+def test_scalar_arithmetic_error_exits_2(argv, capsys):
+    # Python's float arithmetic raises where numpy would warn: an
+    # ArithmeticError is a refused request, never a traceback with exit 1
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_laminate_on_a_homogeneous_a_medium(capsys):
+    # at thetaA = 1 the medium is a1 I and B# = mean(b) I, answered without a warning
+    disjoint = '{"directions":[[1,0],[0,1]],"weights":[0.5,0.5],"core":"a2","relation":"disjoint"}'
+    cases = [(disjoint, "1.0,2.0,0.0", 2.0), (A_SUBSET_B_2D, "1.0,2.0,1.0", 1.0)]
+    for spec, b, mean in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would escape main as an exception
+            code, out = run(capsys, "laminate", "--spec", spec, "--a", "0.5,0.75,1.0", "--b", b)
+        assert code == 0
+        data = json.loads(out)
+        assert data["chain_ok"] is True
+        assert data["astar"] == [[0.5, 0.0], [0.0, 0.5]] and data["bsharp"] == [[mean, 0.0], [0.0, mean]]
+
+
 # infeasible at the default tolerance, boundary at tolerance 10
 LEAK_REQUEST = ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", "[[1.3333333333333333,0],[0,1.5]]", "--bsharp", "[[1.5,0],[0,1.5]]"]
 
@@ -550,14 +587,19 @@ def test_report_tuples_do_not_pile_up():
     "target, error, argv",
     [
         ("homobounds.pairbounds.pair_membership", "NoBracket", ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", INSIDE]),
-        ("homobounds.laminates._seq_const_stack", "ChainViolation", ["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"]),
+        pytest.param(
+            "homobounds.laminates._seq_const_stack",
+            "ZeroDivisionError",
+            ["laminate", "--spec", '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}', "--a", "1,2,0.5"],
+            id="laminate-ZeroDivisionError",
+        ),
     ],
 )
 def test_library_errors_exit_2(target, error, argv, monkeypatch):
     # a library failure is a validation error, not the --assert exit code 1
-    from homobounds import gclosure, laminates
+    from homobounds import gclosure
 
-    exc = {"NoBracket": gclosure.NoBracket("no root"), "ChainViolation": laminates.ChainViolation("chain")}[error]
+    exc = {"NoBracket": gclosure.NoBracket("no root"), "ZeroDivisionError": ZeroDivisionError("float division by zero")}[error]
 
     def fail(*args, **kwargs):
         raise exc
@@ -698,21 +740,25 @@ def test_entry_point_under_dev_mode(tmp_path):
 
 @pytest.mark.parametrize("case", [c for c in CORPUS if c["argv"][0] == "laminate"], ids=lambda c: c["name"])
 def test_laminate_request_builds_its_frames_once(case, monkeypatch, capsys):
-    # every request builds its laminate's frames once: a two-phase one takes
-    # A* and B# from seq_pair_pp, or from the ChainViolation, which carries
-    # both, and a const_b one from one constant-density pass.  The report
-    # holds the bits of seq_A and seq_B_*.
+    # every request builds its laminate's frames once, with one LAPACK call
+    # on its moment (a two-phase chain is judged in the moment's frame): a
+    # two-phase one takes A* and B# from seq_pair_pp, or from the
+    # ChainViolation, which carries both, and a const_b one from one
+    # constant-density pass.  The report holds the bits of seq_A and seq_B_*.
+    import numpy as np
+
     from homobounds import cli, laminates
 
-    built = []
-    frames = laminates._laminate_frames
+    built, calls = [], []
+    frames, eigh = laminates._laminate_frames, np.linalg.eigh
     monkeypatch.setattr(laminates, "_laminate_frames", lambda *args: built.append(1) or frames(*args))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
     assert exit_code(case["argv"]) == case["exit"]
     report = json.loads(capsys.readouterr().out or "{}")
     if case["exit"]:
-        assert built == []  # a region mismatch is found before any frame is built
+        assert built == [] and calls == []  # a region mismatch is found before any frame is built
         return
-    assert len(built) == 1
+    assert len(built) == 1 and len(calls) == 1
     args = parse_request(case["argv"])
     spec, pa = laminates.LaminateSpec.from_json(args.spec), cli._phase(args, "a")
     if spec.relation == "const_b":

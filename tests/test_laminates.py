@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from homobounds.gclosure import PhaseA, core_side, g_membership, means
+from homobounds.gclosure import DEFAULT_TOL, PhaseA, core_side, g_membership, means
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.laminates import (
     RELATION_CORE,
@@ -24,7 +24,7 @@ from homobounds.laminates import (
     seq_pair_pp,
     simple_laminate_pair,
 )
-from homobounds.pairbounds import PhaseB, admits, pair_membership
+from homobounds.pairbounds import PhaseB, admits, general_chain_check, pair_membership
 from homobounds.symtensor import SymTensor, commutator_norm, eig, rotate, rotation_2d
 
 E1 = (1.0, 0.0)
@@ -365,16 +365,64 @@ class TestStacks:
             seq_B_const_stack([spec, spec], [pa_half, pa_half], [1.0, -1.0])
         assert "_moment" not in vars(spec)
 
-    def test_pair_pp_hands_over_a_decomposed_pair(self, monkeypatch, pa_half, pb_half):
+    def test_pair_pp_decomposes_only_the_moment(self, monkeypatch, pa_half, pb_half):
+        # the chain is judged in the moment's frame: building the pair makes
+        # one LAPACK call, on the moment, and keeps no record on A*; the
+        # verdict then decomposes A*, B# and the chain link in one call
         spec = LaminateSpec((E1, (0.6, 0.8)), (0.4, 0.6), "a2", "A_subset_B")
-        astar, bsharp = seq_pair_pp(spec, pa_half, pb_half)
-        assert astar == seq_A(spec, pa_half) and bsharp == seq_B_pp(spec, pa_half, pb_half)
-        assert astar.decomposed and bsharp.decomposed
         calls = []
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.array(m, ndmin=3)) or eigh(m))
+        astar, bsharp = seq_pair_pp(spec, pa_half, pb_half)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], spec.moment.mat)
+        assert not astar.decomposed and not bsharp.decomposed and astar._derived is None
+        assert astar == seq_A(spec, pa_half) and bsharp == seq_B_pp(spec, pa_half, pb_half)
+        calls.clear()
         assert pair_membership(astar, bsharp, pa_half, pb_half).verdict == "boundary"
-        assert calls == []  # the chain link was decomposed with them
+        link = SymTensor(3.0 * astar.mat - bsharp.mat).mat
+        assert len(calls) == 1 and np.array_equal(calls[0], [astar.mat, bsharp.mat, link])
+
+
+class TestInFrameChain:
+    @staticmethod
+    def _draws(relation, count):
+        rng = np.random.default_rng(22)
+        while count:
+            a1, b1 = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+            pa = PhaseA(a1, a1 * 10 ** rng.uniform(0.01, 3.0), rng.uniform(0.02, 0.98))
+            pb = PhaseB(b1, b1 * rng.uniform(1.0, 50.0), rng.uniform(0.02, 0.98))
+            if not admits(relation, pa, pb, False):
+                continue
+            n = int(rng.integers(2, 5))
+            p = int(rng.integers(1, n + 2))
+            w = rng.dirichlet(np.ones(p))
+            dirs = tuple(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n)))
+            count -= 1
+            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATION_CORE[relation], relation), pa, pb
+
+    @pytest.mark.parametrize("relation", ["A_subset_B", "disjoint", "B_subset_A", "complement_cover"])
+    def test_violation_exactly_where_the_decomposed_chain_fails(self, relation):
+        # the chain judged on the laminate's spectra decides as the six
+        # eigen-slacks of the built matrices do
+        violations = 0
+        for spec, pa, pb in self._draws(relation, 250):
+            try:
+                astar, bsharp = seq_pair_pp(spec, pa, pb)
+                violated = False
+            except ChainViolation as exc:
+                astar, bsharp, violated = exc.astar, exc.tensor, True
+            violations += violated
+            assert violated == (min(general_chain_check(astar, bsharp, pa, pb)) < -DEFAULT_TOL)
+        assert violations > 0 if relation == "complement_cover" else violations < 250
+
+    @pytest.mark.parametrize("b2", [1e300, 1.7e308])
+    def test_non_finite_value_is_refused(self, b2):
+        # b2/a1 or the B# entries overflow: refused as the decomposition of
+        # the overflowed link would refuse it, never judged
+        spec = LaminateSpec(((0.6, 0.8), E1), (0.3, 0.7), "a2", "A_subset_B")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="^eigenvalues are not finite: a matrix entry is NaN or infinite, given or overflowed$"):
+                seq_pair_pp(spec, PhaseA(1e-150 if b2 == 1e300 else 1.0, 2.0, 0.3), PhaseB(1.0, b2, 0.5))
 
 
 class TestInvariants:

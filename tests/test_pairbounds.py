@@ -187,17 +187,22 @@ class TestConstDensityBounds:
         assert sorted(calls) == ["a1"] * 3 + ["a2"] * 3
 
     def test_outer_factor_is_the_shift_by_base_identity(self):
-        # each lhs has the bits of the trace chain whose outer factor is
-        # sign (A* - base I), here with a -0.0 off the diagonal of A*
+        # each core keeps the outer factor sign (A* - base I), here with a -0.0
+        # off the diagonal of A*, and each lhs has the bits of the trace chain
+        # with that outer factor
         pa, bsharp = self.const_b_pair()[2], SymTensor.diag([1.3, 1.25, 1.3])
         astar = SymTensor([[2.1, -0.0, 0.1], [-0.0, 2.2, 0.0], [0.1, 0.0, 2.4]])
-        record = pairbounds._verdict_inputs([(astar, bsharp, pa, 1.2, 1.2)])[0]
+        record = pairbounds._inputs(astar, bsharp, pa, 1.2, 1.2)
         for core, bound in (("a1", bound_L_const_b), ("a2", bound_U_const_b)):
             base, frac, _, sign = core_side(pa, core)
             outer = sign * (astar.mat - base * np.eye(3))
             middle = SymTensor(sign * (1.2 * astar.mat - base * bsharp.mat))
+            kept, es, rhs = record.const_b[core]
+            assert np.array_equal(kept, outer) and np.array_equal(np.signbit(kept), np.signbit(outer))
+            assert es.values == eig(middle).values and np.array_equal(es.frame, eig(middle).frame)
+            assert rhs == 3 * frac * (pa.a2 - pa.a1)
             want = trace_chain([(1.2, 1), (outer, 1), (middle, -1), (outer, 1)])
-            assert bound(astar, bsharp, pa, 1.2) == record.const_b[core] == (want, 3 * frac * (pa.a2 - pa.a1))
+            assert bound(astar, bsharp, pa, 1.2) == (want, rhs)
 
 
 class TestTwoPhaseBounds:
@@ -364,6 +369,20 @@ class TestEigenframe:
         pair_membership(SymTensor.diag([1.4, 1.45]), SymTensor.diag([1.5, 1.6]), pa, pb)
         assert [len(c) for c in calls] == [5] and np.array_equal(calls[0][2], calls[0][4])
 
+    def test_near_constant_density_builds_one_record(self, monkeypatch):
+        # at 0 < b2 - b1 <= 1e-14 b1 the chain's link takes b2 and the bounds
+        # of the constant density b1 find the middles of the same record: one
+        # call of 5 matrices, as for b1 = b2
+        pa, pb = PhaseA(1.5, 3.0, 0.5), PhaseB(1.2, 1.2000000000000002, 0.4)
+        astar, bsharp = SymTensor.diag([2.0, 2.25]), SymTensor.diag([1.3, 1.25])
+        calls = self.lapack_calls(monkeypatch)
+        report = pair_membership(astar, bsharp, pa, pb)
+        assert report.li_lhs == bound_L_const_b(astar, bsharp, pa, 1.2)[0] and np.isfinite(report.uj_lhs)
+        a, bs = astar.mat, bsharp.mat
+        link = SymTensor(pb.b2 / 1.5 * a - bs).mat
+        middles = [SymTensor(-(1.2 * a - 3.0 * bs)).mat, SymTensor(1.2 * a - 1.5 * bs).mat]
+        assert len(calls) == 1 and np.array_equal(calls[0], [a, bs, link, *middles])
+
     @pytest.mark.parametrize("theta_a, count", [(0.5, 4), (0.0, 4)])
     def test_homogeneous_base_skips_its_middle(self, monkeypatch, theta_a, count):
         # A* = a2 I: the core-a1 bound's base medium a2 I is A* itself, so its
@@ -378,11 +397,10 @@ class TestEigenframe:
     def test_sweep_chunk_makes_one_call_per_dimension(self, monkeypatch, max_dim):
         # every LAPACK call of a sweep, with its exact matrix count: each
         # seq_pp attempt, redraws included, decomposes its direction moment
-        # and then A*, B# and the chain link for the chain check, as it is
-        # drawn; after a chunk's draws come one stack of the seq_const
-        # moments and then one stack of the verdicts' fresh tensors per
-        # dimension present, in row order (a seq_pp row brings none, a
-        # constant density brings both middle factors)
+        # alone as it is drawn; after a chunk's draws come one stack of the
+        # seq_const moments and then one stack of the verdicts' tensors per
+        # dimension present, in row order (A*, B# and the chain link of every
+        # row, and both middle factors of a constant density)
         count = sweeps._CHUNK + 5
         draws = sweeps.draw_composites(sweeps.make_rng(7), count, max_dim)
         calls = self.lapack_calls(monkeypatch)
@@ -392,16 +410,15 @@ class TestEigenframe:
         for start in range(0, count, sweeps._CHUNK):
             chunk = draws[start : start + sweeps._CHUNK]
             for d in chunk:
-                expected += [(1, None), (3, None)] * d["chain_rejections"]  # a redraw's dimension is not kept
+                expected += [(1, None)] * d["chain_rejections"]  # a redraw's dimension is not kept
                 if d["family"] == "seq_pp":
-                    expected += [(1, d["dim"]), (3, d["dim"])]
+                    expected.append((1, d["dim"]))
             seq_const = [d["dim"] for d in chunk if d["family"] == "seq_const"]
             expected += [(seq_const.count(n), n) for n in dict.fromkeys(seq_const)]
             fresh = {}
             for d in chunk:
-                constant = d["pb"].b1 == d["pb"].b2
-                fresh[d["dim"]] = fresh.get(d["dim"], 0) + (0 if d["family"] == "seq_pp" else 5 if constant else 3)
-            expected += [(k, n) for n, k in fresh.items() if k]
+                fresh[d["dim"]] = fresh.get(d["dim"], 0) + (5 if pairbounds._constant_density(d["pb"].b1, d["pb"].b2) else 3)
+            expected += [(k, n) for n, k in fresh.items()]
         assert [(len(c), n and c.shape[1]) for c, (_, n) in zip(calls, expected)] == expected
         assert len(calls) == len(expected)
         # the seed exercises a redraw and stacks of several dimensions in one chunk
@@ -452,16 +469,18 @@ class TestEigenframe:
         pair_memberships(pairs)
         for group in (pairs, copies):  # from the stacked records, then one pair at a time
             for astar, bsharp, _, pb in group:
-                record = pairbounds._verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2)])[0]
+                record = pairbounds._inputs(astar, bsharp, pa, pb.b1, pb.b2)
                 es = eig(astar)
                 assert np.array_equal(record.beta, np.diag(es.frame.T @ bsharp.mat @ es.frame))
                 assert sorted(record.const_b) == (["a1", "a2"] if pb is pc else [])
-                for core, (lhs, rhs) in record.const_b.items():
+                if pb is not pc:
+                    continue
+                for core, bound in (("a1", bound_L_const_b), ("a2", bound_U_const_b)):
                     base, frac, _, sign = core_side(pa, core)
                     outer = sign * (astar.mat - base * np.eye(n))
                     middle = SymTensor(sign * (pc.b1 * astar.mat - base * bsharp.mat))
-                    assert lhs == trace_chain([(pc.b1, 1), (outer, 1), (middle, -1), (outer, 1)])
-                    assert rhs == n * frac * (pa.a2 - pa.a1)
+                    want = trace_chain([(pc.b1, 1), (outer, 1), (middle, -1), (outer, 1)])
+                    assert bound(astar, bsharp, pa, pc.b1) == (want, n * frac * (pa.a2 - pa.a1))
 
     def test_memberships_share_an_astar_between_partners(self):
         # one A* object judged with two B# in one call keeps only the last
@@ -479,13 +498,13 @@ class TestEigenframe:
         # long sweep holds: an equal but distinct B# starts afresh
         pa = PhaseA(1.0, 2.0, 0.5)
         astar, bsharp = SymTensor.diag([4 / 3, 1.5]), SymTensor.diag([14 / 9, 2.0])
-        first = pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0]
-        assert pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0] is first
+        first = pairbounds._inputs(astar, bsharp, pa, 1.0, 3.0)
+        assert pairbounds._inputs(astar, bsharp, pa, 1.0, 3.0) is first
         twin = SymTensor(bsharp.mat)
-        second = pairbounds._verdict_inputs([(astar, twin, pa, 1.0, 3.0)])[0]
+        second = pairbounds._inputs(astar, twin, pa, 1.0, 3.0)
         assert second is not first and second.link == first.link and np.array_equal(second.beta, first.beta)
         assert derived(astar, twin) == {(pa, 1.0, 3.0): second}
-        assert pairbounds._verdict_inputs([(astar, bsharp, pa, 1.0, 3.0)])[0] is not first
+        assert pairbounds._inputs(astar, bsharp, pa, 1.0, 3.0) is not first
 
     @pytest.mark.parametrize("bound", [bound_L1, bound_U1])
     def test_singular_shift_raises(self, bound):

@@ -15,7 +15,6 @@ from homobounds.symtensor import (
     rotate,
     rotate_stack,
     rotation_2d,
-    singular_spectra,
     trace_chain,
     trace_pairing_bound,
 )
@@ -292,23 +291,24 @@ class TestRotate:
             rotate_stack([SymTensor.identity(2), SymTensor.identity(2)], [np.eye(3), np.eye(3)])
 
 
-def test_singular_spectra_is_the_positive_spectrum_test():
+def test_positive_spectrum_refuses_at_the_relative_floor():
+    # 1e-15 is below the floor 1e-14 max|eig|, and an all-zero row below the absolute floor
     rows = [[2.0, 1.0], [2.0, 1e-15], [2.0, 0.0], [2.0, -1.0], [0.0, 0.0]]
     refused = []
     for row in rows:
         try:
-            positive_spectrum(row)
+            assert positive_spectrum(row).tolist() == row
             refused.append(False)
         except SingularFactor:
             refused.append(True)
-    assert singular_spectra(rows).tolist() == refused == [False, True, True, True, True]
+    assert refused == [False, True, True, True, True]
 
 
 def test_nan_spectrum_is_refused():
     # every comparison with NaN is False, so "at or below the floor" alone let a NaN row pass
-    assert singular_spectra([[2.0, np.nan], [np.nan, np.nan], [2.0, 1.0]]).tolist() == [True, True, False]
-    with pytest.raises(SingularFactor):
-        positive_spectrum([2.0, np.nan])
+    for row in ([2.0, np.nan], [np.nan, np.nan], [np.nan, 2.0]):
+        with pytest.raises(SingularFactor):
+            positive_spectrum(row)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
