@@ -51,6 +51,14 @@ def _tol(args) -> float:
     return tolerance(env) if env else gclosure.DEFAULT_TOL
 
 
+def _unread(args, flags: str):
+    """ValueError for a request that gives one of `flags` (space-separated): its action does not read them."""
+    for flag in flags.split():
+        value = getattr(args, _SHARED_FLAGS[flag].get("dest", flag[2:].replace("-", "_")))
+        if value is not None and value is not False:
+            raise ValueError(f"{args.command} {args.action} does not read {flag}")
+
+
 def _exit_code(args, failed: bool) -> int:
     """1 when --assert is given and the check failed, else 0."""
     return 1 if args.assert_ and failed else 0
@@ -157,6 +165,7 @@ def cmd_gset(args) -> int:
         report = gclosure.g_membership(_tensor(args.astar, "astar"), pa, _tol(args))
         _emit(args, vars(report))
         return _exit_code(args, report.verdict == "outside")
+    _unread(args, "--astar --tol --assert")
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
     _emit_csv(args, ["lambda1", "lambda2"], pts)
     return 0
@@ -164,6 +173,7 @@ def cmd_gset(args) -> int:
 
 def cmd_pair(args) -> int:
     if args.action == "sweep":
+        _unread(args, "--a --theta --b --thetaB --astar --bsharp")
         rows = sweeps.feasibility_sweep(args.seed, args.count, args.max_dim, _tol(args))
         _emit_csv(
             args,

@@ -212,7 +212,9 @@ def invert_theta_ab(pa: PhaseA, pb: PhaseB, target: float) -> tuple:
         raise TargetOutsideInterval(f"target {target} outside [{l_sel}, {u_sel}]")
     at_zero = bsharp_1d(pa, pb, 0.0)
     coeff = at_zero - bsharp_1d(pa, pb, 1.0)  # drop of b# per unit overlap
-    if abs(coeff) < 1e-300:
+    # the drop is harm^2 (b1-b2)(a1^-2 - a2^-2), zero exactly at b1 = b2 since a1 < a2:
+    # there coeff is rounding noise; elsewhere it is 0.0 only when b2 - b1 is below rounding
+    if pb.b1 == pb.b2 or coeff == 0.0:
         theta_ab = 0.5 * (lo + hi)  # b# independent of the overlap
     else:
         theta_ab = (at_zero - target) / coeff

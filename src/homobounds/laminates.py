@@ -5,12 +5,13 @@ laminates iterate lamination in p directions with weights m_i and realize
 every boundary point of the A* phase set.  For each of the four inclusion
 relations between the two microstructure sets there is a linear matrix
 relation defining the accompanying relative limit, solved here entrywise in
-the laminate eigenframe.  seq_A and seq_B_const are the one-spec cases of
-seq_A_stack and seq_B_const_stack, which build many laminates of one
-dimension with one LAPACK call on their direction moments and one frame
-product; a constant-density pair (A*, B#) comes from one such pass.  A
-two-phase pair is diagonal in its moment's eigenframe, and seq_pair_pp
-judges the bounds chain there, on the spectra it built.
+the laminate eigenframe.  Each spec builds its direction moment once.
+_laminate_frames decomposes the moments of many specs of one dimension in
+one LAPACK call; _seq_const_stack builds their constant-density pairs
+(A*, B#) from it with one frame product, and seq_A and seq_B_const build
+one spec's tensors the same way.  A two-phase pair is diagonal in its
+moment's eigenframe, and seq_pair_pp judges the bounds chain there, on the
+spectra it built.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,10 +96,14 @@ class LaminateSpec:
     def dim(self) -> int:
         return len(self.directions[0])
 
-    @property
+    @cached_property
     def moment(self) -> SymTensor:
-        """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec (see _moments)."""
-        return _moments([self])[0]
+        """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec."""
+        m = np.zeros((self.dim, self.dim))
+        for d, w in zip(self.directions, self.weights):
+            e = np.asarray(d)
+            m += w * np.outer(e, e)
+        return SymTensor(m)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -149,30 +155,6 @@ def simple_laminate_pair(
     return SymTensor.diag(a_diag), SymTensor.diag(b_diag)
 
 
-def _moments(specs) -> list:
-    """The direction moment of each spec of one dimension, built once per spec.
-
-    The moments not built before are built in one stacked pass and kept on
-    their specs.  Each is accumulated over the directions in order, so it
-    has the bits of the one-spec case.
-    """
-    fresh = [s for s in specs if "_moment" not in vars(s)]
-    if fresh:
-        n, p = fresh[0].dim, max(len(s.weights) for s in fresh)
-        # a spec with fewer directions is padded with zero weights on zero
-        # directions: the sums start at +0.0 and so never hold -0.0, and
-        # adding the padding's +0.0 terms leaves each as it is
-        e = np.array([[*s.directions, *[(0.0,) * n] * (p - len(s.weights))] for s in fresh])
-        w = np.array([[*s.weights, *[0.0] * (p - len(s.weights))] for s in fresh])
-        terms = w[:, :, None, None] * (e[:, :, :, None] * e[:, :, None, :])  # w np.outer(e, e)
-        m = np.zeros((len(fresh), n, n))
-        for i in range(p):
-            m += terms[:, i]
-        for s, moment in zip(fresh, m):
-            object.__setattr__(s, "_moment", SymTensor(moment))
-    return [s._moment for s in specs]
-
-
 def _laminate_frames(specs, pas) -> tuple:
     """(w, a_diag, frames): the moment weights and the A* eigenvalues along each moment eigenframe, as (K, N) and (K, N, N) stacks.
 
@@ -183,7 +165,7 @@ def _laminate_frames(specs, pas) -> tuple:
     The specs share one dimension; one LAPACK call decomposes the moments
     not decomposed before, and each row has the bits of its one-spec case.
     """
-    systems = eig_stack(_moments(specs))
+    systems = eig_stack([s.moment for s in specs])
     w = np.array([es.values for es in systems])
     rows = []
     for spec, pa in zip(specs, pas):
@@ -194,12 +176,6 @@ def _laminate_frames(specs, pas) -> tuple:
     return w, base + frac / (lead + rest * w / base), np.array([es.frame for es in systems])
 
 
-def seq_A_stack(specs, pas) -> list:
-    """seq_A of each (spec, pa), the specs of one dimension, in stacked passes."""
-    _, a_diag, frames = _laminate_frames(specs, pas)
-    return [SymTensor(m) for m in from_frames(frames, a_diag)]
-
-
 def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
     """Effective tensor of a rank-p sequential laminate.
 
@@ -207,11 +183,12 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
     core a1 / matrix a2 the upper one; the formulas are resolvent relations
     in the direction second moment, solved in its eigenframe.
     """
-    return seq_A_stack([spec], [pa])[0]
+    _, a_diag, frames = _laminate_frames([spec], [pa])
+    return SymTensor(from_frames(frames, a_diag)[0])
 
 
 def _seq_const_stack(specs, pas, bs) -> tuple:
-    """(seq_A_stack, seq_B_const_stack) of each (spec, pa, b), the specs of one dimension, from one _laminate_frames pass."""
+    """([seq_A], [seq_B_const]) of each (spec, pa, b), the specs of one dimension, from one _laminate_frames pass."""
     for b in bs:
         if not b > 0:
             raise ValueError(f"need a density b > 0, got {b}")
@@ -228,11 +205,6 @@ def _seq_const_stack(specs, pas, bs) -> tuple:
     return tensors[: len(specs)], tensors[len(specs) :]
 
 
-def seq_B_const_stack(specs, pas, bs) -> list:
-    """seq_B_const of each (spec, pa, b), the specs of one dimension, in stacked passes."""
-    return _seq_const_stack(specs, pas, bs)[1]
-
-
 def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
     """Quasi-sequential relative limit for a constant second density b.
 
@@ -243,7 +215,7 @@ def seq_B_const(spec: LaminateSpec, pa: PhaseA, b: float) -> SymTensor:
         B# = b + b (Abar - lambda) sign (lambda - base) / (frac (a2-a1) base),
     which is b wherever M has zero weight.
     """
-    return seq_B_const_stack([spec], [pa], [b])[0]
+    return _seq_const_stack([spec], [pa], [b])[1][0]
 
 
 def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:

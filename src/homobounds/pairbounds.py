@@ -137,9 +137,9 @@ def _verdict_inputs(rows) -> list:
     gives every beta.  Each core keeps its outer factor F = sign (A* - base I)
     and its rhs N frac (a2-a1), from which _bound_const_b evaluates the lhs;
     a core whose F vanishes (a homogeneous base medium) has no middle.  The
-    record of a constant density is kept under (pa, b1) too, where the bounds
-    of the density b1 find it.  A pair whose A* and B# differ in dimension
-    raises DimensionMismatch before anything is built.
+    record of a constant density is kept under (pa, b1, b1) too, where the
+    bounds of the density b1 find it.  A pair whose A* and B# differ in
+    dimension raises DimensionMismatch before anything is built.
     """
     for astar, bsharp, *_ in rows:
         if astar.dim != bsharp.dim:
@@ -173,7 +173,7 @@ def _verdict_inputs(rows) -> list:
             kept = derived(tensors[0], tensors[1])
             records[i] = kept[(pa, b1, b2)] = _Inputs(es[2].values, row_beta, const_b)
             if const_b:
-                kept[(pa, b1)] = records[i]
+                kept[(pa, b1, b1)] = records[i]
     return records
 
 
@@ -219,8 +219,7 @@ def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, co
     F = sign (A* - base I) and the middle factor M = sign (b A* - base B#);
     a homogeneous base medium (F = 0) has lhs 0.0.
     """
-    record = derived(astar, bsharp).get((pa, b)) or _verdict_inputs([(astar, bsharp, pa, b, b)])[0]
-    outer, middle, rhs = record.const_b[core]
+    outer, middle, rhs = _inputs(astar, bsharp, pa, b, b).const_b[core]
     if outer is None:
         return 0.0, rhs
     # raises SingularFactor for a middle factor that is not positive definite
@@ -460,12 +459,9 @@ def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
     """
     _, arith = phase_means(pa.a1, pa.a2, theta)
     span = arith - pa.a1
-    if np.ndim(span):
-        # squared entry by entry with the scalar pow that a lone theta gets:
-        # numpy's array square can differ from it by an ulp
-        span2 = np.array([x**2 for x in span.ravel().tolist()]).reshape(span.shape)
-    else:
-        span2 = span**2
+    # squared entry by entry with Python's scalar pow, for a lone theta and a
+    # stack alike: numpy's array square can differ from it by an ulp
+    span2 = np.reshape([x**2 for x in np.ravel(span).tolist()], np.shape(span))
     ratio = (lam - pa.a1) ** 2 / span2
     osc = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2 * m
     nested = pb.b1 + (pb.mean - pb.b1 + pb.b1 * osc) * ratio

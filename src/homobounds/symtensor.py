@@ -4,20 +4,21 @@ Everything downstream (phase-space membership, trace bounds, laminate
 constructors) works with symmetric positive-definite matrices of dimension
 N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
 computes its eigensystem once, with LAPACK's symmetric solver, on first
-request; every later eig of the same tensor reuses it.  eig_stack
-decomposes many tensors of one dimension in a single LAPACK call and
-memoises each result exactly as eig would.  derived keeps on a tensor what
-was computed from it with one partner tensor, and positive_spectrum refuses
-an inverse factor whose eigenvalues are not all positive.  The module also
-evaluates trace chains of matrix powers, rotations (rotate_stack takes many
-at once, and from_frames builds Q diag(v) Q^T over a stack), and the
-rearrangement inequality tr(EF) >= sum of oppositely sorted eigenvalue
-products used by the commutativity argument.
+request; every later eig of the same tensor reuses it.  One routine
+decomposes a stack of matrices in one LAPACK call and fixes the order and
+signs of every result: eig_stack sends it the tensors of one dimension not
+yet decomposed, and eig of a tensor is eig_stack of that one.  derived
+keeps on a tensor what was computed from it with one partner tensor, and
+positive_spectrum refuses an inverse factor whose eigenvalues are not all
+positive.  The module also evaluates trace chains of matrix powers,
+rotations (rotate_stack takes many at once, and from_frames builds
+Q diag(v) Q^T over a stack), and the rearrangement inequality
+tr(EF) >= sum of oppositely sorted eigenvalue products used by the
+commutativity argument.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +114,19 @@ def _as_matrix(s) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _eigh(m: np.ndarray) -> EigSystem:
+def _eigh(m: np.ndarray) -> list:
+    """The EigSystem of each matrix of a (K, N, N) stack, from one LAPACK call; see eig."""
     vals, q = np.linalg.eigh(m)
-    values = tuple(vals[::-1].tolist())
-    if not all(map(math.isfinite, values)):
+    if not np.isfinite(vals).all():
         raise ValueError(_NON_FINITE)
-    q = q[:, ::-1]
+    q = q[:, :, ::-1]
     # sign each column so its first component above _ORTHO_TOL max(1, max|col|)
     # is positive; the columns are unit vectors, so that bound is _ORTHO_TOL
-    lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=0)
-    q = q * np.copysign(1.0, q[lead, np.arange(q.shape[1])])
+    k, n = q.shape[:2]
+    lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
+    q = q * np.copysign(1.0, q[np.arange(k)[:, None], lead, np.arange(n)])[:, None, :]
     q.flags.writeable = False
-    return EigSystem(values, q)
+    return [EigSystem(tuple(values), frame) for values, frame in zip(vals[:, ::-1].tolist(), q)]
 
 
 def eig(s) -> EigSystem:
@@ -138,17 +140,14 @@ def eig(s) -> EigSystem:
     SingularFactor nor any other verdict-bearing error) and keeps nothing.
     """
     if isinstance(s, SymTensor):
-        if s._eig is None:
-            s._eig = _eigh(s._m)
-        return s._eig
-    return _eigh(_as_matrix(s))
+        return s._eig if s._eig is not None else eig_stack([s])[0]
+    return _eigh(_as_matrix(s)[None])[0]
 
 
 def eig_stack(tensors) -> list:
     """eig of each SymTensor in a sequence, with one LAPACK call for every one not yet decomposed.
 
     The tensors must share one dimension (else ValueError).  Each result is
-    bit for bit the one eig gives, values, frame and signs alike, and is
     memoised on its tensor; a tensor already decomposed keeps its EigSystem.
     A non-finite eigenvalue anywhere in the stack raises ValueError, as in
     eig, before any result is memoised.
@@ -156,19 +155,9 @@ def eig_stack(tensors) -> list:
     if len({t.dim for t in tensors}) > 1:
         raise ValueError("eig_stack needs tensors of one dimension")
     fresh = [t for t in tensors if t._eig is None]
-    if len(fresh) == 1:
-        fresh[0]._eig = _eigh(fresh[0]._m)  # a lone tensor as eig decomposes it, without the stack's indexing
-    elif fresh:
-        vals, q = np.linalg.eigh(np.array([t._m for t in fresh]))
-        if not np.isfinite(vals).all():
-            raise ValueError(_NON_FINITE)
-        q = q[:, :, ::-1]
-        # _eigh's sign rule, applied to every matrix of the stack at once
-        lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
-        q = q * np.copysign(1.0, q[np.arange(len(fresh))[:, None], lead, np.arange(q.shape[2])])[:, None, :]
-        q.flags.writeable = False
-        for t, values, frame in zip(fresh, vals[:, ::-1].tolist(), q):
-            t._eig = EigSystem(tuple(values), frame)
+    if fresh:
+        for t, es in zip(fresh, _eigh(np.array([t._m for t in fresh]))):
+            t._eig = es
     return [t._eig for t in tensors]
 
 

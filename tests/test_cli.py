@@ -308,6 +308,10 @@ def exit_code(argv) -> int:
 
 CHECK = ["gset", "check", "--a", "1,2,0.5"]
 INSIDE = "[[1.4,0],[0,1.45]]"
+SWEEP = ["pair", "sweep", "--seed", "1", "--count", "2"]
+UNREAD_BY_SWEEP = [("--a", "1,2,0.5"), ("--theta", "0"), ("--b", "1,3,0.5"), ("--thetaB", "0.5"), ("--astar", INSIDE), ("--bsharp", INSIDE)]
+SAMPLE = ["gset", "sample", "--a", "1,2,0.5", "--n", "3"]
+UNREAD_BY_SAMPLE = [["--astar", INSIDE], ["--tol", "0"], ["--assert"]]
 
 
 @pytest.mark.parametrize(
@@ -388,6 +392,11 @@ INSIDE = "[[1.4,0],[0,1.45]]"
         (["odp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": True, "a": [1, 2], "f": "const:1"}),
         (["odp", "relax", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "a": [True, 2], "f": "const:1"}),
         (["oodp", "brute", "--instance", "inst.json"], None, {"cells": 4, "kA": 2, "kB": 2, "a": [1, 2], "b": [1, True], "f": "const:1"}),
+        # flags the subcommand declares and the action does not read
+        (["pair", "sweep", "--seed", "1", "--count", "2", "--a", "x", "--astar", "[[nan]]"], None, None),
+        *[(SWEEP + [flag, value], None, None) for flag, value in UNREAD_BY_SWEEP],
+        (["gset", "sample", "--a", "1,2,0.5", "--astar", "not json", "--assert"], None, None),
+        *[(SAMPLE + flag, None, None) for flag in UNREAD_BY_SAMPLE],
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -401,6 +410,17 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
     if instance is not None:
         (tmp_path / "inst.json").write_text(json.dumps(instance))
     assert exit_code(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(SWEEP + [flag, value], flag) for flag, value in UNREAD_BY_SWEEP] + [(SAMPLE + flag, flag[0]) for flag in UNREAD_BY_SAMPLE],
+)
+def test_unread_flag_is_named(argv, flag, capsys):
+    # a valid value of a flag the action does not read is refused, not ignored
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
 
 
 @pytest.mark.parametrize(

@@ -159,6 +159,20 @@ class TestThetaRecovery:
             assert abs(theta_from_upper_boundary(astar, pa) - expected) <= 1e-14 * expected
         assert inside >= 50
 
+    def test_upper_root_just_past_one_is_one(self, monkeypatch):
+        # a core-a2 laminate at thetaA = 1 - 1e-10 sits just inside the a1
+        # medium: its upper-boundary root rounds past 1 - 1e-9, and the
+        # residual at theta = 1 decides that the root is 1 itself
+        import homobounds.gclosure as gclosure
+
+        pa = PhaseA(1.0, 2.0, 1.0 - 1e-10)
+        astar = seq_A(LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), "a2", "const_b"), pa)
+        at = []
+        residual = gclosure.upper_boundary_residual
+        monkeypatch.setattr(gclosure, "upper_boundary_residual", lambda a, p, t: at.append(t) or residual(a, p, t))
+        assert theta_from_upper_boundary(astar, pa) == 1.0 and at == [1.0]
+        assert g_membership(astar, pa).verdict == "boundary_upper"
+
     def test_upper_residual_monotone(self, pa_half):
         astar = SymTensor.diag([1.4, 1.45])
         values = [upper_boundary_residual(astar, pa_half, t) for t in np.linspace(0.5, 0.999, 40)]

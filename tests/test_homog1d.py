@@ -21,6 +21,7 @@ from homobounds.homog1d import (
     _expand_profile,
     invert_theta_ab,
     lim_b_over_a,
+    overlap_window,
     solve_segments,
     solve_state_exact,
     weakstar_limits,
@@ -214,6 +215,22 @@ class TestInversion:
         ta, tb, tab, harm, _, lim_ba2, _ = weakstar_limits(profile, pa_half, pb_half)
         assert tab == pytest.approx(0.25, abs=1e-14)
         assert harm**2 * lim_ba2 == pytest.approx(20 / 9, abs=1e-13)
+
+    def test_constant_density_takes_the_midpoint(self):
+        # at b1 = b2, b# does not depend on the overlap, and the drop of b#
+        # per unit overlap is rounding noise: every draw takes the midpoint
+        # of the overlap window, not an end or an overlap the noise picks
+        rng = np.random.default_rng(1)
+        for _ in range(200):
+            a1, b = rng.uniform(0.5, 2.0, size=2)
+            pa = PhaseA(a1, a1 * rng.uniform(1.1, 20.0), rng.uniform(0.05, 0.95))
+            pb = PhaseB(b, b, rng.uniform(0.05, 0.95))
+            lo, hi = overlap_window(pa, pb)
+            theta, _ = invert_theta_ab(pa, pb, bsharp_1d(pa, pb, lo))
+            assert theta == 0.5 * (lo + hi)
+        # b2 one ulp above b1: the drop rounds to 0.0, and nothing divides by it
+        pa, pb = PhaseA(1.0, 2.0, 0.6), PhaseB(1.0, 1.0 + 2**-52, 0.5)
+        assert invert_theta_ab(pa, pb, bsharp_1d(pa, pb, 0.3))[0] == 0.5 * sum(overlap_window(pa, pb))
 
     def test_outside_interval(self, pa_half, pb_half):
         with pytest.raises(TargetOutsideInterval):
