@@ -427,10 +427,12 @@ def pair_membership(
         return PairBoundReport(region, chain, np.nan, np.nan, -np.inf, np.nan, np.nan, -np.inf, -np.inf, "infeasible")
 
     li, uj = sides["li"], sides["uj"]
-    feasible = all(s >= -tol for s in chain) and li[2] >= -tol and uj[2] >= -tol
+    # the trace sides grow like (lambda - a1)^-2, so their rounding does too: judge each at tol times its size
+    li_tol, uj_tol = (tol * max(1.0, abs(lhs), abs(rhs)) for lhs, rhs, _ in (li, uj))
+    feasible = all(s >= -tol for s in chain) and li[2] >= -li_tol and uj[2] >= -uj_tol
     if not feasible:
         verdict = "infeasible"
-    elif min(abs(li[2]), abs(uj[2])) <= tol:
+    elif abs(li[2]) <= li_tol or abs(uj[2]) <= uj_tol:
         verdict = "boundary"
     else:
         verdict = "feasible"

@@ -822,6 +822,28 @@ class TestRotationInvariance:
         got = pair_membership(rotate(astar, q), rotate(bsharp, q), pa, pb)
         self._assert_same_report(got, want)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((0.5, 0.55078125, 0.9453125), (2.0, 4.0, 0.0546875)), ((0.5, 0.5546875, 0.9375), (2.0, 6.0, 0.0625))],
+    )
+    def test_degenerate_eigenspace_rotation_keeps_a_large_boundary_verdict(self, a, b):
+        # two unlucky draws of the 3-D laminate test above, on the overlap's lower
+        # end: U1's sides are ~5e4, so their rounding moved the slack across an
+        # absolute 1e-9 window in about a quarter of the rotations
+        pa, pb = PhaseA(*a), PhaseB(*b)
+        lo, _ = overlap_window(pa, pb)
+        base = simple_laminate_pair(pa, pb, lo, 0, 3)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            q = q * np.sign(np.diag(r))
+            c, s = np.cos(angle := rng.uniform(0.0, 2.0 * np.pi)), np.sin(angle)
+            inside = q @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ q.T
+            astar, bsharp = rotate(base[0], q), rotate(base[1], q)
+            want = pair_membership(astar, bsharp, pa, pb)
+            assert want.verdict == "boundary" and want.uj_lhs > 1e4
+            self._assert_same_report(pair_membership(rotate(astar, inside), rotate(bsharp, inside), pa, pb), want)
+
 
 def test_nan_tensor_is_no_verdict():
     # a NaN entry used to give verdict 'infeasible' with NaN chain slacks
