@@ -52,11 +52,12 @@ def _tol(args) -> float:
 
 
 def _unread(args, flags: str):
-    """ValueError for a request that gives one of `flags` (space-separated): its action does not read them."""
+    """ValueError for a request that gives one of `flags` (space-separated): its action, or its command if it has none, does not read them."""
+    request = f"{args.command} {args.action}" if hasattr(args, "action") else args.command
     for flag in flags.split():
-        value = getattr(args, _SHARED_FLAGS[flag].get("dest", flag[2:].replace("-", "_")))
+        value = getattr(args, _SHARED_FLAGS.get(flag, {}).get("dest", flag[2:].replace("-", "_")))
         if value is not None and value is not False:
-            raise ValueError(f"{args.command} {args.action} does not read {flag}")
+            raise ValueError(f"{request} does not read {flag}")
 
 
 def _exit_code(args, failed: bool) -> int:
@@ -218,6 +219,8 @@ def cmd_hashin(args) -> int:
     pa = _phase(args, "a")
     cfg = hashin.CoatingConfig(args.coreA, args.coreB, args.inclusion)
     m = hashin.hs_m(pa, args.coreA, args.n)
+    if args.coreB == "const":
+        _unread(args, "--b --thetaB")
     density = args.const_b if args.coreB == "const" else _phase(args, "b")
     payload = {"m": m, "bsharp": hashin.hs_b(pa, density, cfg, args.n)}
     if args.oracle:
@@ -237,15 +240,18 @@ def cmd_oned(args) -> int:
     pa, pb = _phase(args, "a"), _phase(args, "b")
     source, periods = _source(args.f), [int(x) for x in args.periods.split(",")]
     if args.action == "bounds":
+        _unread(args, "--target --profile")
         l1, l2, u1, u2, lsel, usel = homog1d.bounds_1d(pa, pb)
         _emit(args, {"l1": l1, "l2": l2, "u1": u1, "u2": u2, "l": lsel, "u": usel})
         return 0
     if args.action == "invert":
+        _unread(args, "--profile")
         if args.target is None:
             raise ValueError("invert needs --target <value>")
         theta_ab, profile = homog1d.invert_theta_ab(pa, pb, args.target)
         _emit(args, {"thetaAB": theta_ab, "profile": json.loads(profile.to_json())})
         return 0
+    _unread(args, "--target")
     if args.action == "limits":
         profile = _load_profile(args)
         names = ("thetaA", "thetaB", "thetaAB", "a_harm", "b_mean", "lim_b_a2", "lim_b_a")
@@ -468,7 +474,7 @@ def main(argv=None) -> int:
     args = parse_request(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, FileNotFoundError, KeyError, gclosure.NoBracket) as exc:
+    except (ValueError, ArithmeticError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ import numpy as np
 from .homog1d import phase_means
 from .symtensor import SymTensor, eig, eig_stack
 
-_DEGENERATE_THETA = 1e-12
+_DEGENERATE_THETA = 1e-12  # a phase fraction at or below this is absent: the medium is homogeneous
 DEFAULT_TOL = 1e-9  # default absolute tolerance on the slack of a bound or membership condition
 
 
@@ -26,10 +26,6 @@ class DegenerateTheta(ValueError):
 
 class OutsideGSet(ValueError):
     """Tensor violates the phase-space characterization."""
-
-
-class NoBracket(RuntimeError):
-    """Upper-boundary equation has no root in [theta_A, 1)."""
 
 
 _MIN_CONTRAST = 1e-6  # relative a2/a1 - 1 below this is numerically degenerate
@@ -44,8 +40,8 @@ class PhaseA:
     thetaA: float
 
     def __post_init__(self):
-        if not (0 < self.a1 < self.a2):
-            raise ValueError(f"need 0 < a1 < a2, got a1={self.a1}, a2={self.a2}")
+        if not (0 < self.a1 < self.a2 < np.inf):  # false for a NaN too
+            raise ValueError(f"need 0 < a1 < a2 < inf, got a1={self.a1}, a2={self.a2}")
         if self.a2 - self.a1 <= _MIN_CONTRAST * self.a1:
             raise ValueError(
                 f"phase contrast a2-a1 = {self.a2 - self.a1} is degenerate at tolerance"
@@ -158,17 +154,16 @@ def thetas_from_lower_boundary(astars, p: PhaseA, tol: float = DEFAULT_TOL) -> n
     """theta_from_lower_boundary of each tensor in a nonempty sequence of one dimension.
 
     One LAPACK call decomposes the tensors and each must be a member; the
-    closed form then runs once over the whole sequence.
+    closed form then runs once over the whole sequence and is clipped to
+    [0, thetaA].  The a1 medium (see homogeneous_value) gives 1.
     """
-    lams = np.array([es.values for es in eig_stack(astars)])
+    eig_stack(astars)  # memoises each eigensystem that the membership and the trace sums read
     for astar in astars:
         _require_member(astar, p, tol)
     if homogeneous_value(p) == p.a1:
         return np.ones(len(astars))
-    s = 0.0
-    for inverse in (1.0 / (lams - p.a1)).T:  # left to right, as lower_trace_sum adds
-        s = s + inverse
-    n = lams.shape[1]
+    s = np.array([lower_trace_sum(astar, p) for astar in astars])
+    n = astars[0].dim
     d = p.a2 - p.a1
     return np.clip(p.a1 * (d * s - n) / (d * (p.a1 * s + 1.0)), 0.0, p.thetaA)
 
@@ -187,30 +182,21 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     """Fraction theta >= thetaA whose upper boundary passes through astar.
 
     Closed form in t = tr(A*^-1 - a2^-1 I)^-1:
-        theta = (N a1 a2/(a2-a1) + (N-1) a2) / (t + (N-1) a2).
+        theta = (N a1 a2/(a2-a1) + (N-1) a2) / (t + (N-1) a2),
+    clamped to [thetaA, 1], with a root above 1 - 1e-9 counted as 1; a
+    member's eigenvalues lie 1e-13 inside (a1, a2), so t > N a1 a2/(a2-a1).
+    The homogeneous A-medium (see homogeneous_value) a1 I gives 1, a2 I thetaA.
     """
     _require_member(astar, p, tol)
-    lams = eig(astar).values
+    target = homogeneous_value(p)
+    if target is not None:
+        return 1.0 if target == p.a1 else float(p.thetaA)
     n = astar.dim
-    if homogeneous_value(p) == p.a1:
-        return 1.0
-    if any(lam >= p.a2 * (1.0 - 1e-14) for lam in lams):
-        # an eigenvalue at a2 forces the degenerate boundary theta -> thetaA -> 0
-        return float(p.thetaA)
     t = upper_trace_sum(astar, p)
     theta = (n * p.a1 * p.a2 / (p.a2 - p.a1) + (n - 1) * p.a2) / (t + (n - 1) * p.a2)
-    lo = max(p.thetaA, 1e-12)
-    if theta <= lo:
-        # the root cannot sit below thetaA for a member, so it is boundary
-        # roundoff: the tensor lies on the thetaA-boundary itself
-        return float(lo)
-    if theta > 1.0 - 1e-9:
-        # residual at 1 is t - N a1 a2/(a2-a1) >= 0 for any member; a root
-        # past 1 within roundoff means theta = 1
-        if upper_boundary_residual(astar, p, 1.0) >= -1e-12 * max(1.0, abs(t)):
-            return 1.0
-        raise NoBracket(f"root theta={theta:.6g} lies beyond 1")
-    return float(theta)
+    if theta <= p.thetaA:  # a member's root is not below thetaA: roundoff puts it on that boundary
+        return float(p.thetaA)
+    return 1.0 if theta > 1.0 - 1e-9 else float(theta)
 
 
 def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:

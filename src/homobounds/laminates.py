@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gclosure import DEFAULT_TOL, PhaseA, core_side, means
+from .gclosure import _DEGENERATE_THETA, DEFAULT_TOL, PhaseA, core_side, means
 from .homog1d import bsharp_1d, overlap_window
 from .pairbounds import PhaseB, _chain_slacks, admits, flux_ratio, gradient_extremes, l2_terms, u2_terms
 from .symtensor import _NON_FINITE, SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
@@ -32,7 +32,7 @@ RELATIONS = ("A_subset_B", "B_subset_A", "disjoint", "complement_cover", "const_
 # core phase of the sequential laminates that realize each two-phase relation
 RELATION_CORE = {"A_subset_B": "a2", "disjoint": "a2", "B_subset_A": "a1", "complement_cover": "a1"}
 
-_UNIT_TOL = 1e-12
+_UNIT_TOL = 1e-12  # on a spec's unit directions and weights, and on the overlap window
 
 
 class OverlapOutOfWindow(ValueError):
@@ -170,8 +170,8 @@ def _laminate_frames(specs, pas) -> tuple:
     rows = []
     for spec, pa in zip(specs, pas):
         base, frac, rest, sign = core_side(pa, spec.core_phase)
-        # at frac <= _UNIT_TOL the base medium is homogeneous: its row is base + 0/1
-        rows.append((base, frac, rest, sign / (pa.a2 - pa.a1)) if frac > _UNIT_TOL else (base, 0.0, 0.0, 1.0))
+        # at frac <= _DEGENERATE_THETA the base medium is homogeneous: its row is base + 0/1
+        rows.append((base, frac, rest, sign / (pa.a2 - pa.a1)) if frac > _DEGENERATE_THETA else (base, 0.0, 0.0, 1.0))
     base, frac, rest, lead = np.array(rows).T[:, :, None]
     return w, base + frac / (lead + rest * w / base), np.array([es.frame for es in systems])
 
@@ -196,8 +196,8 @@ def _seq_const_stack(specs, pas, bs) -> tuple:
     rows = []
     for spec, pa, b in zip(specs, pas, bs):
         base, frac, _, sign = core_side(pa, spec.core_phase)
-        # at frac <= _UNIT_TOL, where A* = base I, the row is b + 0/1
-        scale = frac * (pa.a2 - pa.a1) * base if frac > _UNIT_TOL else 1.0
+        # at frac <= _DEGENERATE_THETA, where A* = base I, the row is b + 0/1
+        scale = frac * (pa.a2 - pa.a1) * base if frac > _DEGENERATE_THETA else 1.0
         rows.append((b, base, sign, scale, means(pa)[1]))
     b, base, sign, scale, arith = np.array(rows).T[:, :, None]
     diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
@@ -239,8 +239,8 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     1986), so the chain is judged there, on their spectra and the link's
     (b2/a1) a_diag - diag, and only the moment is decomposed.  A non-finite
     A* or B# entry or link value is refused with the ValueError a
-    decomposition gives it.  At a core-a2 fraction at or below _UNIT_TOL
-    the medium is a1 I, whose relative limit is mean(b) I.
+    decomposition gives it.  At a core-a2 fraction at or below
+    _DEGENERATE_THETA the medium is a1 I, whose relative limit is mean(b) I.
     """
     relation = spec.relation
     if relation == "const_b":
@@ -257,7 +257,7 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     theta = pa.thetaA
 
     if spec.core_phase == "a2":
-        if core_side(pa, "a2")[1] <= _UNIT_TOL:
+        if core_side(pa, "a2")[1] <= _DEGENERATE_THETA:
             diag = np.full(len(a_diag), pb.mean)
         else:
             nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)

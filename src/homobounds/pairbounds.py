@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gclosure import (
+    _DEGENERATE_THETA,
     DEFAULT_TOL,
     OutsideGSet,
     PhaseA,
@@ -64,8 +65,8 @@ class PhaseB:
     thetaB: float
 
     def __post_init__(self):
-        if not (0 < self.b1 <= self.b2):
-            raise ValueError(f"need 0 < b1 <= b2, got b1={self.b1}, b2={self.b2}")
+        if not (0 < self.b1 <= self.b2 < np.inf):  # false for a NaN too
+            raise ValueError(f"need 0 < b1 <= b2 < inf, got b1={self.b1}, b2={self.b2}")
         if not (0.0 <= self.thetaB <= 1.0):
             raise ValueError(f"thetaB must lie in [0, 1], got {self.thetaB}")
 
@@ -415,7 +416,6 @@ def pair_membership(
     const_b = _constant_density(pb.b1, pb.b2)
     sides = {}
     try:
-        # a member's eigenvalues lie 1e-13 inside (a1, a2), so its upper trace clears N a1 a2/(a2-a1): no NoBracket
         theta = theta_from_upper_boundary(astar, pa, tol)
         for name in ("L_const_b", "U_const_b") if const_b else (region[:2], region[2:]):
             side, at_least, evaluate = _BOUNDS[name]
@@ -481,9 +481,9 @@ def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TO
     theta = thetas_from_lower_boundary(astars, pa, tol)
     n = astars[0].dim
     low = np.empty((len(astars), n, n))
-    low[:] = pb.mean * np.eye(n)  # b_mean I wherever theta <= 1e-12
+    low[:] = pb.mean * np.eye(n)  # b_mean I wherever theta <= _DEGENERATE_THETA
     high = low.copy()
-    live = theta > 1e-12
+    live = theta > _DEGENERATE_THETA
     if live.any():
         systems = [es for es, keep in zip(eig_stack(astars), live) if keep]
         lam = np.array([es.values for es in systems])
@@ -543,8 +543,8 @@ def energy_density_bounds(astar: SymTensor, pa: PhaseA, b: float, vector, side: 
     _, arith = means(pa)
     a = astar.mat
     base, frac, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
-    form = a  # the homogeneous base medium at frac <= 1e-12, where the correction vanishes
-    if frac > 1e-12:
+    form = a  # the homogeneous base medium at frac <= _DEGENERATE_THETA, where the correction vanishes
+    if frac > _DEGENERATE_THETA:
         shift = a - base * np.eye(astar.dim)
         form = a + shift @ shift / (sign * (arith - base))
     form = (float(b) / base) * form

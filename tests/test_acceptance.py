@@ -4,11 +4,14 @@ Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines.
 Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import hashlib
 import time
 
 import numpy as np
 import pytest
 
+from homobounds import sweeps
+from homobounds.cli import main
 from homobounds.gclosure import PhaseA, theta_from_upper_boundary
 from homobounds.hashin import CoatingConfig, hs_b
 from homobounds.homog1d import (
@@ -123,8 +126,14 @@ def test_criterion_04_u2_dual_forms():
     report(4, "U2 dual forms 8.9375 | 2.875 | 5.875 and grid discrepancy identity", values_ok and worst <= 1e-10, f"max grid dev {worst:.2e}")
 
 
-def test_criterion_05_randomized_feasibility_sweep():
-    rows = feasibility_sweep(20260809, 10_000, max_dim=3, tol=1e-9)
+@pytest.fixture(scope="module")
+def criterion_05_rows():
+    """The 10^4 sweep rows of criterion 5, computed once for its two tests."""
+    return feasibility_sweep(20260809, 10_000, max_dim=3, tol=1e-9)
+
+
+def test_criterion_05_randomized_feasibility_sweep(criterion_05_rows):
+    rows = criterion_05_rows
     infeasible = [r for r in rows if r[-1] == "infeasible"]
     worst = min(min(r[4], r[5], r[6]) for r in rows)
     report(
@@ -133,6 +142,20 @@ def test_criterion_05_randomized_feasibility_sweep():
         not infeasible and worst >= -1e-9,
         f"worst slack {worst:.2e}, infeasible {len(infeasible)}",
     )
+
+
+# sha256 of `homobounds pair sweep --seed 20260809 --count 10000` output (md5 917afc277d8444089da138c742d9eb80)
+CRITERION_05_CSV_SHA256 = "109dd376b32a1d2f87947f893fa61188ebab6ef16ec21c9f07019494bcad92e1"
+
+
+def test_criterion_05_sweep_csv_keeps_its_bits(criterion_05_rows, monkeypatch, capsys):
+    # the CLI prints criterion 5's rows, handed to it instead of a second sweep
+    monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
+    calls = []
+    monkeypatch.setattr(sweeps, "feasibility_sweep", lambda *args: calls.append(args) or criterion_05_rows)
+    assert main(["pair", "sweep", "--seed", "20260809", "--count", "10000"]) == 0
+    assert calls == [(20260809, 10_000, 3, 1e-9)]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CRITERION_05_CSV_SHA256
 
 
 def test_criterion_06_interval_optimality():

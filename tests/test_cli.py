@@ -312,6 +312,17 @@ SWEEP = ["pair", "sweep", "--seed", "1", "--count", "2"]
 UNREAD_BY_SWEEP = [("--a", "1,2,0.5"), ("--theta", "0"), ("--b", "1,3,0.5"), ("--thetaB", "0.5"), ("--astar", INSIDE), ("--bsharp", INSIDE)]
 SAMPLE = ["gset", "sample", "--a", "1,2,0.5", "--n", "3"]
 UNREAD_BY_SAMPLE = [["--astar", INSIDE], ["--tol", "0"], ["--assert"]]
+ONED = ["--a", "1,2,0.5", "--b", "1,3,0.5"]
+# (argv, the flag named): a flag one action or coating reads and this one does not
+UNREAD_ELSEWHERE = [
+    (["oned", "bounds", *ONED, "--target", "5", "--profile", "nothere.json"], "--target"),
+    (["oned", "bounds", *ONED, "--profile", "nothere.json"], "--profile"),
+    (["oned", "invert", *ONED, "--target", "2.2", "--profile", "nothere.json"], "--profile"),
+    (["oned", "limits", *ONED, "--target", "2.2", "--profile", "nothere.json"], "--target"),
+    (["oned", "converge", *ONED, "--target", "2.2"], "--target"),
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--b", "1,3,0.5"], "--b"),
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--thetaB", "0.5"], "--thetaB"),
+]
 
 
 @pytest.mark.parametrize(
@@ -397,6 +408,11 @@ UNREAD_BY_SAMPLE = [["--astar", INSIDE], ["--tol", "0"], ["--assert"]]
         *[(SWEEP + [flag, value], None, None) for flag, value in UNREAD_BY_SWEEP],
         (["gset", "sample", "--a", "1,2,0.5", "--astar", "not json", "--assert"], None, None),
         *[(SAMPLE + flag, None, None) for flag in UNREAD_BY_SAMPLE],
+        *[(argv, None, None) for argv, _ in UNREAD_ELSEWHERE],
+        # phase data out of range
+        (["gset", "check", "--a", "1,2,1.5", "--astar", INSIDE], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "3,1,0.5", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
+        (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,-0.1", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -414,13 +430,17 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(SWEEP + [flag, value], flag) for flag, value in UNREAD_BY_SWEEP] + [(SAMPLE + flag, flag[0]) for flag in UNREAD_BY_SAMPLE],
+    [(SWEEP + [flag, value], flag) for flag, value in UNREAD_BY_SWEEP]
+    + [(SAMPLE + flag, flag[0]) for flag in UNREAD_BY_SAMPLE]
+    + UNREAD_ELSEWHERE,
 )
 def test_unread_flag_is_named(argv, flag, capsys):
-    # a valid value of a flag the action does not read is refused, not ignored
+    # a valid value of a flag the action does not read is refused, not
+    # ignored; hashin has no action, so its error names the command alone
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {argv[0]} {argv[1]} does not read {flag}\n"
+    request = argv[0] if argv[0] == "hashin" else f"{argv[0]} {argv[1]}"
+    assert captured.out == "" and captured.err == f"error: {request} does not read {flag}\n"
 
 
 @pytest.mark.parametrize(
@@ -606,7 +626,6 @@ def test_report_tuples_do_not_pile_up():
 @pytest.mark.parametrize(
     "target, error, argv",
     [
-        ("homobounds.pairbounds.pair_membership", "NoBracket", ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", INSIDE]),
         pytest.param(
             "homobounds.laminates._seq_const_stack",
             "ZeroDivisionError",
@@ -617,9 +636,7 @@ def test_report_tuples_do_not_pile_up():
 )
 def test_library_errors_exit_2(target, error, argv, monkeypatch):
     # a library failure is a validation error, not the --assert exit code 1
-    from homobounds import gclosure
-
-    exc = {"NoBracket": gclosure.NoBracket("no root"), "ZeroDivisionError": ZeroDivisionError("float division by zero")}[error]
+    exc = {"ZeroDivisionError": ZeroDivisionError("float division by zero")}[error]
 
     def fail(*args, **kwargs):
         raise exc

@@ -18,6 +18,7 @@ from homobounds.gclosure import (
     upper_boundary_residual,
 )
 from homobounds.laminates import LaminateSpec, seq_A
+from homobounds.pairbounds import PhaseB
 from homobounds.symtensor import SymTensor
 
 LAMINATE_FRAMES = [
@@ -48,6 +49,47 @@ class TestPhaseA:
     def test_rejects_degenerate_contrast(self):
         with pytest.raises(ValueError):
             PhaseA(1.0, 1.0000001, 0.5)
+
+    def test_rejects_fraction_outside_unit_interval(self):
+        for theta in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="thetaA must lie in"):
+                PhaseA(1.0, 2.0, theta)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((np.nan, 2.0, 0.5), "a1=nan"), ((1.0, np.inf, 0.5), "a2=inf"), ((np.inf, np.inf, 0.5), "a1=inf"), ((1.0, 2.0, np.nan), "got nan")],
+    )
+    def test_rejects_non_finite(self, args, message):
+        # a2 = inf used to construct, and hs_m then returned nan
+        with pytest.raises(ValueError, match=message):
+            PhaseA(*args)
+
+
+class TestPhaseB:
+    def test_accepts_constant_density(self):
+        assert PhaseB(1.5, 1.5, 0.3).mean == pytest.approx(1.5)
+
+    def test_rejects_reversed(self):
+        with pytest.raises(ValueError, match="b1=3.0, b2=1.0"):
+            PhaseB(3.0, 1.0, 0.5)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="b1=0.0, b2=1.0"):
+            PhaseB(0.0, 1.0, 0.5)
+
+    def test_rejects_fraction_outside_unit_interval(self):
+        for theta in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="thetaB must lie in"):
+                PhaseB(1.0, 3.0, theta)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((np.nan, 3.0, 0.5), "b1=nan"), ((1.0, np.inf, 0.5), "b2=inf"), ((np.inf, np.inf, 0.5), "b1=inf"), ((1.0, 3.0, np.nan), "got nan")],
+    )
+    def test_rejects_non_finite(self, args, message):
+        # b2 = inf, and b1 = b2 = inf, used to construct
+        with pytest.raises(ValueError, match=message):
+            PhaseB(*args)
 
 
 class TestMeans:
@@ -129,6 +171,13 @@ class TestThetaRecovery:
         assert theta_from_lower_boundary(SymTensor.diag([1.0, 1.0]), PhaseA(1, 2, 1.0)) == 1.0
         assert theta_from_upper_boundary(SymTensor.diag([2.0, 2.0]), PhaseA(1, 2, 0.0)) == 0.0
 
+    def test_homogeneous_rule(self):
+        # a homogeneous A-medium gives thetaA for a2 I and 1 for a1 I, whatever
+        # its eigenvalues within the tolerance; the closed form is not consulted
+        assert theta_from_upper_boundary(SymTensor.diag([2 - 5e-10, 2 - 5e-10]), PhaseA(1, 2, 0)) == 0.0
+        assert theta_from_upper_boundary(SymTensor.diag([0.5, 0.5]), PhaseA(1, 2, 0), tol=5) == 0.0
+        assert theta_from_upper_boundary(SymTensor.diag([1 + 5e-10, 1 + 5e-10]), PhaseA(1, 2, 1)) == 1.0
+
     def test_upper_isotropic(self):
         theta = theta_from_upper_boundary(SymTensor.diag([1.2, 1.2]), PhaseA(1, 2, 0.75))
         assert theta == pytest.approx(0.75, abs=1e-10)
@@ -159,18 +208,12 @@ class TestThetaRecovery:
             assert abs(theta_from_upper_boundary(astar, pa) - expected) <= 1e-14 * expected
         assert inside >= 50
 
-    def test_upper_root_just_past_one_is_one(self, monkeypatch):
+    def test_upper_root_just_past_one_is_one(self):
         # a core-a2 laminate at thetaA = 1 - 1e-10 sits just inside the a1
-        # medium: its upper-boundary root rounds past 1 - 1e-9, and the
-        # residual at theta = 1 decides that the root is 1 itself
-        import homobounds.gclosure as gclosure
-
+        # medium: its upper-boundary root rounds past 1 - 1e-9 and counts as 1
         pa = PhaseA(1.0, 2.0, 1.0 - 1e-10)
         astar = seq_A(LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), "a2", "const_b"), pa)
-        at = []
-        residual = gclosure.upper_boundary_residual
-        monkeypatch.setattr(gclosure, "upper_boundary_residual", lambda a, p, t: at.append(t) or residual(a, p, t))
-        assert theta_from_upper_boundary(astar, pa) == 1.0 and at == [1.0]
+        assert theta_from_upper_boundary(astar, pa) == 1.0
         assert g_membership(astar, pa).verdict == "boundary_upper"
 
     def test_upper_residual_monotone(self, pa_half):
