@@ -192,6 +192,8 @@ def cmd_pair(args) -> int:
 def cmd_laminate(args) -> int:
     pa = _phase(args, "a")
     if args.spec_file:
+        if args.spec:
+            raise ValueError("give the laminate spec once: --spec or --spec-file")
         with open(args.spec_file) as fh:
             spec = laminates.LaminateSpec.from_json(fh.read())
     elif args.spec:
@@ -201,8 +203,10 @@ def cmd_laminate(args) -> int:
     payload = {"relation": spec.relation}
     spec.moment  # built first: a spec of more than MAX_DIM dimensions is refused before the density is read
     if spec.relation == "const_b":
-        (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [args.const_b])  # A* is built once, with B#
+        const_b = 1.0 if args.const_b is None else args.const_b
+        (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [const_b])  # A* is built once, with B#
     else:
+        _unread(args, "--const-b")
         pb = _phase(args, "b")
         try:
             astar, bsharp = laminates.seq_pair_pp(spec, pa, pb)  # A* is built once, with B#
@@ -219,12 +223,15 @@ def cmd_hashin(args) -> int:
     pa = _phase(args, "a")
     cfg = hashin.CoatingConfig(args.coreA, args.coreB, args.inclusion)
     m = hashin.hs_m(pa, args.coreA, args.n)
-    if args.coreB == "const":
-        _unread(args, "--b --thetaB")
-    density = args.const_b if args.coreB == "const" else _phase(args, "b")
+    _unread(args, "--b --thetaB" if args.coreB == "const" else "--const-b")
+    if not args.oracle:
+        _unread(args, "--points")
+    const_b = 1.0 if args.const_b is None else args.const_b
+    density = const_b if args.coreB == "const" else _phase(args, "b")
     payload = {"m": m, "bsharp": hashin.hs_b(pa, density, cfg, args.n)}
     if args.oracle:
-        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, density, cfg, args.n, args.points)
+        points = 10_000 if args.points is None else args.points
+        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, density, cfg, args.n, points)
     _emit(args, payload)
     return 0
 
@@ -342,7 +349,7 @@ _SHARED_FLAGS = {
     "--thetaB": {"type": finite, "help": "thetaB, the volume fraction of b1"},
     "--astar": {"help": "matrix as JSON, e.g. [[1.3,0],[0,1.5]]"},
     "--bsharp": {"help": "matrix as JSON"},
-    "--const-b": {"type": finite, "default": 1.0, "help": "constant density b"},
+    "--const-b": {"type": finite, "help": "constant density b (default 1)"},
     "--instance": {"help": "instance JSON file"},
     "--cells": {"type": int, "default": 12},
     "--kA": {"type": int, "default": 6},
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--inclusion", default="none")
     h.add_argument("--n", type=int, default=2)
     h.add_argument("--oracle", action="store_true", help="add the quadrature cross-check")
-    h.add_argument("--points", type=int, default=10_000)
+    h.add_argument("--points", type=int, help="quadrature points of --oracle (default 10000)")
 
     o = _subcommand(
         sub, "oned", cmd_oned, "one-dimensional bounds, inversion, convergence",

@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gclosure import PhaseA, core_side
-from .pairbounds import admits
+from .pairbounds import RELATIONS, admits
 
-# inclusion relation of the two phase sets that each assignment realizes
-INCLUSION_RELATION = {
-    "B_in_A": "B_subset_A",
-    "A_in_B": "A_subset_B",
-    "A_in_Bc": "disjoint",
-    "Ac_in_B": "complement_cover",
-}
+# the inclusion relation of each (coreA, coreB, inclusion) a two-phase coated sphere takes
+_RELATION_OF = {(r.core_a, r.core_b, r.inclusion): name for name, r in RELATIONS.items()}
 
 
 class IncompatibleVolumes(ValueError):
@@ -35,22 +30,27 @@ class UnsupportedGeometry(ValueError):
 
 @dataclass(frozen=True)
 class CoatingConfig:
+    """Coated-sphere cores and inclusion: (a1|a2, const, none) or a triple of pairbounds.RELATIONS, else UnsupportedGeometry."""
+
     coreA: str  # "a1" | "a2"
     coreB: str  # "b1" | "b2" | "const"
-    inclusion: str  # "B_in_A" | "A_in_B" | "A_in_Bc" | "Ac_in_B" | "none"
+    inclusion: str  # "none", or the coated-sphere name of a relation in pairbounds.RELATIONS
 
     def __post_init__(self):
         if self.coreA not in ("a1", "a2"):
             raise ValueError("coreA must be 'a1' or 'a2'")
         if self.coreB not in ("b1", "b2", "const"):
             raise ValueError("coreB must be 'b1', 'b2', or 'const'")
-        if self.inclusion not in (*INCLUSION_RELATION, "none"):
+        if self.inclusion not in (*(r.inclusion for r in RELATIONS.values()), "none"):
             raise ValueError(f"unknown inclusion {self.inclusion!r}")
+        if self.relation is None and (self.coreB, self.inclusion) != ("const", "none"):
+            key = (self.coreA, self.coreB, self.inclusion)
+            raise UnsupportedGeometry(f"configuration {key} is not radially representable")
 
     @property
     def relation(self):
-        """Inclusion relation of the two phase sets, None without one."""
-        return INCLUSION_RELATION.get(self.inclusion)
+        """Inclusion relation of the two phase sets, None for a constant coating."""
+        return _RELATION_OF.get((self.coreA, self.coreB, self.inclusion))
 
 
 def _hs_terms(pa: PhaseA, core: str, n: int) -> tuple:
@@ -121,30 +121,23 @@ def radial_profile_coefficients(core_val: float, coat_val: float, core_volume: f
     return float(sol[0]), float(sol[1]), float(sol[2])
 
 
-# the (coreA, coreB) pair that represents each inclusion radially
-_RADIAL_CORES = {"B_in_A": ("a1", "b1"), "A_in_B": ("a2", "b2"), "A_in_Bc": ("a2", "b1"), "Ac_in_B": ("a1", "b2")}
-
-
 def _radial_density(cfg: CoatingConfig, pa: PhaseA, pb) -> tuple:
     """Radial B-profile (inner value, outer value, interface radius^N) of one coated sphere.
 
     pb is a PhaseB or a constant density b > 0, which gives (b, b, 0.5): its
-    interface may sit anywhere.
+    interface may sit anywhere.  CoatingConfig has checked the cores.
     """
+    if np.isscalar(pb) != (cfg.coreB == "const"):
+        raise UnsupportedGeometry("a scalar density requires coreB='const', a PhaseB coreB='b1' or 'b2'")
     if np.isscalar(pb):
-        if cfg.coreB != "const":
-            raise UnsupportedGeometry("scalar density requires coreB='const'")
         if not pb > 0:
             raise ValueError(f"need a density b > 0, got {pb}")
         return float(pb), float(pb), 0.5
     # coated spheres realize each inclusion on both sides of its interface
-    if cfg.relation and not admits(cfg.relation, pa, pb, True):
+    if not admits(cfg.relation, pa, pb, True):
         raise IncompatibleVolumes(
             f"inclusion {cfg.inclusion} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
         )
-    if _RADIAL_CORES.get(cfg.inclusion) != (cfg.coreA, cfg.coreB):
-        key = (cfg.coreA, cfg.coreB, cfg.inclusion)
-        raise UnsupportedGeometry(f"configuration {key} is not radially representable")
     if cfg.coreB == "b1":
         return pb.b1, pb.b2, pb.thetaB
     return pb.b2, pb.b1, 1.0 - pb.thetaB

@@ -23,14 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .gclosure import _DEGENERATE_THETA, DEFAULT_TOL, PhaseA, core_side, means
+from .gclosure import DEFAULT_TOL, PhaseA, core_side, homogeneous_value, means
 from .homog1d import bsharp_1d, overlap_window
-from .pairbounds import PhaseB, _chain_slacks, admits, flux_ratio, gradient_extremes, l2_terms, u2_terms
+from .pairbounds import RELATIONS as _PAIR_RELATIONS, PhaseB, _chain_slacks, admits, flux_ratio, gradient_extremes, l2_terms, u2_terms
 from .symtensor import _NON_FINITE, SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
 
-RELATIONS = ("A_subset_B", "B_subset_A", "disjoint", "complement_cover", "const_b")
-# core phase of the sequential laminates that realize each two-phase relation
-RELATION_CORE = {"A_subset_B": "a2", "disjoint": "a2", "B_subset_A": "a1", "complement_cover": "a1"}
+RELATIONS = (*_PAIR_RELATIONS, "const_b")
 
 _UNIT_TOL = 1e-12  # on a spec's unit directions and weights, and on the overlap window
 
@@ -161,7 +159,8 @@ def _laminate_frames(specs, pas) -> tuple:
     A* shares the eigenframe of the direction second moment M, so every
     function of A* the constructors need is read from a_diag.  With
     (base, frac, rest, sign) = core_side(pa, core) it solves the resolvent relation
-        frac (A* - base I)^-1 = sign (a2-a1)^-1 I + rest M / base.
+        frac (A* - base I)^-1 = sign (a2-a1)^-1 I + rest M / base,
+    and a homogeneous base medium (see homogeneous_value) gives A* = base I.
     The specs share one dimension; one LAPACK call decomposes the moments
     not decomposed before, and each row has the bits of its one-spec case.
     """
@@ -170,8 +169,8 @@ def _laminate_frames(specs, pas) -> tuple:
     rows = []
     for spec, pa in zip(specs, pas):
         base, frac, rest, sign = core_side(pa, spec.core_phase)
-        # at frac <= _DEGENERATE_THETA the base medium is homogeneous: its row is base + 0/1
-        rows.append((base, frac, rest, sign / (pa.a2 - pa.a1)) if frac > _DEGENERATE_THETA else (base, 0.0, 0.0, 1.0))
+        # a homogeneous base medium's row is base + 0/1
+        rows.append((base, 0.0, 0.0, 1.0) if homogeneous_value(pa) == base else (base, frac, rest, sign / (pa.a2 - pa.a1)))
     base, frac, rest, lead = np.array(rows).T[:, :, None]
     return w, base + frac / (lead + rest * w / base), np.array([es.frame for es in systems])
 
@@ -196,8 +195,8 @@ def _seq_const_stack(specs, pas, bs) -> tuple:
     rows = []
     for spec, pa, b in zip(specs, pas, bs):
         base, frac, _, sign = core_side(pa, spec.core_phase)
-        # at frac <= _DEGENERATE_THETA, where A* = base I, the row is b + 0/1
-        scale = frac * (pa.a2 - pa.a1) * base if frac > _DEGENERATE_THETA else 1.0
+        # a homogeneous base medium, where A* = base I, gives the row b + 0/1
+        scale = 1.0 if homogeneous_value(pa) == base else frac * (pa.a2 - pa.a1) * base
         rows.append((b, base, sign, scale, means(pa)[1]))
     b, base, sign, scale, arith = np.array(rows).T[:, :, None]
     diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
@@ -222,9 +221,10 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     """Two-phase sequential relative limit for the spec's inclusion relation.
 
     Solves the defining linear matrix relation entrywise in the laminate
-    frame.  Each relation needs the core RELATION_CORE names: a2 for the
-    relations on the lower A*-boundary (A_subset_B, disjoint), a1 for the
-    flux-side ones (B_subset_A, complement_cover).  The result is checked
+    frame.  Each relation needs the A-core pairbounds.RELATIONS gives it:
+    a2 for the relations on the lower A*-boundary (A_subset_B, disjoint),
+    a1 for the flux-side ones (B_subset_A, complement_cover).  A homogeneous
+    matrix medium gives mean(b) I with either core.  The result is checked
     against the general bounds chain; a complement_cover output may
     legitimately fail it, in which case ChainViolation is raised with the
     tensor and A* attached.
@@ -239,8 +239,9 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     1986), so the chain is judged there, on their spectra and the link's
     (b2/a1) a_diag - diag, and only the moment is decomposed.  A non-finite
     A* or B# entry or link value is refused with the ValueError a
-    decomposition gives it.  At a core-a2 fraction at or below
-    _DEGENERATE_THETA the medium is a1 I, whose relative limit is mean(b) I.
+    decomposition gives it.  Where the matrix phase fills the medium (see
+    homogeneous_value), A* is its value times I and B# is mean(b) I, for
+    either core.
     """
     relation = spec.relation
     if relation == "const_b":
@@ -249,28 +250,28 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
         raise RegionMismatch(
             f"relation {relation} incompatible with thetaA={pa.thetaA}, thetaB={pb.thetaB}"
         )
-    if spec.core_phase != RELATION_CORE[relation]:
-        raise InconsistentSpec(f"relation {relation} needs core {RELATION_CORE[relation]}")
+    core = _PAIR_RELATIONS[relation].core_a
+    if spec.core_phase != core:
+        raise InconsistentSpec(f"relation {relation} needs core {core}")
 
     w, a_diag, frames = _laminate_frames([spec], [pa])
     w, a_diag = w[0], a_diag[0]
     theta = pa.thetaA
 
-    if spec.core_phase == "a2":
-        if core_side(pa, "a2")[1] <= _DEGENERATE_THETA:
-            diag = np.full(len(a_diag), pb.mean)
-        else:
-            nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
-            diag = nested if relation == "A_subset_B" else disjoint
+    if homogeneous_value(pa) == core_side(pa, core)[0]:
+        diag = np.full(len(a_diag), pb.mean)
+    elif core == "a2":
+        nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
+        diag = nested if relation == "A_subset_B" else disjoint
     else:
         ratio = flux_ratio(a_diag, pa, theta) ** 2
         if relation == "B_subset_A":
             c, level, osc = l2_terms(pa, pb, theta)
-            core = c + (level + osc * (1.0 - w)) * ratio
+            flux = c + (level + osc * (1.0 - w)) * ratio
         else:
             lead, level, osc = u2_terms(pa, pb, theta)
-            core = lead / a_diag - (level - osc * (1.0 - w)) * ratio
-        diag = a_diag**2 * core
+            flux = lead / a_diag - (level - osc * (1.0 - w)) * ratio
+        diag = a_diag**2 * flux
 
     astar, bsharp = [SymTensor(m) for m in from_frames(frames[[0, 0]], np.array([a_diag, diag]))]
     link = (pb.b2 / pa.a1) * a_diag - diag

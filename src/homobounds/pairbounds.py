@@ -89,8 +89,16 @@ class PairBoundReport:
     verdict: str  # feasible | infeasible | boundary
 
 
-# inclusion relation of the two phase sets that saturates each bound
-RELATION_BOUND = {"A_subset_B": "L1", "B_subset_A": "L2", "disjoint": "U1", "complement_cover": "U2"}
+# The inclusion relations of the two phase sets, in the order sweeps draw
+# them: the trace bound each saturates, the A-core of its laminates and
+# coated spheres, and its coated sphere's B-core and name.
+Relation = NamedTuple("Relation", [("bound", str), ("core_a", str), ("core_b", str), ("inclusion", str)])
+RELATIONS = {
+    "A_subset_B": Relation("L1", "a2", "b2", "A_in_B"),
+    "B_subset_A": Relation("L2", "a1", "b1", "B_in_A"),
+    "disjoint": Relation("U1", "a2", "b1", "A_in_Bc"),
+    "complement_cover": Relation("U2", "a1", "b2", "Ac_in_B"),
+}
 
 
 def classify_region(pa: PhaseA, pb: PhaseB) -> str:
@@ -107,7 +115,7 @@ def admits(relation: str, pa: PhaseA, pb: PhaseB, closed: bool) -> bool:
     disjoint.  closed=True admits B_subset_A and complement_cover on their
     interface as well.
     """
-    bound = RELATION_BOUND[relation]
+    bound = RELATIONS[relation].bound
     if bound in classify_region(pa, pb):
         return True
     on_interface = pa.thetaA == pb.thetaB if bound[0] == "L" else pa.thetaA + pb.thetaB == 1.0
@@ -542,9 +550,9 @@ def energy_density_bounds(astar: SymTensor, pa: PhaseA, b: float, vector, side: 
     v = np.asarray(vector, dtype=float)
     _, arith = means(pa)
     a = astar.mat
-    base, frac, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
-    form = a  # the homogeneous base medium at frac <= _DEGENERATE_THETA, where the correction vanishes
-    if frac > _DEGENERATE_THETA:
+    base, _, _, sign = core_side(pa, "a1" if side == "lower" else "a2")
+    form = a  # a homogeneous base medium (see homogeneous_value), where the correction vanishes
+    if homogeneous_value(pa) != base:
         shift = a - base * np.eye(astar.dim)
         form = a + shift @ shift / (sign * (arith - base))
     form = (float(b) / base) * form

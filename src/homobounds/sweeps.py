@@ -15,30 +15,20 @@ import numpy as np
 from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
-from .laminates import (
-    RELATION_CORE,
-    ChainViolation,
-    LaminateSpec,
-    _seq_const_stack,
-    seq_pair_pp,
-    simple_laminate_pair,
-)
-from .pairbounds import RELATION_BOUND, PhaseB, admits, pair_memberships
+from .laminates import ChainViolation, LaminateSpec, _seq_const_stack, seq_pair_pp, simple_laminate_pair
+from .pairbounds import RELATIONS, PhaseB, admits, pair_memberships
 from .symtensor import MAX_DIM, SymTensor, rotate_stack
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
 
-# The coated spheres a sweep draws from.  The two core-a1 two-phase
-# assignments are only drawn with thetaB < thetaA: on {thetaA <= thetaB} they
-# genuinely violate the printed L1 bound (see DECISIONS.md), so they are not
-# feasibility-sweep material there.
-_COATINGS = (
-    CoatingConfig("a2", "b2", "A_in_B"),
-    CoatingConfig("a2", "b1", "A_in_Bc"),
-    CoatingConfig("a1", "const", "none"),
-    CoatingConfig("a2", "const", "none"),
-)
-_CORE_A1_COATINGS = (CoatingConfig("a1", "b1", "B_in_A"), CoatingConfig("a1", "b2", "Ac_in_B"))
+# The coated spheres a sweep draws from, two-phase ones in RELATIONS order.
+# The two core-a1 two-phase assignments are only drawn with thetaB < thetaA:
+# on {thetaA <= thetaB} they genuinely violate the printed L1 bound (see
+# DECISIONS.md), so they are not feasibility-sweep material there.
+_TWO_PHASE_COATINGS = {
+    core: tuple([CoatingConfig(core, r.core_b, r.inclusion) for r in RELATIONS.values() if r.core_a == core]) for core in ("a1", "a2")
+}
+_COATINGS = (*_TWO_PHASE_COATINGS["a2"], CoatingConfig("a1", "const", "none"), CoatingConfig("a2", "const", "none"))
 
 # Rows drawn, then judged, together: each chunk is built and judged in
 # stacked passes per dimension, and its tensors bound the memory a long
@@ -109,12 +99,12 @@ def _draw(rng, max_dim: int) -> tuple:
                 astar = bsharp = None
                 todo = (family, _random_spec(rng, n, "const_b", core), b)
             elif family == "seq_pp":
-                choices = [r for r in RELATION_BOUND if admits(r, pa, pb, False)]
+                choices = [r for r in RELATIONS if admits(r, pa, pb, False)]
                 relation = choices[int(rng.integers(0, len(choices)))]
-                spec = _random_spec(rng, n, relation, RELATION_CORE[relation])
+                spec = _random_spec(rng, n, relation, RELATIONS[relation].core_a)
                 astar, bsharp = seq_pair_pp(spec, pa, pb)
             else:
-                configs = _COATINGS + (_CORE_A1_COATINGS if admits("B_subset_A", pa, pb, False) else ())
+                configs = _COATINGS + (_TWO_PHASE_COATINGS["a1"] if admits("B_subset_A", pa, pb, False) else ())
                 # each constant density is drawn in turn; b# is evaluated for the picked config only
                 valid = []
                 for cfg in configs:

@@ -323,6 +323,12 @@ UNREAD_ELSEWHERE = [
     (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--b", "1,3,0.5"], "--b"),
     (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--thetaB", "0.5"], "--thetaB"),
 ]
+# (argv, the flag named): a flag with a default that this request does not read
+UNREAD_DEFAULTED = [
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a2", "--coreB", "b1", "--inclusion", "A_in_Bc", "--b", "1,3,0.3", "--const-b", "7"], "--const-b"),
+    (["laminate", "--spec", NESTED_SPEC, "--a", "1,2,0.5", "--b", "1,3,0.5", "--const-b", "7"], "--const-b"),
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--points", "5"], "--points"),
+]
 
 
 @pytest.mark.parametrize(
@@ -413,6 +419,10 @@ UNREAD_ELSEWHERE = [
         (["gset", "check", "--a", "1,2,1.5", "--astar", INSIDE], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "3,1,0.5", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,-0.1", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
+        *[(argv, None, None) for argv, _ in UNREAD_DEFAULTED],
+        # a spec given twice, and a constant coating with a named inclusion
+        (["laminate", "--spec-file", "inst.json", "--spec", "not json at all", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, {"directions": [[1, 0]], "weights": [1], "core": "a2", "relation": "A_subset_B"}),
+        (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--coreB", "const", "--inclusion", "B_in_A", "--const-b", "2"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -432,14 +442,15 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
     "argv, flag",
     [(SWEEP + [flag, value], flag) for flag, value in UNREAD_BY_SWEEP]
     + [(SAMPLE + flag, flag[0]) for flag in UNREAD_BY_SAMPLE]
-    + UNREAD_ELSEWHERE,
+    + UNREAD_ELSEWHERE
+    + UNREAD_DEFAULTED,
 )
 def test_unread_flag_is_named(argv, flag, capsys):
     # a valid value of a flag the action does not read is refused, not
-    # ignored; hashin has no action, so its error names the command alone
+    # ignored; hashin and laminate have no action, so their errors name the command alone
     assert exit_code(argv) == 2
     captured = capsys.readouterr()
-    request = argv[0] if argv[0] == "hashin" else f"{argv[0]} {argv[1]}"
+    request = argv[0] if argv[0] in ("hashin", "laminate") else f"{argv[0]} {argv[1]}"
     assert captured.out == "" and captured.err == f"error: {request} does not read {flag}\n"
 
 
@@ -531,6 +542,19 @@ def test_laminate_on_a_homogeneous_a_medium(capsys):
         data = json.loads(out)
         assert data["chain_ok"] is True
         assert data["astar"] == [[0.5, 0.0], [0.0, 0.5]] and data["bsharp"] == [[mean, 0.0], [0.0, mean]]
+
+
+@pytest.mark.parametrize("relation, b, mean", [("B_subset_A", "1,5,0", 5.0), ("complement_cover", "1,3,1", 1.0)])
+def test_core_a1_laminate_on_a_homogeneous_matrix_medium(relation, b, mean, capsys):
+    # at thetaA = 5e-13 the a2 matrix fills the medium: B# = mean(b) I, which pair check puts on the boundary
+    spec = json.dumps({"directions": [[1, 0]], "weights": [1], "core": "a1", "relation": relation})
+    code, out = run(capsys, "laminate", "--spec", spec, "--a", "1,2,5e-13", "--b", b)
+    data = json.loads(out)
+    assert code == 0 and data["chain_ok"] is True
+    assert data["astar"] == [[2.0, 0.0], [0.0, 2.0]] and data["bsharp"] == [[mean, 0.0], [0.0, mean]]
+    pair = ["--astar", json.dumps(data["astar"]), "--bsharp", json.dumps(data["bsharp"])]
+    code, out = run(capsys, "pair", "check", "--a", "1,2,5e-13", "--b", b, *pair)
+    assert code == 0 and json.loads(out)["verdict"] == "boundary"
 
 
 # infeasible at the default tolerance, boundary at tolerance 10

@@ -6,10 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from homobounds.gclosure import DEFAULT_TOL, PhaseA, core_side, g_membership, means
+from homobounds.gclosure import DEFAULT_TOL, PhaseA, core_side, g_membership, homogeneous_value, means
 from homobounds.hashin import CoatingConfig, hs_b, hs_m
 from homobounds.laminates import (
-    RELATION_CORE,
     ChainViolation,
     InconsistentSpec,
     LaminateSpec,
@@ -23,7 +22,7 @@ from homobounds.laminates import (
     seq_pair_pp,
     simple_laminate_pair,
 )
-from homobounds.pairbounds import PhaseB, admits, general_chain_check, pair_membership
+from homobounds.pairbounds import RELATIONS, PhaseB, admits, general_chain_check, pair_membership
 from homobounds.symtensor import SymTensor, commutator_norm, eig, rotate, rotation_2d
 
 E1 = (1.0, 0.0)
@@ -241,7 +240,7 @@ class TestConstantDensityRelations:
             w = rng.dirichlet(np.ones(p))
             dirs = tuple(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n)))
             count -= 1
-            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATION_CORE[relation], relation), pa, pb
+            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATIONS[relation].core_a, relation), pa, pb
 
     @pytest.mark.parametrize("relation", ["A_subset_B", "disjoint", "B_subset_A"])
     def test_two_phase_relations_reduce_to_seq_B_const(self, relation):
@@ -305,6 +304,26 @@ class TestSequentialBTwoPhase:
         tensor = err.value.tensor
         assert tensor.mat[0, 0] == pytest.approx(116 / 49, abs=1e-12)
         assert tensor.mat[1, 1] == pytest.approx(81 / 16, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [5e-13, 1.0 - 5e-13])
+    def test_homogeneous_matrix_medium_gives_the_mean(self, theta):
+        # every admitted relation builds without a ChainViolation and lands on
+        # the boundary; where the matrix phase fills the medium, either core
+        # gives B# = mean(b) I
+        pa, filled = PhaseA(1.0, 2.0, theta), set()
+        for pb in (PhaseB(1.0, b2, tb) for b2 in (3.0, 5.0) for tb in (0.0, 0.5, 1.0)):
+            for relation, row in RELATIONS.items():
+                if not admits(relation, pa, pb, False):
+                    continue
+                for dirs, weights in (((E1,), (1.0,)), ((E1, E2), (0.3, 0.7))):
+                    astar, bsharp = seq_pair_pp(LaminateSpec(dirs, weights, row.core_a, relation), pa, pb)
+                    assert pair_membership(astar, bsharp, pa, pb).verdict == "boundary"
+                    if homogeneous_value(pa) == core_side(pa, row.core_a)[0]:
+                        filled.add((relation, pb.b2))
+                        assert np.array_equal(bsharp.mat, pb.mean * np.eye(2))
+        core = "a1" if theta < 0.5 else "a2"
+        assert {relation for relation, _ in filled} == {r for r, row in RELATIONS.items() if row.core_a == core}
+        assert len(filled) == 4
 
     def test_complement_self_consistency(self):
         # where the output is chain-feasible it saturates the step-form U2
@@ -396,7 +415,7 @@ class TestInFrameChain:
             w = rng.dirichlet(np.ones(p))
             dirs = tuple(tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n)))
             count -= 1
-            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATION_CORE[relation], relation), pa, pb
+            yield LaminateSpec(dirs, tuple(w / w.sum()), RELATIONS[relation].core_a, relation), pa, pb
 
     @pytest.mark.parametrize("relation", ["A_subset_B", "disjoint", "B_subset_A", "complement_cover"])
     def test_violation_exactly_where_the_decomposed_chain_fails(self, relation):

@@ -104,12 +104,13 @@ class TestClassify:
         # the region and the laminate relations take the L1/U1 side of an
         # interface; the coated-sphere inclusions admit both sides
         from homobounds.hashin import CoatingConfig, IncompatibleVolumes, hs_b
-        from homobounds.laminates import RELATION_CORE, LaminateSpec, RegionMismatch, seq_B_pp
+        from homobounds.laminates import LaminateSpec, RegionMismatch, seq_B_pp
+        from homobounds.pairbounds import RELATIONS
 
         pa, pb = PhaseA(1.0, 2.0, ta), PhaseB(1.0, 3.0, tb)
         assert classify_region(pa, pb) == "L1U1"
-        for relation, core in RELATION_CORE.items():
-            spec = LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), core, relation)
+        for relation, row in RELATIONS.items():
+            spec = LaminateSpec(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5), row.core_a, relation)
             if relation in laminate_ok:
                 seq_B_pp(spec, pa, pb)
             else:

@@ -121,7 +121,10 @@ def test_pair_check_names_a_dimension_mismatch(capsys):
 def test_sweep_csv_is_bit_identical(max_dim, digest, capsys):
     # sha256 of the CSV as judged one draw at a time, before sweeps were chunked
     assert main(["pair", "sweep", "--seed", "7", "--count", "1000", "--max-dim", str(max_dim)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # the pinned rows span every dimension the sweep draws
+    assert sorted({int(line.split(",")[2]) for line in out.splitlines()[1:]}) == list(range(2, max_dim + 1))
 
 
 def draw_digest(draws) -> str:
