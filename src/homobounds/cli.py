@@ -51,23 +51,17 @@ def _tol(args) -> float:
     return tolerance(env) if env else gclosure.DEFAULT_TOL
 
 
-def _unread(args, flags: str):
-    """ValueError for a request that gives one of `flags` (space-separated): its action, or its command if it has none, does not read them."""
-    request = f"{args.command} {args.action}" if hasattr(args, "action") else args.command
-    for flag in flags.split():
-        value = getattr(args, _SHARED_FLAGS.get(flag, {}).get("dest", flag[2:].replace("-", "_")))
-        if value is not None and value is not False:
+def _unread(args, flags):
+    """ValueError for a request that gives one of `flags`: its action, or its command if it has none, does not read them."""
+    for flag in flags:
+        if getattr(args, _dest(flag)) is not None:
+            request = f"{args.command} {args.action}" if hasattr(args, "action") else args.command
             raise ValueError(f"{request} does not read {flag}")
 
 
 def _exit_code(args, failed: bool) -> int:
     """1 when --assert is given and the check failed, else 0."""
     return 1 if args.assert_ and failed else 0
-
-
-def _fmt(x) -> str:
-    """Shortest round-trip decimal form of a float."""
-    return repr(float(x))
 
 
 def _sanitize(value):
@@ -94,7 +88,7 @@ def _emit(args, payload):
 def _emit_csv(args, header, rows):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     _write(args, "\n".join(lines))
 
 
@@ -166,7 +160,6 @@ def cmd_gset(args) -> int:
         report = gclosure.g_membership(_tensor(args.astar, "astar"), pa, _tol(args))
         _emit(args, vars(report))
         return _exit_code(args, report.verdict == "outside")
-    _unread(args, "--astar --tol --assert")
     pts = gclosure.boundary_curve_sample(pa, args.side, args.n)
     _emit_csv(args, ["lambda1", "lambda2"], pts)
     return 0
@@ -174,7 +167,6 @@ def cmd_gset(args) -> int:
 
 def cmd_pair(args) -> int:
     if args.action == "sweep":
-        _unread(args, "--a --theta --b --thetaB --astar --bsharp")
         rows = sweeps.feasibility_sweep(args.seed, args.count, args.max_dim, _tol(args))
         _emit_csv(
             args,
@@ -206,7 +198,7 @@ def cmd_laminate(args) -> int:
         const_b = 1.0 if args.const_b is None else args.const_b
         (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [const_b])  # A* is built once, with B#
     else:
-        _unread(args, "--const-b")
+        _unread(args, ("--const-b",))
         pb = _phase(args, "b")
         try:
             astar, bsharp = laminates.seq_pair_pp(spec, pa, pb)  # A* is built once, with B#
@@ -223,9 +215,9 @@ def cmd_hashin(args) -> int:
     pa = _phase(args, "a")
     cfg = hashin.CoatingConfig(args.coreA, args.coreB, args.inclusion)
     m = hashin.hs_m(pa, args.coreA, args.n)
-    _unread(args, "--b --thetaB" if args.coreB == "const" else "--const-b")
+    _unread(args, ("--b", "--thetaB") if args.coreB == "const" else ("--const-b",))
     if not args.oracle:
-        _unread(args, "--points")
+        _unread(args, ("--points",))
     const_b = 1.0 if args.const_b is None else args.const_b
     density = const_b if args.coreB == "const" else _phase(args, "b")
     payload = {"m": m, "bsharp": hashin.hs_b(pa, density, cfg, args.n)}
@@ -245,25 +237,22 @@ def _load_profile(args) -> homog1d.Profile1D:
 
 def cmd_oned(args) -> int:
     pa, pb = _phase(args, "a"), _phase(args, "b")
-    source, periods = _source(args.f), [int(x) for x in args.periods.split(",")]
     if args.action == "bounds":
-        _unread(args, "--target --profile")
         l1, l2, u1, u2, lsel, usel = homog1d.bounds_1d(pa, pb)
         _emit(args, {"l1": l1, "l2": l2, "u1": u1, "u2": u2, "l": lsel, "u": usel})
         return 0
     if args.action == "invert":
-        _unread(args, "--profile")
         if args.target is None:
             raise ValueError("invert needs --target <value>")
         theta_ab, profile = homog1d.invert_theta_ab(pa, pb, args.target)
         _emit(args, {"thetaAB": theta_ab, "profile": json.loads(profile.to_json())})
         return 0
-    _unread(args, "--target")
     if args.action == "limits":
         profile = _load_profile(args)
         names = ("thetaA", "thetaB", "thetaAB", "a_harm", "b_mean", "lim_b_a2", "lim_b_a")
         _emit(args, dict(zip(names, homog1d.weakstar_limits(profile, pa, pb))))
         return 0
+    source, periods = _source(args.f), [int(x) for x in args.periods.split(",")]
     rows = homog1d.convergence_study(_load_profile(args), pa, pb, source, periods)
     _emit_csv(args, ["periods", "epsilon", "energy", "abs_error", "rel_error"], rows)
     return _exit_code(args, rows[-1][4] > 0.02)
@@ -271,19 +260,19 @@ def cmd_oned(args) -> int:
 
 def _design(args, two_sets: bool) -> tuple:
     """(cells, kA, kB, pa, pb, source) from --instance or the flags; pb is None for one set, a and b are pairs."""
+    keys = ("cells", "kA", "kB", "a", "b", "f") if two_sets else ("cells", "kA", "a", "f")
     if args.instance:
+        _unread(args, [f"--{k}" for k in keys])
         with open(args.instance) as fh:
             inst = json.load(fh)
         if not isinstance(inst, dict):
             raise ValueError(f"a design instance is a JSON object, got {inst!r}")
-        keys = ("cells", "kA", "kB", "a", "b", "f") if two_sets else ("cells", "kA", "a", "f")
         missing = [k for k in keys if k not in inst]
         if missing:
             raise ValueError(f"missing from the design instance: {', '.join(map(repr, missing))}")
-    else:
-        inst = {"cells": args.cells, "kA": args.kA, "a": args.a, "f": args.f}
-        if two_sets:
-            inst.update(kB=args.kB, b=args.b)
+    else:  # the design flags' defaults where no --instance replaces them
+        defaults = {"cells": 12, "kA": 6, "kB": 6, "f": "const:1"}
+        inst = {k: defaults.get(k) if getattr(args, k) is None else getattr(args, k) for k in keys}
     cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (cells, ka, kb)) or cells < 1:
         raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
@@ -340,9 +329,8 @@ def cmd_phase(args) -> int:
     return 0
 
 
-# Flags that several subcommands read, each declared once; every subcommand
-# names the ones it reads, so a flag it would ignore is a usage error.
-_SHARED_FLAGS = {
+# Every flag once, with its argparse keywords; each is registered with default None.
+_FLAGS = {
     "--a": {"help": "a1,a2 or a1,a2,thetaA (a1,a2 for odp and oodp)"},
     "--theta": {"type": finite, "help": "thetaA, the volume fraction of a1"},
     "--b": {"help": "b1,b2 or b1,b2,thetaB (b1,b2 for oodp)"},
@@ -351,23 +339,84 @@ _SHARED_FLAGS = {
     "--bsharp": {"help": "matrix as JSON"},
     "--const-b": {"type": finite, "help": "constant density b (default 1)"},
     "--instance": {"help": "instance JSON file"},
-    "--cells": {"type": int, "default": 12},
-    "--kA": {"type": int, "default": 6},
-    "--kB": {"type": int, "default": 6},
-    "--f": {"default": "const:1", "help": "source term const:<value>"},
+    "--cells": {"type": int},
+    "--kA": {"type": int},
+    "--kB": {"type": int},
+    "--f": {"help": "source term const:<value>"},
+    "--side": {"choices": ["lower", "upper"]},
+    "--n": {"type": int},
+    "--seed": {"type": int},
+    "--count": {"type": int},
+    "--max-dim": {"type": int},
+    "--spec": {"help": "laminate spec as inline JSON"},
+    "--spec-file": {"help": "laminate spec file"},
+    "--coreA": {"choices": ["a1", "a2"]},
+    "--coreB": {"choices": ["b1", "b2", "const"]},
+    "--inclusion": {},
+    "--oracle": {"action": "store_true", "help": "add the quadrature cross-check"},
+    "--points": {"type": int, "help": "quadrature points of --oracle (default 10000)"},
+    "--target": {"type": finite},
+    "--profile": {"help": "profile JSON file"},
+    "--periods": {},
     "--tol": {"type": tolerance, "help": "feasibility tolerance"},
     "--out": {"help": "write output to a file"},
     "--assert": {"dest": "assert_", "action": "store_true", "help": "exit 1 on failure"},
 }
 
+# subcommand -> (handler, help, the flags it requires)
+_COMMANDS = {
+    "gset": (cmd_gset, "phase-set membership and boundary sampling", "--a"),
+    "pair": (cmd_pair, "pair feasibility and randomized sweeps", ""),
+    "laminate": (cmd_laminate, "sequential-laminate constructors", "--a"),
+    "hashin": (cmd_hashin, "coated-sphere values and radial oracle", "--a --coreA"),
+    "oned": (cmd_oned, "one-dimensional bounds, inversion, convergence", "--a --b"),
+    "odp": (cmd_odp, "single-set design: relaxed value and brute force", ""),
+    "oodp": (cmd_oodp, "two-set design: relaxed value and brute force", ""),
+    "phase": (cmd_phase, "fibre phase-diagram sample grid", "--a --b"),
+}
 
-def _subcommand(sub, name: str, func, help_text: str, flags: str, required: tuple = ()):
-    """Subparser for `name` with the shared `flags` (space-separated) it reads."""
-    p = sub.add_parser(name, help=help_text)
-    for flag in flags.split():
-        p.add_argument(flag, required=flag in required, **_SHARED_FLAGS[flag])
-    p.set_defaults(func=func)
-    return p
+# (subcommand, action or None) -> the flags the action reads, --flag=value
+# where one has a default.  argparse refuses a flag no row of the subcommand
+# names; main refuses one outside the request's row, then fills in its defaults.
+# Where reading a flag depends on another value, the handler refuses it and
+# applies its default: hashin's --b, --thetaB, --const-b and --points,
+# laminate's --const-b, and the design flags an odp or oodp --instance replaces.
+_READS = {
+    ("gset", "check"): "--a --theta --astar --tol --out --assert",
+    ("gset", "sample"): "--a --theta --side=lower --n=50 --out",
+    ("pair", "check"): "--a --theta --b --thetaB --astar --bsharp --tol --out --assert",
+    ("pair", "sweep"): "--seed=0 --count=1000 --max-dim=3 --tol --out --assert",
+    # a const_b spec reads no --b or --thetaB, yet takes them: bench/workloads.py sends --b with every one
+    ("laminate", None): "--a --theta --b --thetaB --const-b --spec --spec-file --out --assert",
+    ("hashin", None): "--a --theta --b --thetaB --const-b --coreA --coreB=const --inclusion=none --n=2 --oracle --points --out",
+    ("oned", "bounds"): "--a --theta --b --thetaB --out",
+    ("oned", "invert"): "--a --theta --b --thetaB --target --out",
+    ("oned", "limits"): "--a --theta --b --thetaB --profile --out",
+    ("oned", "converge"): "--a --theta --b --thetaB --profile --f=const:1 --periods=4,16,64,256 --out --assert",
+    ("odp", "relax"): "--instance --a --cells --kA --f --out",
+    ("odp", "brute"): "--instance --a --cells --kA --f --out",
+    ("oodp", "relax"): "--instance --a --b --cells --kA --kB --f --out",
+    ("oodp", "brute"): "--instance --a --b --cells --kA --kB --f --out",
+    ("phase", None): "--a --theta --b --thetaB --n=20 --tol --out",
+}
+
+
+def _dest(flag: str) -> str:
+    return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+def _declared(command: str) -> list:
+    """The flags that `command`'s rows name, in _FLAGS order."""
+    named = {t.partition("=")[0] for (name, _), reads in _READS.items() if name == command for t in reads.split()}
+    return [flag for flag in _FLAGS if flag in named]
+
+
+@functools.cache
+def _row(command: str, action) -> tuple:
+    """(the declared flags a request does not read, (dest, value) of its defaults), parsed once."""
+    reads = dict(token.partition("=")[::2] for token in _READS[command, action].split())
+    defaults = tuple((_dest(flag), _FLAGS[flag].get("type", str)(text)) for flag, text in reads.items() if text)
+    return tuple(flag for flag in _declared(command) if flag not in reads), defaults
 
 
 @functools.cache
@@ -379,69 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     """
     ap = argparse.ArgumentParser(prog="homobounds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    g = _subcommand(
-        sub, "gset", cmd_gset, "phase-set membership and boundary sampling",
-        "--a --theta --astar --tol --out --assert", required=("--a",),
-    )
-    g.add_argument("action", choices=["check", "sample"])
-    g.add_argument("--side", choices=["lower", "upper"], default="lower")
-    g.add_argument("--n", type=int, default=50)
-
-    p = _subcommand(
-        sub, "pair", cmd_pair, "pair feasibility and randomized sweeps",
-        "--a --theta --b --thetaB --astar --bsharp --tol --out --assert",
-    )
-    p.add_argument("action", choices=["check", "sweep"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--max-dim", type=int, default=3)
-
-    l = _subcommand(
-        sub, "laminate", cmd_laminate, "sequential-laminate constructors",
-        "--a --theta --b --thetaB --const-b --out --assert", required=("--a",),
-    )
-    l.add_argument("--spec", help="laminate spec as inline JSON")
-    l.add_argument("--spec-file", help="laminate spec file")
-
-    h = _subcommand(
-        sub, "hashin", cmd_hashin, "coated-sphere values and radial oracle",
-        "--a --theta --b --thetaB --const-b --out", required=("--a",),
-    )
-    h.add_argument("--coreA", choices=["a1", "a2"], required=True)
-    h.add_argument("--coreB", choices=["b1", "b2", "const"], default="const")
-    h.add_argument("--inclusion", default="none")
-    h.add_argument("--n", type=int, default=2)
-    h.add_argument("--oracle", action="store_true", help="add the quadrature cross-check")
-    h.add_argument("--points", type=int, help="quadrature points of --oracle (default 10000)")
-
-    o = _subcommand(
-        sub, "oned", cmd_oned, "one-dimensional bounds, inversion, convergence",
-        "--a --theta --b --thetaB --f --out --assert", required=("--a", "--b"),
-    )
-    o.add_argument("action", choices=["bounds", "invert", "limits", "converge"])
-    o.add_argument("--target", type=finite, default=None)
-    o.add_argument("--profile", help="profile JSON file")
-    o.add_argument("--periods", default="4,16,64,256")
-
-    d = _subcommand(
-        sub, "odp", cmd_odp, "single-set design: relaxed value and brute force",
-        "--instance --a --cells --kA --f --out",
-    )
-    d.add_argument("action", choices=["relax", "brute"])
-
-    w = _subcommand(
-        sub, "oodp", cmd_oodp, "two-set design: relaxed value and brute force",
-        "--instance --a --b --cells --kA --kB --f --out",
-    )
-    w.add_argument("action", choices=["relax", "brute"])
-
-    ph = _subcommand(
-        sub, "phase", cmd_phase, "fibre phase-diagram sample grid",
-        "--a --theta --b --thetaB --tol --out", required=("--a", "--b"),
-    )
-    ph.add_argument("--n", type=int, default=20)
-
+    for name, (func, help_text, required) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in _declared(name):
+            p.add_argument(flag, default=None, required=flag in required.split(), **_FLAGS[flag])
+        actions = [action for command, action in _READS if command == name and action]
+        if actions:
+            p.add_argument("action", choices=actions)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -475,11 +469,17 @@ def main(argv=None) -> int:
 
     The request is parsed once, by its subcommand's parser (see
     parse_request); the top-level parser answers only help and usage errors.
-    A refused request, an ArithmeticError of scalar float arithmetic
+    A flag outside the request's row of _READS is refused, and each flag of
+    the row that the request omits takes the row's default.  A refused request, an ArithmeticError of scalar float arithmetic
     included, exits 2 with one error line.
     """
     args = parse_request(sys.argv[1:] if argv is None else list(argv))
     try:
+        unread, defaults = _row(args.command, getattr(args, "action", None))
+        _unread(args, unread)
+        for dest, value in defaults:
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
         return args.func(args)
     except (ValueError, ArithmeticError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from homobounds.cli import _subcommands, build_parser, main, parse_request
+from homobounds.cli import _READS, _subcommands, build_parser, main, parse_request
 
 
 def run(capsys, *argv):
@@ -328,6 +328,20 @@ UNREAD_DEFAULTED = [
     (["hashin", "--a", "1,2,0.5", "--coreA", "a2", "--coreB", "b1", "--inclusion", "A_in_Bc", "--b", "1,3,0.3", "--const-b", "7"], "--const-b"),
     (["laminate", "--spec", NESTED_SPEC, "--a", "1,2,0.5", "--b", "1,3,0.5", "--const-b", "7"], "--const-b"),
     (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--points", "5"], "--points"),
+    (CHECK + ["--astar", INSIDE, "--side", "upper", "--n", "5"], "--side"),
+    (["pair", "check", *ONED, "--astar", INSIDE, "--bsharp", "[[2,0],[0,2]]", "--seed", "5", "--count", "3", "--max-dim", "4"], "--seed"),
+    (["oned", "bounds", *ONED, "--periods", "4"], "--periods"),
+    (["oned", "invert", *ONED, "--target", "2.2", "--periods", "4"], "--periods"),
+    (["oned", "limits", *ONED, "--profile", "nothere.json", "--periods", "4"], "--periods"),
+    (["oned", "bounds", *ONED, "--f", "const:2"], "--f"),
+    (["oned", "bounds", *ONED, "--assert"], "--assert"),
+    (["oned", "invert", *ONED, "--target", "2.2", "--assert"], "--assert"),
+    (["oned", "limits", *ONED, "--profile", "nothere.json", "--assert"], "--assert"),
+    (["odp", "relax", "--instance", "nothere.json", "--cells", "8", "--kA", "3"], "--cells"),
+    (["odp", "relax", "--instance", "nothere.json", "--a", "5,6"], "--a"),
+    (["oodp", "brute", "--instance", "nothere.json", "--kB", "2"], "--kB"),
+    (["oodp", "relax", "--instance", "nothere.json", "--b", "1,3"], "--b"),
+    (["odp", "brute", "--instance", "nothere.json", "--f", "const:2"], "--f"),
 ]
 
 
@@ -419,10 +433,15 @@ UNREAD_DEFAULTED = [
         (["gset", "check", "--a", "1,2,1.5", "--astar", INSIDE], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "3,1,0.5", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,-0.1", "--astar", INSIDE, "--bsharp", INSIDE], None, None),
-        *[(argv, None, None) for argv, _ in UNREAD_DEFAULTED],
+        *[(argv, None, None) for argv, _ in UNREAD_DEFAULTED[:3]],
         # a spec given twice, and a constant coating with a named inclusion
         (["laminate", "--spec-file", "inst.json", "--spec", "not json at all", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, {"directions": [[1, 0]], "weights": [1], "core": "a2", "relation": "A_subset_B"}),
         (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--coreB", "const", "--inclusion", "B_in_A", "--const-b", "2"], None, None),
+        # appended after the cases above, so that no earlier case's id moves
+        *[(argv, None, None) for argv, _ in UNREAD_DEFAULTED[3:]],
+        # malformed values of the flags only oned converge reads
+        (["oned", "converge", *ONED, "--profile", "nothere.json", "--f", "bogus"], None, None),
+        (["oned", "converge", *ONED, "--profile", "nothere.json", "--periods", "abc"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
@@ -452,6 +471,40 @@ def test_unread_flag_is_named(argv, flag, capsys):
     captured = capsys.readouterr()
     request = argv[0] if argv[0] in ("hashin", "laminate") else f"{argv[0]} {argv[1]}"
     assert captured.out == "" and captured.err == f"error: {request} does not read {flag}\n"
+
+
+CONST_SPEC = '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}'
+# (request, the defaults it omits, each given explicitly): every default of _READS, and
+# those its handlers apply where whether a flag is read depends on another value
+DEFAULTS = [
+    (["gset", "sample", "--a", "1,2,0.5"], ["--side", "lower", "--n", "50"]),
+    (["pair", "sweep"], ["--seed", "0", "--count", "1000", "--max-dim", "3"]),
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a1"], ["--coreB", "const", "--inclusion", "none", "--n", "2", "--const-b", "1"]),
+    (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--oracle"], ["--points", "10000"]),
+    (["laminate", "--spec", CONST_SPEC, "--a", "1,2,0.5"], ["--const-b", "1"]),
+    (["oned", "converge", *ONED, "--profile", "profile.json"], ["--f", "const:1", "--periods", "4,16,64,256"]),
+    (["odp", "brute", "--a", "1,2"], ["--cells", "12", "--kA", "6", "--f", "const:1"]),
+    (["oodp", "relax", "--a", "1,2", "--b", "1,3"], ["--cells", "12", "--kA", "6", "--kB", "6", "--f", "const:1"]),
+    (["phase", *ONED], ["--n", "20"]),
+]
+
+
+@pytest.mark.parametrize("argv, explicit", DEFAULTS, ids=[" ".join([argv[0], *explicit[::2]]) for argv, explicit in DEFAULTS])
+def test_omitted_default_prints_the_same_bytes(argv, explicit, tmp_path, monkeypatch, capsys):
+    # a request that omits a defaulted flag prints what it prints given the default
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.json").write_text(json.dumps({"cells": [{"len": 0.5, "inA": True, "inB": True}, {"len": 0.5, "inA": False, "inB": False}], "periods": 1}))
+    runs = []
+    for request in (argv, argv + explicit):
+        runs.append((exit_code(request), *capsys.readouterr()))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1] and not runs[0][2]
+
+
+def test_every_row_default_is_checked():
+    # each --flag=value of _READS is among the defaults test_omitted_default_prints_the_same_bytes gives
+    checked = {(argv[0], flag, value) for argv, explicit in DEFAULTS for flag, value in zip(explicit[::2], explicit[1::2])}
+    declared = {(command, *token.split("=")) for (command, _), reads in _READS.items() for token in reads.split() if "=" in token}
+    assert declared <= checked
 
 
 @pytest.mark.parametrize(
