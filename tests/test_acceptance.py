@@ -4,14 +4,12 @@ Run with `pytest tests/test_acceptance.py -s` to see the PASS/FAIL lines.
 Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
-import hashlib
 import time
 
 import numpy as np
 import pytest
 
 from homobounds import sweeps
-from homobounds.cli import main
 from homobounds.gclosure import PhaseA, theta_from_upper_boundary
 from homobounds.hashin import CoatingConfig, hs_b
 from homobounds.homog1d import (
@@ -38,6 +36,8 @@ from homobounds.pairbounds import (
 from homobounds.relaxation import classical_pattern_value, oodp_bruteforce_1d, oodp_relaxed_value_1d, DesignField1D
 from homobounds.sweeps import draw_composite, feasibility_sweep, make_rng
 from homobounds.symtensor import SymTensor, commutator_norm, trace_pairing_bound
+
+import pins
 
 PA = PhaseA(1.0, 2.0, 0.5)
 PB = PhaseB(1.0, 3.0, 0.5)
@@ -144,18 +144,12 @@ def test_criterion_05_randomized_feasibility_sweep(criterion_05_rows):
     )
 
 
-# sha256 of `homobounds pair sweep --seed 20260809 --count 10000` output (md5 917afc277d8444089da138c742d9eb80)
-CRITERION_05_CSV_SHA256 = "109dd376b32a1d2f87947f893fa61188ebab6ef16ec21c9f07019494bcad92e1"
-
-
-def test_criterion_05_sweep_csv_keeps_its_bits(criterion_05_rows, monkeypatch, capsys):
+def test_criterion_05_sweep_csv_keeps_its_bits(criterion_05_rows, monkeypatch):
     # the CLI prints criterion 5's rows, handed to it instead of a second sweep
-    monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
     calls = []
     monkeypatch.setattr(sweeps, "feasibility_sweep", lambda *args: calls.append(args) or criterion_05_rows)
-    assert main(["pair", "sweep", "--seed", "20260809", "--count", "10000"]) == 0
+    assert pins.moved("sweep/criterion_5", pins.load()["sweep/criterion_5"]) == ""
     assert calls == [(20260809, 10_000, 3, 1e-9)]
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CRITERION_05_CSV_SHA256
 
 
 def test_criterion_06_interval_optimality():

@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -10,6 +8,8 @@ from homobounds.hashin import hs_b
 from homobounds.pairbounds import DimensionMismatch, PhaseB, pair_membership, pair_memberships
 from homobounds.sweeps import _CHUNK, draw_composite, draw_composites, feasibility_sweep, make_rng
 from homobounds.symtensor import MAX_DIM, SymTensor
+
+import pins
 
 
 class TestGenerator:
@@ -110,54 +110,26 @@ def test_pair_check_names_a_dimension_mismatch(capsys):
     assert capsys.readouterr() == ("", "error: A* is 2x2, B# is 3x3\n")
 
 
-@pytest.mark.parametrize(
-    "max_dim, digest",
-    [
-        (3, "b019b4d97e346405eea00f5405252b42d1509be32e9f4305d2ad0d74a38d95a7"),
-        (8, "214ed460dedb38a2137400078accfc2428d78ee9975b916174aa4021aa62cb13"),
-    ],
-    ids=["max-dim-3", "max-dim-8"],
-)
-def test_sweep_csv_is_bit_identical(max_dim, digest, capsys):
-    # sha256 of the CSV as judged one draw at a time, before sweeps were chunked
-    assert main(["pair", "sweep", "--seed", "7", "--count", "1000", "--max-dim", str(max_dim)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+PINS = pins.load()
+
+
+@pytest.mark.parametrize("max_dim", [3, 8], ids=["max-dim-3", "max-dim-8"])
+def test_sweep_csv_is_bit_identical(max_dim):
+    # the 10^4-row seed-7 CSV, pinned since before sweeps were chunked
+    name = f"sweep/seed_7_max_dim_{max_dim}"
+    got = pins.replay(PINS[name]["argv"])
+    assert pins.moved(name, PINS[name], pins.digests(got)) == ""
     # the pinned rows span every dimension the sweep draws
-    assert sorted({int(line.split(",")[2]) for line in out.splitlines()[1:]}) == list(range(2, max_dim + 1))
-
-
-def draw_digest(draws) -> str:
-    """sha256 over each draw's family, dimension, phases, redraw count and the bytes of A* and B#."""
-    h = hashlib.sha256()
-    for d in draws:
-        h.update(f"{d['family']},{d['dim']},{d['pa']!r},{d['pb']!r},{d['chain_rejections']};".encode())
-        h.update(d["astar"]._m.tobytes())
-        h.update(d["bsharp"]._m.tobytes())
-    return h.hexdigest()
-
-
-# Computed with draw_composite before the draws were built in stacks, at
-# numpy 2.4.6.  The check benchmark builds its pool from one draw per seed,
-# so these digests also pin that pool's input.
-ONE_DRAW_PER_SEED = {
-    2: "b9fb7ed6503a626f801ef77a67f6ba164b5c42fb44887b38939e9528275ad7fd",
-    3: "5b6d5ee06cb644af43caa0e22ee8862cc92b2afda26a5f48609fd6a28a6090ac",
-    8: "ee30273e9c5f749dbee6796d4a9b898f3f222eb730dd9a49d42c764d546abc11",
-}
-# 300 consecutive draw_composite calls on the generator of seed 20260809
-ONE_STREAM = {
-    2: "78a83ebbe6712da9fe67a32577fcf7d23377afb90638a0dc8031c91b77be85e2",
-    3: "8d0aee40801590d228a673153e5879ea6fab773675fc671f04c6b278f7268910",
-    8: "a478b5678dd4ff0f12aa23a8a8aa9b2c28e003bf45305e5baaa410049fb1bc7f",
-}
+    assert sorted({int(line.split(",")[2]) for line in got["stdout"].splitlines()[1:]}) == list(range(2, max_dim + 1))
 
 
 @pytest.mark.parametrize("max_dim", [2, 3, 8])
 def test_draw_bits_are_pinned(max_dim):
-    assert draw_digest(draw_composite(make_rng(seed), max_dim) for seed in range(1, 301)) == ONE_DRAW_PER_SEED[max_dim]
-    # the stacked draws consume the stream as consecutive single draws do
-    assert draw_digest(draw_composites(make_rng(20260809), 300, max_dim)) == ONE_STREAM[max_dim]
+    # pinned with draw_composite before the draws were built in stacks; the
+    # stacked draws consume the stream as consecutive single draws do
+    for how in ("one_per_seed", "one_stream"):
+        name = f"draws/{how}_max_dim_{max_dim}"
+        assert pins.moved(name, PINS[name]) == ""
 
 
 def test_coated_draw_evaluates_b_once(monkeypatch):
