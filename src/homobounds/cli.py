@@ -52,9 +52,9 @@ def _tol(args) -> float:
 
 
 def _unread(args, flags):
-    """ValueError for a request that gives one of `flags`: its action, or its command if it has none, does not read them."""
+    """ValueError for a request that gave one of `flags` (main records them in args.given): its action, or its command if it has none, does not read them."""
     for flag in flags:
-        if getattr(args, _dest(flag)) is not None:
+        if flag in args.given:
             request = f"{args.command} {args.action}" if hasattr(args, "action") else args.command
             raise ValueError(f"{request} does not read {flag}")
 
@@ -93,9 +93,13 @@ def _emit_csv(args, header, rows):
 
 
 def _write(args, text: str):
+    """Print text, or rewrite --out in place: ext4 flushes a file truncated on open when it closes, ~100 ms."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        data = (text + "\n").encode()
+        with os.fdopen(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if os.fstat(fh.fileno()).st_size > len(data):  # never for /dev/null or a pipe, which take no truncate
+                fh.truncate(len(data))
     else:
         print(text)
 
@@ -195,8 +199,7 @@ def cmd_laminate(args) -> int:
     payload = {"relation": spec.relation}
     spec.moment  # built first: a spec of more than MAX_DIM dimensions is refused before the density is read
     if spec.relation == "const_b":
-        const_b = 1.0 if args.const_b is None else args.const_b
-        (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [const_b])  # A* is built once, with B#
+        (astar,), (bsharp,) = laminates._seq_const_stack([spec], [pa], [args.const_b])  # A* is built once, with B#
     else:
         _unread(args, ("--const-b",))
         pb = _phase(args, "b")
@@ -218,12 +221,10 @@ def cmd_hashin(args) -> int:
     _unread(args, ("--b", "--thetaB") if args.coreB == "const" else ("--const-b",))
     if not args.oracle:
         _unread(args, ("--points",))
-    const_b = 1.0 if args.const_b is None else args.const_b
-    density = const_b if args.coreB == "const" else _phase(args, "b")
+    density = args.const_b if args.coreB == "const" else _phase(args, "b")
     payload = {"m": m, "bsharp": hashin.hs_b(pa, density, cfg, args.n)}
     if args.oracle:
-        points = 10_000 if args.points is None else args.points
-        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, density, cfg, args.n, points)
+        payload["bsharp_quadrature"] = hashin.hs_radial_oracle(pa, density, cfg, args.n, args.points)
     _emit(args, payload)
     return 0
 
@@ -261,6 +262,7 @@ def cmd_oned(args) -> int:
 def _design(args, two_sets: bool) -> tuple:
     """(cells, kA, kB, pa, pb, source) from --instance or the flags; pb is None for one set, a and b are pairs."""
     keys = ("cells", "kA", "kB", "a", "b", "f") if two_sets else ("cells", "kA", "a", "f")
+    inst = {k: getattr(args, k) for k in keys}
     if args.instance:
         _unread(args, [f"--{k}" for k in keys])
         with open(args.instance) as fh:
@@ -270,9 +272,6 @@ def _design(args, two_sets: bool) -> tuple:
         missing = [k for k in keys if k not in inst]
         if missing:
             raise ValueError(f"missing from the design instance: {', '.join(map(repr, missing))}")
-    else:  # the design flags' defaults where no --instance replaces them
-        defaults = {"cells": 12, "kA": 6, "kB": 6, "f": "const:1"}
-        inst = {k: defaults.get(k) if getattr(args, k) is None else getattr(args, k) for k in keys}
     cells, ka, kb = inst["cells"], inst["kA"], inst["kB"] if two_sets else 0
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in (cells, ka, kb)) or cells < 1:
         raise ValueError(f"need integer counts with cells >= 1, got cells={cells!r}, kA={ka!r}, kB={kb!r}")
@@ -363,41 +362,41 @@ _FLAGS = {
     "--assert": {"dest": "assert_", "action": "store_true", "help": "exit 1 on failure"},
 }
 
-# subcommand -> (handler, help, the flags it requires)
+# subcommand -> (handler, help)
 _COMMANDS = {
-    "gset": (cmd_gset, "phase-set membership and boundary sampling", "--a"),
-    "pair": (cmd_pair, "pair feasibility and randomized sweeps", ""),
-    "laminate": (cmd_laminate, "sequential-laminate constructors", "--a"),
-    "hashin": (cmd_hashin, "coated-sphere values and radial oracle", "--a --coreA"),
-    "oned": (cmd_oned, "one-dimensional bounds, inversion, convergence", "--a --b"),
-    "odp": (cmd_odp, "single-set design: relaxed value and brute force", ""),
-    "oodp": (cmd_oodp, "two-set design: relaxed value and brute force", ""),
-    "phase": (cmd_phase, "fibre phase-diagram sample grid", "--a --b"),
+    "gset": (cmd_gset, "phase-set membership and boundary sampling"),
+    "pair": (cmd_pair, "pair feasibility and randomized sweeps"),
+    "laminate": (cmd_laminate, "sequential-laminate constructors"),
+    "hashin": (cmd_hashin, "coated-sphere values and radial oracle"),
+    "oned": (cmd_oned, "one-dimensional bounds, inversion, convergence"),
+    "odp": (cmd_odp, "single-set design: relaxed value and brute force"),
+    "oodp": (cmd_oodp, "two-set design: relaxed value and brute force"),
+    "phase": (cmd_phase, "fibre phase-diagram sample grid"),
 }
 
-# (subcommand, action or None) -> the flags the action reads, --flag=value
-# where one has a default.  argparse refuses a flag no row of the subcommand
-# names; main refuses one outside the request's row, then fills in its defaults.
-# Where reading a flag depends on another value, the handler refuses it and
-# applies its default: hashin's --b, --thetaB, --const-b and --points,
-# laminate's --const-b, and the design flags an odp or oodp --instance replaces.
+# (subcommand, action or None) -> the flags the action reads, --flag=value where
+# one has a default; argparse requires a --flag* that every row of the subcommand
+# stars, and refuses a flag no row names.  main refuses one the request gave
+# outside its row, then fills in the row's defaults.  Where reading a flag depends
+# on another value, the handler refuses it: hashin's --b, --thetaB, --const-b and
+# --points, laminate's --const-b, and what an odp/oodp --instance replaces.
 _READS = {
-    ("gset", "check"): "--a --theta --astar --tol --out --assert",
-    ("gset", "sample"): "--a --theta --side=lower --n=50 --out",
+    ("gset", "check"): "--a* --theta --astar --tol --out --assert",
+    ("gset", "sample"): "--a* --theta --side=lower --n=50 --out",
     ("pair", "check"): "--a --theta --b --thetaB --astar --bsharp --tol --out --assert",
     ("pair", "sweep"): "--seed=0 --count=1000 --max-dim=3 --tol --out --assert",
     # a const_b spec reads no --b or --thetaB, yet takes them: bench/workloads.py sends --b with every one
-    ("laminate", None): "--a --theta --b --thetaB --const-b --spec --spec-file --out --assert",
-    ("hashin", None): "--a --theta --b --thetaB --const-b --coreA --coreB=const --inclusion=none --n=2 --oracle --points --out",
-    ("oned", "bounds"): "--a --theta --b --thetaB --out",
-    ("oned", "invert"): "--a --theta --b --thetaB --target --out",
-    ("oned", "limits"): "--a --theta --b --thetaB --profile --out",
-    ("oned", "converge"): "--a --theta --b --thetaB --profile --f=const:1 --periods=4,16,64,256 --out --assert",
-    ("odp", "relax"): "--instance --a --cells --kA --f --out",
-    ("odp", "brute"): "--instance --a --cells --kA --f --out",
-    ("oodp", "relax"): "--instance --a --b --cells --kA --kB --f --out",
-    ("oodp", "brute"): "--instance --a --b --cells --kA --kB --f --out",
-    ("phase", None): "--a --theta --b --thetaB --n=20 --tol --out",
+    ("laminate", None): "--a* --theta --b --thetaB --const-b=1 --spec --spec-file --out --assert",
+    ("hashin", None): "--a* --theta --b --thetaB --const-b=1 --coreA* --coreB=const --inclusion=none --n=2 --oracle --points=10000 --out",
+    ("oned", "bounds"): "--a* --theta --b* --thetaB --out",
+    ("oned", "invert"): "--a* --theta --b* --thetaB --target --out",
+    ("oned", "limits"): "--a* --theta --b* --thetaB --profile --out",
+    ("oned", "converge"): "--a* --theta --b* --thetaB --profile --f=const:1 --periods=4,16,64,256 --out --assert",
+    ("odp", "relax"): "--instance --a --cells=12 --kA=6 --f=const:1 --out",
+    ("odp", "brute"): "--instance --a --cells=12 --kA=6 --f=const:1 --out",
+    ("oodp", "relax"): "--instance --a --b --cells=12 --kA=6 --kB=6 --f=const:1 --out",
+    ("oodp", "brute"): "--instance --a --b --cells=12 --kA=6 --kB=6 --f=const:1 --out",
+    ("phase", None): "--a* --theta --b* --thetaB --n=20 --tol --out",
 }
 
 
@@ -405,18 +404,25 @@ def _dest(flag: str) -> str:
     return _FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
 
 
-def _declared(command: str) -> list:
-    """The flags that `command`'s rows name, in _FLAGS order."""
-    named = {t.partition("=")[0] for (name, _), reads in _READS.items() if name == command for t in reads.split()}
-    return [flag for flag in _FLAGS if flag in named]
+def _tokens(reads: str) -> list:
+    """(flag, starred, default text) of each --flag, --flag* or --flag=value of a _READS row."""
+    return [(flag.rstrip("*"), flag.endswith("*"), text) for flag, _, text in (t.partition("=") for t in reads.split())]
+
+
+def _declared(command: str) -> tuple:
+    """(the flags that `command`'s rows name, in _FLAGS order; the set of those every row stars)."""
+    rows = [_tokens(reads) for (name, _), reads in _READS.items() if name == command]
+    named = {flag for row in rows for flag, _, _ in row}
+    return [flag for flag in _FLAGS if flag in named], set.intersection(*({f for f, star, _ in row if star} for row in rows))
 
 
 @functools.cache
 def _row(command: str, action) -> tuple:
-    """(the declared flags a request does not read, (dest, value) of its defaults), parsed once."""
-    reads = dict(token.partition("=")[::2] for token in _READS[command, action].split())
+    """((flag, dest) of each declared flag, the declared flags a request does not read, (dest, value) of its defaults), parsed once."""
+    reads = {flag: text for flag, _, text in _tokens(_READS[command, action])}
     defaults = tuple((_dest(flag), _FLAGS[flag].get("type", str)(text)) for flag, text in reads.items() if text)
-    return tuple(flag for flag in _declared(command) if flag not in reads), defaults
+    declared = _declared(command)[0]
+    return tuple((flag, _dest(flag)) for flag in declared), tuple(flag for flag in declared if flag not in reads), defaults
 
 
 @functools.cache
@@ -428,10 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     """
     ap = argparse.ArgumentParser(prog="homobounds", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, required) in _COMMANDS.items():
+    for name, (func, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in _declared(name):
-            p.add_argument(flag, default=None, required=flag in required.split(), **_FLAGS[flag])
+        declared, required = _declared(name)
+        for flag in declared:
+            p.add_argument(flag, default=None, required=flag in required, **_FLAGS[flag])
         actions = [action for command, action in _READS if command == name and action]
         if actions:
             p.add_argument("action", choices=actions)
@@ -469,19 +476,22 @@ def main(argv=None) -> int:
 
     The request is parsed once, by its subcommand's parser (see
     parse_request); the top-level parser answers only help and usage errors.
-    A flag outside the request's row of _READS is refused, and each flag of
-    the row that the request omits takes the row's default.  A refused request, an ArithmeticError of scalar float arithmetic
-    included, exits 2 with one error line.
+    The flags the request gave go to args.given; one outside the request's
+    row of _READS is refused, and each flag of the row that the request
+    omits takes the row's default.  A refused request exits 2 with one error
+    line, an ArithmeticError of scalar float arithmetic, an OSError of a
+    file it names and a RecursionError of nesting too deep to parse included.
     """
     args = parse_request(sys.argv[1:] if argv is None else list(argv))
     try:
-        unread, defaults = _row(args.command, getattr(args, "action", None))
+        declared, unread, defaults = _row(args.command, getattr(args, "action", None))
+        args.given = {flag for flag, dest in declared if getattr(args, dest) is not None}
         _unread(args, unread)
         for dest, value in defaults:
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
         return args.func(args)
-    except (ValueError, ArithmeticError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -232,17 +232,3 @@ def oodp_bruteforce_1d(
         raise TooLarge("pair enumeration is capped at 2e6 combinations")
     return _pattern_minimum(cells, onesA, onesB, pa, pb, source)[0]
 
-
-def h_monotonicity_check(pa: PhaseA, grid: int = 100) -> dict:
-    """Monotonicity of the relaxed integrand map along horizontal segments.
-
-    For N = 2 the scalar component of h(A*) restricted to a segment with
-    lambda2 fixed has derivative (2 lambda1 - a2 - abar)/(a2 (a2 - abar)),
-    negative throughout the admissible range lambda1 <= abar < a2.  Checked
-    on a grid over (thetaA, lambda1).
-    """
-    harm, abar = phase_means(pa.a1, pa.a2, np.linspace(0.01, 0.99, grid))
-    lam1 = np.linspace(harm, abar, grid)  # one column per theta
-    deriv = (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
-    worst = float(np.max(deriv, initial=-np.inf))
-    return {"grid_points": deriv.size, "max_derivative": worst, "monotone": bool(worst <= 1e-12)}

@@ -442,11 +442,15 @@ UNREAD_DEFAULTED = [
         # malformed values of the flags only oned converge reads
         (["oned", "converge", *ONED, "--profile", "nothere.json", "--f", "bogus"], None, None),
         (["oned", "converge", *ONED, "--profile", "nothere.json", "--periods", "abc"], None, None),
+        # a directory where a file belongs, and JSON nested past the recursion limit
+        (["gset", "sample", "--a", "1,2,0.5", "--out", "."], None, None),
+        (["laminate", "--spec-file", ".", "--a", "1,2,0.5"], None, None),
+        (["pair", "check", *ONED, "--astar", "[" * 100_000, "--bsharp", INSIDE], None, None),
     ],
 )
-def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
+def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch, capsys):
     # non-finite numbers, bad tolerances and empty grids are usage errors,
-    # never a verdict and never a traceback
+    # never a verdict and never a traceback: one error line, after argparse's usage if it refused the request
     monkeypatch.chdir(tmp_path)
     if env is None:
         monkeypatch.delenv("HOMOBOUNDS_TOL", raising=False)
@@ -455,6 +459,19 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch):
     if instance is not None:
         (tmp_path / "inst.json").write_text(json.dumps(instance))
     assert exit_code(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("\n") and sum("error: " in line for line in err.splitlines()) == 1
+
+
+def test_out_rewrites_in_place(tmp_path, capsys):
+    # a shorter output over a longer file leaves the bytes a fresh file gets
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    assert main(SAMPLE[:-1] + ["50", "--out", str(reused)]) == 0
+    assert main(SAMPLE + ["--out", str(reused)]) == 0
+    assert main(SAMPLE + ["--out", str(fresh)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes() and fresh.read_bytes().count(b"\n") == 4
+    assert main(SAMPLE + ["--out", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize(
@@ -474,8 +491,8 @@ def test_unread_flag_is_named(argv, flag, capsys):
 
 
 CONST_SPEC = '{"directions":[[1,0]],"weights":[1],"core":"a2","relation":"const_b"}'
-# (request, the defaults it omits, each given explicitly): every default of _READS, and
-# those its handlers apply where whether a flag is read depends on another value
+# (request, the defaults it omits, each given explicitly): every default of _READS,
+# those of flags read only for some values of another flag included
 DEFAULTS = [
     (["gset", "sample", "--a", "1,2,0.5"], ["--side", "lower", "--n", "50"]),
     (["pair", "sweep"], ["--seed", "0", "--count", "1000", "--max-dim", "3"]),
@@ -505,6 +522,24 @@ def test_every_row_default_is_checked():
     checked = {(argv[0], flag, value) for argv, explicit in DEFAULTS for flag, value in zip(explicit[::2], explicit[1::2])}
     declared = {(command, *token.split("=")) for (command, _), reads in _READS.items() for token in reads.split() if "=" in token}
     assert declared <= checked
+
+
+def test_readme_table_matches_reads():
+    # README's table of the flags each action reads is _READS as README
+    # writes it: `--a`\* for a required flag, `--n` (50) for a default, and
+    # one line for the actions of a subcommand that read the same flags
+    merged = {}
+    for (command, action), reads in _READS.items():
+        cells = []
+        for token in reads.split():
+            flag, _, default = token.partition("=")
+            cells.append(f"`{flag.rstrip('*')}`" + "\\*" * flag.endswith("*") + f" ({default})" * bool(default))
+        merged.setdefault(", ".join(cells), []).append(f"`{command} {action}`" if action else f"`{command}`")
+    rendered = [f"| {', '.join(requests)} | {cells} |" for cells, requests in merged.items()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Each action reads only the flags in its row", 1)[1].split("\n\n")
+    table = next(block for block in after if block.startswith("| request |")).splitlines()[2:]
+    assert table == rendered
 
 
 @pytest.mark.parametrize(
@@ -836,6 +871,7 @@ def test_entry_point_under_dev_mode(tmp_path):
         ([], 2, "usage: homobounds [-h]"),
         (CHECK + ["--astar", INSIDE, "--no-such-option"], 2, "homobounds: error: unrecognized arguments: --no-such-option"),
         (CHECK + ["--astar", INSIDE, "--out", str(report)], 0, ""),
+        (CHECK + ["--astar", INSIDE, "--out", "/dev/stdout"], 0, '"verdict": "inside"'),
     ]
     procs = [
         subprocess.Popen(

@@ -15,7 +15,6 @@ from homobounds.relaxation import (
     DesignField1D,
     TooLarge,
     classical_pattern_value,
-    h_monotonicity_check,
     odp_bruteforce_1d,
     odp_relaxed_value_1d,
     oodp_bruteforce_1d,
@@ -338,38 +337,20 @@ class TestOodpBrute:
         assert values[-1] == pytest.approx(7 / 96, rel=0.02)
 
 
-class TestMonotonicity:
-    def test_matches_loop_reference(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            a1 = float(rng.uniform(0.1, 2.0))
-            pa = PhaseA(a1, a1 * 10 ** rng.uniform(0.01, 3.0), 0.5)
-            grid = int(rng.integers(1, 40))
-            worst, checked = -np.inf, 0
-            for theta in np.linspace(0.01, 0.99, grid):
-                harm, abar = phase_means(pa.a1, pa.a2, theta)
-                for lam1 in np.linspace(harm, abar, grid):
-                    worst = max(worst, (2.0 * lam1 - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar)))
-                    checked += 1
-            report = h_monotonicity_check(pa, grid)
-            assert report["grid_points"] == checked
-            assert report["max_derivative"] == float(worst)
-            assert report["monotone"] == bool(worst <= 1e-12)
+def test_h_segment_derivative_is_negative():
+    # the single-set relaxation argument: along a segment with lambda2 fixed,
+    # the scalar component of h(A*) has derivative
+    # (2 lambda1 - a2 - abar)/(a2 (a2 - abar)), whose numerator is
+    # -(a2 - abar) - 2(abar - lambda1) < 0 for lambda1 <= abar < a2
+    import sympy
 
-    def test_canonical(self):
-        report = h_monotonicity_check(PhaseA(1, 2, 0.5), grid=100)
-        assert report["monotone"]
-        assert report["max_derivative"] < 0
-
-    def test_derivative_sign_formula(self):
-        # at lambda1 = (a2 + abar)/2 the derivative vanishes; that point
-        # lies outside the admissible range when abar < a2
-        pa = PhaseA(1, 2, 0.5)
-        abar = 1.5
-        lam_star = 0.5 * (pa.a2 + abar)
-        assert lam_star > abar
-        deriv = (2 * lam_star - pa.a2 - abar) / (pa.a2 * (pa.a2 - abar))
-        assert deriv == pytest.approx(0.0, abs=1e-15)
+    lam1, abar, a2 = sympy.symbols("lambda1 abar a2")
+    numerator = 2 * lam1 - a2 - abar
+    assert sympy.expand(numerator + (a2 - abar) + 2 * (abar - lam1)) == 0
+    # the admissible range: lambda1 > 0, abar = lambda1 + q with q >= 0, a2 = abar + p with p > 0
+    lam, p, q = sympy.Symbol("lam", positive=True), sympy.Symbol("p", positive=True), sympy.Symbol("q", nonnegative=True)
+    on_range = {lam1: lam, abar: lam + q, a2: lam + q + p}
+    assert (numerator / (a2 * (a2 - abar))).subs(on_range, simultaneous=True).is_negative
 
 
 def test_per_cell_tuples_do_not_pile_up():
