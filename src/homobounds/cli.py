@@ -144,8 +144,8 @@ def _tensor(text, flag: str) -> SymTensor:
         m = np.asarray(json.loads(text), dtype=float)
     except TypeError:  # a JSON object where a row or number belongs
         raise ValueError(f"--{flag} is a JSON list of rows of numbers, got {text}") from None
-    # checked after symmetrising: finite entries such as 1e308 overflow in 0.5*(m + m.T)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # checked after symmetrising, where an infinite entry facing its opposite gives NaN
+    with np.errstate(invalid="ignore"):
         tensor = SymTensor(m)
     if not np.isfinite(tensor.mat).all():
         raise ValueError(f"--{flag} entries and their symmetrised values must be finite, got {text}")
@@ -180,7 +180,10 @@ def cmd_pair(args) -> int:
         return _exit_code(args, any(r[-1] == "infeasible" for r in rows))
     pa, pb = _phase(args, "a"), _phase(args, "b")
     astar, bsharp = _tensor(args.astar, "astar"), _tensor(args.bsharp, "bsharp")
-    report = pairbounds.pair_membership(astar, bsharp, pa, pb, _tol(args))
+    # numpy's array arithmetic only warns where Python's float arithmetic
+    # raises, so a request whose trace sums overflow is refused as one is
+    with np.errstate(over="raise"):
+        report = pairbounds.pair_membership(astar, bsharp, pa, pb, _tol(args))
     _emit(args, vars(report))
     return _exit_code(args, report.verdict == "infeasible")
 
@@ -336,7 +339,7 @@ _FLAGS = {
     "--thetaB": {"type": finite, "help": "thetaB, the volume fraction of b1"},
     "--astar": {"help": "matrix as JSON, e.g. [[1.3,0],[0,1.5]]"},
     "--bsharp": {"help": "matrix as JSON"},
-    "--const-b": {"type": finite, "help": "constant density b (default 1)"},
+    "--const-b": {"type": finite, "help": "constant density b"},
     "--instance": {"help": "instance JSON file"},
     "--cells": {"type": int},
     "--kA": {"type": int},
@@ -353,7 +356,7 @@ _FLAGS = {
     "--coreB": {"choices": ["b1", "b2", "const"]},
     "--inclusion": {},
     "--oracle": {"action": "store_true", "help": "add the quadrature cross-check"},
-    "--points": {"type": int, "help": "quadrature points of --oracle (default 10000)"},
+    "--points": {"type": int, "help": "quadrature points of --oracle"},
     "--target": {"type": finite},
     "--profile": {"help": "profile JSON file"},
     "--periods": {},
@@ -416,6 +419,15 @@ def _declared(command: str) -> tuple:
     return [flag for flag in _FLAGS if flag in named], set.intersection(*({f for f, star, _ in row if star} for row in rows))
 
 
+def _help(command: str, flag: str):
+    """The flag's help text in `command`'s parser, ending in the defaults its rows of _READS give it."""
+    defaults = sorted({text for (name, _), reads in _READS.items() if name == command for f, _, text in _tokens(reads) if f == flag and text})
+    text = _FLAGS[flag].get("help")
+    if not defaults:
+        return text
+    return f"{text + ' ' if text else ''}(default {' or '.join(defaults)})"
+
+
 @functools.cache
 def _row(command: str, action) -> tuple:
     """((flag, dest) of each declared flag, the declared flags a request does not read, (dest, value) of its defaults), parsed once."""
@@ -438,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         declared, required = _declared(name)
         for flag in declared:
-            p.add_argument(flag, default=None, required=flag in required, **_FLAGS[flag])
+            p.add_argument(flag, default=None, required=flag in required, **{**_FLAGS[flag], "help": _help(name, flag)})
         actions = [action for command, action in _READS if command == name and action]
         if actions:
             p.add_argument("action", choices=actions)

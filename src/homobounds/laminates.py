@@ -25,7 +25,18 @@ import numpy as np
 
 from .gclosure import DEFAULT_TOL, PhaseA, core_side, homogeneous_value, means
 from .homog1d import bsharp_1d, overlap_window
-from .pairbounds import RELATIONS as _PAIR_RELATIONS, PhaseB, _chain_slacks, admits, flux_ratio, gradient_extremes, l2_terms, u2_terms
+from .pairbounds import (
+    RELATIONS as _PAIR_RELATIONS,
+    PhaseB,
+    _chain_slacks,
+    _flux_ratio,
+    _flux_terms,
+    _gradient_rows,
+    _gradient_terms,
+    admits,
+    l2_terms,
+    u2_terms,
+)
 from .symtensor import _NON_FINITE, SymTensor, eig, eig_stack, from_frames  # noqa: F401, eig is not called here but its alias is tested
 
 RELATIONS = (*_PAIR_RELATIONS, "const_b")
@@ -75,7 +86,7 @@ class LaminateSpec:
             raise InconsistentSpec("directions and weights must be nonempty and match")
         if len({len(d) for d in self.directions}) != 1:
             raise InconsistentSpec("directions must all have the same dimension")
-        if not np.isfinite([x for d in self.directions for x in d] + list(self.weights)).all():
+        if not all(map(math.isfinite, [x for d in self.directions for x in d] + list(self.weights))):
             raise InconsistentSpec("directions and weights must be finite")
         for d in self.directions:
             # hypot scales its arguments, so a huge finite direction fails here without an overflow warning
@@ -97,10 +108,11 @@ class LaminateSpec:
     @cached_property
     def moment(self) -> SymTensor:
         """Unit-trace second moment sum m_i e_i (x) e_i, built once per spec."""
+        e = np.array(self.directions)
         m = np.zeros((self.dim, self.dim))
-        for d, w in zip(self.directions, self.weights):
-            e = np.asarray(d)
-            m += w * np.outer(e, e)
+        # one product for all the terms w_i e_i e_i^T, summed in order
+        for term in np.array(self.weights)[:, None, None] * (e[:, :, None] * e[:, None, :]):
+            m += term
         return SymTensor(m)
 
     def to_json(self) -> str:
@@ -200,7 +212,7 @@ def _seq_const_stack(specs, pas, bs) -> tuple:
         rows.append((b, base, sign, scale, means(pa)[1]))
     b, base, sign, scale, arith = np.array(rows).T[:, :, None]
     diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
-    tensors = [SymTensor(m) for m in from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag]))]
+    tensors = SymTensor.stack(from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag])))
     return tensors[: len(specs)], tensors[len(specs) :]
 
 
@@ -232,17 +244,8 @@ def seq_B_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> SymTensor:
     return seq_pair_pp(spec, pa, pb)[1]
 
 
-def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
-    """(A*, B#) = (seq_A, seq_B_pp) of a two-phase spec, with ChainViolation as in seq_B_pp.
-
-    A* and B# are diagonal in the moment's eigenframe (Francfort & Murat
-    1986), so the chain is judged there, on their spectra and the link's
-    (b2/a1) a_diag - diag, and only the moment is decomposed.  A non-finite
-    A* or B# entry or link value is refused with the ValueError a
-    decomposition gives it.  Where the matrix phase fills the medium (see
-    homogeneous_value), A* is its value times I and B# is mean(b) I, for
-    either core.
-    """
+def _check_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB):
+    """Refuse a spec seq_pair_pp cannot build: the constant-density relation, one the fractions do not admit, or the wrong core."""
     relation = spec.relation
     if relation == "const_b":
         raise InconsistentSpec("use seq_B_const for the constant-density relation")
@@ -254,35 +257,74 @@ def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
     if spec.core_phase != core:
         raise InconsistentSpec(f"relation {relation} needs core {core}")
 
-    w, a_diag, frames = _laminate_frames([spec], [pa])
-    w, a_diag = w[0], a_diag[0]
-    theta = pa.thetaA
 
-    if homogeneous_value(pa) == core_side(pa, core)[0]:
-        diag = np.full(len(a_diag), pb.mean)
-    elif core == "a2":
-        nested, disjoint = gradient_extremes(a_diag, w, pa, pb, theta)
-        diag = nested if relation == "A_subset_B" else disjoint
-    else:
-        ratio = flux_ratio(a_diag, pa, theta) ** 2
-        if relation == "B_subset_A":
-            c, level, osc = l2_terms(pa, pb, theta)
-            flux = c + (level + osc * (1.0 - w)) * ratio
+def _seq_pp_stack(specs, pas, pbs) -> list:
+    """seq_pair_pp of each (spec, pa, pb), the specs of one dimension, from one _laminate_frames pass.
+
+    Each entry is the pair (A*, B#), or the ChainViolation seq_pair_pp
+    raises for it; a spec seq_pair_pp refuses otherwise raises here, and a
+    non-finite entry anywhere in the stack raises ValueError.  The rows of
+    each core (and those of a homogeneous matrix medium) are evaluated
+    together, their phase terms as columns, so each row has the bits of its
+    one-spec case.
+    """
+    for spec, pa, pb in zip(specs, pas, pbs):
+        _check_pp(spec, pa, pb)
+    w, a_diag, frames = _laminate_frames(specs, pas)
+    diag, kinds = np.empty_like(a_diag), {}
+    for k, (spec, pa) in enumerate(zip(specs, pas)):
+        core = _PAIR_RELATIONS[spec.relation].core_a
+        # the core-a2 relations share one pass, gradient_extremes giving both
+        kind = spec.relation if core == "a1" else "a2"
+        kinds.setdefault("homogeneous" if homogeneous_value(pa) == core_side(pa, core)[0] else kind, []).append(k)
+    for kind, ks in kinds.items():
+        # the phase terms of each row are Python floats, as in the one-spec case
+        lam, m, rows = a_diag[ks], w[ks], [(pas[k], pbs[k], pas[k].thetaA) for k in ks]
+        if kind == "homogeneous":
+            diag[ks] = np.array([pb.mean for _, pb, _ in rows])[:, None]
+        elif kind == "a2":
+            nested, disjoint = _gradient_rows(lam, m, np.array([_gradient_terms(*row) for row in rows]).T[:, :, None])
+            diag[ks] = np.where(np.array([specs[k].relation == "A_subset_B" for k in ks])[:, None], nested, disjoint)
         else:
-            lead, level, osc = u2_terms(pa, pb, theta)
-            flux = lead / a_diag - (level - osc * (1.0 - w)) * ratio
-        diag = a_diag**2 * flux
-
-    astar, bsharp = [SymTensor(m) for m in from_frames(frames[[0, 0]], np.array([a_diag, diag]))]
-    link = (pb.b2 / pa.a1) * a_diag - diag
-    if not all(np.isfinite(v).all() for v in (astar._m, bsharp._m, link)):
+            terms = l2_terms if kind == "B_subset_A" else u2_terms
+            inverse_a2, scale, first, level, osc = np.array([(*_flux_terms(pa, theta), *terms(pa, pb, theta)) for pa, pb, theta in rows]).T[:, :, None]
+            ratio = _flux_ratio(lam, inverse_a2, scale) ** 2
+            if kind == "B_subset_A":
+                flux = first + (level + osc * (1.0 - m)) * ratio
+            else:
+                flux = first / lam - (level - osc * (1.0 - m)) * ratio
+            diag[ks] = lam**2 * flux
+    k = len(specs)
+    matrices = from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag]))
+    link = np.array([pb.b2 / pa.a1 for pa, pb in zip(pas, pbs)])[:, None] * a_diag - diag
+    # symmetrising keeps an entry finite, or not, as it is
+    if not (np.isfinite(matrices).all() and np.isfinite(link).all()):
         raise ValueError(_NON_FINITE)
-    # as Python floats, like the eigenvalues general_chain_check takes, so an overflow is inf without a numpy warning
-    slacks = _chain_slacks(a_diag.tolist(), diag.tolist(), link.tolist(), pa, pb)
-    if min(slacks) < -DEFAULT_TOL:
-        raise ChainViolation(
-            f"relation {relation} output violates the bounds chain (worst slack {min(slacks):.3e})",
-            tensor=bsharp,
-            astar=astar,
-        )
-    return astar, bsharp
+    tensors = SymTensor.stack(matrices)
+    built = []
+    for spec, pa, pb, astar, bsharp, lam, mu, nu in zip(specs, pas, pbs, tensors[:k], tensors[k:], a_diag.tolist(), diag.tolist(), link.tolist()):
+        # as Python floats, like the eigenvalues general_chain_check takes, so an overflow is inf without a numpy warning
+        slacks = _chain_slacks(lam, mu, nu, pa, pb)
+        if min(slacks) < -DEFAULT_TOL:
+            message = f"relation {spec.relation} output violates the bounds chain (worst slack {min(slacks):.3e})"
+            built.append(ChainViolation(message, tensor=bsharp, astar=astar))
+        else:
+            built.append((astar, bsharp))
+    return built
+
+
+def seq_pair_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB) -> tuple:
+    """(A*, B#) = (seq_A, seq_B_pp) of a two-phase spec, with ChainViolation as in seq_B_pp: the one-spec case of _seq_pp_stack.
+
+    A* and B# are diagonal in the moment's eigenframe (Francfort & Murat
+    1986), so the chain is judged there, on their spectra and the link's
+    (b2/a1) a_diag - diag, and only the moment is decomposed.  A non-finite
+    A* or B# entry or link value is refused with the ValueError a
+    decomposition gives it.  Where the matrix phase fills the medium (see
+    homogeneous_value), A* is its value times I and B# is mean(b) I, for
+    either core.
+    """
+    built = _seq_pp_stack([spec], [pa], [pb])[0]
+    if isinstance(built, ChainViolation):
+        raise built
+    return built

@@ -33,17 +33,20 @@ from .gclosure import (
     homogeneous_value,
     lower_trace_sum,
     means,
+    slacks_stack,
     theta_from_upper_boundary,
     thetas_from_lower_boundary,
 )
 from .homog1d import lim_b_over_a, phase_means
 from .symtensor import (
+    EigSystem,
     SingularFactor,
     SymTensor,
     derived,
     eig,
     eig_stack,
     from_frames,
+    positive_rows,
     positive_spectrum,
 )
 
@@ -133,57 +136,194 @@ class _Inputs(NamedTuple):
     link: tuple  # eigenvalues of the chain link (b2/a1) A* - B#, descending
     beta: np.ndarray  # the diagonal of B# in A*'s eigenframe
     const_b: dict  # at a constant density: core -> (F, the middle's EigSystem, rhs), F None for a homogeneous base medium
+    sides: dict  # (bound, theta or None) -> lhs, of the bounds the stacked pass of pair_memberships evaluates
 
 
-def _verdict_inputs(rows) -> list:
+# The A-core of the middle factor of each constant-density bound.
+_CONST_CORES = {"L_const_b": "a1", "U_const_b": "a2"}
+
+
+class _Phases(NamedTuple):
+    """The phase terms a trace bound's lhs reads: floats for one pair, or (K, 1) columns with one entry per pair of a stack."""
+
+    a1: float
+    b1: float
+    b2_a1: float  # b2/a1
+    floor: float  # flux_floor(pa, pb); this and the rest are None without theta
+    lead: float  # the lead of u2_terms
+    inverse_a2: float  # the _flux_terms at the pair's theta
+    scale: float
+
+
+def _phases(pa: PhaseA, pb: PhaseB, theta=None) -> _Phases:
+    """The _Phases of one pair, as Python floats; the terms of L2 and U2 only with theta, the upper-boundary fraction they read."""
+    if theta is None:
+        return _Phases(pa.a1, pb.b1, pb.b2 / pa.a1, None, None, None, None)
+    return _Phases(pa.a1, pb.b1, pb.b2 / pa.a1, flux_floor(pa, pb), _u2_lead(pa, pb), *_flux_terms(pa, theta))
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each row of a (K, N) stack with the same row of another, bit for bit np.dot of the pair."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _two_phase_lhs(names, lam: np.ndarray, beta: np.ndarray, p: _Phases) -> dict:
+    """{name: the lhs of each row} of the two-phase trace bounds `names`.
+
+    lam and beta are (K, N) stacks of A*'s eigenvalues and of the diagonal
+    of B# in A*'s eigenframe, and p holds the _Phases of each pair.  Each
+    bound pairs B# with a function f of A* alone, and tr B# f(A*) = sum_i
+    beta_i f(lambda_i) whether or not B# commutes with A*.  An axis-1 np.sum
+    and _rowdot give each row the bits of np.sum and np.dot on its pair
+    alone.  L1 and U1 need each lam - a1 positive (see positive_rows).
+    """
+    lhs = {}
+    if "L1" in names or "U1" in names:
+        shift2 = (lam - p.a1) ** 2
+        if "L1" in names:
+            lhs["L1"] = np.sum((beta - p.b1) / shift2, axis=1)
+        if "U1" in names:
+            lhs["U1"] = np.sum((p.b2_a1 * lam - beta) / shift2, axis=1)
+    if "L2" in names or "U2" in names:
+        weight, flux = _flux_ratio(lam, p.inverse_a2, p.scale) ** -2, beta / lam**2
+        if "L2" in names:
+            lhs["L2"] = _rowdot(flux - p.floor, weight)
+        if "U2" in names:
+            lhs["U2"] = _rowdot(p.lead / lam - flux, weight)
+    return lhs
+
+
+def _const_lhs(outer: np.ndarray, values: np.ndarray, frames: np.ndarray, b) -> np.ndarray:
+    """b tr F M^-1 F of (K, N, N) stacks of outer factors F and of the frames of middle factors M with positive (K, N) spectra values."""
+    inverse = from_frames(frames, values**-1.0)
+    return b * np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
+
+
+def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
     """The _Inputs of each (A*, B#, pa, b1, b2) in a sequence, kept on A* under (pa, b1, b2).
 
     A* keeps the records of its last partner B# only (see symtensor.derived).
-    Per dimension, one LAPACK call decomposes, row by row, A*, B#, the chain
-    link (b2/a1) A* - B# and, at a constant density (see _constant_density),
-    each core's middle factor sign (b1 A* - base B#), where
-    (base, frac, _, sign) = core_side(pa, core).  One stacked product then
-    gives every beta.  Each core keeps its outer factor F = sign (A* - base I)
-    and its rhs N frac (a2-a1), from which _bound_const_b evaluates the lhs;
-    a core whose F vanishes (a homogeneous base medium) has no middle.  The
-    record of a constant density is kept under (pa, b1, b1) too, where the
-    bounds of the density b1 find it.  A pair whose A* and B# differ in
-    dimension raises DimensionMismatch before anything is built.
+    Per dimension, one LAPACK call decomposes A* and B# (memoised on them),
+    the chain link (b2/a1) A* - B# and, at a constant density (see
+    _constant_density), each core's middle factor sign (b1 A* - base B#),
+    where (base, frac, _, sign) = core_side(pa, core).  One stacked product
+    then gives every beta.  Each core keeps its outer factor
+    F = sign (A* - base I) and its rhs N frac (a2-a1), from which
+    _bound_const_b evaluates the lhs; a core whose F vanishes (a homogeneous
+    base medium) has no middle.  The record of a constant density is kept
+    under (pa, b1, b1) too, where the bounds of the density b1 find it.  A
+    pair whose A* and B# differ in dimension raises DimensionMismatch before
+    anything is built.
+
+    Given pbs, the PhaseB of each row, it also judges the rows on stacked
+    arrays, per dimension: A* keeps its Judged under pa for g_membership and
+    theta_from_upper_boundary (see gclosure.slacks_stack), and each record
+    keeps in sides the lhs of the two bounds pair_membership selects for a
+    member at tol whose inverse factors are regular.
     """
     for astar, bsharp, *_ in rows:
         if astar.dim != bsharp.dim:
             raise DimensionMismatch(f"A* is {astar.dim}x{astar.dim}, B# is {bsharp.dim}x{bsharp.dim}")
     records, by_dim = [None] * len(rows), {}
-    for i, (astar, bsharp, pa, b1, b2) in enumerate(rows):
-        tensors, outers = [astar, bsharp, SymTensor((b2 / pa.a1) * astar._m - bsharp._m)], {}
-        if _constant_density(b1, b2):
-            n = astar.dim
-            for core in ("a1", "a2"):
-                base, frac, _, sign = core_side(pa, core)
-                # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
-                outer = astar.mat
-                outer.flat[:: n + 1] -= base
-                outer *= sign
-                if np.abs(outer).max() <= 1e-14 * base:
-                    outer = None  # a homogeneous base medium
-                else:
-                    tensors.append(SymTensor(sign * (b1 * astar._m - base * bsharp._m)))
-                outers[core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
-        by_dim.setdefault(astar.dim, []).append((i, tensors, outers))
-    for group in by_dim.values():
-        flat = iter(eig_stack([t for _, tensors, _ in group for t in tensors]))
-        systems = [[next(flat) for _ in tensors] for _, tensors, _ in group]
-        frames = np.array([es[0].frame for es in systems])
-        beta = frames.transpose(0, 2, 1) @ np.array([tensors[1]._m for _, tensors, _ in group]) @ frames
-        for (i, tensors, outers), es, row_beta in zip(group, systems, beta.diagonal(axis1=1, axis2=2)):
-            middles = iter(es[3:])
-            const_b = {core: (outer, None if outer is None else next(middles), rhs) for core, (outer, rhs) in outers.items()}
-            pa, b1, b2 = rows[i][2:]
-            kept = derived(tensors[0], tensors[1])
-            records[i] = kept[(pa, b1, b2)] = _Inputs(es[2].values, row_beta, const_b)
-            if const_b:
+    for i, row in enumerate(rows):
+        by_dim.setdefault(row[0].dim, []).append(i)
+    for n, group in by_dim.items():
+        astars, bsharps, ratio, const = [], [], [], []
+        for k, i in enumerate(group):
+            astar, bsharp, pa, b1, b2 = rows[i]
+            astars.append(astar)
+            bsharps.append(bsharp)
+            ratio.append(b2 / pa.a1)
+            if _constant_density(b1, b2):
+                const.append(k)
+        a, b = np.array([t._m for t in astars]), np.array([t._m for t in bsharps])
+        more = [np.array(ratio)[:, None, None] * a - b]
+        if const:
+            pas = [rows[group[k]][2] for k in const]
+            sides = np.array([[core_side(pa, core) for pa in pas] for core in ("a1", "a2")])
+            base, _, _, sign = sides.transpose(2, 0, 1)[..., None, None]  # each (2, C, 1, 1): core a1, then core a2
+            b1 = np.array([rows[group[k]][3] for k in const])[:, None, None]
+            ac, bc = a[const], b[const]
+            outer = np.array([ac, ac])
+            # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
+            outer.reshape(2, len(const), -1)[:, :, :: n + 1] -= base[..., 0]
+            outer *= sign
+            live = np.abs(outer).max(axis=(2, 3)) > 1e-14 * base[..., 0, 0]  # else a homogeneous base medium
+            more.append((sign * (b1 * ac - base * bc))[live])
+        systems, (values, frames) = eig_stack(astars + bsharps, np.concatenate(more))
+        k_rows = len(group)
+        axes = np.array([es.frame for es in systems[:k_rows]])
+        beta = (axes.transpose(0, 2, 1) @ b @ axes).diagonal(axis1=1, axis2=2)
+        links, const_b = values[:k_rows].tolist(), [{} for _ in group]
+        if const:
+            middles = iter(zip(values[k_rows:].tolist(), frames[k_rows:]))
+            for j, core in enumerate(("a1", "a2")):
+                for c, (k, pa) in enumerate(zip(const, pas)):
+                    rhs = float(n * sides[j, c, 1] * (pa.a2 - pa.a1))
+                    if live[j, c]:
+                        middle_values, middle_frame = next(middles)
+                        const_b[k][core] = (outer[j, c], EigSystem(tuple(middle_values), middle_frame), rhs)
+                    else:
+                        const_b[k][core] = (None, None, rhs)
+        for k, i in enumerate(group):
+            astar, bsharp, pa, b1, b2 = rows[i]
+            kept = derived(astar, bsharp)
+            records[i] = kept[(pa, b1, b2)] = _Inputs(tuple(links[k]), beta[k], const_b[k], {})
+            if const_b[k]:
                 kept[(pa, b1, b1)] = records[i]
+        if pbs is not None:
+            _judge(rows, pbs, tol, group, np.array([es.values for es in systems[:k_rows]]), beta, records)
     return records
+
+
+def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray, records: list):
+    """The stacked judging pass of _verdict_inputs over the rows `group` of one dimension, with their (K, N) lam and beta.
+
+    A homogeneous A-medium is judged without a bound, so its rows are left
+    out.  Every two-phase bound runs on every two-phase member at once,
+    quietly, and each pair keeps its selected two; the lhs of L1 and U1
+    only where the shift A* - a1 I passes positive_rows.
+    """
+    live = [k for k, i in enumerate(group) if homogeneous_value(rows[i][2]) is None]
+    if not live:
+        return
+    const, two = [], []
+    for k, row in zip(live, slacks_stack(lam[live], [rows[group[k]][2] for k in live], tol)):
+        astar, bsharp, pa, b1, b2 = rows[group[k]]
+        derived(astar, bsharp)[pa] = row
+        if row.report.verdict == "outside":
+            continue
+        if _constant_density(b1, b2):
+            const += [(k, name) for name in _CONST_CORES]
+        else:
+            two.append((k, classify_region(pa, pbs[group[k]]), row.theta))
+    if two:
+        ks = [k for k, _, _ in two]
+        p = _Phases(*np.array([_phases(rows[group[k]][2], pbs[group[k]], t) for k, _, t in two]).T[:, :, None])
+        names = {name for _, region, _ in two for name in (region[:2], region[2:])}
+        lam = lam[ks]
+        with np.errstate(all="ignore"):
+            positive = positive_rows(lam - p.a1).tolist() if "L1" in names or "U1" in names else None
+            lhs = {name: values.tolist() for name, values in _two_phase_lhs(names, lam, beta[ks], p).items()}
+        for j, (k, region, t) in enumerate(two):
+            sides = records[group[k]].sides
+            for name in (region[:2], region[2:]):
+                if name[1] == "2":
+                    sides[(name, t)] = lhs[name][j]  # L2 and U2 read theta, and their lhs is kept under it
+                elif positive[j]:
+                    sides[(name, None)] = lhs[name][j]
+    factors = [(k, name, records[group[k]].const_b[_CONST_CORES[name]]) for k, name in const]
+    factors = [(k, name, outer, es) for k, name, (outer, es, _) in factors if outer is not None]
+    if factors:
+        values = np.array([es.values for *_, es in factors])
+        keep = positive_rows(values)
+        factors = [f for f, ok in zip(factors, keep.tolist()) if ok]
+        if factors:
+            outer = np.array([f[2] for f in factors])
+            frames = np.array([f[3].frame for f in factors])
+            b = np.array([rows[group[k]][3] for k, *_ in factors])
+            for (k, name, _, _), value in zip(factors, _const_lhs(outer, values[keep], frames, b).tolist()):
+                records[group[k]].sides[(name, None)] = value
 
 
 def _inputs(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b1: float, b2: float) -> _Inputs:
@@ -221,40 +361,46 @@ def general_chain_check(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: Pha
     return _chain_slacks(eig(astar).values, eig(bsharp).values, link, pa, pb)
 
 
-def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, core: str) -> tuple:
-    """(lhs, rhs) of the constant-density trace bound with the given core, from the pair's record.
+def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, name: str) -> tuple:
+    """(lhs, rhs) of the constant-density trace bound `name`, from the pair's record.
 
     Feasible pairs have lhs = b tr F M^-1 F <= rhs = N frac (a2-a1), with
     F = sign (A* - base I) and the middle factor M = sign (b A* - base B#);
-    a homogeneous base medium (F = 0) has lhs 0.0.
+    a homogeneous base medium (F = 0) has lhs 0.0.  The lhs is the one the
+    stacked pass kept, else the one-pair case of _const_lhs.
     """
-    outer, middle, rhs = _inputs(astar, bsharp, pa, b, b).const_b[core]
+    record = _inputs(astar, bsharp, pa, b, b)
+    outer, middle, rhs = record.const_b[_CONST_CORES[name]]
     if outer is None:
         return 0.0, rhs
-    # raises SingularFactor for a middle factor that is not positive definite
-    inverse = middle.frame @ np.diag(positive_spectrum(middle.values) ** -1.0) @ middle.frame.T
-    return float(b * np.trace(outer @ inverse @ outer)), rhs
+    lhs = record.sides.get((name, None))
+    if lhs is None:
+        # raises SingularFactor for a middle factor that is not positive definite
+        values = positive_spectrum(middle.values)
+        lhs = float(_const_lhs(outer[None], values[None], middle.frame[None], b)[0])
+    return lhs, rhs
 
 
 def bound_L_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
     """Constant-density lower trace bound (core a1 saturates it); feasible pairs have lhs <= rhs."""
-    return _bound_const_b(astar, bsharp, pa, b, "a1")
+    return _bound_const_b(astar, bsharp, pa, b, "L_const_b")
 
 
 def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -> tuple:
     """Constant-density upper trace bound (core a2 saturates it); feasible pairs have lhs <= rhs."""
-    return _bound_const_b(astar, bsharp, pa, b, "a2")
+    return _bound_const_b(astar, bsharp, pa, b, "U_const_b")
 
 
-def _eigenframe(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
-    """Eigenvalues lambda of A* and the diagonal beta of B# in A*'s eigenframe.
-
-    Each trace bound pairs B# with a function f of A* alone, and tr B# f(A*)
-    = sum_i beta_i f(lambda_i) whether or not B# commutes with A*.  beta is
-    read from the pair's record.
-    """
-    beta = _inputs(astar, bsharp, pa, pb.b1, pb.b2).beta
-    return np.array(eig(astar).values), beta
+def _lhs(name: str, astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta=None) -> float:
+    """The lhs of the two-phase trace bound `name` on one pair: the one the stacked pass kept, else the one-pair case of _two_phase_lhs."""
+    record = _inputs(astar, bsharp, pa, pb.b1, pb.b2)
+    lhs = record.sides.get((name, theta)) if record.sides else None
+    if lhs is not None:
+        return lhs
+    lam = np.array([eig(astar).values])
+    if theta is None:
+        positive_spectrum(lam[0] - pa.a1)  # raises SingularFactor
+    return float(_two_phase_lhs((name,), lam, record.beta[None], _phases(pa, pb, theta))[name][0])
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:
@@ -264,8 +410,7 @@ def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     microstructures (the A-set inside the B-set).
     """
     n = astar.dim
-    lam, beta = _eigenframe(astar, bsharp, pa, pb)
-    lhs = np.sum((beta - pb.b1) / positive_spectrum(lam - pa.a1) ** 2)
+    lhs = _lhs("L1", astar, bsharp, pa, pb)
     s = lower_trace_sum(astar, pa)
     d = pa.a2 - pa.a1
     denom = pa.a2 + pa.a1 * (n - 1)
@@ -283,8 +428,7 @@ def bound_U1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tup
     disjoint microstructures.
     """
     n = astar.dim
-    lam, beta = _eigenframe(astar, bsharp, pa, pb)
-    lhs = np.sum(((pb.b2 / pa.a1) * lam - beta) / positive_spectrum(lam - pa.a1) ** 2)
+    lhs = _lhs("U1", astar, bsharp, pa, pb)
     s = lower_trace_sum(astar, pa)
     denom = pa.a2 + pa.a1 * (n - 1)
     rhs = (
@@ -309,13 +453,23 @@ def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
     return lim_b_over_a(pa, pb, theta, pb.thetaB, theta + pb.thetaB - 1.0)
 
 
+def _flux_terms(pa: PhaseA, theta: float) -> tuple:
+    """(1/a2, theta (a2-a1)/(a1 a2)): the phase terms of flux_ratio, floats."""
+    return 1.0 / pa.a2, theta * (pa.a2 - pa.a1) / (pa.a1 * pa.a2)
+
+
+def _flux_ratio(lam, inverse_a2, scale):
+    """flux_ratio from its _flux_terms, which may be columns, one entry per row of a stack lam."""
+    return (1.0 / lam - inverse_a2) / scale
+
+
 def flux_ratio(lam, pa: PhaseA, theta: float):
     """(1/lam - 1/a2) / (theta (a2-a1)/(a1 a2)) for eigenvalues lam of A*.
 
     The flux-side resolvent of A* relative to that of the upper-boundary
     tensor of fraction theta; its inverse square weights L2 and U2.
     """
-    return (1.0 / lam - 1.0 / pa.a2) / (theta * (pa.a2 - pa.a1) / (pa.a1 * pa.a2))
+    return _flux_ratio(lam, *_flux_terms(pa, theta))
 
 
 def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
@@ -331,6 +485,11 @@ def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     return c, lim_b_over_a(pa, pb, theta, pb.thetaB, pb.thetaB) - c, osc  # l(theta): B nested in A
 
 
+def _u2_lead(pa: PhaseA, pb: PhaseB) -> float:
+    """b2 a2 / a1^2, the lead of u2_terms."""
+    return pb.b2 * pa.a2 / pa.a1**2
+
+
 def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     """(lead, level, osc) of the step form of U2 at the upper-boundary fraction theta.
 
@@ -339,7 +498,7 @@ def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     squared flux ratio; summed over N directions this is N level - (N-1) osc.
     """
     d = pa.a2 - pa.a1
-    lead = pb.b2 * pa.a2 / pa.a1**2
+    lead = _u2_lead(pa, pb)
     level = pb.b2 / pa.a1**2 - theta_star_u2(pa, pb, theta) + pb.b2 * d / pa.a1**3 * theta
     osc = 2.0 * (pb.b2 - pb.b1) * d / pa.a1**3 * (1.0 - theta)
     return lead, level, osc
@@ -353,9 +512,8 @@ def bound_L2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta:
     at the upper-boundary fraction theta_from_upper_boundary(astar, pa).  Returns (lhs, rhs, case).
     """
     n = astar.dim
-    c, level, osc = l2_terms(pa, pb, theta)
-    lam, beta = _eigenframe(astar, bsharp, pa, pb)
-    lhs = float(np.dot(beta / lam**2 - c, flux_ratio(lam, pa, theta) ** -2))
+    _, level, osc = l2_terms(pa, pb, theta)
+    lhs = _lhs("L2", astar, bsharp, pa, pb, theta)
     return lhs, float(n * level + (n - 1) * osc), l2_case(pa, pb)
 
 
@@ -369,9 +527,8 @@ def bound_U2(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta:
     against the step form; the printed form is reported alongside.
     """
     n = astar.dim
-    lead, level, osc = u2_terms(pa, pb, theta)
-    lam, beta = _eigenframe(astar, bsharp, pa, pb)
-    lhs = float(np.dot(lead / lam - beta / lam**2, flux_ratio(lam, pa, theta) ** -2))
+    _, level, osc = u2_terms(pa, pb, theta)
+    lhs = _lhs("U2", astar, bsharp, pa, pb, theta)
     rhs_step = n * level - (n - 1) * osc
     rhs_printed = rhs_step - n * pb.b2 * (pa.a2 - pa.a1) * (2.0 * theta - 1.0) / pa.a1**3
     return lhs, float(rhs_printed), float(rhs_step)
@@ -455,8 +612,27 @@ def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     then each pair is judged by the module's pair_membership, which finds
     its record; a DimensionMismatch is raised before any pair is judged.
     """
-    _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs])
+    _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs], [pair[3] for pair in pairs], tol)
     return [pair_membership(*pair, tol) for pair in pairs]
+
+
+def _gradient_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
+    """The phase terms of gradient_extremes at one fraction theta, floats.
+
+    (a1, (arith - a1)^2, theta (1-theta) (a2-a1)^2/a1^2, b1, mean(b) - b1,
+    b2, b2 - mean(b)), each evaluated as the one-tensor formula evaluates it.
+    """
+    _, arith = phase_means(pa.a1, pa.a2, theta)
+    weight = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2
+    return pa.a1, (arith - pa.a1) ** 2, weight, pb.b1, pb.mean - pb.b1, pb.b2, pb.b2 - pb.mean
+
+
+def _gradient_rows(lam, m, terms) -> tuple:
+    """gradient_extremes from its _gradient_terms, which may be (K, 1) columns, one entry per row of the stacks lam and m."""
+    a1, span2, weight, b1, nested_gap, b2, disjoint_gap = terms
+    ratio = (lam - a1) ** 2 / span2
+    osc = weight * m
+    return b1 + (nested_gap + b1 * osc) * ratio, b2 - (disjoint_gap - b2 * osc) * ratio
 
 
 def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
@@ -465,18 +641,15 @@ def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
     lam are the eigenvalues of A* on the lower boundary of fraction theta and
     m the lamination weights along its eigenvectors.  Returns (nested,
     disjoint): B# of the A-set inside the B-set and of disjoint sets.  For a
-    stack of tensors, lam and m hold one row and theta one column entry per tensor.
+    stack of tensors, lam and m hold one row and theta one column entry per
+    tensor.  The phase terms are Python floats, per tensor, so a division by
+    zero among them raises, and a square is Python's pow: numpy's array
+    square can differ from it by an ulp.
     """
-    _, arith = phase_means(pa.a1, pa.a2, theta)
-    span = arith - pa.a1
-    # squared entry by entry with Python's scalar pow, for a lone theta and a
-    # stack alike: numpy's array square can differ from it by an ulp
-    span2 = np.reshape([x**2 for x in np.ravel(span).tolist()], np.shape(span))
-    ratio = (lam - pa.a1) ** 2 / span2
-    osc = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2 * m
-    nested = pb.b1 + (pb.mean - pb.b1 + pb.b1 * osc) * ratio
-    disjoint = pb.b2 - (pb.b2 - pb.mean - pb.b2 * osc) * ratio
-    return nested, disjoint
+    if np.ndim(theta) == 0:
+        return _gradient_rows(lam, m, _gradient_terms(pa, pb, float(theta)))
+    terms = np.array([_gradient_terms(pa, pb, t) for t in np.ravel(theta).tolist()])
+    return _gradient_rows(lam, m, terms.T[:, :, None])
 
 
 def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:

@@ -11,6 +11,7 @@ over small grids provides the independent classical oracle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -216,6 +217,25 @@ def oodp_relaxed_value_1d(
     return RelaxedValue(state.energyB, tuple(lsh.tolist()), labels)
 
 
+_PAIR_CAP = 2_000_000  # the most (A-placement, B-placement) pairs oodp_bruteforce_1d enumerates
+
+
+def _comb_past(n: int, k: int, cap: int) -> int:
+    """comb(n, k), or cap + 1 once the count passes cap: counted term by term, it stops there.
+
+    A negative or non-integer argument is refused as comb refuses it.
+    """
+    n, k = operator.index(n), operator.index(k)
+    if n < 0 or not 0 <= k <= n:
+        return comb(n, k)  # 0 for k > n, else comb's ValueError
+    count = 1
+    for j in range(min(k, n - k)):
+        count = count * (n - j) // (j + 1)  # comb(n, j + 1), an integer at every step
+        if count > cap:
+            return cap + 1
+    return count
+
+
 def oodp_bruteforce_1d(
     cells: int, onesA: int, onesB: int, pa: PhaseA, pb: PhaseB, source: Source1D
 ) -> float:
@@ -228,7 +248,7 @@ def oodp_bruteforce_1d(
     and equals the relaxed value at matching constant fractions, which is
     what the enumeration certifies.
     """
-    if comb(cells, onesA) * comb(cells, onesB) > 2_000_000:
+    if _comb_past(cells, onesA, _PAIR_CAP) * _comb_past(cells, onesB, _PAIR_CAP) > _PAIR_CAP:
         raise TooLarge("pair enumeration is capped at 2e6 combinations")
     return _pattern_minimum(cells, onesA, onesB, pa, pb, source)[0]
 

@@ -15,9 +15,9 @@ import numpy as np
 from .gclosure import DEFAULT_TOL, PhaseA
 from .hashin import CoatingConfig, hs_b, hs_m
 from .homog1d import overlap_window
-from .laminates import ChainViolation, LaminateSpec, _seq_const_stack, seq_pair_pp, simple_laminate_pair
+from .laminates import ChainViolation, LaminateSpec, _seq_const_stack, _seq_pp_stack, simple_laminate_pair
 from .pairbounds import RELATIONS, PhaseB, admits, pair_memberships
-from .symtensor import MAX_DIM, SymTensor, rotate_stack
+from .symtensor import MAX_DIM, SymTensor, eig_stack, rotate_stack
 
 FAMILIES = ("simple", "rotated_simple", "seq_const", "seq_pp", "coated_sphere")
 
@@ -41,14 +41,15 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+# The ranges of the six uniforms of _random_phases, in stream order: a1,
+# a2/a1, b1, b2/b1, thetaA and thetaB.
+_PHASE_RANGES = ((0.5, 2.0), (1.1, 4.0), (0.5, 2.0), (1.0, 4.0), (0.05, 0.95), (0.05, 0.95))
+
+
 def _random_phases(rng) -> tuple:
-    a1 = rng.uniform(0.5, 2.0)
-    a2 = a1 * rng.uniform(1.1, 4.0)
-    b1 = rng.uniform(0.5, 2.0)
-    b2 = b1 * rng.uniform(1.0, 4.0)
-    pa = PhaseA(a1, a2, rng.uniform(0.05, 0.95))
-    pb = PhaseB(b1, b2, rng.uniform(0.05, 0.95))
-    return pa, pb
+    # one draw of six doubles, scaled as rng.uniform(low, high) scales each
+    a1, a2_a1, b1, b2_b1, theta_a, theta_b = [low + (high - low) * u for (low, high), u in zip(_PHASE_RANGES, rng.random(6).tolist())]
+    return PhaseA(a1, a1 * a2_a1, theta_a), PhaseB(b1, b1 * b2_b1, theta_b)
 
 
 def _rotations(gaussians: np.ndarray) -> np.ndarray:
@@ -59,101 +60,105 @@ def _rotations(gaussians: np.ndarray) -> np.ndarray:
 
 def _random_spec(rng, n: int, relation: str, core: str) -> LaminateSpec:
     p = int(rng.integers(1, n + 1))
-    dirs = []
-    for _ in range(p):
-        v = rng.normal(size=n)
-        dirs.append(tuple(v / np.linalg.norm(v)))
+    dirs = [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(p, n))]
     w = rng.dirichlet(np.ones(p))
     w = w / w.sum()
     return LaminateSpec(tuple(dirs), tuple(w), core, relation)
 
 
 def _draw(rng, max_dim: int) -> tuple:
-    """One composite's random draws, in stream order: (draw, todo).
+    """One candidate composite's random draws, in stream order: (draw, todo).
 
-    todo is None when the draw is built: simple laminates, coated spheres,
-    and seq_pp laminates, which must be built at once because a
-    complement_cover output that breaks the bounds chain is redrawn, and
-    the redraw moves the stream.  Otherwise the draw's astar and bsharp
-    are left for draw_composites to build in stacks: todo is
-    ("rotated_simple", Gaussian matrix of the rotation) for a simple
-    laminate still to rotate, or ("seq_const", spec, b).
+    todo is None when the draw is built: simple laminates and coated
+    spheres.  Otherwise the draw's astar and bsharp are left for
+    draw_composites to build in stacks: todo is ("rotated_simple", Gaussian
+    matrix of the rotation) for a simple laminate still to rotate,
+    ("seq_const", spec, b), or ("seq_pp", spec).
     """
-    rejections = 0
-    while True:
-        n = int(rng.integers(2, max_dim + 1))
-        pa, pb = _random_phases(rng)
-        family = FAMILIES[int(rng.integers(0, len(FAMILIES)))]
-        todo = None
-        try:
-            if family in ("simple", "rotated_simple"):
-                theta_ab = rng.uniform(*overlap_window(pa, pb))
-                axis = int(rng.integers(0, n))
-                astar, bsharp = simple_laminate_pair(pa, pb, theta_ab, axis, n)
-                if family == "rotated_simple":
-                    todo = (family, rng.normal(size=(n, n)))
-            elif family == "seq_const":
-                b = rng.uniform(0.5, 4.0)
-                pb = PhaseB(b, b, pb.thetaB)
-                core = "a2" if rng.uniform() < 0.5 else "a1"
-                astar = bsharp = None
-                todo = (family, _random_spec(rng, n, "const_b", core), b)
-            elif family == "seq_pp":
-                choices = [r for r in RELATIONS if admits(r, pa, pb, False)]
-                relation = choices[int(rng.integers(0, len(choices)))]
-                spec = _random_spec(rng, n, relation, RELATIONS[relation].core_a)
-                astar, bsharp = seq_pair_pp(spec, pa, pb)
-            else:
-                configs = _COATINGS + (_TWO_PHASE_COATINGS["a1"] if admits("B_subset_A", pa, pb, False) else ())
-                # each constant density is drawn in turn; b# is evaluated for the picked config only
-                valid = []
-                for cfg in configs:
-                    if cfg.coreB == "const":
-                        valid.append((cfg, rng.uniform(0.5, 4.0)))
-                    elif admits(cfg.relation, pa, pb, True):
-                        valid.append((cfg, pb))
-                cfg, density = valid[int(rng.integers(0, len(valid)))]
-                if cfg.coreB == "const":
-                    pb = PhaseB(density, density, pb.thetaB)
-                astar = SymTensor(hs_m(pa, cfg.coreA, n) * np.eye(n))
-                bsharp = SymTensor(hs_b(pa, density, cfg, n) * np.eye(n))
-                family = f"coated_{cfg.coreA}_{cfg.coreB}"
-        except ChainViolation:
-            rejections += 1
-            continue
-        draw = {
-            "family": family,
-            "dim": n,
-            "pa": pa,
-            "pb": pb,
-            "astar": astar,
-            "bsharp": bsharp,
-            "chain_rejections": rejections,
-        }
-        return draw, todo
+    n = int(rng.integers(2, max_dim + 1))
+    pa, pb = _random_phases(rng)
+    family = FAMILIES[int(rng.integers(0, len(FAMILIES)))]
+    todo = None
+    if family in ("simple", "rotated_simple"):
+        theta_ab = rng.uniform(*overlap_window(pa, pb))
+        axis = int(rng.integers(0, n))
+        astar, bsharp = simple_laminate_pair(pa, pb, theta_ab, axis, n)
+        if family == "rotated_simple":
+            todo = (family, rng.normal(size=(n, n)))
+    elif family == "seq_const":
+        b = rng.uniform(0.5, 4.0)
+        pb = PhaseB(b, b, pb.thetaB)
+        core = "a2" if rng.uniform() < 0.5 else "a1"
+        astar = bsharp = None
+        todo = (family, _random_spec(rng, n, "const_b", core), b)
+    elif family == "seq_pp":
+        choices = [r for r in RELATIONS if admits(r, pa, pb, False)]
+        relation = choices[int(rng.integers(0, len(choices)))]
+        astar = bsharp = None
+        todo = (family, _random_spec(rng, n, relation, RELATIONS[relation].core_a))
+    else:
+        configs = _COATINGS + (_TWO_PHASE_COATINGS["a1"] if admits("B_subset_A", pa, pb, False) else ())
+        # each constant density is drawn in turn; b# is evaluated for the picked config only
+        valid = []
+        for cfg in configs:
+            if cfg.coreB == "const":
+                valid.append((cfg, rng.uniform(0.5, 4.0)))
+            elif admits(cfg.relation, pa, pb, True):
+                valid.append((cfg, pb))
+        cfg, density = valid[int(rng.integers(0, len(valid)))]
+        if cfg.coreB == "const":
+            pb = PhaseB(density, density, pb.thetaB)
+        astar = SymTensor(hs_m(pa, cfg.coreA, n) * np.eye(n))
+        bsharp = SymTensor(hs_b(pa, density, cfg, n) * np.eye(n))
+        family = f"coated_{cfg.coreA}_{cfg.coreB}"
+    draw = {"family": family, "dim": n, "pa": pa, "pb": pb, "astar": astar, "bsharp": bsharp, "chain_rejections": 0}
+    return draw, todo
 
 
 def draw_composites(rng, count: int, max_dim: int = 3) -> list:
     """count feasible composites: phases, pair (A*, B#), family label each.
 
-    The random draws are made first, one composite after another, and
-    consume the stream exactly as count calls of draw_composite would.  The
-    constructions are then built per dimension in stacked passes: the
-    rotated simple laminates by one QR and one congruence, the
-    constant-density sequential laminates by one pass over the direction
-    moments, one LAPACK call on them and one frame product for A* and B#.
-    Every tensor has the bits of its one-composite case.
-    complement_cover relations can produce chain-violating tensors; those
-    draws are resampled (and counted in chain_rejections) since they are
-    not relative limits.
+    The random draws are made first, one candidate after another.  One
+    LAPACK call per dimension decomposes the direction moments of the
+    round's sequential laminates, and the seq_pp laminates are built per
+    dimension in one stacked pass (see laminates._seq_pp_stack).  A complement_cover output that
+    breaks the bounds chain is not a relative limit: the candidate is
+    dropped, counted in the chain_rejections of the next composite kept,
+    and exactly the shortfall is drawn in a further round.  No build draws
+    from the stream, so it is consumed as count calls of draw_composite
+    would consume it.  The other constructions are then built per dimension
+    in stacked passes: the rotated simple laminates by one QR and one
+    congruence, the constant-density sequential laminates by one pass over
+    their decomposed moments and one frame product for A* and B#.  Every tensor has the bits of its one-composite case.
     """
-    draws, pending = [], {"rotated_simple": {}, "seq_const": {}}
-    for _ in range(count):
-        draw, todo = _draw(rng, max_dim)
-        draws.append(draw)
-        if todo is not None:
-            family, *inputs = todo
-            pending[family].setdefault(draw["dim"], []).append((draw, *inputs))
+    draws, pending, rejections = [], {"rotated_simple": {}, "seq_const": {}}, 0
+    while len(draws) < count:
+        candidates = [_draw(rng, max_dim) for _ in range(count - len(draws))]
+        seq_pp, moments = {}, {}
+        for draw, todo in candidates:
+            if todo is not None and todo[0] in ("seq_pp", "seq_const"):
+                moments.setdefault(draw["dim"], []).append(todo[1].moment)
+                if todo[0] == "seq_pp":
+                    seq_pp.setdefault(draw["dim"], []).append((draw, todo[1]))
+        for group in moments.values():
+            eig_stack(group)  # every laminate of the round, for both stacks below
+        rejected = set()
+        for group in seq_pp.values():
+            built = _seq_pp_stack([spec for _, spec in group], [d["pa"] for d, _ in group], [d["pb"] for d, _ in group])
+            for (d, _), result in zip(group, built):
+                if isinstance(result, ChainViolation):
+                    rejected.add(id(d))
+                else:
+                    d["astar"], d["bsharp"] = result
+        for draw, todo in candidates:
+            if id(draw) in rejected:
+                rejections += 1
+                continue
+            draw["chain_rejections"], rejections = rejections, 0
+            draws.append(draw)
+            if todo is not None and todo[0] != "seq_pp":
+                family, *inputs = todo
+                pending[family].setdefault(draw["dim"], []).append((draw, *inputs))
     for group in pending["rotated_simple"].values():
         q = _rotations(np.array([gaussian for _, gaussian in group]))
         rotated = rotate_stack([d["astar"] for d, _ in group] + [d["bsharp"] for d, _ in group], np.concatenate([q, q]))

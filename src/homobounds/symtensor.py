@@ -55,7 +55,9 @@ class SymTensor:
             raise ValueError("expected a square matrix")
         if not (1 <= m.shape[0] <= MAX_DIM):
             raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[0]}")
-        m = 0.5 * (m + m.T)
+        # halved before the sum, so entries near the float limit do not overflow
+        half = 0.5 * m
+        m = half + half.T
         m.flags.writeable = False
         self._m = m
         self._eig = None
@@ -74,6 +76,24 @@ class SymTensor:
     def mat(self) -> np.ndarray:
         """Full symmetric matrix (fresh array, safe to mutate)."""
         return self._m.copy()
+
+    @staticmethod
+    def stack(m) -> list:
+        """The SymTensor of each matrix of a (K, N, N) stack, symmetrised in one pass, bit for bit SymTensor of each."""
+        m = np.asarray(m, dtype=float)
+        if m.ndim != 3 or m.shape[1] != m.shape[2]:
+            raise ValueError("expected a stack of square matrices")
+        if not (1 <= m.shape[1] <= MAX_DIM):
+            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[1]}")
+        half = 0.5 * m
+        m = half + half.transpose(0, 2, 1)
+        m.flags.writeable = False
+        tensors = []
+        for row in m:
+            t = SymTensor.__new__(SymTensor)
+            t._m, t._eig, t._derived = row, None, None
+            tensors.append(t)
+        return tensors
 
     @staticmethod
     def diag(values) -> "SymTensor":
@@ -114,8 +134,13 @@ def _as_matrix(s) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _eigh(m: np.ndarray) -> list:
-    """The EigSystem of each matrix of a (K, N, N) stack, from one LAPACK call; see eig."""
+def eigh_arrays(m: np.ndarray) -> tuple:
+    """(values, frames) of each matrix of a (K, N, N) stack, from one LAPACK call, memoised nowhere.
+
+    values is (K, N), each row descending, and frames (K, N, N), read-only,
+    with the columns signed as eig signs them.  A non-finite eigenvalue
+    raises ValueError, as in eig.
+    """
     vals, q = np.linalg.eigh(m)
     if not np.isfinite(vals).all():
         raise ValueError(_NON_FINITE)
@@ -126,7 +151,7 @@ def _eigh(m: np.ndarray) -> list:
     lead = (np.abs(q) > _ORTHO_TOL).argmax(axis=1)
     q = q * np.copysign(1.0, q[np.arange(k)[:, None], lead, np.arange(n)])[:, None, :]
     q.flags.writeable = False
-    return [EigSystem(tuple(values), frame) for values, frame in zip(vals[:, ::-1].tolist(), q)]
+    return vals[:, ::-1], q
 
 
 def eig(s) -> EigSystem:
@@ -141,24 +166,32 @@ def eig(s) -> EigSystem:
     """
     if isinstance(s, SymTensor):
         return s._eig if s._eig is not None else eig_stack([s])[0]
-    return _eigh(_as_matrix(s)[None])[0]
+    vals, q = eigh_arrays(_as_matrix(s)[None])
+    return EigSystem(tuple(vals[0].tolist()), q[0])
 
 
-def eig_stack(tensors) -> list:
+def eig_stack(tensors, more=None):
     """eig of each SymTensor in a sequence, with one LAPACK call for every one not yet decomposed.
 
     The tensors must share one dimension (else ValueError).  Each result is
     memoised on its tensor; a tensor already decomposed keeps its EigSystem.
-    A non-finite eigenvalue anywhere in the stack raises ValueError, as in
-    eig, before any result is memoised.
+    more, a (M, N, N) stack of plain matrices, is decomposed in the same
+    call, and then (systems, eigh_arrays of more) is returned.  A non-finite
+    eigenvalue anywhere in the stack raises ValueError, as in eig, before
+    any result is memoised.
     """
     if len({t.dim for t in tensors}) > 1:
         raise ValueError("eig_stack needs tensors of one dimension")
     fresh = [t for t in tensors if t._eig is None]
-    if fresh:
-        for t, es in zip(fresh, _eigh(np.array([t._m for t in fresh]))):
-            t._eig = es
-    return [t._eig for t in tensors]
+    stack = np.array([t._m for t in fresh])
+    if more is not None:
+        stack = np.concatenate([stack, more]) if fresh else more
+    if len(stack):
+        vals, q = eigh_arrays(stack)
+        for t, values, frame in zip(fresh, vals.tolist(), q):
+            t._eig = EigSystem(tuple(values), frame)
+    systems = [t._eig for t in tensors]
+    return systems if more is None else (systems, (vals[len(fresh) :], q[len(fresh) :]))
 
 
 def derived(s: SymTensor, t: SymTensor) -> dict:
@@ -172,11 +205,22 @@ def derived(s: SymTensor, t: SymTensor) -> dict:
     return s._derived[1]
 
 
+def kept(s: SymTensor) -> dict:
+    """What s keeps from its last partner (see derived), for reading: an empty dict if it keeps nothing."""
+    return {} if s._derived is None else s._derived[1]
+
+
+def positive_rows(values) -> np.ndarray:
+    """Whether each row of a stack of eigenvalues (or the one row of a 1-D sequence) is positive at the relative floor."""
+    vals = np.asarray(values, dtype=float)
+    # "above" rather than "not at or below": every comparison with NaN is False
+    return vals.min(axis=-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR)
+
+
 def positive_spectrum(values) -> np.ndarray:
     """Eigenvalues of an inverse factor as an array; SingularFactor unless all are positive at the relative floor."""
     vals = np.asarray(values, dtype=float)
-    # "not above" rather than "at or below": every comparison with NaN is False
-    if not vals.min() > _EIG_SINGULAR_REL * (np.abs(vals).max() + _ABS_FLOOR):
+    if not positive_rows(vals):
         raise SingularFactor(
             f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {np.abs(vals).max() + _ABS_FLOOR:.3e})"
         )
@@ -262,7 +306,7 @@ def rotate_stack(tensors, frames) -> list:
         raise NotOrthonormal("frame has wrong shape")
     if np.abs(q @ q.transpose(0, 2, 1) - np.eye(q.shape[-1])).max() > _ORTHO_TOL:
         raise NotOrthonormal("frame is not orthonormal within 1e-12")
-    return [SymTensor(r) for r in q @ m @ q.transpose(0, 2, 1)]
+    return SymTensor.stack(q @ m @ q.transpose(0, 2, 1))
 
 
 def rotate(s, frame) -> SymTensor:

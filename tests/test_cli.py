@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -407,7 +408,8 @@ UNREAD_DEFAULTED = [
         (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["phase", "--a", "1,2,0.5", "--b", "1,3,0.3"], None, None),
-        (CHECK + ["--astar", "[[1e308,0],[0,1e308]]"], None, None),
+        # entries past the float range off the diagonal (1e308 symmetrises to itself now), and trace sums that overflow
+        (CHECK + ["--astar", "[[1.5,1e309],[1e309,1.5]]"], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1e308,0],[0,1e308]]"], None, None),
         (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "-1"], None, None),
         (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "0"], None, None),
@@ -461,6 +463,29 @@ def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch, capsys
     assert exit_code(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.endswith("\n") and sum("error: " in line for line in err.splitlines()) == 1
+
+
+def test_help_defaults_are_those_of_reads():
+    # a flag's help text shows the defaults of its rows of _READS, which hold each default once
+    for command, parser in _subcommands().items():
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            rows = [reads for (name, _), reads in _READS.items() if name == command]
+            defaults = sorted({value for reads in rows for token in reads.split() for f, _, value in [token.partition("=")] if f.rstrip("*") == flag and value})
+            shown = re.findall(r"\(default ([^)]*)\)", action.help or "")
+            assert shown == ([" or ".join(defaults)] if defaults else []), (command, flag, action.help)
+    assert "(default 1)" in _subcommands()["laminate"].format_help() and "(default 10000)" in _subcommands()["hashin"].format_help()
+
+
+def test_huge_finite_tensors_are_judged(capsys):
+    # finite entries up to the float limit symmetrise without overflowing, so
+    # a tensor of them is judged, with no numpy warning; a pair check whose
+    # trace sums overflow is refused instead, as Python's float arithmetic would
+    code, out = run(capsys, *CHECK, "--astar", "[[1e308,0],[0,1e308]]")
+    assert code == 0 and json.loads(out)["verdict"] == "outside"
+    argv = ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1e308,0],[0,1e308]]"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: overflow encountered in divide\n")
 
 
 def test_out_rewrites_in_place(tmp_path, capsys):

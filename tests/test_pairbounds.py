@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,7 @@ from homobounds.homog1d import Profile1D, overlap_window, weakstar_limits
 from homobounds.laminates import LaminateSpec, seq_A, seq_B_const, simple_laminate_pair
 from homobounds.pairbounds import (
     NotInRegion,
+    PairBoundReport,
     PhaseB,
     admits,
     bound_L1,
@@ -397,31 +399,48 @@ class TestEigenframe:
     @pytest.mark.parametrize("max_dim", [3, 8])
     def test_sweep_chunk_makes_one_call_per_dimension(self, monkeypatch, max_dim):
         # every LAPACK call of a sweep, with its exact matrix count: each
-        # seq_pp attempt, redraws included, decomposes its direction moment
-        # alone as it is drawn; after a chunk's draws come one stack of the
-        # seq_const moments and then one stack of the verdicts' tensors per
-        # dimension present, in row order (A*, B# and the chain link of every
-        # row, and both middle factors of a constant density)
+        # round of a chunk's draws decomposes the direction moments of its
+        # sequential laminates (the rejected seq_pp candidates too) in one
+        # stack per dimension, and after the draws come one stack of the
+        # verdicts' tensors per dimension present (A*, B# and the chain link
+        # of every row, and both middle factors of a constant density)
         count = sweeps._CHUNK + 5
         draws = sweeps.draw_composites(sweeps.make_rng(7), count, max_dim)
         calls = self.lapack_calls(monkeypatch)
+        marks = {}  # position in calls -> (tensor count, dimension) of each moment stack
+        eig_stack, seq_pp_stack, seq_pp = sweeps.eig_stack, sweeps._seq_pp_stack, []
+
+        def moments(tensors):
+            marks[len(calls)] = (len(tensors), tensors[0].dim)
+            return eig_stack(tensors)
+
+        def built(specs, pas, pbs):
+            seq_pp.append(len(specs))
+            return seq_pp_stack(specs, pas, pbs)
+
+        monkeypatch.setattr(sweeps, "eig_stack", moments)
+        monkeypatch.setattr(sweeps, "_seq_pp_stack", built)
         rows = sweeps.feasibility_sweep(7, count, max_dim)
         assert [(r[1], r[2]) for r in rows] == [(d["family"], d["dim"]) for d in draws]
-        expected = []
+        shapes = [(len(c), c.shape[1]) for c in calls]
+        assert all(shapes[at] == mark for at, mark in marks.items())
+        at = 0
         for start in range(0, count, sweeps._CHUNK):
             chunk = draws[start : start + sweeps._CHUNK]
-            for d in chunk:
-                expected += [(1, None)] * d["chain_rejections"]  # a redraw's dimension is not kept
-                if d["family"] == "seq_pp":
-                    expected.append((1, d["dim"]))
-            seq_const = [d["dim"] for d in chunk if d["family"] == "seq_const"]
-            expected += [(seq_const.count(n), n) for n in dict.fromkeys(seq_const)]
+            decomposed = 0
+            while at in marks:
+                decomposed, at = decomposed + shapes[at][0], at + 1
+            rejected = sum(d["chain_rejections"] for d in chunk)
+            assert decomposed == rejected + sum(d["family"] in ("seq_pp", "seq_const") for d in chunk)
             fresh = {}
             for d in chunk:
                 fresh[d["dim"]] = fresh.get(d["dim"], 0) + (5 if pairbounds._constant_density(d["pb"].b1, d["pb"].b2) else 3)
-            expected += [(k, n) for n, k in fresh.items()]
-        assert [(len(c), n and c.shape[1]) for c, (_, n) in zip(calls, expected)] == expected
-        assert len(calls) == len(expected)
+            expected = [(k, n) for n, k in fresh.items()]
+            assert shapes[at : at + len(expected)] == expected
+            at += len(expected)
+        assert at == len(shapes)
+        # every seq_pp candidate, the rejected ones too, is built once
+        assert sum(seq_pp) == sum(d["chain_rejections"] + (d["family"] == "seq_pp") for d in draws)
         # the seed exercises a redraw and stacks of several dimensions in one chunk
         assert sum(d["chain_rejections"] for d in draws) > 0
         assert len({d["dim"] for d in draws[: sweeps._CHUNK] if d["family"] == "seq_const"}) > 1
@@ -452,6 +471,38 @@ class TestEigenframe:
             with pytest.raises(SingularFactor):
                 bound(astar, bsharp, a, 1.0)
         assert reports[-1].verdict == "infeasible"
+
+    def test_mixed_chunk_matches_one_pair_at_a_time(self):
+        # one chunk holding every kind of row, judged on stacked arrays, against
+        # pair_membership of each pair alone on fresh tensors, field by field
+        # (repr tells nan, -inf and -0.0 apart): N = 2 to 8, and N = 8 where
+        # np.sum and Python's sum part ways; all four regions and a constant
+        # density; B# moved off its construction; a homogeneous A-medium, an
+        # A* outside its phase set and an indefinite middle factor
+        rng = np.random.default_rng(30)
+        pairs = []
+        for d in sweeps.draw_composites(sweeps.make_rng(30), 160, 8):
+            n, bsharp = d["dim"], d["bsharp"].mat
+            noise = 0.05 * rng.normal(size=(n, n))
+            pairs += [(d["astar"], d["bsharp"], d["pa"], d["pb"]), (SymTensor(d["astar"].mat), SymTensor(bsharp + noise + noise.T), d["pa"], d["pb"])]
+        pa, pb = PhaseA(1.0, 2.0, 0.5), PhaseB(1.0, 3.0, 0.4)
+        pairs += [
+            (SymTensor.identity(3), SymTensor(pb.mean * np.eye(3)), PhaseA(1.0, 2.0, 1.0), pb),  # the a1 medium
+            (SymTensor.diag([1.9, 1.9]), SymTensor.diag([2.0, 2.0]), pa, pb),  # above the arithmetic mean
+            (SymTensor.diag([1.4, 1.45]), SymTensor.diag([0.1, 5.0]), pa, PhaseB(1.0, 1.0, 0.5)),  # indefinite middle
+        ]
+        copies = [(SymTensor(a.mat), SymTensor(b.mat), a_, b_) for a, b, a_, b_ in pairs]
+        reports = pair_memberships(pairs)
+        for report, pair in zip(reports, copies, strict=True):
+            want = pair_membership(*pair)
+            for field in dataclasses.fields(PairBoundReport):
+                assert repr(getattr(report, field.name)) == repr(getattr(want, field.name)), field.name
+        const = [pairbounds._constant_density(b.b1, b.b2) for *_, b in pairs]
+        assert {r.region for r, c in zip(reports, const) if not c} == {"L1U1", "L1U2", "L2U1", "L2U2"} and any(const)
+        assert {a.dim for a, *_ in pairs} == set(range(2, 9))
+        assert sum(a.dim == 8 and not c and math.isfinite(r.li_lhs) for r, (a, *_), c in zip(reports, pairs, const)) > 5
+        assert {r.verdict for r in reports} == {"feasible", "boundary", "infeasible"}
+        assert [math.isnan(r.li_lhs) for r in reports[-2:]] == [True, True]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_stacked_frames_and_lhs_match_the_one_pair_formulas(self, n):

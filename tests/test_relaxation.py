@@ -1,5 +1,6 @@
 import gc
 import sys
+import time
 import tracemalloc
 from itertools import chain, combinations
 from math import comb
@@ -11,6 +12,7 @@ from homobounds.gclosure import PhaseA
 from homobounds.homog1d import Source1D, homogenized_dirichlet, phase_means
 from homobounds.pairbounds import PhaseB
 from homobounds import relaxation
+from homobounds.cli import main
 from homobounds.relaxation import (
     DesignField1D,
     TooLarge,
@@ -292,6 +294,23 @@ class TestOodpBrute:
     def test_cap(self, pa_half, pb_half):
         with pytest.raises(TooLarge):
             oodp_bruteforce_1d(16, 8, 8, pa_half, pb_half, UNIT_F)
+
+    @pytest.mark.parametrize("onesB", [1, 500_000])
+    def test_cap_refuses_a_huge_count_at_once(self, onesB, capsys):
+        # the placements are counted only up to the cap, never comb(10^6, 5 10^5) in full
+        argv = ["oodp", "brute", "--a", "1,2", "--b", "1,3", "--cells", "1000000", "--kA", "500000", "--kB", str(onesB)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", "error: pair enumeration is capped at 2e6 combinations\n")
+
+    def test_capped_count_is_comb_up_to_the_cap(self):
+        for n in range(0, 40):
+            for k in range(0, 45):
+                assert relaxation._comb_past(n, k, 5000) == min(comb(n, k), 5001)
+        for bad in ((-1, 0), (3, -1)):
+            with pytest.raises(ValueError):
+                relaxation._comb_past(*bad, 5000)
 
     @pytest.mark.parametrize("cells, onesA, onesB", [(0, 0, 0), (4, 6, 2), (4, 2, 6)])
     def test_malformed_counts(self, pa_half, pb_half, cells, onesA, onesB):

@@ -5,6 +5,7 @@ from homobounds import sweeps
 from homobounds.cli import main
 from homobounds.gclosure import PhaseA
 from homobounds.hashin import hs_b
+from homobounds.laminates import ChainViolation
 from homobounds.pairbounds import DimensionMismatch, PhaseB, pair_membership, pair_memberships
 from homobounds.sweeps import _CHUNK, draw_composite, draw_composites, feasibility_sweep, make_rng
 from homobounds.symtensor import MAX_DIM, SymTensor
@@ -142,3 +143,35 @@ def test_coated_draw_evaluates_b_once(monkeypatch):
     for d, (pa, density, cfg, n) in zip(coated, calls):
         assert d["pa"] is pa and d["family"] == f"coated_{cfg.coreA}_{cfg.coreB}" and n == d["dim"]
         assert d["bsharp"] == SymTensor(hs_b(pa, density, cfg, n) * np.eye(n))
+
+
+def test_chunk_ending_on_rejected_candidates_draws_the_shortfall(monkeypatch):
+    # seed 107: the first 12 candidates end on two complement_cover laminates
+    # that break the bounds chain; only the shortfall is drawn in further
+    # rounds, and each draw, its redraw count too, has the bits of drawing
+    # one composite at a time, which leaves the stream where the chunk does
+    single = make_rng(107)
+    reference = [draw_composite(single) for _ in range(12)]
+    candidates, rejected = [], set()
+    draw, seq_pp_stack = sweeps._draw, sweeps._seq_pp_stack
+
+    def drawn(rng, max_dim):
+        candidates.append(draw(rng, max_dim))
+        return candidates[-1]
+
+    def built(specs, pas, pbs):
+        out = seq_pp_stack(specs, pas, pbs)
+        rejected.update(id(spec) for spec, result in zip(specs, out) if isinstance(result, ChainViolation))
+        return out
+
+    monkeypatch.setattr(sweeps, "_draw", drawn)
+    monkeypatch.setattr(sweeps, "_seq_pp_stack", built)
+    rng = make_rng(107)
+    draws = draw_composites(rng, 12, 3)
+    tail = [todo for _, todo in candidates[10:12]]
+    assert all(todo[0] == "seq_pp" and todo[1].relation == "complement_cover" and id(todo[1]) in rejected for todo in tail)
+    assert len(candidates) == 12 + sum(d["chain_rejections"] for d in draws) > 14
+    for got, want in zip(draws, reference, strict=True):
+        assert [got[k] for k in ("family", "dim", "pa", "pb", "chain_rejections")] == [want[k] for k in ("family", "dim", "pa", "pb", "chain_rejections")]
+        assert got["astar"]._m.tobytes() + got["bsharp"]._m.tobytes() == want["astar"]._m.tobytes() + want["bsharp"]._m.tobytes()
+    assert rng.random() == single.random()

@@ -324,3 +324,11 @@ def test_non_finite_eigenvalues_raise_no_verdict(bad):
         assert not tensor.decomposed
     with pytest.raises(ValueError, match="not finite"):
         eig(np.array(m))
+
+
+def test_entries_near_the_float_limit_symmetrise_without_overflow():
+    # each entry is halved before the sum, so finite entries stay finite and
+    # no overflow warning is raised (the suite turns warnings into errors)
+    t = SymTensor([[1.7e308, 1e308], [1e308, 1.7e308]])
+    assert t.mat.tolist() == [[1.7e308, 1e308], [1e308, 1.7e308]]
+    assert SymTensor([[1.0, 1.7e308], [1.5e308, 2.0]]).mat[0, 1] == 0.5 * 1.7e308 + 0.5 * 1.5e308
