@@ -5,6 +5,10 @@ eigenvalue window [harmonic mean, arithmetic mean] together with a lower
 and an upper trace inequality.  This module evaluates membership, recovers
 the boundary fraction theta from a tensor (in closed form on both sides),
 and samples the two boundary curves at N = 2 for phase diagrams.
+g_membership_stack evaluates membership and the upper-boundary fraction
+over a stack of eigenvalues, with the formulas g_membership and
+theta_from_upper_boundary evaluate for one tensor, and a tensor keeps its
+result for them to read.
 """
 
 from __future__ import annotations
@@ -118,10 +122,14 @@ def upper_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     return _upper_sum(eig(astar).values, p)
 
 
+def _near(lam, p):
+    """Whether the eigenvalue lam lies within 1e-13 of a phase value, where the trace sums blow up."""
+    return (lam - p.a1 <= 1e-13 * p.a1) | (p.a2 - lam <= 1e-13 * p.a2)
+
+
 def _pinned(lams, p):
-    """Whether an eigenvalue lies within 1e-13 of a phase value, where the trace sums blow up."""
-    near = lambda lam: (lam - p.a1 <= 1e-13 * p.a1) | (p.a2 - lam <= 1e-13 * p.a2)  # noqa: E731
-    return near(lams).any(axis=0) if isinstance(lams, np.ndarray) else any(near(lam) for lam in lams)
+    """Whether any of the eigenvalues lams is _near a phase value."""
+    return _near(lams, p).any(axis=0) if isinstance(lams, np.ndarray) else any(_near(lam, p) for lam in lams)
 
 
 def _slack_terms(p, n: int, harm: float, arith: float) -> tuple:
@@ -172,7 +180,7 @@ def _report(window: tuple, pinned: bool, low, up, tol: float) -> GMembershipRepo
 
 
 class Judged(NamedTuple):
-    """What A* keeps for its PhaseA from slacks_stack: g_membership's report at tol, and theta_from_upper_boundary of a member."""
+    """What A* keeps for its PhaseA from g_membership_stack: g_membership's report at tol, and theta_from_upper_boundary of a member."""
 
     report: GMembershipReport
     theta: float  # None when an eigenvalue is pinned at a phase value
@@ -186,7 +194,7 @@ class _PhaseRows(NamedTuple):
     a2: np.ndarray
 
 
-def slacks_stack(lam: np.ndarray, phases, tol: float) -> list:
+def g_membership_stack(lam: np.ndarray, phases, tol: float) -> list:
     """The Judged of each row of a (K, N) stack of A*'s eigenvalues, each row with its own PhaseA off the homogeneous medium.
 
     The phase-only terms are evaluated row by row, and every sum over the
@@ -196,17 +204,19 @@ def slacks_stack(lam: np.ndarray, phases, tol: float) -> list:
     FloatingPointError there, and like Python it overflows quietly.
     """
     n = lam.shape[1]
-    means_ = [means(q) for q in phases]
-    a1, a2, harm, arith = np.array([(q.a1, q.a2, h, a) for q, (h, a) in zip(phases, means_)]).T
+    both_means = [means(q) for q in phases]
+    a1, a2, harm, arith = np.array([(q.a1, q.a2, h, a) for q, (h, a) in zip(phases, both_means)]).T
     lams = lam.T
     windows = [tuple(zip(lo, hi)) for lo, hi in zip((lams - harm).T.tolist(), (arith - lams).T.tolist())]
     pinned = _pinned(lams, _PhaseRows(a1, a2))
     rows = [Judged(_report(window, True, None, None, tol), None, tol) if pin else None for window, pin in zip(windows, pinned.tolist())]
     live = [k for k, row in enumerate(rows) if row is None]
     if live:
-        terms = [(*_slack_terms(phases[k], n, *means_[k]), *_root_terms(phases[k], n)) for k in live]
+        terms = [(*_slack_terms(phases[k], n, *both_means[k]), *_root_terms(phases[k], n)) for k in live]
         low_terms, up_terms, numerator, shift = np.array(terms).T
-        lams, p = lams[:, live], _PhaseRows(a1[live], a2[live])
+        if len(live) < len(rows):
+            lams, a1, a2 = lams[:, live], a1[live], a2[live]
+        p = _PhaseRows(a1, a2)
         with np.errstate(divide="raise", over="ignore", invalid="ignore"):
             low, up = _trace_slacks(lams, p, low_terms, up_terms)
             root = _upper_root(lams, p, numerator, shift)
@@ -218,8 +228,8 @@ def slacks_stack(lam: np.ndarray, phases, tol: float) -> list:
 def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMembershipReport:
     """Evaluate the three membership conditions and classify the tensor.
 
-    The report is the one A* keeps for p at tol (see slacks_stack and
-    symtensor.kept), else the one-tensor case of the formulas slacks_stack
+    The report is the one A* keeps for p at tol (see g_membership_stack and
+    symtensor.kept), else the one-tensor case of the formulas g_membership_stack
     evaluates.
     """
     lams = eig(astar).values

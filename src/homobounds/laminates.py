@@ -10,8 +10,9 @@ _laminate_frames decomposes the moments of many specs of one dimension in
 one LAPACK call; _seq_const_stack builds their constant-density pairs
 (A*, B#) from it with one frame product, and seq_A and seq_B_const build
 one spec's tensors the same way.  A two-phase pair is diagonal in its
-moment's eigenframe, and seq_pair_pp judges the bounds chain there, on the
-spectra it built.
+moment's eigenframe, and _seq_pp_stack judges the bounds chain there, on the
+spectra it built, for many specs of one dimension at once; seq_pair_pp is
+its one-spec case.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .pairbounds import (
     RELATIONS as _PAIR_RELATIONS,
     PhaseB,
     _chain_slacks,
+    _columns,
     _flux_ratio,
     _flux_terms,
     _gradient_rows,
@@ -258,45 +260,52 @@ def _check_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB):
         raise InconsistentSpec(f"relation {relation} needs core {core}")
 
 
+def _pp_diag(kind: str, lam: np.ndarray, m: np.ndarray, specs, pas, pbs) -> np.ndarray:
+    """B#'s eigenvalues along the moment's eigenframe of laminates of one kind (see _seq_pp_stack), each row's phase terms Python floats."""
+    rows = [(pa, pb, pa.thetaA) for pa, pb in zip(pas, pbs)]
+    if kind == "homogeneous":
+        return np.broadcast_to(np.array([pb.mean for pb in pbs])[:, None], lam.shape)
+    if kind == "a2":
+        nested, disjoint = _gradient_rows(lam, m, _columns([_gradient_terms(*row) for row in rows]))
+        return np.where(np.array([spec.relation == "A_subset_B" for spec in specs])[:, None], nested, disjoint)
+    terms = l2_terms if kind == "B_subset_A" else u2_terms
+    inverse_a2, scale, first, level, osc = _columns([(*_flux_terms(pa, theta), *terms(pa, pb, theta)) for pa, pb, theta in rows])
+    ratio = _flux_ratio(lam, inverse_a2, scale) ** 2
+    if kind == "B_subset_A":
+        flux = first + (level + osc * (1.0 - m)) * ratio
+    else:
+        flux = first / lam - (level - osc * (1.0 - m)) * ratio
+    return lam**2 * flux
+
+
 def _seq_pp_stack(specs, pas, pbs) -> list:
     """seq_pair_pp of each (spec, pa, pb), the specs of one dimension, from one _laminate_frames pass.
 
     Each entry is the pair (A*, B#), or the ChainViolation seq_pair_pp
     raises for it; a spec seq_pair_pp refuses otherwise raises here, and a
     non-finite entry anywhere in the stack raises ValueError.  The rows of
-    each core (and those of a homogeneous matrix medium) are evaluated
-    together, their phase terms as columns, so each row has the bits of its
-    one-spec case.
+    each kind (a homogeneous matrix medium, core a2, or each core-a1
+    relation) are evaluated together by _pp_diag, so each row has the bits
+    of its one-spec case.
     """
     for spec, pa, pb in zip(specs, pas, pbs):
         _check_pp(spec, pa, pb)
     w, a_diag, frames = _laminate_frames(specs, pas)
-    diag, kinds = np.empty_like(a_diag), {}
+    kinds = {}
     for k, (spec, pa) in enumerate(zip(specs, pas)):
         core = _PAIR_RELATIONS[spec.relation].core_a
         # the core-a2 relations share one pass, gradient_extremes giving both
         kind = spec.relation if core == "a1" else "a2"
         kinds.setdefault("homogeneous" if homogeneous_value(pa) == core_side(pa, core)[0] else kind, []).append(k)
-    for kind, ks in kinds.items():
-        # the phase terms of each row are Python floats, as in the one-spec case
-        lam, m, rows = a_diag[ks], w[ks], [(pas[k], pbs[k], pas[k].thetaA) for k in ks]
-        if kind == "homogeneous":
-            diag[ks] = np.array([pb.mean for _, pb, _ in rows])[:, None]
-        elif kind == "a2":
-            nested, disjoint = _gradient_rows(lam, m, np.array([_gradient_terms(*row) for row in rows]).T[:, :, None])
-            diag[ks] = np.where(np.array([specs[k].relation == "A_subset_B" for k in ks])[:, None], nested, disjoint)
-        else:
-            terms = l2_terms if kind == "B_subset_A" else u2_terms
-            inverse_a2, scale, first, level, osc = np.array([(*_flux_terms(pa, theta), *terms(pa, pb, theta)) for pa, pb, theta in rows]).T[:, :, None]
-            ratio = _flux_ratio(lam, inverse_a2, scale) ** 2
-            if kind == "B_subset_A":
-                flux = first + (level + osc * (1.0 - m)) * ratio
-            else:
-                flux = first / lam - (level - osc * (1.0 - m)) * ratio
-            diag[ks] = lam**2 * flux
+    if len(kinds) == 1:  # no row to scatter
+        diag = _pp_diag(*kinds, a_diag, w, specs, pas, pbs)
+    else:
+        diag = np.empty_like(a_diag)
+        for kind, ks in kinds.items():
+            diag[ks] = _pp_diag(kind, a_diag[ks], w[ks], *([seq[k] for k in ks] for seq in (specs, pas, pbs)))
     k = len(specs)
     matrices = from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag]))
-    link = np.array([pb.b2 / pa.a1 for pa, pb in zip(pas, pbs)])[:, None] * a_diag - diag
+    link = _columns([(pb.b2 / pa.a1,) for pa, pb in zip(pas, pbs)])[0] * a_diag - diag
     # symmetrising keeps an entry finite, or not, as it is
     if not (np.isfinite(matrices).all() and np.isfinite(link).all()):
         raise ValueError(_NON_FINITE)

@@ -13,7 +13,11 @@ is a closed convex set.  The module evaluates each bound, classifies pairs,
 mixes fibre extremes, and evaluates the pointwise energy-density bounds of
 a constant density.  Only _verdict_inputs decomposes a pair: it builds one
 record per pair, kept on A*, from which the chain check and every bound
-evaluate their own sides.
+evaluate their own sides.  pair_memberships judges a chunk of pairs on
+stacked arrays, one pass per dimension: the G-set membership and the
+upper-boundary fraction of each A*, and the lhs of each pair's selected
+bounds, which the one-pair functions then read.  Each formula has one home,
+evaluated over a stack or over one pair.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from .gclosure import (
     PhaseA,
     core_side,
     g_membership,
+    g_membership_stack,
     homogeneous_value,
     lower_trace_sum,
     means,
-    slacks_stack,
     theta_from_upper_boundary,
     thetas_from_lower_boundary,
 )
@@ -162,6 +166,11 @@ def _phases(pa: PhaseA, pb: PhaseB, theta=None) -> _Phases:
     return _Phases(pa.a1, pb.b1, pb.b2 / pa.a1, flux_floor(pa, pb), _u2_lead(pa, pb), *_flux_terms(pa, theta))
 
 
+def _columns(rows) -> tuple:
+    """The entries of equal-length tuples, one per row of a stack, as (K, 1) columns; a lone row's entries stay as they are."""
+    return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[:, :, None])
+
+
 def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The dot product of each row of a (K, N) stack with the same row of another, bit for bit np.dot of the pair."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -217,7 +226,7 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
 
     Given pbs, the PhaseB of each row, it also judges the rows on stacked
     arrays, per dimension: A* keeps its Judged under pa for g_membership and
-    theta_from_upper_boundary (see gclosure.slacks_stack), and each record
+    theta_from_upper_boundary (see gclosure.g_membership_stack), and each record
     keeps in sides the lhs of the two bounds pair_membership selects for a
     member at tol whose inverse factors are regular.
     """
@@ -240,8 +249,8 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
         more = [np.array(ratio)[:, None, None] * a - b]
         if const:
             pas = [rows[group[k]][2] for k in const]
-            sides = np.array([[core_side(pa, core) for pa in pas] for core in ("a1", "a2")])
-            base, _, _, sign = sides.transpose(2, 0, 1)[..., None, None]  # each (2, C, 1, 1): core a1, then core a2
+            core_sides = np.array([[core_side(pa, core) for pa in pas] for core in ("a1", "a2")])
+            base, _, _, sign = core_sides.transpose(2, 0, 1)[..., None, None]  # each (2, C, 1, 1): core a1, then core a2
             b1 = np.array([rows[group[k]][3] for k in const])[:, None, None]
             ac, bc = a[const], b[const]
             outer = np.array([ac, ac])
@@ -259,7 +268,7 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
             middles = iter(zip(values[k_rows:].tolist(), frames[k_rows:]))
             for j, core in enumerate(("a1", "a2")):
                 for c, (k, pa) in enumerate(zip(const, pas)):
-                    rhs = float(n * sides[j, c, 1] * (pa.a2 - pa.a1))
+                    rhs = float(n * core_sides[j, c, 1] * (pa.a2 - pa.a1))
                     if live[j, c]:
                         middle_values, middle_frame = next(middles)
                         const_b[k][core] = (outer[j, c], EigSystem(tuple(middle_values), middle_frame), rhs)
@@ -280,15 +289,16 @@ def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray
     """The stacked judging pass of _verdict_inputs over the rows `group` of one dimension, with their (K, N) lam and beta.
 
     A homogeneous A-medium is judged without a bound, so its rows are left
-    out.  Every two-phase bound runs on every two-phase member at once,
-    quietly, and each pair keeps its selected two; the lhs of L1 and U1
-    only where the shift A* - a1 I passes positive_rows.
+    out.  Each two-phase bound that a member selects runs on every
+    two-phase member at once, quietly, and each pair keeps its own two; the
+    lhs of L1 and U1 only where the shift A* - a1 I passes positive_rows,
+    and a constant density's only where its middle factor does.
     """
     live = [k for k, i in enumerate(group) if homogeneous_value(rows[i][2]) is None]
     if not live:
         return
     const, two = [], []
-    for k, row in zip(live, slacks_stack(lam[live], [rows[group[k]][2] for k in live], tol)):
+    for k, row in zip(live, g_membership_stack(lam[live], [rows[group[k]][2] for k in live], tol)):
         astar, bsharp, pa, b1, b2 = rows[group[k]]
         derived(astar, bsharp)[pa] = row
         if row.report.verdict == "outside":
@@ -299,7 +309,7 @@ def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray
             two.append((k, classify_region(pa, pbs[group[k]]), row.theta))
     if two:
         ks = [k for k, _, _ in two]
-        p = _Phases(*np.array([_phases(rows[group[k]][2], pbs[group[k]], t) for k, _, t in two]).T[:, :, None])
+        p = _Phases(*_columns([_phases(rows[group[k]][2], pbs[group[k]], t) for k, _, t in two]))
         names = {name for _, region, _ in two for name in (region[:2], region[2:])}
         lam = lam[ks]
         with np.errstate(all="ignore"):
@@ -648,8 +658,7 @@ def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
     """
     if np.ndim(theta) == 0:
         return _gradient_rows(lam, m, _gradient_terms(pa, pb, float(theta)))
-    terms = np.array([_gradient_terms(pa, pb, t) for t in np.ravel(theta).tolist()])
-    return _gradient_rows(lam, m, terms.T[:, :, None])
+    return _gradient_rows(lam, m, _columns([_gradient_terms(pa, pb, t) for t in np.ravel(theta).tolist()]))
 
 
 def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:

@@ -4,8 +4,9 @@ Draws phase data and a construction (simple or sequential laminate, coated
 sphere, one-dimensional embedding, possibly rotated) from a counter-based
 generator, so a 64-bit seed reproduces a sweep bit for bit.  Used by the
 command-line `pair sweep` and by the feasibility acceptance run.
-draw_composites makes a chunk's random draws first and then builds what it
-can in stacked passes; draw_composite is its one-composite case.
+draw_composites makes a chunk's random draws first and then builds them in
+stacked passes, drawing again only for the seq_pp laminates that break the
+bounds chain; draw_composite is its one-composite case.
 """
 
 from __future__ import annotations
@@ -134,14 +135,14 @@ def draw_composites(rng, count: int, max_dim: int = 3) -> list:
     draws, pending, rejections = [], {"rotated_simple": {}, "seq_const": {}}, 0
     while len(draws) < count:
         candidates = [_draw(rng, max_dim) for _ in range(count - len(draws))]
-        seq_pp, moments = {}, {}
+        seq_pp, specs = {}, {}
         for draw, todo in candidates:
             if todo is not None and todo[0] in ("seq_pp", "seq_const"):
-                moments.setdefault(draw["dim"], []).append(todo[1].moment)
+                specs.setdefault(draw["dim"], []).append(todo[1])
                 if todo[0] == "seq_pp":
                     seq_pp.setdefault(draw["dim"], []).append((draw, todo[1]))
-        for group in moments.values():
-            eig_stack(group)  # every laminate of the round, for both stacks below
+        for group in specs.values():
+            eig_stack([spec.moment for spec in group])  # every laminate of the round, for both stacks below
         rejected = set()
         for group in seq_pp.values():
             built = _seq_pp_stack([spec for _, spec in group], [d["pa"] for d, _ in group], [d["pb"] for d, _ in group])

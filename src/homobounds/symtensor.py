@@ -6,11 +6,13 @@ N <= 8.  A SymTensor holds its symmetrized matrix as a read-only array and
 computes its eigensystem once, with LAPACK's symmetric solver, on first
 request; every later eig of the same tensor reuses it.  One routine
 decomposes a stack of matrices in one LAPACK call and fixes the order and
-signs of every result: eig_stack sends it the tensors of one dimension not
-yet decomposed, and eig of a tensor is eig_stack of that one.  derived
-keeps on a tensor what was computed from it with one partner tensor, and
+signs of every result (eigh_arrays): eig_stack sends it the tensors of one
+dimension not yet decomposed, with any plain matrices to decompose alongside,
+and eig of a tensor is eig_stack of that one.  SymTensor.stack builds the
+tensors of a stack of matrices in one pass.  derived keeps on a tensor what
+was computed from it with one partner tensor (kept reads it back), and
 positive_spectrum refuses an inverse factor whose eigenvalues are not all
-positive.  The module also evaluates trace chains of matrix powers,
+positive at the floor positive_rows applies row by row.  The module also evaluates trace chains of matrix powers,
 rotations (rotate_stack takes many at once, and from_frames builds
 Q diag(v) Q^T over a stack), and the rearrangement inequality
 tr(EF) >= sum of oppositely sorted eigenvalue products used by the
@@ -19,7 +21,7 @@ commutativity argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,8 +121,7 @@ class SymTensor:
         return f"SymTensor({self._m.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class EigSystem:
+class EigSystem(NamedTuple):
     """Eigenvalues (descending) and an orthonormal eigenvector frame."""
 
     values: tuple

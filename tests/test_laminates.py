@@ -16,6 +16,7 @@ from homobounds.laminates import (
     RegionMismatch,
     overlap_window,
     _seq_const_stack,
+    _seq_pp_stack,
     seq_A,
     seq_B_const,
     seq_B_pp,
@@ -375,6 +376,39 @@ class TestStacks:
         ]:
             for tensor, m in zip(got, want):
                 assert np.array_equal(tensor.mat, m) and np.array_equal(np.signbit(tensor.mat), np.signbit(m))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_pair_pp_stack_is_its_one_spec_cases(self, n):
+        # every relation, core a1 on a homogeneous matrix medium, and
+        # complement_cover outputs that break the chain, in one stack
+        rng = np.random.default_rng(10 + n)
+        specs, pas, pbs = [], [], []
+        while len(specs) < 60:
+            a1, b1 = rng.uniform(0.5, 2.0, size=2)
+            # the a2 matrix fills the medium of the first three: B_subset_A is core a1 on it
+            theta_a, theta_b = (5e-13, 0.0) if len(specs) < 3 else rng.uniform(0.05, 0.95, size=2)
+            pa, pb = PhaseA(a1, a1 * rng.uniform(1.1, 4.0), theta_a), PhaseB(b1, b1 * rng.uniform(1.0, 4.0), theta_b)
+            relations = [r for r in ("A_subset_B", "B_subset_A", "disjoint", "complement_cover") if admits(r, pa, pb, False)]
+            relation = relations[len(specs) % len(relations)]
+            v = rng.normal(size=(1 + len(specs) % n, n))
+            w = rng.dirichlet(np.ones(len(v)))
+            core = "a2" if relation in ("A_subset_B", "disjoint") else "a1"
+            specs.append(LaminateSpec(v / np.linalg.norm(v, axis=1, keepdims=True), w / w.sum(), core, relation))
+            pas.append(pa)
+            pbs.append(pb)
+        built = _seq_pp_stack(specs, pas, pbs)
+        violations = 0
+        for spec, pa, pb, got in zip(specs, pas, pbs, built):
+            fresh = LaminateSpec(spec.directions, spec.weights, spec.core_phase, spec.relation)
+            try:
+                want = seq_pair_pp(fresh, pa, pb)
+            except ChainViolation as exc:
+                violations += 1
+                assert isinstance(got, ChainViolation) and str(got) == str(exc)
+                want, got = (exc.astar, exc.tensor), (got.astar, got.tensor)
+            assert [t.mat.tobytes() for t in got] == [t.mat.tobytes() for t in want]
+        assert violations > 0 and {spec.relation for spec in specs} == {"A_subset_B", "B_subset_A", "disjoint", "complement_cover"}
+        assert specs[0].relation == "B_subset_A" and homogeneous_value(pas[0]) == pas[0].a2
 
     def test_stack_refuses_a_density_before_building(self, pa_half):
         spec = LaminateSpec((E1,), (1.0,), "a2", "const_b")

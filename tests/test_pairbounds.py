@@ -44,7 +44,7 @@ from homobounds.pairbounds import (
 )
 from homobounds import pairbounds, sweeps
 from homobounds.cli import main
-from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, derived, eig, rotate, trace_chain
+from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, derived, eig, kept, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
 
@@ -471,6 +471,24 @@ class TestEigenframe:
             with pytest.raises(SingularFactor):
                 bound(astar, bsharp, a, 1.0)
         assert reports[-1].verdict == "infeasible"
+
+    def test_chunk_keeps_what_each_one_pair_function_reads(self, monkeypatch):
+        # after the stacked pass, g_membership and theta_from_upper_boundary
+        # return what A* keeps for its phases, and every bound of a sweep row
+        # finds its lhs kept: no one-pair case of an lhs runs
+        pairs = [(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in sweeps.draw_composites(sweeps.make_rng(4), 40, 3)]
+        pairbounds._verdict_inputs([(a, b, pa, pb.b1, pb.b2) for a, b, pa, pb in pairs], [pair[3] for pair in pairs], 1e-9)
+
+        def refused(*args):
+            raise AssertionError("an lhs was evaluated one pair at a time")
+
+        monkeypatch.setattr(pairbounds, "_two_phase_lhs", refused)
+        monkeypatch.setattr(pairbounds, "_const_lhs", refused)
+        for astar, bsharp, pa, pb in pairs:
+            judged = kept(astar)[pa]
+            assert g_membership(astar, pa) is judged.report
+            assert theta_from_upper_boundary(astar, pa) == judged.theta
+            assert pair_membership(astar, bsharp, pa, pb).verdict in ("feasible", "boundary")
 
     def test_mixed_chunk_matches_one_pair_at_a_time(self):
         # one chunk holding every kind of row, judged on stacked arrays, against
