@@ -187,6 +187,22 @@ class Judged(NamedTuple):
     tol: float
 
 
+# The key of what A* keeps from a stacked pass, among what it derived with
+# its partner (see symtensor.derived): a dict of the Judged of each PhaseA.
+_JUDGED = "judged"
+
+
+def keep_judged(store: dict, p: PhaseA, row: Judged):
+    """Keep in store, what A* derived with its partner, the Judged that g_membership and theta_from_upper_boundary read for p."""
+    store.setdefault(_JUDGED, {})[p] = row
+
+
+def _judged(astar: SymTensor, p: PhaseA):
+    """The Judged A* keeps for p, or None."""
+    rows = kept(astar).get(_JUDGED)
+    return None if rows is None else rows.get(p)
+
+
 class _PhaseRows(NamedTuple):
     """The phase values of many PhaseA as (K,) rows: what the sums over the eigenvalues read of one."""
 
@@ -229,7 +245,7 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
     """Evaluate the three membership conditions and classify the tensor.
 
     The report is the one A* keeps for p at tol (see g_membership_stack and
-    symtensor.kept), else the one-tensor case of the formulas g_membership_stack
+    keep_judged), else the one-tensor case of the formulas g_membership_stack
     evaluates.
     """
     lams = eig(astar).values
@@ -243,7 +259,7 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
         window = tuple([(0.0, 0.0)] * len(lams))
         return GMembershipReport(window, 0.0, 0.0, "corner")
 
-    row = kept(astar).get(p)
+    row = _judged(astar, p)
     if row is not None and row.tol == tol:
         return row.report
     harm, arith = means(p)
@@ -310,7 +326,7 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     target = homogeneous_value(p)
     if target is not None:
         return 1.0 if target == p.a1 else float(p.thetaA)
-    row = kept(astar).get(p)
+    row = _judged(astar, p)
     if row is not None:
         return row.theta
     lams = eig(astar).values

@@ -36,6 +36,7 @@ from .gclosure import (
     g_membership,
     g_membership_stack,
     homogeneous_value,
+    keep_judged,
     lower_trace_sum,
     means,
     theta_from_upper_boundary,
@@ -176,7 +177,7 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _two_phase_lhs(names, lam: np.ndarray, beta: np.ndarray, p: _Phases) -> dict:
+def _two_phase_lhs(names, lam: np.ndarray, beta: np.ndarray, p: _Phases, shift=None) -> dict:
     """{name: the lhs of each row} of the two-phase trace bounds `names`.
 
     lam and beta are (K, N) stacks of A*'s eigenvalues and of the diagonal
@@ -184,11 +185,12 @@ def _two_phase_lhs(names, lam: np.ndarray, beta: np.ndarray, p: _Phases) -> dict
     bound pairs B# with a function f of A* alone, and tr B# f(A*) = sum_i
     beta_i f(lambda_i) whether or not B# commutes with A*.  An axis-1 np.sum
     and _rowdot give each row the bits of np.sum and np.dot on its pair
-    alone.  L1 and U1 need each lam - a1 positive (see positive_rows).
+    alone.  L1 and U1 read the shift lam - a1, which must be positive (see
+    positive_rows).
     """
     lhs = {}
     if "L1" in names or "U1" in names:
-        shift2 = (lam - p.a1) ** 2
+        shift2 = shift**2
         if "L1" in names:
             lhs["L1"] = np.sum((beta - p.b1) / shift2, axis=1)
         if "U1" in names:
@@ -225,7 +227,7 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
     anything is built.
 
     Given pbs, the PhaseB of each row, it also judges the rows on stacked
-    arrays, per dimension: A* keeps its Judged under pa for g_membership and
+    arrays, per dimension: A* keeps its Judged for g_membership and
     theta_from_upper_boundary (see gclosure.g_membership_stack), and each record
     keeps in sides the lhs of the two bounds pair_membership selects for a
     member at tol whose inverse factors are regular.
@@ -300,7 +302,7 @@ def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray
     const, two = [], []
     for k, row in zip(live, g_membership_stack(lam[live], [rows[group[k]][2] for k in live], tol)):
         astar, bsharp, pa, b1, b2 = rows[group[k]]
-        derived(astar, bsharp)[pa] = row
+        keep_judged(derived(astar, bsharp), pa, row)
         if row.report.verdict == "outside":
             continue
         if _constant_density(b1, b2):
@@ -313,8 +315,9 @@ def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray
         names = {name for _, region, _ in two for name in (region[:2], region[2:])}
         lam = lam[ks]
         with np.errstate(all="ignore"):
-            positive = positive_rows(lam - p.a1).tolist() if "L1" in names or "U1" in names else None
-            lhs = {name: values.tolist() for name, values in _two_phase_lhs(names, lam, beta[ks], p).items()}
+            shift = lam - p.a1 if "L1" in names or "U1" in names else None
+            positive = None if shift is None else positive_rows(shift).tolist()
+            lhs = {name: values.tolist() for name, values in _two_phase_lhs(names, lam, beta[ks], p, shift).items()}
         for j, (k, region, t) in enumerate(two):
             sides = records[group[k]].sides
             for name in (region[:2], region[2:]):
@@ -407,10 +410,11 @@ def _lhs(name: str, astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB,
     lhs = record.sides.get((name, theta)) if record.sides else None
     if lhs is not None:
         return lhs
-    lam = np.array([eig(astar).values])
+    lam, shift = np.array([eig(astar).values]), None
     if theta is None:
-        positive_spectrum(lam[0] - pa.a1)  # raises SingularFactor
-    return float(_two_phase_lhs((name,), lam, record.beta[None], _phases(pa, pb, theta))[name][0])
+        shift = lam - pa.a1
+        positive_spectrum(shift[0])  # raises SingularFactor
+    return float(_two_phase_lhs((name,), lam, record.beta[None], _phases(pa, pb, theta), shift)[name][0])
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:

@@ -215,7 +215,7 @@ def positive_rows(values) -> np.ndarray:
     """Whether each row of a stack of eigenvalues (or the one row of a 1-D sequence) is positive at the relative floor."""
     vals = np.asarray(values, dtype=float)
     # "above" rather than "not at or below": every comparison with NaN is False
-    return vals.min(axis=-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(axis=-1) + _ABS_FLOOR)
+    return vals.min(-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(-1) + _ABS_FLOOR)
 
 
 def positive_spectrum(values) -> np.ndarray:

@@ -42,9 +42,9 @@ from homobounds.pairbounds import (
     pair_memberships,
     theta_star_u2,
 )
-from homobounds import pairbounds, sweeps
+from homobounds import gclosure, pairbounds, sweeps
 from homobounds.cli import main
-from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, derived, eig, kept, rotate, trace_chain
+from homobounds.symtensor import SingularFactor, SymTensor, commutator_norm, derived, eig, rotate, trace_chain
 
 LAM_A = SymTensor.diag([4 / 3, 3 / 2])
 
@@ -485,7 +485,7 @@ class TestEigenframe:
         monkeypatch.setattr(pairbounds, "_two_phase_lhs", refused)
         monkeypatch.setattr(pairbounds, "_const_lhs", refused)
         for astar, bsharp, pa, pb in pairs:
-            judged = kept(astar)[pa]
+            judged = gclosure._judged(astar, pa)
             assert g_membership(astar, pa) is judged.report
             assert theta_from_upper_boundary(astar, pa) == judged.theta
             assert pair_membership(astar, bsharp, pa, pb).verdict in ("feasible", "boundary")
