@@ -468,22 +468,18 @@ def theta_star_u2(pa: PhaseA, pb: PhaseB, theta: float) -> float:
 
 
 def _flux_terms(pa: PhaseA, theta: float) -> tuple:
-    """(1/a2, theta (a2-a1)/(a1 a2)): the phase terms of flux_ratio, floats."""
+    """(1/a2, theta (a2-a1)/(a1 a2)), floats: the phase terms of _flux_ratio at the upper-boundary fraction theta."""
     return 1.0 / pa.a2, theta * (pa.a2 - pa.a1) / (pa.a1 * pa.a2)
 
 
 def _flux_ratio(lam, inverse_a2, scale):
-    """flux_ratio from its _flux_terms, which may be columns, one entry per row of a stack lam."""
-    return (1.0 / lam - inverse_a2) / scale
-
-
-def flux_ratio(lam, pa: PhaseA, theta: float):
-    """(1/lam - 1/a2) / (theta (a2-a1)/(a1 a2)) for eigenvalues lam of A*.
+    """(1/lam - 1/a2) / (theta (a2-a1)/(a1 a2)) for eigenvalues lam of A*, from its _flux_terms.
 
     The flux-side resolvent of A* relative to that of the upper-boundary
-    tensor of fraction theta; its inverse square weights L2 and U2.
+    tensor of fraction theta; its inverse square weights L2 and U2.  The
+    terms may be columns, one entry per row of a stack lam.
     """
-    return _flux_ratio(lam, *_flux_terms(pa, theta))
+    return (1.0 / lam - inverse_a2) / scale
 
 
 def l2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
