@@ -122,15 +122,16 @@ def draw_composites(rng, count: int, max_dim: int = 3) -> list:
     The random draws are made first, one candidate after another.  One
     LAPACK call per dimension decomposes the direction moments of the
     round's sequential laminates, and the seq_pp laminates are built per
-    dimension in one stacked pass (see laminates._seq_pp_stack).  A complement_cover output that
-    breaks the bounds chain is not a relative limit: the candidate is
-    dropped, counted in the chain_rejections of the next composite kept,
-    and exactly the shortfall is drawn in a further round.  No build draws
-    from the stream, so it is consumed as count calls of draw_composite
-    would consume it.  The other constructions are then built per dimension
-    in stacked passes: the rotated simple laminates by one QR and one
-    congruence, the constant-density sequential laminates by one pass over
-    their decomposed moments and one frame product for A* and B#.  Every tensor has the bits of its one-composite case.
+    dimension in one stacked pass (see laminates._seq_pp_stack).  A
+    complement_cover output that breaks the bounds chain is not a relative
+    limit: the candidate is dropped, counted in the chain_rejections of the
+    next composite kept, and exactly the shortfall is drawn in a further
+    round.  No build draws from the stream, so it is consumed as count
+    calls of draw_composite would consume it.  The other constructions are
+    then built per dimension in stacked passes: the rotated simple laminates
+    by one QR and one congruence, the constant-density sequential laminates
+    by one pass over their decomposed moments and one frame product for A*
+    and B#.  Every tensor has the bits of its one-composite case.
     """
     draws, pending, rejections = [], {"rotated_simple": {}, "seq_const": {}}, 0
     while len(draws) < count:
