@@ -211,17 +211,22 @@ def kept(s: SymTensor) -> dict:
     return {} if s._derived is None else s._derived[1]
 
 
-def positive_rows(values) -> np.ndarray:
-    """Whether each row of a stack of eigenvalues (or the one row of a 1-D sequence) is positive at the relative floor."""
-    vals = np.asarray(values, dtype=float)
+def _above_floor(low, high):
+    """Whether the least eigenvalue low is positive at the relative floor set by the largest magnitude high."""
     # "above" rather than "not at or below": every comparison with NaN is False
-    return vals.min(-1) > _EIG_SINGULAR_REL * (np.abs(vals).max(-1) + _ABS_FLOOR)
+    return low > _EIG_SINGULAR_REL * (high + _ABS_FLOOR)
+
+
+def positive_rows(values) -> np.ndarray:
+    """Whether each row of a (K, N) stack of eigenvalues is positive at the relative floor (see positive_spectrum)."""
+    vals = np.asarray(values, dtype=float)
+    return _above_floor(vals.min(axis=-1), np.abs(vals).max(axis=-1))
 
 
 def positive_spectrum(values) -> np.ndarray:
     """Eigenvalues of an inverse factor as an array; SingularFactor unless all are positive at the relative floor."""
     vals = np.asarray(values, dtype=float)
-    if not positive_rows(vals):
+    if not _above_floor(vals.min(), np.abs(vals).max()):
         raise SingularFactor(
             f"inverse factor not positive definite (min eig {vals.min():.3e}, scale {np.abs(vals).max() + _ABS_FLOOR:.3e})"
         )
