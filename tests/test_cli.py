@@ -408,7 +408,7 @@ UNREAD_DEFAULTED = [
         (["oned", "limits", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["oned", "invert", "--a", "1,2,0.5", "--b", "1,3,0.5"], None, None),
         (["phase", "--a", "1,2,0.5", "--b", "1,3,0.3"], None, None),
-        # entries past the float range off the diagonal (1e308 symmetrises to itself now), and trace sums that overflow
+        # entries past the float range off the diagonal, and a B# whose trace sums overflow
         (CHECK + ["--astar", "[[1.5,1e309],[1e309,1.5]]"], None, None),
         (["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1e308,0],[0,1e308]]"], None, None),
         (["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--const-b", "-1"], None, None),
