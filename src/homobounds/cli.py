@@ -180,8 +180,9 @@ def cmd_pair(args) -> int:
         return _exit_code(args, any(r[-1] == "infeasible" for r in rows))
     pa, pb = _phase(args, "a"), _phase(args, "b")
     astar, bsharp = _tensor(args.astar, "astar"), _tensor(args.bsharp, "bsharp")
-    # numpy's array arithmetic only warns where Python's float arithmetic
-    # raises, so a request whose trace sums overflow is refused as one is
+    # numpy warns on an overflow and goes on with inf; here an overflow
+    # raises FloatingPointError instead, so such a pair is refused (exit 2)
+    # rather than judged on infinite sides.  Only pair check does this.
     with np.errstate(over="raise"):
         report = pairbounds.pair_membership(astar, bsharp, pa, pb, _tol(args))
     _emit(args, vars(report))

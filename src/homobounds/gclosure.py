@@ -5,21 +5,16 @@ eigenvalue window [harmonic mean, arithmetic mean] together with a lower
 and an upper trace inequality.  This module evaluates membership, recovers
 the boundary fraction theta from a tensor (in closed form on both sides),
 and samples the two boundary curves at N = 2 for phase diagrams.
-g_membership_stack evaluates membership and the upper-boundary fraction
-over a stack of eigenvalues, with the formulas g_membership and
-theta_from_upper_boundary evaluate for one tensor, and a tensor keeps its
-result for them to read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .homog1d import phase_means
-from .symtensor import SymTensor, eig, eig_stack, kept
+from .symtensor import SymTensor, eig, eig_stack
 
 _DEGENERATE_THETA = 1e-12  # a phase fraction at or below this is absent: the medium is homogeneous
 DEFAULT_TOL = 1e-9  # default absolute tolerance on the slack of a bound or membership condition
@@ -90,165 +85,21 @@ def homogeneous_value(p: PhaseA):
     return p.a1 if p.thetaA >= 1.0 - _DEGENERATE_THETA else None
 
 
-# The membership formulas read A*'s eigenvalues lams and the phase scalars
-# of p as floats for one tensor, or as an (N, K) stack of eigenvalues, one
-# column per tensor, with (K,) rows of phase scalars.  A sum over the
-# eigenvalues runs left to right, as Python's sum does, row by row on a
-# stack, so each column has the bits of its one-tensor case.
-
-
-def _eigsum(f, lams):
-    """The sum of f over the eigenvalues lams, left to right."""
-    return sum(f(lams)) if isinstance(lams, np.ndarray) else sum(f(lam) for lam in lams)
-
-
-def _lower_sum(lams, p):
-    """tr(A* - a1 I)^-1 from A*'s eigenvalues lams."""
-    return _eigsum(lambda lam: 1.0 / (lam - p.a1), lams)
-
-
-def _upper_sum(lams, p):
-    """tr(A*^-1 - a2^-1 I)^-1 from A*'s eigenvalues lams."""
-    return _eigsum(lambda lam: 1.0 / (1.0 / lam - 1.0 / p.a2), lams)
-
-
 def lower_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     """S = tr(A* - a1 I)^-1, the resolvent trace of the lower boundary."""
-    return _lower_sum(eig(astar).values, p)
+    return sum(1.0 / (lam - p.a1) for lam in eig(astar).values)
 
 
 def upper_trace_sum(astar: SymTensor, p: PhaseA) -> float:
     """t = tr(A*^-1 - a2^-1 I)^-1, the flux-side resolvent trace of the upper boundary."""
-    return _upper_sum(eig(astar).values, p)
-
-
-def _near(lam, p):
-    """Whether the eigenvalue lam lies within 1e-13 of a phase value, where the trace sums blow up."""
-    return (lam - p.a1 <= 1e-13 * p.a1) | (p.a2 - lam <= 1e-13 * p.a2)
-
-
-def _pinned(lams, p):
-    """Whether any of the eigenvalues lams is _near a phase value."""
-    return _near(lams, p).any(axis=0) if isinstance(lams, np.ndarray) else any(_near(lam, p) for lam in lams)
-
-
-def _slack_terms(p, n: int, harm: float, arith: float) -> tuple:
-    """The phase-only terms of the lower and upper trace slacks of an unpinned A* of dimension n off the homogeneous medium."""
-    return 1.0 / (harm - p.a1) + (n - 1) / (arith - p.a1), 1.0 / (p.a2 - harm) + (n - 1) / (p.a2 - arith)
-
-
-def _trace_slacks(lams, p, low_terms, up_terms) -> tuple:
-    """(lower, upper) trace slacks from A*'s eigenvalues and the _slack_terms of its phases."""
-    return low_terms - _lower_sum(lams, p), up_terms - _eigsum(lambda lam: 1.0 / (p.a2 - lam), lams)
-
-
-def _root_terms(p, n: int) -> tuple:
-    """The numerator and the shift of the denominator of the upper-boundary root in dimension n."""
-    return n * p.a1 * p.a2 / (p.a2 - p.a1) + (n - 1) * p.a2, (n - 1) * p.a2
-
-
-def _upper_root(lams, p, numerator, shift):
-    """The root of the upper-boundary trace equation, in closed form (see theta_from_upper_boundary), from its _root_terms."""
-    return numerator / (_upper_sum(lams, p) + shift)
-
-
-def _upper_theta(root: float, p: PhaseA) -> float:
-    """The upper-boundary root clamped to [thetaA, 1], a root above 1 - 1e-9 counted as 1."""
-    if root <= p.thetaA:  # a member's root is not below thetaA: roundoff puts it on that boundary
-        return float(p.thetaA)
-    return 1.0 if root > 1.0 - 1e-9 else float(root)
-
-
-def _report(window: tuple, pinned: bool, low, up, tol: float) -> GMembershipReport:
-    """g_membership's report off the homogeneous medium, from the window slacks and the trace slacks (None when pinned)."""
-    # eigenvalues pinned at the phase values make the trace sums blow up;
-    # membership then reduces to the window alone
-    if pinned:
-        return GMembershipReport(window, -np.inf, -np.inf, "outside")
-    window_ok = all(lo >= -tol and hi >= -tol for lo, hi in window)
-    if not window_ok or low < -tol or up < -tol:
-        verdict = "outside"
-    elif abs(low) <= tol and abs(up) <= tol:
-        verdict = "corner"
-    elif abs(low) <= tol:
-        verdict = "boundary_lower"
-    elif abs(up) <= tol:
-        verdict = "boundary_upper"
-    else:
-        verdict = "inside"
-    return GMembershipReport(window, float(low), float(up), verdict)
-
-
-class Judged(NamedTuple):
-    """What A* keeps for its PhaseA from g_membership_stack: g_membership's report at tol, and theta_from_upper_boundary of a member."""
-
-    report: GMembershipReport
-    theta: float  # None when an eigenvalue is pinned at a phase value
-    tol: float
-
-
-# The key of what A* keeps from a stacked pass, among what it derived with
-# its partner (see symtensor.derived): a dict of the Judged of each PhaseA.
-_JUDGED = "judged"
-
-
-def keep_judged(store: dict, p: PhaseA, row: Judged):
-    """Keep in store, what A* derived with its partner, the Judged that g_membership and theta_from_upper_boundary read for p."""
-    store.setdefault(_JUDGED, {})[p] = row
-
-
-def _judged(astar: SymTensor, p: PhaseA):
-    """The Judged A* keeps for p, or None."""
-    rows = kept(astar).get(_JUDGED)
-    return None if rows is None else rows.get(p)
-
-
-class _PhaseRows(NamedTuple):
-    """The phase values of many PhaseA as (K,) rows: what the sums over the eigenvalues read of one."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-
-def g_membership_stack(lam: np.ndarray, phases, tol: float) -> list:
-    """The Judged of each row of a (K, N) stack of A*'s eigenvalues, each row with its own PhaseA off the homogeneous medium.
-
-    The phase-only terms are evaluated row by row, and every sum over the
-    eigenvalues once over the stack, whose pinned rows are dropped before
-    the trace sums, which blow up there.  Python's float division raises
-    ZeroDivisionError where numpy divides by zero, so the stack raises
-    FloatingPointError there, and like Python it overflows quietly.
-    """
-    n = lam.shape[1]
-    both_means = [means(q) for q in phases]
-    a1, a2, harm, arith = np.array([(q.a1, q.a2, h, a) for q, (h, a) in zip(phases, both_means)]).T
-    lams = lam.T
-    windows = [tuple(zip(lo, hi)) for lo, hi in zip((lams - harm).T.tolist(), (arith - lams).T.tolist())]
-    pinned = _pinned(lams, _PhaseRows(a1, a2))
-    rows = [Judged(_report(window, True, None, None, tol), None, tol) if pin else None for window, pin in zip(windows, pinned.tolist())]
-    live = [k for k, row in enumerate(rows) if row is None]
-    if live:
-        terms = [(*_slack_terms(phases[k], n, *both_means[k]), *_root_terms(phases[k], n)) for k in live]
-        low_terms, up_terms, numerator, shift = np.array(terms).T
-        if len(live) < len(rows):
-            lams, a1, a2 = lams[:, live], a1[live], a2[live]
-        p = _PhaseRows(a1, a2)
-        with np.errstate(divide="raise", over="ignore", invalid="ignore"):
-            low, up = _trace_slacks(lams, p, low_terms, up_terms)
-            root = _upper_root(lams, p, numerator, shift)
-        for k, lo, hi, r in zip(live, low.tolist(), up.tolist(), root.tolist()):
-            rows[k] = Judged(_report(windows[k], False, lo, hi, tol), _upper_theta(r, phases[k]), tol)
-    return rows
+    return sum(1.0 / (1.0 / lam - 1.0 / p.a2) for lam in eig(astar).values)
 
 
 def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMembershipReport:
-    """Evaluate the three membership conditions and classify the tensor.
-
-    The report is the one A* keeps for p at tol (see g_membership_stack and
-    keep_judged), else the one-tensor case of the formulas g_membership_stack
-    evaluates.
-    """
+    """Evaluate the three membership conditions and classify the tensor."""
     lams = eig(astar).values
+    harm, arith = means(p)
+
     target = homogeneous_value(p)
     if target is not None:
         # the set degenerates to a single point: a2 I or a1 I
@@ -259,14 +110,28 @@ def g_membership(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL) -> GMemb
         window = tuple([(0.0, 0.0)] * len(lams))
         return GMembershipReport(window, 0.0, 0.0, "corner")
 
-    row = _judged(astar, p)
-    if row is not None and row.tol == tol:
-        return row.report
-    harm, arith = means(p)
     window = tuple([(lam - harm, arith - lam) for lam in lams])
-    if _pinned(lams, p):
-        return _report(window, True, None, None, tol)
-    return _report(window, False, *_trace_slacks(lams, p, *_slack_terms(p, len(lams), harm, arith)), tol)
+    window_ok = all(lo >= -tol and hi >= -tol for lo, hi in window)
+    # eigenvalues pinned at the phase values make the trace sums blow up;
+    # membership then reduces to the window alone
+    if any(lam - p.a1 <= 1e-13 * p.a1 or p.a2 - lam <= 1e-13 * p.a2 for lam in lams):
+        verdict = "outside"
+        return GMembershipReport(window, -np.inf, -np.inf, verdict)
+
+    n = len(lams)
+    low_slack = 1.0 / (harm - p.a1) + (n - 1) / (arith - p.a1) - lower_trace_sum(astar, p)
+    up_slack = 1.0 / (p.a2 - harm) + (n - 1) / (p.a2 - arith) - sum(1.0 / (p.a2 - lam) for lam in lams)
+    if not window_ok or low_slack < -tol or up_slack < -tol:
+        verdict = "outside"
+    elif abs(low_slack) <= tol and abs(up_slack) <= tol:
+        verdict = "corner"
+    elif abs(low_slack) <= tol:
+        verdict = "boundary_lower"
+    elif abs(up_slack) <= tol:
+        verdict = "boundary_upper"
+    else:
+        verdict = "inside"
+    return GMembershipReport(window, float(low_slack), float(up_slack), verdict)
 
 
 def _require_member(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_TOL):
@@ -326,11 +191,12 @@ def theta_from_upper_boundary(astar: SymTensor, p: PhaseA, tol: float = DEFAULT_
     target = homogeneous_value(p)
     if target is not None:
         return 1.0 if target == p.a1 else float(p.thetaA)
-    row = _judged(astar, p)
-    if row is not None:
-        return row.theta
-    lams = eig(astar).values
-    return _upper_theta(_upper_root(lams, p, *_root_terms(p, len(lams))), p)
+    n = astar.dim
+    t = upper_trace_sum(astar, p)
+    theta = (n * p.a1 * p.a2 / (p.a2 - p.a1) + (n - 1) * p.a2) / (t + (n - 1) * p.a2)
+    if theta <= p.thetaA:  # a member's root is not below thetaA: roundoff puts it on that boundary
+        return float(p.thetaA)
+    return 1.0 if theta > 1.0 - 1e-9 else float(theta)
 
 
 def boundary_curve_sample(p: PhaseA, side: str, count: int) -> list:

@@ -13,11 +13,10 @@ is a closed convex set.  The module evaluates each bound, classifies pairs,
 mixes fibre extremes, and evaluates the pointwise energy-density bounds of
 a constant density.  Only _verdict_inputs decomposes a pair: it builds one
 record per pair, kept on A*, from which the chain check and every bound
-evaluate their own sides.  pair_memberships judges a chunk of pairs on
-stacked arrays, one pass per dimension: the G-set membership and the
-upper-boundary fraction of each A*, and the lhs of each pair's selected
-bounds, which the one-pair functions then read.  Each formula has one home,
-evaluated over a stack or over one pair.
+evaluate their own sides.  pair_memberships evaluates the lhs of each
+pair's two selected bounds on stacked arrays, one pass per dimension, and
+the bound functions then read them; each lhs formula has one home, which
+takes one pair or a stack.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from .gclosure import (
     PhaseA,
     core_side,
     g_membership,
-    g_membership_stack,
     homogeneous_value,
-    keep_judged,
     lower_trace_sum,
     means,
     theta_from_upper_boundary,
@@ -148,23 +145,26 @@ class _Inputs(NamedTuple):
 _CONST_CORES = {"L_const_b": "a1", "U_const_b": "a2"}
 
 
-class _Phases(NamedTuple):
-    """The phase terms a trace bound's lhs reads: floats for one pair, or (K, 1) columns with one entry per pair of a stack."""
-
-    a1: float
-    b1: float
-    b2_a1: float  # b2/a1
-    floor: float  # flux_floor(pa, pb); this and the rest are None without theta
-    lead: float  # the lead of u2_terms
-    inverse_a2: float  # the _flux_terms at the pair's theta
-    scale: float
-
-
-def _phases(pa: PhaseA, pb: PhaseB, theta=None) -> _Phases:
-    """The _Phases of one pair, as Python floats; the terms of L2 and U2 only with theta, the upper-boundary fraction they read."""
-    if theta is None:
-        return _Phases(pa.a1, pb.b1, pb.b2 / pa.a1, None, None, None, None)
-    return _Phases(pa.a1, pb.b1, pb.b2 / pa.a1, flux_floor(pa, pb), _u2_lead(pa, pb), *_flux_terms(pa, theta))
+# The lhs of each two-phase trace bound, from A*'s eigenvalues lam, the
+# diagonal beta of B# in A*'s eigenframe, a factor read from A* alone (the
+# squared shift (lam - a1)^2 for L1 and U1, the weight _flux_ratio^-2 for L2
+# and U2) and one phase term, _LHS_TERM.  Each bound pairs B# with a
+# function f of A* alone, and tr B# f(A*) = sum_i beta_i f(lambda_i) whether
+# or not B# commutes with A*.  For one pair lam and beta are 1-D and the
+# terms floats; for a stack they are (K, N), with (K, 1) columns of terms,
+# and each row's sum or dot product has the bits of its pair alone.
+_TRACE_LHS = {
+    "L1": lambda lam, beta, shift2, b1: np.sum((beta - b1) / shift2, axis=-1),
+    "U1": lambda lam, beta, shift2, b2_a1: np.sum((b2_a1 * lam - beta) / shift2, axis=-1),
+    "L2": lambda lam, beta, weight, floor: _dot(beta / lam**2 - floor, weight),
+    "U2": lambda lam, beta, weight, lead: _dot(lead / lam - beta / lam**2, weight),
+}
+_LHS_TERM = {
+    "L1": lambda pa, pb: pb.b1,
+    "U1": lambda pa, pb: pb.b2 / pa.a1,
+    "L2": lambda pa, pb: flux_floor(pa, pb),
+    "U2": lambda pa, pb: _u2_lead(pa, pb),
+}
 
 
 def _columns(rows) -> tuple:
@@ -172,42 +172,14 @@ def _columns(rows) -> tuple:
     return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[:, :, None])
 
 
-def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The dot product of each row of a (K, N) stack with the same row of another, bit for bit np.dot of the pair."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+def _dot(u: np.ndarray, v: np.ndarray):
+    """np.dot of two 1-D arrays, or the dot product of each row of a (K, N) stack with the same row of another, with the bits of np.dot."""
+    return np.dot(u, v) if u.ndim == 1 else (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _two_phase_lhs(names, lam: np.ndarray, beta: np.ndarray, p: _Phases, shift=None) -> dict:
-    """{name: the lhs of each row} of the two-phase trace bounds `names`.
-
-    lam and beta are (K, N) stacks of A*'s eigenvalues and of the diagonal
-    of B# in A*'s eigenframe, and p holds the _Phases of each pair.  Each
-    bound pairs B# with a function f of A* alone, and tr B# f(A*) = sum_i
-    beta_i f(lambda_i) whether or not B# commutes with A*.  An axis-1 np.sum
-    and _rowdot give each row the bits of np.sum and np.dot on its pair
-    alone.  L1 and U1 read the shift lam - a1, which must be positive (see
-    positive_rows).
-    """
-    lhs = {}
-    if "L1" in names or "U1" in names:
-        shift2 = shift**2
-        if "L1" in names:
-            lhs["L1"] = np.sum((beta - p.b1) / shift2, axis=1)
-        if "U1" in names:
-            lhs["U1"] = np.sum((p.b2_a1 * lam - beta) / shift2, axis=1)
-    if "L2" in names or "U2" in names:
-        weight, flux = _flux_ratio(lam, p.inverse_a2, p.scale) ** -2, beta / lam**2
-        if "L2" in names:
-            lhs["L2"] = _rowdot(flux - p.floor, weight)
-        if "U2" in names:
-            lhs["U2"] = _rowdot(p.lead / lam - flux, weight)
-    return lhs
-
-
-def _const_lhs(outer: np.ndarray, values: np.ndarray, frames: np.ndarray, b) -> np.ndarray:
-    """b tr F M^-1 F of (K, N, N) stacks of outer factors F and of the frames of middle factors M with positive (K, N) spectra values."""
-    inverse = from_frames(frames, values**-1.0)
-    return b * np.trace(outer @ inverse @ outer, axis1=1, axis2=2)
+def _const_lhs(outer: np.ndarray, inverse: np.ndarray, b):
+    """b tr F M^-1 F of an outer factor F and the inverse of a middle factor M, or of (K, N, N) stacks of them with a (K,) row of b."""
+    return b * np.trace(outer @ inverse @ outer, axis1=-2, axis2=-1)
 
 
 def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
@@ -226,11 +198,9 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
     pair whose A* and B# differ in dimension raises DimensionMismatch before
     anything is built.
 
-    Given pbs, the PhaseB of each row, it also judges the rows on stacked
-    arrays, per dimension: A* keeps its Judged for g_membership and
-    theta_from_upper_boundary (see gclosure.g_membership_stack), and each record
-    keeps in sides the lhs of the two bounds pair_membership selects for a
-    member at tol whose inverse factors are regular.
+    Given pbs, the PhaseB of each row, each record also keeps in sides the
+    lhs of the bounds pair_membership selects for its row, evaluated on
+    stacked arrays per dimension (see _stacked_lhs).
     """
     for astar, bsharp, *_ in rows:
         if astar.dim != bsharp.dim:
@@ -239,92 +209,91 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
     for i, row in enumerate(rows):
         by_dim.setdefault(row[0].dim, []).append(i)
     for n, group in by_dim.items():
-        astars, bsharps, ratio, const = [], [], [], []
-        for k, i in enumerate(group):
-            astar, bsharp, pa, b1, b2 = rows[i]
-            astars.append(astar)
-            bsharps.append(bsharp)
-            ratio.append(b2 / pa.a1)
-            if _constant_density(b1, b2):
-                const.append(k)
+        astars, bsharps = [rows[i][0] for i in group], [rows[i][1] for i in group]
         a, b = np.array([t._m for t in astars]), np.array([t._m for t in bsharps])
-        more = [np.array(ratio)[:, None, None] * a - b]
-        if const:
-            pas = [rows[group[k]][2] for k in const]
-            core_sides = np.array([[core_side(pa, core) for pa in pas] for core in ("a1", "a2")])
-            base, _, _, sign = core_sides.transpose(2, 0, 1)[..., None, None]  # each (2, C, 1, 1): core a1, then core a2
-            b1 = np.array([rows[group[k]][3] for k in const])[:, None, None]
-            ac, bc = a[const], b[const]
-            outer = np.array([ac, ac])
-            # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
-            outer.reshape(2, len(const), -1)[:, :, :: n + 1] -= base[..., 0]
-            outer *= sign
-            live = np.abs(outer).max(axis=(2, 3)) > 1e-14 * base[..., 0, 0]  # else a homogeneous base medium
-            more.append((sign * (b1 * ac - base * bc))[live])
-        systems, (values, frames) = eig_stack(astars + bsharps, np.concatenate(more))
-        k_rows = len(group)
-        axes = np.array([es.frame for es in systems[:k_rows]])
-        beta = (axes.transpose(0, 2, 1) @ b @ axes).diagonal(axis1=1, axis2=2)
-        links, const_b = values[:k_rows].tolist(), [{} for _ in group]
-        if const:
-            middles = iter(zip(values[k_rows:].tolist(), frames[k_rows:]))
-            for j, core in enumerate(("a1", "a2")):
-                for c, (k, pa) in enumerate(zip(const, pas)):
-                    rhs = float(n * core_sides[j, c, 1] * (pa.a2 - pa.a1))
-                    if live[j, c]:
-                        middle_values, middle_frame = next(middles)
-                        const_b[k][core] = (outer[j, c], EigSystem(tuple(middle_values), middle_frame), rhs)
-                    else:
-                        const_b[k][core] = (None, None, rhs)
-        for k, i in enumerate(group):
+        ratio = np.array([rows[i][4] / rows[i][2].a1 for i in group])
+        matrices, outers = [ratio[:, None, None] * a - b], []
+        for i in group:
             astar, bsharp, pa, b1, b2 = rows[i]
+            outers.append({})
+            if _constant_density(b1, b2):
+                for core in ("a1", "a2"):
+                    base, frac, _, sign = core_side(pa, core)
+                    # base on the diagonal only: off it, base I subtracts 0.0, which leaves every entry, -0.0 too, as it is
+                    outer = astar.mat
+                    outer.flat[:: n + 1] -= base
+                    outer *= sign
+                    if np.abs(outer).max() <= 1e-14 * base:
+                        outer = None  # a homogeneous base medium
+                    else:
+                        matrices.append((sign * (b1 * astar._m - base * bsharp._m))[None])
+                    outers[-1][core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
+        systems, (values, frames) = eig_stack(astars + bsharps, np.concatenate(matrices))
+        k = len(group)
+        axes = np.array([es.frame for es in systems[:k]])
+        beta = (axes.transpose(0, 2, 1) @ b @ axes).diagonal(axis1=1, axis2=2)
+        middles = zip(values[k:].tolist(), frames[k:])
+        for i, link, row_beta, cores in zip(group, values[:k].tolist(), beta, outers):
+            astar, bsharp, pa, b1, b2 = rows[i]
+            const_b = {}
+            for core, (outer, rhs) in cores.items():
+                middle = None
+                if outer is not None:
+                    middle_values, middle_frame = next(middles)
+                    middle = EigSystem(tuple(middle_values), middle_frame)
+                const_b[core] = (outer, middle, rhs)
             kept = derived(astar, bsharp)
-            records[i] = kept[(pa, b1, b2)] = _Inputs(tuple(links[k]), beta[k], const_b[k], {})
-            if const_b[k]:
+            records[i] = kept[(pa, b1, b2)] = _Inputs(tuple(link), row_beta, const_b, {})
+            if const_b:
                 kept[(pa, b1, b1)] = records[i]
         if pbs is not None:
-            _judge(rows, pbs, tol, group, np.array([es.values for es in systems[:k_rows]]), beta, records)
+            _stacked_lhs(rows, pbs, tol, group, np.array([es.values for es in systems[:k]]), beta, records)
     return records
 
 
-def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray, records: list):
-    """The stacked judging pass of _verdict_inputs over the rows `group` of one dimension, with their (K, N) lam and beta.
+def _stacked_lhs(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray, records: list):
+    """The stacked pass of _verdict_inputs over the rows `group` of one dimension, with their (K, N) lam and beta.
 
-    A homogeneous A-medium is judged without a bound, so its rows are left
-    out.  Each two-phase bound that a member selects runs on every
-    two-phase member at once, quietly, and each pair keeps its own two; the
-    lhs of L1 and U1 only where the shift A* - a1 I passes positive_rows,
-    and a constant density's only where its middle factor does.
+    Each bound runs once over the rows that select it, quietly, and each
+    record keeps in sides the lhs of its row's bounds: L1's and U1's only
+    where the shift A* - a1 I passes positive_rows, and a constant density's
+    only where its middle factor does.  L2 and U2 read the upper-boundary
+    fraction of A*, which only a member of its phase set has, so their lhs
+    is kept under it, and a row whose A* is outside keeps none: it is judged
+    infeasible before any bound.  A homogeneous A-medium is judged without a
+    bound, so its rows are left out.
     """
-    live = [k for k, i in enumerate(group) if homogeneous_value(rows[i][2]) is None]
-    if not live:
-        return
-    const, two = [], []
-    for k, row in zip(live, g_membership_stack(lam[live], [rows[group[k]][2] for k in live], tol)):
-        astar, bsharp, pa, b1, b2 = rows[group[k]]
-        keep_judged(derived(astar, bsharp), pa, row)
-        if row.report.verdict == "outside":
+    selected, const = {}, []
+    for k, i in enumerate(group):
+        astar, _, pa, b1, b2 = rows[i]
+        if homogeneous_value(pa) is not None:
             continue
         if _constant_density(b1, b2):
             const += [(k, name) for name in _CONST_CORES]
-        else:
-            two.append((k, classify_region(pa, pbs[group[k]]), row.theta))
-    if two:
-        ks = [k for k, _, _ in two]
-        p = _Phases(*_columns([_phases(rows[group[k]][2], pbs[group[k]], t) for k, _, t in two]))
-        names = {name for _, region, _ in two for name in (region[:2], region[2:])}
-        lam = lam[ks]
+            continue
+        region, theta = classify_region(pa, pbs[i]), None
+        if "2" in (region[1], region[3]):
+            try:
+                theta = theta_from_upper_boundary(astar, pa, tol)
+            except OutsideGSet:
+                continue
+        for name in (region[:2], region[2:]):
+            selected.setdefault(name, []).append((k, theta if name[1] == "2" else None))
+    for name, entries in selected.items():
+        ks = [k for k, _ in entries]
+        phases = [(rows[group[k]][2], pbs[group[k]]) for k in ks]
+        term = np.array([_LHS_TERM[name](pa, pb) for pa, pb in phases])[:, None]
         with np.errstate(all="ignore"):
-            shift = lam - p.a1 if "L1" in names or "U1" in names else None
-            positive = None if shift is None else positive_rows(shift).tolist()
-            lhs = {name: values.tolist() for name, values in _two_phase_lhs(names, lam, beta[ks], p, shift).items()}
-        for j, (k, region, t) in enumerate(two):
-            sides = records[group[k]].sides
-            for name in (region[:2], region[2:]):
-                if name[1] == "2":
-                    sides[(name, t)] = lhs[name][j]  # L2 and U2 read theta, and their lhs is kept under it
-                elif positive[j]:
-                    sides[(name, None)] = lhs[name][j]
+            if name[1] == "1":
+                shift = lam[ks] - np.array([pa.a1 for pa, _ in phases])[:, None]
+                factor, keep = shift**2, positive_rows(shift).tolist()
+            else:
+                inverse_a2, scale = np.array([_flux_terms(pa, theta) for (pa, _), (_, theta) in zip(phases, entries)]).T[:, :, None]
+                factor, keep = _flux_ratio(lam[ks], inverse_a2, scale) ** -2, [True] * len(ks)
+            values = _TRACE_LHS[name](lam[ks], beta[ks], factor, term).tolist()
+        for (k, theta), ok, value in zip(entries, keep, values):
+            if ok:
+                records[group[k]].sides[(name, theta)] = value
     factors = [(k, name, records[group[k]].const_b[_CONST_CORES[name]]) for k, name in const]
     factors = [(k, name, outer, es) for k, name, (outer, es, _) in factors if outer is not None]
     if factors:
@@ -332,10 +301,9 @@ def _judge(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray
         keep = positive_rows(values)
         factors = [f for f, ok in zip(factors, keep.tolist()) if ok]
         if factors:
-            outer = np.array([f[2] for f in factors])
-            frames = np.array([f[3].frame for f in factors])
+            inverse = from_frames(np.array([f[3].frame for f in factors]), values[keep] ** -1.0)
             b = np.array([rows[group[k]][3] for k, *_ in factors])
-            for (k, name, _, _), value in zip(factors, _const_lhs(outer, values[keep], frames, b).tolist()):
+            for (k, name, _, _), value in zip(factors, _const_lhs(np.array([f[2] for f in factors]), inverse, b).tolist()):
                 records[group[k]].sides[(name, None)] = value
 
 
@@ -380,7 +348,7 @@ def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, na
     Feasible pairs have lhs = b tr F M^-1 F <= rhs = N frac (a2-a1), with
     F = sign (A* - base I) and the middle factor M = sign (b A* - base B#);
     a homogeneous base medium (F = 0) has lhs 0.0.  The lhs is the one the
-    stacked pass kept, else the one-pair case of _const_lhs.
+    stacked pass of pair_memberships kept, else _const_lhs of this pair.
     """
     record = _inputs(astar, bsharp, pa, b, b)
     outer, middle, rhs = record.const_b[_CONST_CORES[name]]
@@ -389,8 +357,8 @@ def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, na
     lhs = record.sides.get((name, None))
     if lhs is None:
         # raises SingularFactor for a middle factor that is not positive definite
-        values = positive_spectrum(middle.values)
-        lhs = float(_const_lhs(outer[None], values[None], middle.frame[None], b)[0])
+        inverse = middle.frame @ np.diag(positive_spectrum(middle.values) ** -1.0) @ middle.frame.T
+        lhs = float(_const_lhs(outer, inverse, b))
     return lhs, rhs
 
 
@@ -405,16 +373,17 @@ def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -
 
 
 def _lhs(name: str, astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta=None) -> float:
-    """The lhs of the two-phase trace bound `name` on one pair: the one the stacked pass kept, else the one-pair case of _two_phase_lhs."""
+    """The lhs of the two-phase trace bound `name` on one pair, L2 and U2 at theta: the one the stacked pass of pair_memberships kept, else _TRACE_LHS of this pair."""
     record = _inputs(astar, bsharp, pa, pb.b1, pb.b2)
-    lhs = record.sides.get((name, theta)) if record.sides else None
-    if lhs is not None:
-        return lhs
-    lam, shift = np.array([eig(astar).values]), None
-    if theta is None:
-        shift = lam - pa.a1
-        positive_spectrum(shift[0])  # raises SingularFactor
-    return float(_two_phase_lhs((name,), lam, record.beta[None], _phases(pa, pb, theta), shift)[name][0])
+    lhs = record.sides.get((name, theta))
+    if lhs is None:
+        lam = np.array(eig(astar).values)
+        if theta is None:
+            factor = positive_spectrum(lam - pa.a1) ** 2  # raises SingularFactor
+        else:
+            factor = _flux_ratio(lam, *_flux_terms(pa, theta)) ** -2
+        lhs = float(_TRACE_LHS[name](lam, record.beta, factor, _LHS_TERM[name](pa, pb)))
+    return lhs
 
 
 def bound_L1(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB) -> tuple:

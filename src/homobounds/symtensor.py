@@ -8,12 +8,12 @@ request; every later eig of the same tensor reuses it.  One routine
 decomposes a stack of matrices in one LAPACK call and fixes the order and
 signs of every result (eigh_arrays): eig_stack sends it the tensors of one
 dimension not yet decomposed, with any plain matrices to decompose alongside,
-and eig of a tensor is eig_stack of that one.  SymTensor.stack builds the
-tensors of a stack of matrices in one pass.  derived keeps on a tensor what
-was computed from it with one partner tensor (kept reads it back), and
-positive_spectrum refuses an inverse factor whose eigenvalues are not all
-positive at the floor positive_rows applies row by row.  The module also evaluates trace chains of matrix powers,
-rotations (rotate_stack takes many at once, and from_frames builds
+and eig of a tensor is eig_stack of that one.  One routine symmetrises a
+matrix or a stack (_symmetrised), for SymTensor, SymTensor.stack and eig of
+a plain matrix.  derived keeps on a tensor what was computed from it with
+one partner tensor, and positive_spectrum refuses an inverse factor whose
+eigenvalues are not all positive at the floor positive_rows applies row by
+row.  The module also evaluates trace chains of matrix powers, rotations (rotate_stack takes many at once, and from_frames builds
 Q diag(v) Q^T over a stack), and the rearrangement inequality
 tr(EF) >= sum of oppositely sorted eigenvalue products used by the
 commutativity argument.
@@ -52,18 +52,14 @@ class SymTensor:
     __slots__ = ("_m", "_eig", "_derived")
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not (1 <= m.shape[0] <= MAX_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[0]}")
-        # halved before the sum, so entries near the float limit do not overflow
-        half = 0.5 * m
-        m = half + half.T
-        m.flags.writeable = False
+        self._hold(_symmetrised(m, 2))
+
+    def _hold(self, m: np.ndarray) -> "SymTensor":
+        """Hold the read-only symmetric matrix m, with nothing computed from it yet."""
         self._m = m
         self._eig = None
         self._derived = None  # (t, what was derived with t), see derived
+        return self
 
     @property
     def dim(self) -> int:
@@ -82,20 +78,7 @@ class SymTensor:
     @staticmethod
     def stack(m) -> list:
         """The SymTensor of each matrix of a (K, N, N) stack, symmetrised in one pass, bit for bit SymTensor of each."""
-        m = np.asarray(m, dtype=float)
-        if m.ndim != 3 or m.shape[1] != m.shape[2]:
-            raise ValueError("expected a stack of square matrices")
-        if not (1 <= m.shape[1] <= MAX_DIM):
-            raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[1]}")
-        half = 0.5 * m
-        m = half + half.transpose(0, 2, 1)
-        m.flags.writeable = False
-        tensors = []
-        for row in m:
-            t = SymTensor.__new__(SymTensor)
-            t._m, t._eig, t._derived = row, None, None
-            tensors.append(t)
-        return tensors
+        return [SymTensor.__new__(SymTensor)._hold(row) for row in _symmetrised(m, 3)]
 
     @staticmethod
     def diag(values) -> "SymTensor":
@@ -128,11 +111,26 @@ class EigSystem(NamedTuple):
     frame: np.ndarray  # read-only; columns are eigenvectors, frame[:, i] <-> values[i]
 
 
+def _symmetrised(m, ndim: int) -> np.ndarray:
+    """(m + m^T)/2 of a square matrix (ndim 2) or of each matrix of a stack (ndim 3), read-only.
+
+    ValueError unless the matrices are square and of dimension 1 to MAX_DIM.
+    Each entry is halved before the sum, so finite entries stay finite; a
+    subnormal entry can lose its last bit to the halving.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix" if ndim == 2 else "expected a stack of square matrices")
+    if not (1 <= m.shape[-1] <= MAX_DIM):
+        raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[-1]}")
+    half = 0.5 * m
+    m = half + half.swapaxes(-1, -2)
+    m.flags.writeable = False
+    return m
+
+
 def _as_matrix(s) -> np.ndarray:
-    if isinstance(s, SymTensor):
-        return s._m
-    m = np.asarray(s, dtype=float)
-    return 0.5 * (m + m.T)
+    return s._m if isinstance(s, SymTensor) else _symmetrised(s, 2)
 
 
 def eigh_arrays(m: np.ndarray) -> tuple:
@@ -204,11 +202,6 @@ def derived(s: SymTensor, t: SymTensor) -> dict:
     if s._derived is None or s._derived[0] is not t:
         s._derived = (t, {})
     return s._derived[1]
-
-
-def kept(s: SymTensor) -> dict:
-    """What s keeps from its last partner (see derived), for reading: an empty dict if it keeps nothing."""
-    return {} if s._derived is None else s._derived[1]
 
 
 def _above_floor(low, high):

@@ -480,7 +480,7 @@ def test_help_defaults_are_those_of_reads():
 def test_huge_finite_tensors_are_judged(capsys):
     # finite entries up to the float limit symmetrise without overflowing, so
     # a tensor of them is judged, with no numpy warning; a pair check whose
-    # trace sums overflow is refused instead, as Python's float arithmetic would
+    # trace sides overflow is refused instead of judged on infinite sides
     code, out = run(capsys, *CHECK, "--astar", "[[1e308,0],[0,1e308]]")
     assert code == 0 and json.loads(out)["verdict"] == "outside"
     argv = ["pair", "check", "--a", "1,2,0.5", "--b", "1,3,0.5", "--astar", INSIDE, "--bsharp", "[[1e308,0],[0,1e308]]"]

@@ -328,8 +328,8 @@ class TestEigenframe:
 
     @staticmethod
     def lapack_calls(monkeypatch) -> list:
-        # the matrices of each LAPACK call, as a (K, N, N) stack: symtensor._eigh
-        # and eig_stack both decompose through np.linalg.eigh
+        # the matrices of each LAPACK call, as a (K, N, N) stack: every
+        # decomposition runs through symtensor.eigh_arrays and np.linalg.eigh
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(np.array(m, ndmin=3)) or eigh(m))
@@ -401,49 +401,62 @@ class TestEigenframe:
         # every LAPACK call of a sweep, with its exact matrix count: each
         # round of a chunk's draws decomposes the direction moments of its
         # sequential laminates (the rejected seq_pp candidates too) in one
-        # stack per dimension, and after the draws come one stack of the
-        # verdicts' tensors per dimension present (A*, B# and the chain link
-        # of every row, and both middle factors of a constant density)
+        # stack per dimension and builds its seq_pp candidates in one stack
+        # per dimension; after the rounds come one stack of the verdicts'
+        # tensors per dimension present (A*, B# and the chain link of every
+        # row, and both middle factors of a constant density)
         count = sweeps._CHUNK + 5
         draws = sweeps.draw_composites(sweeps.make_rng(7), count, max_dim)
         calls = self.lapack_calls(monkeypatch)
-        marks = {}  # position in calls -> (tensor count, dimension) of each moment stack
-        eig_stack, seq_pp_stack, seq_pp = sweeps.eig_stack, sweeps._seq_pp_stack, []
+        events = []
+        draw_composites, draw, seq_pp_stack = sweeps.draw_composites, sweeps._draw, sweeps._seq_pp_stack
 
-        def moments(tensors):
-            marks[len(calls)] = (len(tensors), tensors[0].dim)
-            return eig_stack(tensors)
+        def chunk(*args):
+            events.append(("chunk",))
+            return draw_composites(*args)
+
+        def drawn(rng, max_dim):
+            d, todo = draw(rng, max_dim)
+            events.append(("draw", d["dim"], todo and todo[0]))
+            return d, todo
 
         def built(specs, pas, pbs):
-            seq_pp.append(len(specs))
+            events.append(("seq_pp", specs[0].dim, len(specs)))
             return seq_pp_stack(specs, pas, pbs)
 
-        monkeypatch.setattr(sweeps, "eig_stack", moments)
-        monkeypatch.setattr(sweeps, "_seq_pp_stack", built)
+        for name, wrapper in (("draw_composites", chunk), ("_draw", drawn), ("_seq_pp_stack", built)):
+            monkeypatch.setattr(sweeps, name, wrapper)
         rows = sweeps.feasibility_sweep(7, count, max_dim)
         assert [(r[1], r[2]) for r in rows] == [(d["family"], d["dim"]) for d in draws]
-        shapes = [(len(c), c.shape[1]) for c in calls]
-        assert all(shapes[at] == mark for at, mark in marks.items())
-        at = 0
-        for start in range(0, count, sweeps._CHUNK):
-            chunk = draws[start : start + sweeps._CHUNK]
-            decomposed = 0
-            while at in marks:
-                decomposed, at = decomposed + shapes[at][0], at + 1
-            rejected = sum(d["chain_rejections"] for d in chunk)
-            assert decomposed == rejected + sum(d["family"] in ("seq_pp", "seq_const") for d in chunk)
+        # the rounds of each chunk: ((dimension, kind) of each candidate, (dimension, size) of each seq_pp stack)
+        chunks = []
+        for event in events:
+            if event[0] == "chunk":
+                chunks.append([])
+            elif event[0] == "draw":
+                if not chunks[-1] or chunks[-1][-1][1]:  # the last round has built its seq_pp stacks
+                    chunks[-1].append(([], []))
+                chunks[-1][-1][0].append(event[1:])
+            else:
+                chunks[-1][-1][1].append(event[1:])
+        expected = []
+        for rounds, start in zip(chunks, range(0, count, sweeps._CHUNK), strict=True):
+            chunk_draws = draws[start : start + sweeps._CHUNK]
+            assert len(rounds[0][0]) == len(chunk_draws)
+            assert sum(len(candidates) for candidates, _ in rounds) == len(chunk_draws) + sum(d["chain_rejections"] for d in chunk_draws)
+            for candidates, stacks in rounds:
+                sequential = [n for n, kind in candidates if kind in ("seq_pp", "seq_const")]
+                seq_pp = [n for n, kind in candidates if kind == "seq_pp"]
+                expected += [(sequential.count(n), n) for n in dict.fromkeys(sequential)]
+                assert stacks == [(n, seq_pp.count(n)) for n in dict.fromkeys(seq_pp)]
             fresh = {}
-            for d in chunk:
+            for d in chunk_draws:
                 fresh[d["dim"]] = fresh.get(d["dim"], 0) + (5 if pairbounds._constant_density(d["pb"].b1, d["pb"].b2) else 3)
-            expected = [(k, n) for n, k in fresh.items()]
-            assert shapes[at : at + len(expected)] == expected
-            at += len(expected)
-        assert at == len(shapes)
-        # every seq_pp candidate, the rejected ones too, is built once
-        assert sum(seq_pp) == sum(d["chain_rejections"] + (d["family"] == "seq_pp") for d in draws)
-        # the seed exercises a redraw and stacks of several dimensions in one chunk
-        assert sum(d["chain_rejections"] for d in draws) > 0
-        assert len({d["dim"] for d in draws[: sweeps._CHUNK] if d["family"] == "seq_const"}) > 1
+            expected += [(k, n) for n, k in fresh.items()]
+        assert [(len(c), c.shape[1]) for c in calls] == expected
+        # the seed exercises a second round and stacks of several dimensions in one round
+        assert any(len(rounds) > 1 for rounds in chunks)
+        assert any(len({n for n, kind in candidates if kind in ("seq_pp", "seq_const")}) > 1 for rounds in chunks for candidates, _ in rounds)
 
     def test_memberships_keep_eigenframes_and_const_lhs(self, monkeypatch):
         # one LAPACK call per dimension builds every pair's record, which A*
@@ -472,29 +485,25 @@ class TestEigenframe:
                 bound(astar, bsharp, a, 1.0)
         assert reports[-1].verdict == "infeasible"
 
-    def test_chunk_keeps_what_each_one_pair_function_reads(self, monkeypatch):
-        # after the stacked pass, g_membership and theta_from_upper_boundary
-        # return what A* keeps for its phases, and every bound of a sweep row
-        # finds its lhs kept: no one-pair case of an lhs runs
+    def test_chunk_keeps_the_lhs_each_bound_reads(self, monkeypatch):
+        # after the stacked pass every bound of a sweep row finds its lhs
+        # kept in the pair's record: no lhs is evaluated one pair at a time
         pairs = [(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in sweeps.draw_composites(sweeps.make_rng(4), 40, 3)]
         pairbounds._verdict_inputs([(a, b, pa, pb.b1, pb.b2) for a, b, pa, pb in pairs], [pair[3] for pair in pairs], 1e-9)
 
         def refused(*args):
             raise AssertionError("an lhs was evaluated one pair at a time")
 
-        monkeypatch.setattr(pairbounds, "_two_phase_lhs", refused)
+        monkeypatch.setattr(pairbounds, "_TRACE_LHS", dict.fromkeys(pairbounds._TRACE_LHS, refused))
         monkeypatch.setattr(pairbounds, "_const_lhs", refused)
-        for astar, bsharp, pa, pb in pairs:
-            judged = gclosure._judged(astar, pa)
-            assert g_membership(astar, pa) is judged.report
-            assert theta_from_upper_boundary(astar, pa) == judged.theta
-            assert pair_membership(astar, bsharp, pa, pb).verdict in ("feasible", "boundary")
+        verdicts = [pair_membership(*pair).verdict for pair in pairs]
+        assert set(verdicts) <= {"feasible", "boundary"} and any(pairbounds._constant_density(pb.b1, pb.b2) for *_, pb in pairs)
 
     def test_mixed_chunk_matches_one_pair_at_a_time(self):
         # one chunk holding every kind of row, judged on stacked arrays, against
         # pair_membership of each pair alone on fresh tensors, field by field
         # (repr tells nan, -inf and -0.0 apart): N = 2 to 8, and N = 8 where
-        # np.sum and Python's sum part ways; all four regions and a constant
+        # np.sum leaves left-to-right order; all four regions and a constant
         # density; B# moved off its construction; a homogeneous A-medium, an
         # A* outside its phase set and an indefinite middle factor
         rng = np.random.default_rng(30)
