@@ -148,7 +148,7 @@ _CONST_CORES = {"L_const_b": "a1", "U_const_b": "a2"}
 # The lhs of each two-phase trace bound, from A*'s eigenvalues lam, the
 # diagonal beta of B# in A*'s eigenframe, a factor read from A* alone (the
 # squared shift (lam - a1)^2 for L1 and U1, the weight _flux_ratio^-2 for L2
-# and U2) and one phase term, _LHS_TERM.  Each bound pairs B# with a
+# and U2) and one phase term (_LHS_TERM).  Each bound pairs B# with a
 # function f of A* alone, and tr B# f(A*) = sum_i beta_i f(lambda_i) whether
 # or not B# commutes with A*.  For one pair lam and beta are 1-D and the
 # terms floats; for a stack they are (K, N), with (K, 1) columns of terms,
@@ -158,12 +158,6 @@ _TRACE_LHS = {
     "U1": lambda lam, beta, shift2, b2_a1: np.sum((b2_a1 * lam - beta) / shift2, axis=-1),
     "L2": lambda lam, beta, weight, floor: _dot(beta / lam**2 - floor, weight),
     "U2": lambda lam, beta, weight, lead: _dot(lead / lam - beta / lam**2, weight),
-}
-_LHS_TERM = {
-    "L1": lambda pa, pb: pb.b1,
-    "U1": lambda pa, pb: pb.b2 / pa.a1,
-    "L2": lambda pa, pb: flux_floor(pa, pb),
-    "U2": lambda pa, pb: _u2_lead(pa, pb),
 }
 
 
@@ -469,6 +463,10 @@ def _u2_lead(pa: PhaseA, pb: PhaseB) -> float:
     return pb.b2 * pa.a2 / pa.a1**2
 
 
+# The phase term each two-phase trace bound's lhs reads (see _TRACE_LHS).
+_LHS_TERM = {"L1": lambda pa, pb: pb.b1, "U1": lambda pa, pb: pb.b2 / pa.a1, "L2": flux_floor, "U2": _u2_lead}
+
+
 def u2_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
     """(lead, level, osc) of the step form of U2 at the upper-boundary fraction theta.
 
@@ -595,15 +593,20 @@ def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     return [pair_membership(*pair, tol) for pair in pairs]
 
 
-def _gradient_terms(pa: PhaseA, pb: PhaseB, theta: float) -> tuple:
-    """The phase terms of gradient_extremes at one fraction theta, floats.
+def _gradient_terms(pa: PhaseA, pb: PhaseB, theta) -> tuple:
+    """The phase terms of gradient_extremes at a fraction theta, or at each entry of a column of them.
 
     (a1, (arith - a1)^2, theta (1-theta) (a2-a1)^2/a1^2, b1, mean(b) - b1,
-    b2, b2 - mean(b)), each evaluated as the one-tensor formula evaluates it.
+    b2, b2 - mean(b)).  At a float theta every term is a Python float, so a
+    division by zero among them raises.  The square is Python's pow, entry
+    by entry for a column: numpy's array square can differ from it by an ulp.
     """
     _, arith = phase_means(pa.a1, pa.a2, theta)
+    span = arith - pa.a1
+    span2 = span**2 if np.ndim(span) == 0 else np.reshape([x**2 for x in np.ravel(span).tolist()], np.shape(span))
     weight = theta * (1.0 - theta) * (pa.a2 - pa.a1) ** 2 / pa.a1**2
-    return pa.a1, (arith - pa.a1) ** 2, weight, pb.b1, pb.mean - pb.b1, pb.b2, pb.b2 - pb.mean
+    mean = pb.mean
+    return pa.a1, span2, weight, pb.b1, mean - pb.b1, pb.b2, pb.b2 - mean
 
 
 def _gradient_rows(lam, m, terms) -> tuple:
@@ -621,13 +624,9 @@ def gradient_extremes(lam, m, pa: PhaseA, pb: PhaseB, theta) -> tuple:
     m the lamination weights along its eigenvectors.  Returns (nested,
     disjoint): B# of the A-set inside the B-set and of disjoint sets.  For a
     stack of tensors, lam and m hold one row and theta one column entry per
-    tensor.  The phase terms are Python floats, per tensor, so a division by
-    zero among them raises, and a square is Python's pow: numpy's array
-    square can differ from it by an ulp.
+    tensor.
     """
-    if np.ndim(theta) == 0:
-        return _gradient_rows(lam, m, _gradient_terms(pa, pb, float(theta)))
-    return _gradient_rows(lam, m, _columns([_gradient_terms(pa, pb, t) for t in np.ravel(theta).tolist()]))
+    return _gradient_rows(lam, m, _gradient_terms(pa, pb, theta))
 
 
 def fibre_extremes_stack(astars, pa: PhaseA, pb: PhaseB, tol: float = DEFAULT_TOL) -> tuple:

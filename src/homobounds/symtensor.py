@@ -124,7 +124,7 @@ def _symmetrised(m, ndim: int) -> np.ndarray:
     if not (1 <= m.shape[-1] <= MAX_DIM):
         raise ValueError(f"dim must be in [1, {MAX_DIM}], got {m.shape[-1]}")
     half = 0.5 * m
-    m = half + half.swapaxes(-1, -2)
+    m = half + (half.T if ndim == 2 else half.swapaxes(-1, -2))
     m.flags.writeable = False
     return m
 
