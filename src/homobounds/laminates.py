@@ -30,7 +30,6 @@ from .pairbounds import (
     RELATIONS as _PAIR_RELATIONS,
     PhaseB,
     _chain_slacks,
-    _columns,
     _flux_ratio,
     _flux_terms,
     _gradient_rows,
@@ -258,6 +257,11 @@ def _check_pp(spec: LaminateSpec, pa: PhaseA, pb: PhaseB):
     core = _PAIR_RELATIONS[relation].core_a
     if spec.core_phase != core:
         raise InconsistentSpec(f"relation {relation} needs core {core}")
+
+
+def _columns(rows) -> tuple:
+    """The entries of equal-length tuples, one per row of a stack, as (K, 1) columns; a lone row's entries stay as they are."""
+    return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[:, :, None])
 
 
 def _pp_diag(kind: str, lam: np.ndarray, m: np.ndarray, specs, pas, pbs) -> np.ndarray:

@@ -161,11 +161,6 @@ _TRACE_LHS = {
 }
 
 
-def _columns(rows) -> tuple:
-    """The entries of equal-length tuples, one per row of a stack, as (K, 1) columns; a lone row's entries stay as they are."""
-    return rows[0] if len(rows) == 1 else tuple(np.array(rows).T[:, :, None])
-
-
 def _dot(u: np.ndarray, v: np.ndarray):
     """np.dot of two 1-D arrays, or the dot product of each row of a (K, N) stack with the same row of another, with the bits of np.dot."""
     return np.dot(u, v) if u.ndim == 1 else (u[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -222,7 +217,7 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
                     else:
                         matrices.append((sign * (b1 * astar._m - base * bsharp._m))[None])
                     outers[-1][core] = (outer, float(n * frac * (pa.a2 - pa.a1)))
-        systems, (values, frames) = eig_stack(astars + bsharps, np.concatenate(matrices))
+        systems, (values, frames) = eig_stack(astars + bsharps, matrices)
         k = len(group)
         axes = np.array([es.frame for es in systems[:k]])
         beta = (axes.transpose(0, 2, 1) @ b @ axes).diagonal(axis1=1, axis2=2)

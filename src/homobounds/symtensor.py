@@ -174,8 +174,9 @@ def eig_stack(tensors, more=None):
 
     The tensors must share one dimension (else ValueError).  Each result is
     memoised on its tensor; a tensor already decomposed keeps its EigSystem.
-    more, a (M, N, N) stack of plain matrices, is decomposed in the same
-    call, and then (systems, eigh_arrays of more) is returned.  A non-finite
+    more, a sequence of (M_i, N, N) stacks of plain matrices, is decomposed
+    in the same call, and then (systems, eigh_arrays of their matrices in
+    order) is returned.  A non-finite
     eigenvalue anywhere in the stack raises ValueError, as in eig, before
     any result is memoised.
     """
@@ -184,7 +185,7 @@ def eig_stack(tensors, more=None):
     fresh = [t for t in tensors if t._eig is None]
     stack = np.array([t._m for t in fresh])
     if more is not None:
-        stack = np.concatenate([stack, more]) if fresh else more
+        stack = np.concatenate([stack, *more] if fresh else more)
     if len(stack):
         vals, q = eigh_arrays(stack)
         for t, values, frame in zip(fresh, vals.tolist(), q):
