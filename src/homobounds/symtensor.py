@@ -13,10 +13,10 @@ matrix or a stack (_symmetrised), for SymTensor, SymTensor.stack and eig of
 a plain matrix.  derived keeps on a tensor what was computed from it with
 one partner tensor, and positive_spectrum refuses an inverse factor whose
 eigenvalues are not all positive at the floor positive_rows applies row by
-row.  The module also evaluates trace chains of matrix powers, rotations (rotate_stack takes many at once, and from_frames builds
-Q diag(v) Q^T over a stack), and the rearrangement inequality
-tr(EF) >= sum of oppositely sorted eigenvalue products used by the
-commutativity argument.
+row.  The module also evaluates trace chains of matrix powers, rotations
+(rotate_stack takes many at once, and from_frames builds Q diag(v) Q^T
+over a stack), and the rearrangement inequality tr(EF) >= sum of
+oppositely sorted eigenvalue products used by the commutativity argument.
 """
 
 from __future__ import annotations
@@ -176,9 +176,8 @@ def eig_stack(tensors, more=None):
     memoised on its tensor; a tensor already decomposed keeps its EigSystem.
     more, a sequence of (M_i, N, N) stacks of plain matrices, is decomposed
     in the same call, and then (systems, eigh_arrays of their matrices in
-    order) is returned.  A non-finite
-    eigenvalue anywhere in the stack raises ValueError, as in eig, before
-    any result is memoised.
+    order) is returned.  A non-finite eigenvalue anywhere in the stack
+    raises ValueError, as in eig, before any result is memoised.
     """
     if len({t.dim for t in tensors}) > 1:
         raise ValueError("eig_stack needs tensors of one dimension")
