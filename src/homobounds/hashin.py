@@ -2,9 +2,12 @@
 
 Space-filling coated spheres give explicit isotropic effective tensors m I;
 assigning cores and inclusion relations to the two phase sets gives six
-closed-form values of the scalar relative limit b#, each saturating one of
-the trace bounds.  An independent radial quadrature of the energy integral
-over a single coated sphere cross-checks every closed form.
+closed-form values of the scalar relative limit b#.  The two constant-density
+ones saturate the constant-density bounds; of the four two-phase ones,
+A_in_B attains L1, A_in_Bc attains U1, B_in_A attains L2 in case a only,
+and Ac_in_B attains neither form of U2.  An independent radial quadrature of
+the energy integral over a single coated sphere cross-checks every closed
+form.
 """
 
 from __future__ import annotations
@@ -85,9 +88,10 @@ def hs_b(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int) -> float:
     """Closed-form relative limit of the coated-sphere construction.
 
     Constant density b: core a1 saturates the lower trace bound, core a2
-    the upper.  Two-phase density: the four core/inclusion assignments
-    saturate L2, L1, U1, U2 in turn; at N = 1 they reduce to the
-    one-dimensional bounds l2, l1, u1, u2.  Each case is one formula,
+    the upper.  Two-phase density: A_in_B attains L1 and A_in_Bc attains
+    U1; B_in_A attains L2 in case a (l2_case) and keeps a positive slack in
+    case b; Ac_in_B attains neither form of U2.  At N = 1 the four reduce
+    to the one-dimensional bounds l1, u1, l2, u2.  Each case is one formula,
         b_out swell - (b_out - b_in) (N a_coat)^2 v / denom^2,
     with the coating conductivity a_coat and the Hashin-Shtrikman
     denominator from the core (_hs_terms), and the radial density

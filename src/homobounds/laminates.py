@@ -200,7 +200,10 @@ def seq_A(spec: LaminateSpec, pa: PhaseA) -> SymTensor:
 
 
 def _seq_const_stack(specs, pas, bs) -> tuple:
-    """([seq_A], [seq_B_const]) of each (spec, pa, b), the specs of one dimension, from one _laminate_frames pass."""
+    """([seq_A], [seq_B_const]) of each (spec, pa, b), the specs of one dimension, from one _laminate_frames pass.
+
+    A non-finite entry anywhere in the stack raises ValueError, as in _seq_pp_stack.
+    """
     for b in bs:
         if not b > 0:
             raise ValueError(f"need a density b > 0, got {b}")
@@ -212,8 +215,12 @@ def _seq_const_stack(specs, pas, bs) -> tuple:
         scale = 1.0 if homogeneous_value(pa) == base else frac * (pa.a2 - pa.a1) * base
         rows.append((b, base, sign, scale, means(pa)[1]))
     b, base, sign, scale, arith = np.array(rows).T[:, :, None]
-    diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
-    tensors = SymTensor.stack(from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag])))
+    with np.errstate(all="ignore"):  # a non-finite result is refused below, without numpy's warning
+        diag = b + b * (arith - a_diag) * (sign * (a_diag - base)) / scale
+        matrices = from_frames(np.concatenate([frames, frames]), np.concatenate([a_diag, diag]))
+    if not np.isfinite(matrices).all():
+        raise ValueError(_NON_FINITE)
+    tensors = SymTensor.stack(matrices)
     return tensors[: len(specs)], tensors[len(specs) :]
 
 

@@ -13,10 +13,10 @@ is a closed convex set.  The module evaluates each bound, classifies pairs,
 mixes fibre extremes, and evaluates the pointwise energy-density bounds of
 a constant density.  Only _verdict_inputs decomposes a pair: it builds one
 record per pair, kept on A*, from which the chain check and every bound
-evaluate their own sides.  pair_memberships evaluates the lhs of each
-pair's two selected bounds on stacked arrays, one pass per dimension, and
-the bound functions then read them; each lhs formula has one home, which
-takes one pair or a stack.
+evaluate their own sides.  pair_memberships evaluates the lhs of L1, U1
+and the constant-density bounds on stacked arrays, one pass per dimension,
+and those bound functions then read them; L2 and U2 evaluate theirs on the
+pair at the theta pair_membership recovers.  Each lhs formula has one home.
 """
 
 from __future__ import annotations
@@ -95,8 +95,10 @@ class PairBoundReport:
 
 
 # The inclusion relations of the two phase sets, in the order sweeps draw
-# them: the trace bound each saturates, the A-core of its laminates and
-# coated spheres, and its coated sphere's B-core and name.
+# them: the trace bound its region selects and its seq_pp laminate meets,
+# the A-core of its laminates and coated spheres, and its coated sphere's
+# B-core and name.  The coated spheres attain fewer: A_in_B attains L1,
+# A_in_Bc U1, B_in_A L2 in case a only (l2_case), and Ac_in_B neither U2 form.
 Relation = NamedTuple("Relation", [("bound", str), ("core_a", str), ("core_b", str), ("inclusion", str)])
 RELATIONS = {
     "A_subset_B": Relation("L1", "a2", "b2", "A_in_B"),
@@ -138,7 +140,7 @@ class _Inputs(NamedTuple):
     link: tuple  # eigenvalues of the chain link (b2/a1) A* - B#, descending
     beta: np.ndarray  # the diagonal of B# in A*'s eigenframe
     const_b: dict  # at a constant density: core -> (F, the middle's EigSystem, rhs), F None for a homogeneous base medium
-    sides: dict  # (bound, theta or None) -> lhs, of the bounds the stacked pass of pair_memberships evaluates
+    sides: dict  # bound name -> lhs, of the bounds the stacked pass of pair_memberships evaluates
 
 
 # The A-core of the middle factor of each constant-density bound.
@@ -151,19 +153,14 @@ _CONST_CORES = {"L_const_b": "a1", "U_const_b": "a2"}
 # and U2) and one phase term (_LHS_TERM).  Each bound pairs B# with a
 # function f of A* alone, and tr B# f(A*) = sum_i beta_i f(lambda_i) whether
 # or not B# commutes with A*.  For one pair lam and beta are 1-D and the
-# terms floats; for a stack they are (K, N), with (K, 1) columns of terms,
-# and each row's sum or dot product has the bits of its pair alone.
+# terms floats.  L1 and U1 also take (K, N) stacks with (K, 1) columns of
+# terms, and each row's sum has the bits of its pair alone.
 _TRACE_LHS = {
     "L1": lambda lam, beta, shift2, b1: np.sum((beta - b1) / shift2, axis=-1),
     "U1": lambda lam, beta, shift2, b2_a1: np.sum((b2_a1 * lam - beta) / shift2, axis=-1),
-    "L2": lambda lam, beta, weight, floor: _dot(beta / lam**2 - floor, weight),
-    "U2": lambda lam, beta, weight, lead: _dot(lead / lam - beta / lam**2, weight),
+    "L2": lambda lam, beta, weight, floor: np.dot(beta / lam**2 - floor, weight),
+    "U2": lambda lam, beta, weight, lead: np.dot(lead / lam - beta / lam**2, weight),
 }
-
-
-def _dot(u: np.ndarray, v: np.ndarray):
-    """np.dot of two 1-D arrays, or the dot product of each row of a (K, N) stack with the same row of another, with the bits of np.dot."""
-    return np.dot(u, v) if u.ndim == 1 else (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _const_lhs(outer: np.ndarray, inverse: np.ndarray, b):
@@ -171,7 +168,7 @@ def _const_lhs(outer: np.ndarray, inverse: np.ndarray, b):
     return b * np.trace(outer @ inverse @ outer, axis1=-2, axis2=-1)
 
 
-def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
+def _verdict_inputs(rows, pbs=None) -> list:
     """The _Inputs of each (A*, B#, pa, b1, b2) in a sequence, kept on A* under (pa, b1, b2).
 
     A* keeps the records of its last partner B# only (see symtensor.derived).
@@ -188,8 +185,8 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
     anything is built.
 
     Given pbs, the PhaseB of each row, each record also keeps in sides the
-    lhs of the bounds pair_membership selects for its row, evaluated on
-    stacked arrays per dimension (see _stacked_lhs).
+    lhs of the L1, U1 or constant-density bounds pair_membership selects for
+    its row, evaluated on stacked arrays per dimension (see _stacked_lhs).
     """
     for astar, bsharp, *_ in rows:
         if astar.dim != bsharp.dim:
@@ -236,53 +233,41 @@ def _verdict_inputs(rows, pbs=None, tol: float = DEFAULT_TOL) -> list:
             if const_b:
                 kept[(pa, b1, b1)] = records[i]
         if pbs is not None:
-            _stacked_lhs(rows, pbs, tol, group, np.array([es.values for es in systems[:k]]), beta, records)
+            _stacked_lhs(rows, pbs, group, np.array([es.values for es in systems[:k]]), beta, records)
     return records
 
 
-def _stacked_lhs(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.ndarray, records: list):
+def _stacked_lhs(rows, pbs, group: list, lam: np.ndarray, beta: np.ndarray, records: list):
     """The stacked pass of _verdict_inputs over the rows `group` of one dimension, with their (K, N) lam and beta.
 
-    Each bound runs once over the rows that select it, quietly, and each
-    record keeps in sides the lhs of its row's bounds: L1's and U1's only
-    where the shift A* - a1 I passes positive_rows, and a constant density's
-    only where its middle factor does.  L2 and U2 read the upper-boundary
-    fraction of A*, which only a member of its phase set has, so their lhs
-    is kept under it, and a row whose A* is outside keeps none: it is judged
-    infeasible before any bound.  A homogeneous A-medium is judged without a
-    bound, so its rows are left out.
+    L1 and U1 each run once over the rows that select them, quietly, and
+    each record keeps in sides the lhs of its row's bounds: L1's and U1's
+    only where the shift A* - a1 I passes positive_rows, and a constant
+    density's only where its middle factor does.  A homogeneous A-medium is
+    judged without a bound, so its rows are left out.
     """
     selected, const = {}, []
     for k, i in enumerate(group):
-        astar, _, pa, b1, b2 = rows[i]
+        _, _, pa, b1, b2 = rows[i]
         if homogeneous_value(pa) is not None:
             continue
         if _constant_density(b1, b2):
             const += [(k, name) for name in _CONST_CORES]
             continue
-        region, theta = classify_region(pa, pbs[i]), None
-        if "2" in (region[1], region[3]):
-            try:
-                theta = theta_from_upper_boundary(astar, pa, tol)
-            except OutsideGSet:
-                continue
+        region = classify_region(pa, pbs[i])
         for name in (region[:2], region[2:]):
-            selected.setdefault(name, []).append((k, theta if name[1] == "2" else None))
-    for name, entries in selected.items():
-        ks = [k for k, _ in entries]
+            if name[1] == "1":
+                selected.setdefault(name, []).append(k)
+    for name, ks in selected.items():
         phases = [(rows[group[k]][2], pbs[group[k]]) for k in ks]
         term = np.array([_LHS_TERM[name](pa, pb) for pa, pb in phases])[:, None]
         with np.errstate(all="ignore"):
-            if name[1] == "1":
-                shift = lam[ks] - np.array([pa.a1 for pa, _ in phases])[:, None]
-                factor, keep = shift**2, positive_rows(shift).tolist()
-            else:
-                inverse_a2, scale = np.array([_flux_terms(pa, theta) for (pa, _), (_, theta) in zip(phases, entries)]).T[:, :, None]
-                factor, keep = _flux_ratio(lam[ks], inverse_a2, scale) ** -2, [True] * len(ks)
-            values = _TRACE_LHS[name](lam[ks], beta[ks], factor, term).tolist()
-        for (k, theta), ok, value in zip(entries, keep, values):
+            shift = lam[ks] - np.array([pa.a1 for pa, _ in phases])[:, None]
+            keep = positive_rows(shift).tolist()
+            values = _TRACE_LHS[name](lam[ks], beta[ks], shift**2, term).tolist()
+        for k, ok, value in zip(ks, keep, values):
             if ok:
-                records[group[k]].sides[(name, theta)] = value
+                records[group[k]].sides[name] = value
     factors = [(k, name, records[group[k]].const_b[_CONST_CORES[name]]) for k, name in const]
     factors = [(k, name, outer, es) for k, name, (outer, es, _) in factors if outer is not None]
     if factors:
@@ -293,7 +278,7 @@ def _stacked_lhs(rows, pbs, tol: float, group: list, lam: np.ndarray, beta: np.n
             inverse = from_frames(np.array([f[3].frame for f in factors]), values[keep] ** -1.0)
             b = np.array([rows[group[k]][3] for k, *_ in factors])
             for (k, name, _, _), value in zip(factors, _const_lhs(np.array([f[2] for f in factors]), inverse, b).tolist()):
-                records[group[k]].sides[(name, None)] = value
+                records[group[k]].sides[name] = value
 
 
 def _inputs(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b1: float, b2: float) -> _Inputs:
@@ -343,7 +328,7 @@ def _bound_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float, na
     outer, middle, rhs = record.const_b[_CONST_CORES[name]]
     if outer is None:
         return 0.0, rhs
-    lhs = record.sides.get((name, None))
+    lhs = record.sides.get(name)
     if lhs is None:
         # raises SingularFactor for a middle factor that is not positive definite
         inverse = middle.frame @ np.diag(positive_spectrum(middle.values) ** -1.0) @ middle.frame.T
@@ -362,9 +347,9 @@ def bound_U_const_b(astar: SymTensor, bsharp: SymTensor, pa: PhaseA, b: float) -
 
 
 def _lhs(name: str, astar: SymTensor, bsharp: SymTensor, pa: PhaseA, pb: PhaseB, theta=None) -> float:
-    """The lhs of the two-phase trace bound `name` on one pair, L2 and U2 at theta: the one the stacked pass of pair_memberships kept, else _TRACE_LHS of this pair."""
+    """The lhs of the two-phase trace bound `name` on one pair, L2 and U2 at theta: L1's or U1's the stacked pass of pair_memberships kept, else _TRACE_LHS of this pair."""
     record = _inputs(astar, bsharp, pa, pb.b1, pb.b2)
-    lhs = record.sides.get((name, theta))
+    lhs = record.sides.get(name)
     if lhs is None:
         lam = np.array(eig(astar).values)
         if theta is None:
@@ -584,7 +569,7 @@ def pair_memberships(pairs, tol: float = DEFAULT_TOL) -> list:
     then each pair is judged by the module's pair_membership, which finds
     its record; a DimensionMismatch is raised before any pair is judged.
     """
-    _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs], [pair[3] for pair in pairs], tol)
+    _verdict_inputs([(astar, bsharp, pa, pb.b1, pb.b2) for astar, bsharp, pa, pb in pairs], [pair[3] for pair in pairs])
     return [pair_membership(*pair, tol) for pair in pairs]
 
 

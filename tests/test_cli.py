@@ -448,6 +448,7 @@ UNREAD_DEFAULTED = [
         (["gset", "sample", "--a", "1,2,0.5", "--out", "."], None, None),
         (["laminate", "--spec-file", ".", "--a", "1,2,0.5"], None, None),
         (["pair", "check", *ONED, "--astar", "[" * 100_000, "--bsharp", INSIDE], None, None),
+        (["laminate", "--spec", '{"directions":[[1,0],[0,1]],"weights":[0.5,0.5],"core":"a1","relation":"const_b"}', "--a", "2,1e300,1.0"], None, None),
     ],
 )
 def test_invalid_input_exit_2(argv, env, instance, tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from homobounds.pairbounds import (
     PhaseB,
     bound_L_const_b,
     bound_U_const_b,
+    l2_case,
     pair_membership,
 )
 from homobounds.symtensor import SymTensor
@@ -210,6 +211,26 @@ class TestSaturationPairings:
         assert bound in report.region
         assert abs(report.li_slack if bound.startswith("L") else report.uj_slack) <= 1e-10
         assert report.verdict in ("feasible", "boundary")
+
+    def test_two_phase_misses(self):
+        # Ac_in_B attains neither form of U2 (region L2U2 here), and B_in_A in
+        # L2's case b keeps a positive L2 slack; the oracle agrees with each
+        # closed form, so the slack is the construction's, not the formula's
+        cases = [
+            (CoatingConfig("a1", "b2", "Ac_in_B"), PhaseA(1.0, 2.0, 0.6), PhaseB(1, 3, 0.5)),
+            (CoatingConfig("a1", "b1", "B_in_A"), PhaseA(1.0, 2.0, 0.5), PhaseB(1, 5, 0.3)),
+        ]
+        reports = []
+        for cfg, pa, pb in cases:
+            m, bs = hs_m(pa, cfg.coreA, 2), hs_b(pa, pb, cfg, 2)
+            assert hs_radial_oracle(pa, pb, cfg, 2) == pytest.approx(bs, abs=1e-9)
+            reports.append(pair_membership(SymTensor.diag([m, m]), SymTensor.diag([bs, bs]), pa, pb))
+        u2, l2 = reports
+        assert u2.region == "L2U2" and u2.verdict == "feasible"
+        assert u2.uj_slack == pytest.approx(4.68, abs=1e-10) and u2.uj_variant_slack == pytest.approx(5.88, abs=1e-10)
+        assert u2.uj_slack / u2.uj_lhs == pytest.approx(0.504, abs=1e-3)
+        assert l2.region[:2] == "L2" and l2_case(*cases[1][1:]) == "b" and l2.verdict == "feasible"
+        assert l2.li_slack == pytest.approx(0.09375, abs=1e-10) and l2.li_slack / l2.li_lhs == pytest.approx(0.038, abs=1e-3)
 
     def test_2d_documented_l1_violation(self):
         # core-a1 coated spheres are genuine relative limits (the oracle

@@ -486,18 +486,37 @@ class TestEigenframe:
         assert reports[-1].verdict == "infeasible"
 
     def test_chunk_keeps_the_lhs_each_bound_reads(self, monkeypatch):
-        # after the stacked pass every bound of a sweep row finds its lhs
-        # kept in the pair's record: no lhs is evaluated one pair at a time
+        # after the stacked pass L1, U1 and the constant-density bounds of a
+        # sweep row find their lhs kept in the pair's record: none of them is
+        # evaluated one pair at a time (L2 and U2 evaluate theirs on the pair)
         pairs = [(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in sweeps.draw_composites(sweeps.make_rng(4), 40, 3)]
-        pairbounds._verdict_inputs([(a, b, pa, pb.b1, pb.b2) for a, b, pa, pb in pairs], [pair[3] for pair in pairs], 1e-9)
+        pairbounds._verdict_inputs([(a, b, pa, pb.b1, pb.b2) for a, b, pa, pb in pairs], [pair[3] for pair in pairs])
 
         def refused(*args):
             raise AssertionError("an lhs was evaluated one pair at a time")
 
-        monkeypatch.setattr(pairbounds, "_TRACE_LHS", dict.fromkeys(pairbounds._TRACE_LHS, refused))
+        monkeypatch.setattr(pairbounds, "_TRACE_LHS", {**pairbounds._TRACE_LHS, "L1": refused, "U1": refused})
         monkeypatch.setattr(pairbounds, "_const_lhs", refused)
         verdicts = [pair_membership(*pair).verdict for pair in pairs]
         assert set(verdicts) <= {"feasible", "boundary"} and any(pairbounds._constant_density(pb.b1, pb.b2) for *_, pb in pairs)
+        regions = {classify_region(pa, pb) for _, _, pa, pb in pairs}
+        assert {"L1U1", "L2U2"} <= regions
+
+    def test_chunk_recovers_theta_once_per_row(self, monkeypatch):
+        # judging a chunk recovers the upper-boundary fraction of each row with
+        # a non-homogeneous A-medium once, however many of its bounds read it
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return theta_from_upper_boundary(*args, **kwargs)
+
+        pairs = [(d["astar"], d["bsharp"], d["pa"], d["pb"]) for d in sweeps.draw_composites(sweeps.make_rng(4), 40, 3)]
+        for module in (gclosure, pairbounds):
+            monkeypatch.setattr(module, "theta_from_upper_boundary", counting)
+        pair_memberships(pairs)
+        live = [astar for astar, _, pa, _ in pairs if gclosure.homogeneous_value(pa) is None]
+        assert len(live) == 40 and [id(a) for a in calls] == [id(a) for a in live]
 
     def test_mixed_chunk_matches_one_pair_at_a_time(self):
         # one chunk holding every kind of row, judged on stacked arrays, against
