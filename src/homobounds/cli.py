@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: gset, pair, laminate, hashin, oned, odp, oodp, phase.
-Reports are JSON; sample grids and sweep tables are CSV with a header row
-and shortest-round-trip float formatting, so identical invocations (same
-seed included) produce byte-identical files.  HOMOBOUNDS_TOL overrides the
+Reports are JSON, written by one recursive writer in the bytes of
+json.dumps(indent=2, sort_keys=True), with each non-finite float a quoted
+string; sample grids and sweep tables are CSV with a header row and
+shortest-round-trip float formatting, so identical invocations (same seed
+included) produce byte-identical files.  HOMOBOUNDS_TOL overrides the
 default feasibility tolerance.  Exit codes: 0 ok, 1 failed --assert,
 2 usage or validation error.
 """
@@ -64,25 +66,43 @@ def _exit_code(args, failed: bool) -> int:
     return 1 if args.assert_ and failed else 0
 
 
-def _sanitize(value):
-    """JSON-ready copy: tuples become lists and non-finite floats strings.
+_QUOTED = json.encoder.encode_basestring_ascii
 
-    Reports come in as vars(report): dataclasses.asdict would copy them first,
-    rebuilding each tuple from a generator, and such tuples pile up on the free lists.
-    Every float here, numpy's float64 included, is a Python float, which
-    math.isfinite tests at a fraction of np.isfinite's cost per scalar.
+
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), with each non-finite float as its quoted str().
+
+    Strict JSON has no Infinity/NaN literals.  Tuples are lists, keys (all
+    str) are sorted and any other type raises TypeError, as in json; numpy's
+    float64 is a float.  `indent` is the line break and indentation of
+    value's own line.  Unlike json's pure-Python encoder, which an indent
+    selects, this leaves no reference cycles for the GC.  Reports come in as
+    vars(report): dataclasses.asdict rebuilds each tuple from a generator,
+    and such tuples pile up on the free lists.
     """
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)  # strict JSON has no Infinity/NaN literals
-    if isinstance(value, dict):
-        return {k: _sanitize(v) for k, v in value.items()}
+    if isinstance(value, float):  # a report is mostly floats
+        return float.__repr__(value) if math.isfinite(value) else _QUOTED(str(value))
+    if isinstance(value, str):
+        return _QUOTED(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, (list, tuple)):
-        return [_sanitize(v) for v in value]
-    return value
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]" if value else "[]"
+    if isinstance(value, dict):
+        items = [_QUOTED(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, payload):
-    _write(args, json.dumps(_sanitize(payload), indent=2, sort_keys=True))
+    _write(args, _json(payload))
 
 
 def _emit_csv(args, header, rows):
@@ -147,7 +167,7 @@ def _tensor(text, flag: str) -> SymTensor:
     # checked after symmetrising, where an infinite entry facing its opposite gives NaN
     with np.errstate(invalid="ignore"):
         tensor = SymTensor(m)
-    if not np.isfinite(tensor.mat).all():
+    if not np.isfinite(tensor._m).all():
         raise ValueError(f"--{flag} entries and their symmetrised values must be finite, got {text}")
     return tensor
 

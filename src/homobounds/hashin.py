@@ -155,7 +155,11 @@ def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature
 
     With w(y) = y_l f(r) the angular average is exact and
         b# = integral_0^1 B(r) [N f^2 + 2 f f' r + (f')^2 r^2] r^(N-1) dr,
-    evaluated by the composite midpoint rule on each smooth piece.  Entirely
+    evaluated by the composite midpoint rule on each smooth piece.  The core
+    radius is an edge of the pieces, so each piece evaluates only its own
+    branch of f: f_core in the core, the r^N and r^(N+1) terms in the coating.
+    Only the last points of a core piece can round up onto the core radius,
+    where the coating's branch holds, and those take it.  Entirely
     independent of the closed-form algebra it validates.
     """
     if n not in (2, 3):
@@ -173,10 +177,14 @@ def hs_radial_oracle(pa: PhaseA, pb_or_b, cfg: CoatingConfig, n: int, quadrature
     r_b = rb_n ** (1.0 / n)
 
     def density(r):
-        # gradient magnitude factor: N f^2 + 2 f f' r + (f')^2 r^2
-        inside = r < r_a
-        f = np.where(inside, f_core, f_const + f_decay / r**n)
-        fp = np.where(inside, 0.0, -n * f_decay / r ** (n + 1))
+        # gradient magnitude factor N f^2 + 2 f f' r + (f')^2 r^2 at the rising points r of one piece
+        if r[-1] < r_a:  # the piece lies in the core
+            f, fp = f_core, 0.0
+        else:  # in the coating, but for the last points of a core piece, which can round up onto its edge r_a
+            f, fp = f_const + f_decay / r**n, -n * f_decay / r ** (n + 1)
+            if r[0] < r_a:
+                inside = r < r_a
+                f, fp = np.where(inside, f_core, f), np.where(inside, 0.0, fp)
         return (n * f**2 + 2.0 * f * fp * r + fp**2 * r**2) * r ** (n - 1)
 
     edges = sorted({0.0, r_a, r_b, 1.0})

@@ -752,13 +752,38 @@ def test_report_tuples_do_not_pile_up():
         for i in range(n):
             with contextlib.redirect_stdout(io.StringIO()):
                 main(argvs[i % 2])
-        gc.collect(1)  # the JSON encoder's reference cycles, leaving the free lists alone
+        gc.collect(1)  # any reference cycles, leaving the free lists alone
         return sys.getallocatedblocks()
 
     gc.collect()  # a full collection also empties the free lists
     settled = blocks_after(300)
     growth = (blocks_after(600) - settled) / 600
     assert growth < 0.5, f"{growth:.2f} blocks per call"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CHECK + ["--astar", INSIDE],
+        LEAK_REQUEST,
+        ["laminate", "--spec", NESTED_SPEC, "--a", "1,2,0.5", "--b", "1,3,0.5"],
+        ["hashin", "--a", "1,2,0.5", "--coreA", "a1", "--coreB", "b2", "--inclusion", "Ac_in_B", "--b", "1,3,0.6", "--oracle", "--points", "200"],
+    ],
+    ids=["gset-check", "pair-check", "laminate", "hashin"],
+)
+def test_request_leaves_no_reference_cycles(argv):
+    # json.dumps with an indent left 33 objects in reference cycles a report
+    for _ in range(3):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(

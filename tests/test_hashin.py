@@ -4,11 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from homobounds.gclosure import PhaseA, means
+from homobounds.gclosure import PhaseA, core_side, means
 from homobounds.hashin import (
     CoatingConfig,
     IncompatibleVolumes,
     UnsupportedGeometry,
+    _radial_density,
     hs_b,
     hs_m,
     hs_radial_oracle,
@@ -173,6 +174,85 @@ class TestRadialOracle:
         pa, cfg = PhaseA(1.0, 2.0, theta), CoatingConfig(core, "const", "none")
         assert hs_radial_oracle(pa, 1.5, cfg, 2) == 1.5
         assert abs(hs_radial_oracle(pa, 1.5, cfg, 3) - hs_b(pa, 1.5, cfg, 3)) <= 1e-8
+
+
+def oracle_reference(pa, pb_or_b, cfg, n, quadrature_points):
+    """hs_radial_oracle with both radial branches at every point, chosen by np.where, and each piece whole."""
+    coat_val, core_vol, _, _ = core_side(pa, cfg.coreA)
+    b_inner, b_outer, rb_n = _radial_density(cfg, pa, pb_or_b)
+    if 0.0 < core_vol < 1.0:
+        f_core, f_const, f_decay = radial_profile_coefficients(getattr(pa, cfg.coreA), coat_val, core_vol, n)
+        r_a = core_vol ** (1.0 / n)
+    else:
+        f_core, f_const, f_decay, r_a = 1.0, 1.0, 0.0, 1.0
+    r_b = rb_n ** (1.0 / n)
+    edges = sorted({0.0, r_a, r_b, 1.0})
+    total = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        if hi - lo < 1e-15:
+            continue
+        pts = max(64, int(round(quadrature_points * (hi - lo))))
+        r = lo + (np.arange(pts) + 0.5) * (hi - lo) / pts
+        inside = r < r_a
+        f = np.where(inside, f_core, f_const + f_decay / r**n)
+        fp = np.where(inside, 0.0, -n * f_decay / r ** (n + 1))
+        values = (n * f**2 + 2.0 * f * fp * r + fp**2 * r**2) * r ** (n - 1)
+        b_here = b_inner if hi <= r_b + 1e-15 else b_outer
+        total += b_here * np.sum(values) * (hi - lo) / pts
+    return float(total)
+
+
+CONFIGS = (
+    CONST_A1,
+    CONST_A2,
+    CoatingConfig("a2", "b2", "A_in_B"),
+    CoatingConfig("a1", "b1", "B_in_A"),
+    CoatingConfig("a2", "b1", "A_in_Bc"),
+    CoatingConfig("a1", "b2", "Ac_in_B"),
+)
+
+
+def _admitted_fraction(cfg, theta_a, u):
+    """A thetaB in the region of cfg's relation at thetaA, from u in [0, 1)."""
+    return {
+        "A_in_B": theta_a + (1.0 - theta_a) * u,
+        "B_in_A": theta_a * u,
+        "A_in_Bc": (1.0 - theta_a) * u,
+        "Ac_in_B": 1.0 - theta_a * u,
+    }[cfg.inclusion]
+
+
+class TestOracleBranches:
+    """Each oracle piece evaluates only its own branch, with the bits of np.where over both."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda cfg: f"{cfg.coreA}-{cfg.coreB}-{cfg.inclusion}")
+    def test_bits_of_both_branches_everywhere(self, cfg, n):
+        rng = np.random.default_rng([n, CONFIGS.index(cfg), 9])
+        for core_vol in (0.0, 1e-13, "mid", 1.0 - 1e-13, 1.0):
+            for points in (1, 63, 64, "seeded", "seeded"):
+                quadrature_points = int(rng.integers(2_000, 20_001)) if points == "seeded" else points
+                vol = float(rng.uniform(0.05, 0.95)) if core_vol == "mid" else core_vol
+                pa = PhaseA(1.0, float(rng.uniform(1.1, 20.0)), vol if cfg.coreA == "a1" else 1.0 - vol)
+                if cfg.coreB == "const":
+                    density = float(rng.uniform(0.5, 5.0))
+                else:
+                    density = PhaseB(1.0, float(rng.uniform(1.1, 20.0)), _admitted_fraction(cfg, pa.thetaA, float(rng.uniform())))
+                expected = oracle_reference(pa, density, cfg, n, quadrature_points)
+                assert hs_radial_oracle(pa, density, cfg, n, quadrature_points) == expected, (core_vol, quadrature_points)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("gap", [0.0, 1.5e-15, 3e-15, 6e-15, 2e-14])
+    def test_bits_where_the_density_interface_meets_the_core(self, n, gap):
+        # a constant density puts r_b at 0.5^(1/N); at r_a = r_b the piece between
+        # them is empty, and a few 1e-15 above it the last points of the piece
+        # [r_b, r_a] round up onto r_a, where the coating's branch holds
+        r_b = 0.5 ** (1.0 / n)
+        for cfg in (CONST_A1, CONST_A2):
+            vol = 0.5 if gap == 0.0 else (r_b + gap) ** n
+            pa = PhaseA(1.0, 3.0, vol if cfg.coreA == "a1" else 1.0 - vol)
+            for points in (64, 10_000):
+                assert hs_radial_oracle(pa, 1.3, cfg, n, points) == oracle_reference(pa, 1.3, cfg, n, points)
 
 
 class TestSaturationPairings:
